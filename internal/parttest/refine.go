@@ -86,7 +86,7 @@ func RefineInvariants(algo part.Algorithm, src graph.EdgeStream, k int, o refine
 // checkRoundState verifies the mid-pass consistency triangle between the
 // result, the edge list and the live assignment array: counts match the
 // assignment tally and the replica table is exactly the table the assignment
-// induces.
+// induces, running covered and per-partition vertex counts included.
 func checkRoundState(res *part.Result, edges []graph.Edge, parts []int32) error {
 	if len(edges) != len(parts) {
 		return fmt.Errorf("%d edges with %d assignments", len(edges), len(parts))
@@ -112,6 +112,14 @@ func checkRoundState(res *part.Result, edges []graph.Edge, parts []int32) error 
 	}
 	if got, want := res.Reps.TotalReplicas(), rebuilt.TotalReplicas(); got != want {
 		return fmt.Errorf("replica table holds %d replicas, assignment induces %d", got, want)
+	}
+	if got, want := res.Reps.Covered(), rebuilt.Covered(); got != want {
+		return fmt.Errorf("replica table covers %d vertices, assignment induces %d", got, want)
+	}
+	for p := 0; p < res.K; p++ {
+		if got, want := res.Reps.VertexCount(p), rebuilt.VertexCount(p); got != want {
+			return fmt.Errorf("partition %d: replica table counts %d vertices, assignment induces %d", p, got, want)
+		}
 	}
 	for v := 0; v < res.N; v++ {
 		var bad error

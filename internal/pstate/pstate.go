@@ -53,7 +53,7 @@ type Table struct {
 	pages [][]uint64
 
 	vcount  []int64  // |V(p_i)|: vertices with bit p set, per partition
-	covered int64    // vertices with ≥1 bit set, maintained in Add
+	covered int64    // vertices with ≥1 bit set, maintained in Add/Remove
 	scratch []uint64 // reusable candidate mask, ⌈k/64⌉ words
 }
 
@@ -148,6 +148,34 @@ func (t *Table) Add(v graph.V, p int) bool {
 	}
 	*w |= b
 	t.vcount[p]++
+	return true
+}
+
+// Remove clears vertex v's replica bit on partition p, reporting whether the
+// bit was set — the inverse of Add. The per-partition vertex count and the
+// covered count drop only on a real clear; a bit on an unallocated overflow
+// page is absent, and the page stays unallocated.
+func (t *Table) Remove(v graph.V, p int) bool {
+	var w *uint64
+	var b uint64
+	if p < 64 {
+		w, b = &t.dense[v], 1<<(uint(p)&63)
+	} else {
+		ov := t.page(v)
+		if ov == nil {
+			return false
+		}
+		q := p - 64
+		w, b = &ov[q>>6], 1<<(uint(q)&63)
+	}
+	if *w&b == 0 {
+		return false
+	}
+	*w &^= b
+	t.vcount[p]--
+	if t.empty(v) {
+		t.covered--
+	}
 	return true
 }
 
@@ -275,7 +303,7 @@ func (t *Table) TotalReplicas() int64 {
 }
 
 // Covered returns the running number of vertices replicated on at least one
-// partition, maintained incrementally in Add. Together with TotalReplicas it
+// partition, maintained incrementally in Add and Remove. Together with TotalReplicas it
 // gives an O(k) running replication factor; the exact end-of-run metrics
 // still use the TotalAndCovered scan.
 func (t *Table) Covered() int64 { return t.covered }

@@ -399,6 +399,111 @@ func TestRunningCoveredMatchesScan(t *testing.T) {
 	}
 }
 
+// TestTableRemove pins Remove as Add's inverse: the bit clears, the
+// per-partition and covered counts drop only on a real clear, removing a
+// vertex's last bit uncovers it, and absent bits — including bits on an
+// unallocated overflow page — are no-ops that allocate nothing.
+func TestTableRemove(t *testing.T) {
+	n, k := 2*PageVertices, 130
+	tab := NewTable(n, k)
+	tab.Add(3, 5)
+	tab.Add(3, 70)
+	tab.Add(4, 5)
+	if !tab.Remove(3, 5) {
+		t.Fatal("Remove of a set bit reported absent")
+	}
+	if tab.Has(3, 5) || !tab.Has(3, 70) || !tab.Has(4, 5) {
+		t.Fatal("Remove cleared the wrong bits")
+	}
+	if tab.VertexCount(5) != 1 || tab.Covered() != 2 {
+		t.Fatalf("after clear: vcount[5]=%d covered=%d, want 1, 2", tab.VertexCount(5), tab.Covered())
+	}
+	if tab.Remove(3, 5) {
+		t.Fatal("second Remove reported a clear")
+	}
+	if tab.VertexCount(5) != 1 || tab.Covered() != 2 {
+		t.Fatal("Remove of an absent bit changed a count")
+	}
+	if !tab.Remove(3, 70) || tab.VertexCount(70) != 0 || tab.Covered() != 1 {
+		t.Fatalf("last bit: vcount[70]=%d covered=%d, want 0, 1", tab.VertexCount(70), tab.Covered())
+	}
+	if tab.Count(3) != 0 {
+		t.Fatal("vertex 3 still replicated after its last Remove")
+	}
+
+	// Vertex PageVertices+1 lives on the second overflow page, never written.
+	v := graph.V(PageVertices + 1)
+	pages := tab.PagesAllocated()
+	if tab.Remove(v, 100) || tab.Remove(v, 0) {
+		t.Fatal("Remove on an untouched vertex reported a clear")
+	}
+	if tab.PagesAllocated() != pages {
+		t.Fatal("Remove allocated an overflow page")
+	}
+	if tab.Covered() != 1 || tab.TotalReplicas() != 1 {
+		t.Fatalf("no-op Removes moved covered/total to %d/%d", tab.Covered(), tab.TotalReplicas())
+	}
+
+	// Add then Remove round-trips in the dense word and on an overflow page.
+	for _, p := range []int{0, 63, 64, 129} {
+		before := append([]uint64(nil), tab.Word(v, 0), tab.Word(v, 1), tab.Word(v, 2))
+		tab.Add(v, p)
+		if !tab.Remove(v, p) {
+			t.Fatalf("p=%d: Remove after Add reported absent", p)
+		}
+		for wi, w := range before {
+			if tab.Word(v, wi) != w {
+				t.Fatalf("p=%d: word %d = %#x after round trip, want %#x", p, wi, tab.Word(v, wi), w)
+			}
+		}
+		if tab.VertexCount(p) != 0 || tab.Covered() != 1 || tab.TotalReplicas() != 1 {
+			t.Fatalf("p=%d: round trip left vcount=%d covered=%d total=%d", p, tab.VertexCount(p), tab.Covered(), tab.TotalReplicas())
+		}
+	}
+}
+
+// TestRemoveMatchesReference drives random Add/Remove against a map reference
+// and pins the running counts against the exact scan throughout.
+func TestRemoveMatchesReference(t *testing.T) {
+	for _, k := range []int{3, 64, 200} {
+		rng := rand.New(rand.NewSource(int64(900 + k)))
+		n := PageVertices + 50
+		tab := NewTable(n, k)
+		ref := map[[2]int]bool{}
+		for i := 0; i < 6000; i++ {
+			v, p := rng.Intn(n), rng.Intn(k)
+			key := [2]int{v, p}
+			if rng.Intn(3) == 0 {
+				if tab.Remove(graph.V(v), p) != ref[key] {
+					t.Fatalf("k=%d: Remove(%d,%d) clear mismatch", k, v, p)
+				}
+				delete(ref, key)
+			} else {
+				if tab.Add(graph.V(v), p) == ref[key] {
+					t.Fatalf("k=%d: Add(%d,%d) newness mismatch", k, v, p)
+				}
+				ref[key] = true
+			}
+		}
+		total, covered := tab.TotalAndCovered()
+		if total != int64(len(ref)) || tab.TotalReplicas() != total {
+			t.Fatalf("k=%d: total %d (running %d), reference %d", k, total, tab.TotalReplicas(), len(ref))
+		}
+		if tab.Covered() != int64(covered) {
+			t.Fatalf("k=%d: running covered %d, scan says %d", k, tab.Covered(), covered)
+		}
+		vcount := make([]int64, k)
+		for key := range ref {
+			vcount[key[1]]++
+		}
+		for p := 0; p < k; p++ {
+			if tab.VertexCount(p) != vcount[p] {
+				t.Fatalf("k=%d: vcount[%d] = %d, want %d", k, p, tab.VertexCount(p), vcount[p])
+			}
+		}
+	}
+}
+
 func TestMaxTableBytes(t *testing.T) {
 	if got := MaxTableBytes(1000, 32); got != 1000*8+32*8 {
 		t.Fatalf("k=32: %d", got)

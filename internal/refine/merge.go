@@ -6,6 +6,7 @@ import (
 
 	"hep/internal/graph"
 	"hep/internal/part"
+	"hep/internal/pstate"
 )
 
 // SplitMerge folds an over-partitioned result (res.K = x·kTarget buckets,
@@ -160,6 +161,17 @@ func SplitMerge(res *part.Result, edges []graph.Edge, parts []int32, kTarget int
 	nr.Reps = rebuildTable(n, kTarget, edges, parts)
 	sp.Edges(m)
 	return nr, st, nil
+}
+
+// rebuildTable derives the replica table from the assignment array.
+func rebuildTable(n, k int, edges []graph.Edge, parts []int32) *pstate.Table {
+	t := pstate.NewTable(n, k)
+	for i, e := range edges {
+		p := int(parts[i])
+		t.Add(e.U, p)
+		t.Add(e.V, p)
+	}
+	return t
 }
 
 func popcountAnd(a, b []uint64) int64 {

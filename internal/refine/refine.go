@@ -16,14 +16,22 @@
 //
 // is evaluated per candidate q and only strictly positive moves are kept.
 //
-// Rounds are the safety boundary: workers sweep the boundary via
-// pstate.Buckets, accumulate per-target gains in shard.Lanes, apply the
-// selected moves with CAS claims on the assignment array, and then the
-// replica table is rebuilt from the assignment and compared against the
-// round-start total. Moves never change which vertices are covered, so the
-// total-replica ordering is exactly the RF ordering — a round that would
-// worsen it is reverted wholesale, which turns the per-move estimate into a
-// hard RF-never-worse guarantee at round granularity.
+// The only strictly positive gain is 1, reached when every moved edge's other
+// endpoint already lives on q, so the scan reduces to an AND of mask words.
+//
+// Rounds are the safety boundary: workers stride the boundary vertices, each
+// gathering its per-partition edge counts and neighbour-mask ANDs in one pass
+// over its incidence, accumulate per-target gains in shard.Lanes, and apply
+// the selected moves with CAS claims on the assignment array. The replica
+// table is then patched in place — only the endpoints of claimed edges can
+// change mask — and its running total compared against the round-start
+// total. Moves never change which vertices are covered, so the total-replica
+// ordering is exactly the RF ordering — a round that would worsen it is
+// reverted wholesale (assignment from a round-start snapshot, touched masks
+// from their saved words), which turns the per-move estimate into a hard
+// RF-never-worse guarantee at round granularity. A round costs one pass over
+// the boundary's incidence plus the incidence of the claimed edges'
+// endpoints, and the O(m) snapshot copy.
 //
 // The optional split–merge mode (merge.go, after the Split_Merge_Partitioner
 // scheme) partitions into x·k buckets first and greedily merges back to k by
@@ -31,10 +39,12 @@
 package refine
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -170,7 +180,7 @@ type Stats struct {
 	// EstimatedGain sums the estimated replica gain of the selected moves
 	// (shard.Lanes drain of the scan phases).
 	EstimatedGain int64
-	// RevertedRounds counts rounds rolled back because the rebuilt replica
+	// RevertedRounds counts rounds rolled back because the patched replica
 	// table showed a net RF regression (at most 1: a revert stops the pass).
 	RevertedRounds int
 	// Merges and ForcedMerges are ModeSplitMerge's pairing counts; a forced
@@ -241,12 +251,11 @@ func checkLive(res *part.Result, edges []graph.Edge, parts []int32) error {
 }
 
 // move is one selected evacuation: migrate v's cnt edges out of partition
-// from into partition to, for an estimated replica gain.
+// from into partition to. Every selected move has estimated gain 1.
 type move struct {
 	v        graph.V
 	from, to int32
 	cnt      int32
-	gain     int32
 }
 
 // incidence is the per-vertex CSR over edge ids, built once per pass. A
@@ -318,20 +327,25 @@ func Run(res *part.Result, edges []graph.Edge, parts []int32, o Options) (Stats,
 	sp := o.Obs.Span("refine-moves")
 	defer sp.End()
 
-	prevTotal := res.Reps.TotalReplicas()
+	t := res.Reps
+	prevTotal := t.TotalReplicas()
 	snapshot := make([]int32, len(parts))
 	loadSnap := make([]int64, k)
+	claims := make([][]int32, workers)
+	first := make([]int32, n)
+	for v := range first {
+		first[v] = -1
+	}
+	delta := &tableDelta{seen: make([]bool, n), mask: make([]uint64, t.Words())}
 
 	for round := 1; round <= o.rounds(); round++ {
-		boundary, poolCap := collectBoundary(res.Reps, n)
+		boundary := collectBoundary(t, n)
 		if len(boundary) == 0 {
 			break
 		}
-		buckets := pstate.NewBuckets(k, poolCap, len(boundary))
-		buckets.Build(res.Reps, boundary)
 
 		rsp := o.Obs.Span("refine-round")
-		moves, est, err := scanMoves(res.Reps, inc, edges, parts, boundary, buckets, loads, st.Bound, workers, c, &st)
+		moves, est, err := scanMoves(t, inc, edges, parts, boundary, loads, st.Bound, workers, c, &st)
 		if err != nil {
 			rsp.End()
 			return st, err
@@ -348,30 +362,30 @@ func Run(res *part.Result, edges []graph.Edge, parts []int32, o Options) (Stats,
 			break
 		}
 		st.EstimatedGain += est
-		st.Interactions += countInteractions(moves, inc, edges, parts)
+		st.Interactions += countInteractions(moves, inc, edges, parts, first)
 
 		copy(snapshot, parts)
 		for p := 0; p < k; p++ {
 			loadSnap[p] = loads[p].Load()
 		}
-		moved := applyMoves(moves, inc, parts, loads, st.Bound, workers, c, &st)
+		moved := applyMoves(moves, inc, parts, loads, st.Bound, claims, c, &st)
 
-		// Rebuild the replica table from the assignment — the one source of
-		// truth after concurrent claims — and enforce RF-never-worse at
-		// round granularity: moves do not change vertex coverage, so the
+		// Patch the replica table from the assignment — the one source of
+		// truth after concurrent claims — and enforce RF-never-worse at round
+		// granularity: moves do not change vertex coverage, so the running
 		// total-replica comparison is the RF comparison.
-		nt := rebuildTable(n, k, edges, parts)
-		newTotal := nt.TotalReplicas()
+		delta.apply(t, inc, edges, parts, claims)
+		newTotal := t.TotalReplicas()
 		reverted := newTotal > prevTotal
 		if reverted {
 			copy(parts, snapshot)
+			delta.undo(t)
 			for p := 0; p < k; p++ {
 				loads[p].Store(loadSnap[p])
 			}
 			st.RevertedRounds++
 		} else {
 			prevTotal = newTotal
-			res.Reps = nt
 			for p := 0; p < k; p++ {
 				if d := loads[p].Load() - res.Counts[p]; d != 0 {
 					res.Loads.Bulk(p, d)
@@ -391,31 +405,30 @@ func Run(res *part.Result, edges []graph.Edge, parts []int32, o Options) (Stats,
 	return st, nil
 }
 
-// collectBoundary returns the vertices replicated on ≥ 2 partitions plus the
-// total replica count over them (the exact Buckets pool size).
-func collectBoundary(t *pstate.Table, n int) ([]graph.V, int) {
+// collectBoundary returns the vertices replicated on ≥ 2 partitions.
+func collectBoundary(t *pstate.Table, n int) []graph.V {
 	var verts []graph.V
-	pool := 0
 	for v := 0; v < n; v++ {
-		if c := t.Count(graph.V(v)); c >= 2 {
+		if t.Count(graph.V(v)) >= 2 {
 			verts = append(verts, graph.V(v))
-			pool += c
 		}
 	}
-	return verts, pool
+	return verts
 }
 
-// scanMoves is the parallel gain sweep: workers stride the partition
-// buckets, evaluate every (boundary vertex, hosting partition) evacuation
-// against the vertex's other hosting partitions, and keep the best strictly
-// positive candidate per pair. Selected gains accumulate per target
-// partition in shard.Lanes; the merged move list is sorted deterministically
-// so the sequential path (workers=1) is reproducible.
+// scanMoves is the parallel gain sweep. Workers stride the boundary
+// vertices; one pass over a vertex v's incidence gathers, per partition p,
+// the count of v's p-edges and the AND of their other endpoints' mask words.
+// Evacuating v from a hosting partition p gains 1 exactly on the targets
+// mask(v) & AND_p &^ bit(p) — every p-neighbour already lives there — and
+// the lowest-loaded target wins, ties to the lowest partition id. Selected
+// gains accumulate per target partition in shard.Lanes; the merged move list
+// is sorted by (v, from), so every worker count yields the same list.
 func scanMoves(t *pstate.Table, inc incidence, edges []graph.Edge, parts []int32,
-	boundary []graph.V, buckets *pstate.Buckets, loads []atomic.Int64,
+	boundary []graph.V, loads []atomic.Int64,
 	bound int64, workers int, c *obs.Counters, st *Stats) ([]move, int64, error) {
 
-	k := t.K()
+	k, words := t.K(), t.Words()
 	gains := shard.NewLanes[int64](workers, k)
 	gains.SetObs(c)
 	perWorker := make([][]move, workers)
@@ -426,68 +439,82 @@ func scanMoves(t *pstate.Table, inc incidence, edges []graph.Edge, parts []int32
 		go func(w int) {
 			defer wg.Done()
 			var local []move
-			var scratch []int32
 			var evals int64
-			eval := func(tag int32, p int) {
-				v := boundary[tag]
-				// Gather v's edges currently in p. The scan has no
-				// concurrent writer (the apply phase is barrier-separated),
-				// so plain reads of parts are safe.
-				scratch = scratch[:0]
+			// Per-partition accumulators of the current vertex: cnt[p] counts
+			// its p-edges, and[p·words:] ANDs their other endpoints' masks,
+			// seen lists the partitions with cnt > 0 so the reset stays
+			// O(|P(v)|). The scan has no concurrent writer (the apply phase is
+			// barrier-separated), so plain reads of parts and the table are
+			// safe.
+			cnt := make([]int32, k)
+			and := make([]uint64, k*words)
+			mask := make([]uint64, words)
+			var seen []int32
+			for i := w; i < len(boundary); i += workers {
+				v := boundary[i]
+				hosts := 0
+				for wi := range mask {
+					mask[wi] = t.Word(v, wi)
+					hosts += bits.OnesCount64(mask[wi])
+				}
 				for _, eid := range inc.edgesOf(v) {
-					if parts[eid] == int32(p) {
-						scratch = append(scratch, eid)
+					p := parts[eid]
+					u := edges[eid].U
+					if u == v {
+						u = edges[eid].V
 					}
-				}
-				cnt := len(scratch)
-				if cnt == 0 || cnt > maxEvacuate || int64(cnt) > bound {
-					return
-				}
-				bestGain, bestTo, bestLoad := int32(0), int32(-1), int64(0)
-				t.RangeVertex(v, func(q int) bool {
-					if q == p {
-						return true
-					}
-					evals++
-					g := int32(1)
-					for _, eid := range scratch {
-						u := edges[eid].U
-						if u == v {
-							u = edges[eid].V
+					if words == 1 { // k ≤ 64: skip the slice arithmetic
+						if cnt[p] == 0 {
+							seen = append(seen, p)
+							and[p] = t.Word(u, 0)
+						} else {
+							and[p] &= t.Word(u, 0)
 						}
-						if !t.Has(u, q) {
-							g--
-							if g < bestGain {
-								break // cannot beat the current best
+						cnt[p]++
+						continue
+					}
+					acc := and[int(p)*words : int(p+1)*words]
+					if cnt[p] == 0 {
+						seen = append(seen, p)
+						for wi := range acc {
+							acc[wi] = t.Word(u, wi)
+						}
+					} else {
+						for wi := range acc {
+							acc[wi] &= t.Word(u, wi)
+						}
+					}
+					cnt[p]++
+				}
+				// Evaluate each partition p holding v's edges; every other
+				// hosting partition counts as one gain evaluation.
+				for _, p := range seen {
+					ne := cnt[p]
+					cnt[p] = 0
+					if ne > maxEvacuate || int64(ne) > bound {
+						continue
+					}
+					evals += int64(hosts - 1)
+					acc := and[int(p)*words : int(p+1)*words]
+					best, bestLoad := -1, int64(0)
+					for wi := range acc {
+						cand := mask[wi] & acc[wi]
+						if wi == int(p>>6) {
+							cand &^= 1 << (uint(p) & 63)
+						}
+						for ; cand != 0; cand &= cand - 1 {
+							q := wi<<6 + bits.TrailingZeros64(cand)
+							if ql := loads[q].Load(); best < 0 || ql < bestLoad {
+								best, bestLoad = q, ql
 							}
 						}
 					}
-					ql := loads[q].Load()
-					if g > bestGain || (g == bestGain && bestTo >= 0 && ql < bestLoad) {
-						bestGain, bestTo, bestLoad = g, int32(q), ql
+					if best >= 0 {
+						local = append(local, move{v: v, from: p, to: int32(best), cnt: ne})
+						gains.Add(w, best, 1)
 					}
-					return true
-				})
-				if bestGain > 0 {
-					local = append(local, move{v: v, from: int32(p), to: bestTo, cnt: int32(cnt), gain: bestGain})
-					gains.Add(w, int(bestTo), int64(bestGain))
 				}
-			}
-			for p := w; p < k; p += workers {
-				for _, tag := range buckets.Bucket(p) {
-					eval(tag, p)
-				}
-			}
-			// Overflowed vertices (bounded pool) are probed directly against
-			// every partition they host, strided by position for balance.
-			for i, tag := range buckets.Overflow() {
-				if i%workers != w {
-					continue
-				}
-				t.RangeVertex(boundary[tag], func(p int) bool {
-					eval(tag, p)
-					return true
-				})
+				seen = seen[:0]
 			}
 			recomputes[w] = evals
 			perWorker[w] = local
@@ -514,14 +541,11 @@ func scanMoves(t *pstate.Table, inc incidence, edges []graph.Edge, parts []int32
 	for _, l := range perWorker {
 		moves = append(moves, l...)
 	}
-	sort.Slice(moves, func(i, j int) bool {
-		if moves[i].gain != moves[j].gain {
-			return moves[i].gain > moves[j].gain
+	slices.SortFunc(moves, func(a, b move) int {
+		if a.v != b.v {
+			return cmp.Compare(a.v, b.v)
 		}
-		if moves[i].v != moves[j].v {
-			return moves[i].v < moves[j].v
-		}
-		return moves[i].from < moves[j].from
+		return cmp.Compare(a.from, b.from)
 	})
 	return moves, sum, nil
 }
@@ -534,13 +558,16 @@ func scanMoves(t *pstate.Table, inc incidence, edges []graph.Edge, parts []int32
 // and M.to == f — including w's own move out of another partition pushing a
 // self-loop home). The move list is deterministic per round, so this count
 // is identical for every worker schedule.
-func countInteractions(moves []move, inc incidence, edges []graph.Edge, parts []int32) int64 {
-	sel := make(map[graph.V][]move, len(moves))
-	for _, mv := range moves {
-		sel[mv.v] = append(sel[mv.v], mv)
+//
+// first is a per-vertex scratch index, all -1 on entry and on return: while
+// counting, first[z] is the position of z's first move in the (v, from)-
+// sorted list, whose moves of z are contiguous from there.
+func countInteractions(moves []move, inc incidence, edges []graph.Edge, parts []int32, first []int32) int64 {
+	for i := len(moves) - 1; i >= 0; i-- {
+		first[moves[i].v] = int32(i)
 	}
 	var n int64
-	for _, mv := range moves {
+	for i, mv := range moves {
 	nextMove:
 		for _, eid := range inc.edgesOf(mv.v) {
 			p := parts[eid]
@@ -548,17 +575,18 @@ func countInteractions(moves []move, inc incidence, edges []graph.Edge, parts []
 			if z == mv.v {
 				z = edges[eid].V
 			}
-			for _, o := range sel[z] {
-				if o == mv {
-					continue
-				}
-				if (p == mv.from && z != mv.v && o.from == mv.from) ||
-					(o.from == p && o.to == mv.from) {
+			for j := int(first[z]); j >= 0 && j < len(moves) && moves[j].v == z; j++ {
+				o := moves[j]
+				if j != i && ((p == mv.from && z != mv.v && o.from == mv.from) ||
+					(o.from == p && o.to == mv.from)) {
 					n++
 					break nextMove
 				}
 			}
 		}
+	}
+	for _, mv := range moves {
+		first[mv.v] = -1
 	}
 	return n
 }
@@ -569,14 +597,17 @@ type applyResult struct {
 }
 
 // applyMoves claims the selected moves with per-edge CAS on the assignment
-// array. Each move first reserves capacity on its target under the balance
-// bound, then claims up to cnt of v's from-edges; edges a competing move
-// claimed first stay claimed (v still leaves from — the competitor moved
-// them out of from too). Claims are capped at the reservation so the guard
-// can never be exceeded by edges that migrated into from concurrently.
+// array, one worker per claims log. Each move first reserves capacity on its
+// target under the balance bound, then claims up to cnt of v's from-edges;
+// edges a competing move claimed first stay claimed (v still leaves from —
+// the competitor moved them out of from too). Claims are capped at the
+// reservation so the guard can never be exceeded by edges that migrated into
+// from concurrently. Worker w records the ids of the edges it claimed in
+// claims[w]; an edge claimed twice in a round appears twice.
 func applyMoves(moves []move, inc incidence, parts []int32, loads []atomic.Int64,
-	bound int64, workers int, c *obs.Counters, st *Stats) int64 {
+	bound int64, claims [][]int32, c *obs.Counters, st *Stats) int64 {
 
+	workers := len(claims)
 	results := make([]applyResult, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -584,6 +615,7 @@ func applyMoves(moves []move, inc incidence, parts []int32, loads []atomic.Int64
 		go func(w int) {
 			defer wg.Done()
 			var r applyResult
+			log := claims[w][:0]
 			for i := w; i < len(moves); i += workers {
 				mv := moves[i]
 				reserved := false
@@ -608,6 +640,7 @@ func applyMoves(moves []move, inc incidence, parts []int32, loads []atomic.Int64
 					}
 					if atomic.CompareAndSwapInt32(&parts[eid], mv.from, mv.to) {
 						claimed++
+						log = append(log, eid)
 					}
 				}
 				if claimed == 0 {
@@ -623,6 +656,7 @@ func applyMoves(moves []move, inc incidence, parts []int32, loads []atomic.Int64
 				r.applied++
 				r.moved += claimed
 			}
+			claims[w] = log
 			results[w] = r
 		}(w)
 	}
@@ -642,14 +676,68 @@ func applyMoves(moves []move, inc incidence, parts []int32, loads []atomic.Int64
 	return moved
 }
 
-// rebuildTable derives the replica table from the assignment array — the
-// post-round source of truth.
-func rebuildTable(n, k int, edges []graph.Edge, parts []int32) *pstate.Table {
-	t := pstate.NewTable(n, k)
-	for i, e := range edges {
-		p := int(parts[i])
-		t.Add(e.U, p)
-		t.Add(e.V, p)
+// tableDelta patches the replica table after a round's claims. A vertex's
+// mask is the set of partitions its incident edges live on, so only the
+// endpoints of claimed edges can change: apply recomputes their masks from
+// the incidence and writes the differing bits through Table.Add and
+// Table.Remove, which keep the per-partition and covered counts exact. The
+// words each touched vertex held before the patch are saved for undo.
+type tableDelta struct {
+	seen    []bool    // per vertex: already in touched this round
+	touched []graph.V // endpoints of this round's claimed edges
+	saved   []uint64  // pre-patch mask words, words per touched vertex
+	mask    []uint64  // one recomputed mask
+}
+
+// apply brings the mask of every endpoint of a claimed edge in line with
+// parts.
+func (d *tableDelta) apply(t *pstate.Table, inc incidence, edges []graph.Edge, parts []int32, claims [][]int32) {
+	d.touched, d.saved = d.touched[:0], d.saved[:0]
+	for _, log := range claims {
+		for _, eid := range log {
+			d.touch(t, edges[eid].U)
+			d.touch(t, edges[eid].V)
+		}
 	}
-	return t
+	for _, x := range d.touched {
+		d.seen[x] = false
+		clear(d.mask)
+		for _, eid := range inc.edgesOf(x) {
+			p := parts[eid]
+			d.mask[p>>6] |= 1 << (uint(p) & 63)
+		}
+		setMask(t, x, d.mask)
+	}
+}
+
+func (d *tableDelta) touch(t *pstate.Table, x graph.V) {
+	if d.seen[x] {
+		return
+	}
+	d.seen[x] = true
+	d.touched = append(d.touched, x)
+	for wi := range d.mask {
+		d.saved = append(d.saved, t.Word(x, wi))
+	}
+}
+
+// undo restores the masks the last apply changed.
+func (d *tableDelta) undo(t *pstate.Table) {
+	words := len(d.mask)
+	for i, x := range d.touched {
+		setMask(t, x, d.saved[i*words:(i+1)*words])
+	}
+}
+
+// setMask rewrites v's mask to want (⌈k/64⌉ words) bit by bit.
+func setMask(t *pstate.Table, v graph.V, want []uint64) {
+	for wi, w := range want {
+		have := t.Word(v, wi)
+		for add := w &^ have; add != 0; add &= add - 1 {
+			t.Add(v, wi<<6+bits.TrailingZeros64(add))
+		}
+		for rem := have &^ w; rem != 0; rem &= rem - 1 {
+			t.Remove(v, wi<<6+bits.TrailingZeros64(rem))
+		}
+	}
 }
