@@ -307,7 +307,8 @@ func BenchmarkHDRFPlacement(b *testing.B) {
 			b.SetBytes(m * 8)
 			for i := 0; i < b.N; i++ {
 				res := part.NewResult(n, k)
-				if err := stream.RunHDRF(g, res, deg, lambda, 1.05, m); err != nil {
+				err := stream.RunHDRFParallel(g, res, deg, lambda, 1.05, m, shard.Options{Workers: 1})
+				if err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -321,7 +322,7 @@ func BenchmarkHDRFPlacement(b *testing.B) {
 				// to bit-for-bit.
 				ref := parttest.NewRefState(n, k)
 				err := g.Edges(func(u, v graph.V) bool {
-					p := parttest.RefBestHDRF(ref, ref, u, v, deg[u], deg[v], lambda, capacity)
+					p := parttest.RefHDRFArgmax(ref, ref, u, v, deg[u], deg[v], lambda, capacity)
 					if p < 0 {
 						p = parttest.RefArgmin(ref.Counts)
 					}
@@ -338,12 +339,12 @@ func BenchmarkHDRFPlacement(b *testing.B) {
 }
 
 // BenchmarkParallelHDRF measures the parallel sharded streaming engine
-// against sequential RunHDRF on the TW power-law stand-in at k=32: ns/edge
-// and replication factor per worker count. Speedup tracks the cores
-// actually available (GOMAXPROCS) — on a multi-core host W=8 approaches
-// linear scaling; on a single core the W > 1 rows price the engine's
-// batching overhead. `hep-bench -exp shard` prints the same table across
-// datasets and k.
+// against one worker (sequential HDRF) on the TW power-law stand-in at
+// k=32: ns/edge and replication factor per worker count. Speedup tracks the
+// cores actually available (GOMAXPROCS) — on a multi-core host W=8
+// approaches linear scaling; on a single core the W > 1 rows price the
+// engine's batching overhead. `hep-bench -exp shard` prints the same table
+// across datasets and k.
 func BenchmarkParallelHDRF(b *testing.B) {
 	g := gen.MustDataset("TW").Build(benchScale)
 	deg, m, err := graph.Degrees(g)
@@ -357,12 +358,8 @@ func BenchmarkParallelHDRF(b *testing.B) {
 		var rf float64
 		for i := 0; i < b.N; i++ {
 			res := part.NewResult(n, k)
-			if workers <= 1 {
-				err = stream.RunHDRF(g, res, deg, stream.DefaultLambda, 1.05, m)
-			} else {
-				err = stream.RunHDRFParallel(g, res, deg, stream.DefaultLambda, 1.05, m,
-					shard.Options{Workers: workers})
-			}
+			err = stream.RunHDRFParallel(g, res, deg, stream.DefaultLambda, 1.05, m,
+				shard.Options{Workers: workers})
 			if err != nil {
 				b.Fatal(err)
 			}

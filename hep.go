@@ -159,10 +159,10 @@ type Config struct {
 	// (up to Workers concurrent expanders per batch, DNE-style CAS edge
 	// claims) and its per-edge fallback, and DNE's own concurrent
 	// expanders. 0 resolves to GOMAXPROCS (DNE keeps
-	// its own default); 1 forces the exact sequential code path, which is
-	// the determinism guarantee — parallel placement (and the sharded
-	// build's within-segment adjacency order) depends on worker
-	// interleaving. Algorithms with no parallel path (order-sensitive
+	// its own default); 1 forces one worker, whose output is the exact
+	// sequential algorithm's, which is the determinism guarantee — parallel
+	// placement (and the sharded build's within-segment adjacency order)
+	// depends on worker interleaving. Algorithms with no parallel path (order-sensitive
 	// streaming like ADWISE, the in-memory partitioners) reject
 	// Workers > 1 instead of silently running sequentially.
 	Workers int
@@ -260,7 +260,7 @@ func checkRefine(name string, cfg Config) error {
 
 // shardWorkers resolves Config.Workers for the shard-capable algorithms:
 // 0 means all cores (GOMAXPROCS), anything else is taken literally
-// (1 = the exact sequential path).
+// (1 = one worker, the exact sequential output).
 func shardWorkers(cfg Config) int {
 	return shard.Options{Workers: cfg.Workers}.Resolve()
 }

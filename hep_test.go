@@ -36,6 +36,37 @@ func TestPartitionEveryAlgorithm(t *testing.T) {
 	}
 }
 
+// TestOneWorkerDeterministic is the determinism contract of Workers: 1:
+// every algorithm, run twice with the same seed, delivers the identical
+// assignment sequence to its sink.
+func TestOneWorkerDeterministic(t *testing.T) {
+	g := Dataset("OK", 0.05)
+	type assignment struct {
+		u, v uint32
+		p    int
+	}
+	for _, name := range Algorithms() {
+		run := func() []assignment {
+			var seq []assignment
+			sink := sinkFunc(func(u, v uint32, p int) { seq = append(seq, assignment{u, v, p}) })
+			cfg := Config{Algorithm: name, K: 8, Tau: 2, Seed: 7, Window: 64, Workers: 1, Sink: sink}
+			if _, err := Partition(g, cfg); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			return seq
+		}
+		first, second := run(), run()
+		if int64(len(first)) != g.NumEdges() || len(second) != len(first) {
+			t.Fatalf("%s: sink saw %d then %d assignments of %d edges", name, len(first), len(second), g.NumEdges())
+		}
+		for i := range first {
+			if first[i] != second[i] {
+				t.Fatalf("%s: assignment %d differs between runs: %v then %v", name, i, first[i], second[i])
+			}
+		}
+	}
+}
+
 func TestWorkersValidation(t *testing.T) {
 	g := Dataset("LJ", 0.03)
 	// Negative Workers rejected everywhere a Config enters the API.

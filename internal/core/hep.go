@@ -45,19 +45,20 @@ type HEP struct {
 	// within-segment entry order depends on worker interleaving, so — like
 	// Workers — bit-identical runs need BuildWorkers ≤ 1.
 	BuildWorkers int
-	// Workers > 1 runs the informed streaming phase (§3.3) through the
-	// parallel sharded engine (internal/shard): E_h2h is placed by that
-	// many concurrent workers against the replica state NE++ left behind.
-	// Workers ≤ 1 keeps the exact sequential informed-HDRF pass.
+	// Workers is the number of batch-engine workers (internal/shard; 0 =
+	// one) that place E_h2h in the informed streaming phase (§3.3),
+	// against the replica state NE++ left behind. One worker gives the
+	// exact sequential informed-HDRF pass.
 	Workers int
-	// BatchEdges pins the parallel engine's fan-out batch size (0 = the
-	// stream-scaled ceiling with adaptive sizing on; an explicit value
-	// fixes batch sizes and disables adaptive sizing).
+	// BatchEdges pins the engine's fan-out batch size (0 = the default: with
+	// more than one worker the stream-scaled ceiling with adaptive sizing
+	// on; an explicit value fixes batch sizes and disables adaptive
+	// sizing).
 	BatchEdges int
 
 	// Obs is the observability hook (nil = disabled): the CSR build, NE++
-	// and the h2h streaming phase record spans; the parallel build and
-	// streaming paths fold engine counters into it.
+	// and the h2h streaming phase record spans; the parallel build and the
+	// streaming phase fold engine counters into it.
 	Obs *obs.Obs
 
 	// LastStats holds the NE++ statistics of the most recent run.
@@ -133,14 +134,11 @@ func (h *HEP) PartitionCSR(csr *graph.CSR, k int) (*part.Result, error) {
 		h2h := h2hStream{store: csr.H2H(), n: csr.N()}
 		sp := h.Obs.Span("h2h-stream").Edges(csr.H2H().Len())
 		var err error
-		switch {
-		case h.RandomStream:
+		if h.RandomStream {
 			err = stream.RunRandom(h2h, res, h.Seed, alpha, csr.M())
-		case h.Workers > 1:
+		} else {
 			err = stream.RunHDRFParallel(h2h, res, csr.Degrees(), lambda, alpha, csr.M(),
-				shard.Options{Workers: h.Workers, BatchEdges: h.BatchEdges, Obs: h.Obs.Counters(), Hub: h.Obs})
-		default:
-			err = stream.RunHDRF(h2h, res, csr.Degrees(), lambda, alpha, csr.M())
+				shard.Options{Workers: max(h.Workers, 1), BatchEdges: h.BatchEdges, Obs: h.Obs.Counters(), Hub: h.Obs})
 		}
 		if err != nil {
 			return nil, err

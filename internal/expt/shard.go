@@ -10,12 +10,12 @@ import (
 )
 
 // TableShardRow is one (dataset, k, W) point of the parallel scaling table:
-// informed-HDRF placement throughput through the sharded engine against the
-// sequential runner, with the quality the parallelism costs.
+// informed-HDRF placement throughput through the sharded engine against one
+// worker (sequential HDRF), with the quality the parallelism costs.
 type TableShardRow struct {
 	Dataset string
 	K       int
-	Workers int // 1 = the sequential RunHDRF path
+	Workers int // 1 = the engine's single-goroutine path (sequential HDRF)
 	NsEdge  float64
 	Speedup float64 // sequential ns/edge ÷ this row's ns/edge
 	RF      float64
@@ -24,11 +24,11 @@ type TableShardRow struct {
 
 // TableShard measures the parallel sharded streaming engine (internal/shard)
 // across worker counts on a power-law stand-in: wall-clock per edge, speedup
-// over sequential HDRF, and the replication factor / balance drift the
-// bounded-staleness load view costs. README's "Parallel streaming" table
-// comes from here (`hep-bench -exp shard -workers 1,2,4,8`). Speedup tracks
-// the cores actually available — on a single-core host the W > 1 rows only
-// show the engine's overhead.
+// over one worker (sequential HDRF), and the replication factor / balance
+// drift the bounded-staleness load view costs. README's "Parallel
+// streaming" table comes from here (`hep-bench -exp shard -workers
+// 1,2,4,8`). Speedup tracks the cores actually available — on a
+// single-core host the W > 1 rows only show the engine's overhead.
 func TableShard(cfg Config) ([]TableShardRow, error) {
 	var rows []TableShardRow
 	for _, name := range cfg.datasets("TW") {
@@ -39,11 +39,12 @@ func TableShard(cfg Config) ([]TableShardRow, error) {
 		}
 		n := g.NumVertices()
 		for _, k := range cfg.ks(32) {
-			// The sequential baseline always runs once per k, so every row's
+			// The one-worker baseline always runs once per k, so every row's
 			// speedup has a denominator even when the -workers list omits 1.
 			seqRes := part.NewResult(n, k)
 			start := time.Now()
-			if err := stream.RunHDRF(g, seqRes, deg, stream.DefaultLambda, 1.05, m); err != nil {
+			err := stream.RunHDRFParallel(g, seqRes, deg, stream.DefaultLambda, 1.05, m, shard.Options{Workers: 1})
+			if err != nil {
 				return nil, err
 			}
 			seqNs := float64(time.Since(start).Nanoseconds()) / float64(m)

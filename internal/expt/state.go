@@ -6,6 +6,7 @@ import (
 	"hep/internal/graph"
 	"hep/internal/part"
 	"hep/internal/pstate"
+	"hep/internal/shard"
 	"hep/internal/stream"
 )
 
@@ -39,7 +40,8 @@ func TableState(cfg Config) ([]TableStateRow, error) {
 		for _, k := range cfg.ks(32, 128, 256) {
 			res := part.NewResult(n, k)
 			start := time.Now()
-			if err := stream.RunHDRF(g, res, deg, stream.DefaultLambda, 1.05, m); err != nil {
+			err := stream.RunHDRFParallel(g, res, deg, stream.DefaultLambda, 1.05, m, shard.Options{Workers: 1})
+			if err != nil {
 				return nil, err
 			}
 			elapsed := time.Since(start)

@@ -9,8 +9,9 @@ import (
 // HotAlloc checks that //hep:noalloc-annotated functions contain no
 // allocating constructs. The annotation goes on the doc comment (or first
 // line) of a function that sits on a per-edge or per-batch hot path — the
-// obs nil-hub hooks, the bestHDRF* scoring loops, the engine's runOne — and
-// the analyzer then rejects, anywhere in the function body:
+// obs nil-hub hooks, the HDRF scorer (bestHDRF) and the one per-edge HDRF
+// loop (hdrfWorker.PlaceBatch), the engine's runOne — and the analyzer then
+// rejects, anywhere in the function body:
 //
 //   - make, new, append (append may grow; pre-sized scratch belongs to the
 //     caller), string concatenation and []byte/string conversions

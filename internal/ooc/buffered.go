@@ -23,8 +23,8 @@ const DefaultBufferEdges = 1 << 20
 // edge with a single expander. Per edge: the edge itself (8) + two adjacency
 // entries (adjV+adjE, 2×8) + an assigned flag (1) + a claim slot (4,
 // allocated only when Workers > 1 but charged always so the budget bound
-// holds in every mode) + the parallel fallback's gather buffer (8, same
-// rule) = 37 bytes. Per batch vertex, of which an edge introduces at most
+// holds in every mode) + the fallback's gather buffer (8, charged always,
+// too) = 37 bytes. Per batch vertex, of which an edge introduces at most
 // two: verts (4) + off (4) + udeg (4) + activePos (4) + active (4) + warm
 // bucket pool (warmPoolPerVertex×4 = 12) + overflow (4) = 36, plus the
 // expander state (member 1 + touched 4 + heap pos/ids/keys 12 + candidate
@@ -144,14 +144,15 @@ type Buffered struct {
 	// the region expansion itself (up to Workers concurrent expanders, each
 	// growing a region into a distinct partition and claiming edges by CAS
 	// on the batch claim array — see expand_par.go) and the per-edge
-	// informed-HDRF fallback through the sharded engine. Workers ≤ 1 keeps
-	// the exact sequential expansion, which is the determinism guarantee.
+	// informed-HDRF fallback, which the batch engine places with that many
+	// workers. Workers ≤ 1 keeps the exact sequential expansion and a
+	// one-worker fallback, which is the determinism guarantee.
 	Workers int
-	// BatchEdges pins the sharded engine's fan-out batch size for the
-	// degree pass and the parallel fallback (0 = the engine default).
+	// BatchEdges pins the batch engine's fan-out batch size for the degree
+	// pass and the fallback (0 = the engine default).
 	BatchEdges int
 	// ParallelFallbackMin is the minimum number of leftover edges worth
-	// fanning out (0 = default 2048; below it the sequential loop wins).
+	// fanning out (0 = default 2048; below it one worker places them).
 	ParallelFallbackMin int
 	// ParallelExpandMin is the minimum batch size worth growing regions
 	// concurrently (0 = default 16Ki edges; below it sequential expansion
@@ -248,12 +249,12 @@ type batchState struct {
 	// (allocated lazily on the first parallel batch, charged always).
 	claims *dne.Claims
 
-	// fbEdges gathers the leftover edges for the parallel fallback
-	// (allocated lazily on the first parallel fallback, charged always).
+	// fbEdges gathers the leftover edges for the fallback (allocated
+	// lazily on the first fallback, charged always).
 	fbEdges []graph.Edge
 
-	// fbEngineEdges counts the edges of the current batch the parallel
-	// fallback routed through the sharded engine, which folds them into
+	// fbEngineEdges counts the edges of the current batch the fallback
+	// routed through the batch engine, which folds them into
 	// CtrEdgesStreamed itself — the batch-boundary fold subtracts them so
 	// the progress signal counts every edge exactly once.
 	fbEngineEdges int64
@@ -504,7 +505,9 @@ func (b *Buffered) processBatch(st *batchState, localID []int32, res *part.Resul
 	}
 
 	if remaining > 0 {
-		b.fallback(st, res, deg, lambda, capacity)
+		if err := b.fallback(st, res, deg, lambda, capacity); err != nil {
+			return err
+		}
 	}
 
 	// Reset the shared local-id map for the next batch.
@@ -514,9 +517,8 @@ func (b *Buffered) processBatch(st *batchState, localID []int32, res *part.Resul
 
 	// Batch-boundary fold: every LastStats delta this batch produced goes
 	// into the obs counter lanes in one pass, keeping the hot loops above
-	// counter-free. Edges the parallel fallback already streamed through the
-	// engine (which folds its own totals) are subtracted from the progress
-	// signal.
+	// counter-free. Edges the fallback already streamed through the engine
+	// (which folds its own totals) are subtracted from the progress signal.
 	c := b.Obs.Counters()
 	c.Add(0, obs.CtrBatches, 1)
 	c.Add(0, obs.CtrEdgesStreamed, int64(len(batch))-st.fbEngineEdges)
@@ -584,41 +586,18 @@ func (b *Buffered) fillAdjacencyParallel(st *batchState, localID []int32, worker
 	wg.Wait()
 }
 
-// defaultParallelFallbackMin is the leftover-edge count below which the
-// sequential fallback beats spinning up the engine.
+// defaultParallelFallbackMin is the leftover-edge count below which one
+// fallback worker beats fanning out over several.
 const defaultParallelFallbackMin = 2048
 
 // fallback places every still-unassigned batch edge with per-edge informed
 // HDRF (exact global degrees, global replica state) — the escape hatch for
-// cross-region edges and capacity overflow. With Workers > 1 and enough
-// leftovers, placement fans out through the parallel sharded engine.
-func (b *Buffered) fallback(st *batchState, res *part.Result, deg []int32, lambda float64, capacity int64) {
-	if b.Workers > 1 && b.fallbackParallel(st, res, deg, lambda, capacity) {
-		return
-	}
-	for i := range st.batch {
-		if st.assigned[i] {
-			continue
-		}
-		u, v := st.batch[i].U, st.batch[i].V
-		p := stream.BestHDRF(res, u, v, deg[u], deg[v], lambda, capacity)
-		if p < 0 {
-			p = res.Loads.ArgMin()
-		}
-		res.Assign(u, v, p)
-		st.assigned[i] = true
-		b.LastStats.FallbackEdges++
-	}
-}
-
-// fallbackParallel gathers the batch's unassigned edges and places them with
-// the sharded engine, reporting whether it ran (false = too few leftovers;
-// the sequential loop handles them). Sink delivery stays in batch order.
-func (b *Buffered) fallbackParallel(st *batchState, res *part.Result, deg []int32, lambda float64, capacity int64) bool {
-	min := b.ParallelFallbackMin
-	if min <= 0 {
-		min = defaultParallelFallbackMin
-	}
+// cross-region edges and capacity overflow. The leftovers are gathered in
+// batch order and streamed through the HDRF runner: with Workers > 1 and at
+// least ParallelFallbackMin of them they fan out over that many workers,
+// otherwise one worker places them in order. Sink delivery stays in batch
+// order.
+func (b *Buffered) fallback(st *batchState, res *part.Result, deg []int32, lambda float64, capacity int64) error {
 	if st.fbEdges == nil {
 		// Preallocate at full buffer capacity so incremental append growth
 		// can never push the gather buffer past the 8 bytes/edge charged in
@@ -629,19 +608,24 @@ func (b *Buffered) fallbackParallel(st *batchState, res *part.Result, deg []int3
 	for i := range st.batch {
 		if !st.assigned[i] {
 			st.fbEdges = append(st.fbEdges, st.batch[i])
+			st.assigned[i] = true
 		}
 	}
-	if len(st.fbEdges) < min {
-		return false
+	fanOut := b.ParallelFallbackMin
+	if fanOut <= 0 {
+		fanOut = defaultParallelFallbackMin
 	}
-	for i := range st.batch {
-		st.assigned[i] = true
+	workers := b.workersOrOne()
+	if len(st.fbEdges) < fanOut {
+		workers = 1
 	}
-	b.LastStats.FallbackEdges += int64(len(st.fbEdges))
-	st.fbEngineEdges = int64(len(st.fbEdges))
-	stream.RunHDRFParallelEdges(st.fbEdges, res, deg, lambda, capacity,
-		shard.Options{Workers: b.Workers, BatchEdges: b.BatchEdges, Obs: b.Obs.Counters(), Hub: b.Obs})
-	return true
+	left := int64(len(st.fbEdges))
+	b.LastStats.FallbackEdges += left
+	st.fbEngineEdges = left
+	// A MemGraph lends its slice as one slab: batches alias fbEdges and
+	// nothing is copied.
+	return stream.PlaceHDRF(graph.NewMemGraph(res.N, st.fbEdges), res, nil, deg, lambda, capacity, left,
+		shard.Options{Workers: workers, BatchEdges: b.BatchEdges, Obs: b.Obs.Counters(), Hub: b.Obs})
 }
 
 // pickPartition returns the least-loaded partition below capacity, or -1.

@@ -68,9 +68,10 @@ func TestBufferedBeatsHDRFOnPowerLawGraphs(t *testing.T) {
 // directly at the batch-state level (in natural runs the expansion's region
 // quotas cover whole batches, so the fallback is an escape hatch): a full
 // batch of leftovers is gathered and placed through the sharded engine, and
-// must satisfy the same contracts as the sequential loop — every edge
-// exactly once, sink delivery in batch order, valid result state, stats
-// counted — with replication factor within 2% of the sequential fallback.
+// must satisfy the same contracts as one worker — every edge exactly once,
+// sink delivery in batch order, valid result state, stats counted — with
+// replication factor within 2% of the one-worker fallback, which itself
+// matches the partition-major reference edge for edge.
 func TestBufferedParallelFallback(t *testing.T) {
 	g := gen.MustDataset("OK").Build(0.05)
 	deg, m, err := graph.Degrees(g)
@@ -87,7 +88,9 @@ func TestBufferedParallelFallback(t *testing.T) {
 		res := part.NewResult(g.NumVertices(), k)
 		col := &part.Collect{}
 		res.Sink = col
-		b.fallback(st, res, deg, stream.DefaultLambda, capacity)
+		if err := b.fallback(st, res, deg, stream.DefaultLambda, capacity); err != nil {
+			t.Fatal(err)
+		}
 		for i := range st.batch {
 			if !st.assigned[i] {
 				t.Fatalf("W=%d: batch edge %d left unassigned", workers, i)
@@ -96,7 +99,20 @@ func TestBufferedParallelFallback(t *testing.T) {
 		return res, col, b
 	}
 
-	seqRes, _, _ := run(1)
+	seqRes, seqCol, _ := run(1)
+	// One worker places the leftovers exactly like the per-edge informed
+	// HDRF loop: pin it to the partition-major reference, edge by edge.
+	ref := parttest.NewRefState(g.NumVertices(), k)
+	for i, e := range g.E {
+		p := parttest.RefHDRFArgmax(ref, ref, e.U, e.V, deg[e.U], deg[e.V], stream.DefaultLambda, capacity)
+		if p < 0 {
+			p = parttest.RefArgmin(ref.Counts)
+		}
+		ref.Assign(e.U, e.V, p)
+		if got := seqCol.Edges[i]; got.E != e || got.P != p {
+			t.Fatalf("W=1 fallback assignment %d = %v→%d, reference %v→%d", i, got.E, got.P, e, p)
+		}
+	}
 	parRes, col, b := run(4)
 	if b.LastStats.FallbackEdges != m {
 		t.Fatalf("fallback stats counted %d of %d edges", b.LastStats.FallbackEdges, m)

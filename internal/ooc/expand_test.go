@@ -102,7 +102,10 @@ func TestWarmStartProbeRegression(t *testing.T) {
 // replica table — the batch-start bucket index predates every replica the
 // partition's first region placed. legacyRepeatWarm keeps the pre-fix
 // stale-bucket behavior compilable so the regression stays visible: missing
-// those fresh replicas must never cost replication factor.
+// those fresh replicas must never cost replication factor. Concurrent
+// expansion is not run-to-run deterministic, and single W=2 runs of the two
+// modes overlap (a few pairs in forty come out inverted), so the pin
+// compares the mean RF of repeatRuns alternating runs per mode.
 func TestRepeatRegionWarmRescan(t *testing.T) {
 	g := gen.MustDataset("OK").Build(0.05)
 	var edges []graph.Edge
@@ -142,30 +145,35 @@ func TestRepeatRegionWarmRescan(t *testing.T) {
 		return res, b.LastStats
 	}
 
-	resFixed, stFixed := run(false)
-	resLegacy, stLegacy := run(true)
-
-	if stFixed.WarmRescans == 0 {
-		t.Fatal("forcing failed: no repeat region rescanned the replica table")
-	}
-	if stLegacy.WarmRescans != 0 {
-		t.Fatalf("legacy path rescanned %d times, want 0", stLegacy.WarmRescans)
-	}
-	// Both modes must still assign every batch edge exactly once on top of
-	// the synthetic pre-load.
+	const repeatRuns = 32
 	want := int64(len(edges)) + 2*capacity
-	for name, res := range map[string]*part.Result{"fixed": resFixed, "legacy": resLegacy} {
-		if res.M != want {
-			t.Fatalf("%s: %d assignments, want %d", name, res.M, want)
+	var rfF, rfL float64
+	for i := 0; i < repeatRuns; i++ {
+		resFixed, stFixed := run(false)
+		resLegacy, stLegacy := run(true)
+		if stFixed.WarmRescans == 0 {
+			t.Fatal("forcing failed: no repeat region rescanned the replica table")
 		}
-		if err := res.Validate(); err != nil {
-			t.Fatalf("%s: %v", name, err)
+		if stLegacy.WarmRescans != 0 {
+			t.Fatalf("legacy path rescanned %d times, want 0", stLegacy.WarmRescans)
 		}
+		// Both modes must still assign every batch edge exactly once on top
+		// of the synthetic pre-load.
+		for name, res := range map[string]*part.Result{"fixed": resFixed, "legacy": resLegacy} {
+			if res.M != want {
+				t.Fatalf("%s: %d assignments, want %d", name, res.M, want)
+			}
+			if err := res.Validate(); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+		}
+		rfF += resFixed.ReplicationFactor() / repeatRuns
+		rfL += resLegacy.ReplicationFactor() / repeatRuns
 	}
 	// The rescan stitches a repeat region onto the replicas its partition's
 	// first region just placed; the stale buckets cannot see them.
-	if rfF, rfL := resFixed.ReplicationFactor(), resLegacy.ReplicationFactor(); rfF > rfL*1.01 {
-		t.Errorf("fixed warm start RF %.4f worse than stale-bucket RF %.4f", rfF, rfL)
+	if rfF > rfL*1.01 {
+		t.Errorf("fixed warm start mean RF %.4f worse than stale-bucket mean RF %.4f over %d runs each", rfF, rfL, repeatRuns)
 	}
 }
 

@@ -18,6 +18,7 @@ import (
 	"hep/internal/graph"
 	"hep/internal/part"
 	"hep/internal/restream"
+	"hep/internal/shard"
 	"hep/internal/stream"
 )
 
@@ -67,7 +68,7 @@ func TestHDRFAssignmentsMatchPartitionMajor(t *testing.T) {
 			err := g.Edges(func(u, v graph.V) bool {
 				deg[u]++
 				deg[v]++
-				p := RefBestHDRF(ref, ref, u, v, deg[u], deg[v], stream.DefaultLambda, capacity)
+				p := RefHDRFArgmax(ref, ref, u, v, deg[u], deg[v], stream.DefaultLambda, capacity)
 				if p < 0 {
 					p = RefArgmin(ref.Counts)
 				}
@@ -214,14 +215,15 @@ func TestInformedHDRFMatchesPartitionMajor(t *testing.T) {
 		}
 		col := &part.Collect{}
 		res.Sink = col
-		if err := stream.RunHDRF(g, res, deg, stream.DefaultLambda, 1.0, m); err != nil {
+		err := stream.RunHDRFParallel(g, res, deg, stream.DefaultLambda, 1.0, m, shard.Options{Workers: 1})
+		if err != nil {
 			t.Fatal(err)
 		}
 
 		capacity := RefCapFor(1.0, m, k)
 		var want []part.TaggedEdge
-		err := g.Edges(func(u, v graph.V) bool {
-			p := RefBestHDRF(ref, ref, u, v, deg[u], deg[v], stream.DefaultLambda, capacity)
+		err = g.Edges(func(u, v graph.V) bool {
+			p := RefHDRFArgmax(ref, ref, u, v, deg[u], deg[v], stream.DefaultLambda, capacity)
 			if p < 0 {
 				p = RefArgmin(ref.Counts)
 			}
@@ -232,12 +234,12 @@ func TestInformedHDRFMatchesPartitionMajor(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkSameAssignments(t, "RunHDRF", col.Edges, want)
+		checkSameAssignments(t, "informed HDRF", col.Edges, want)
 	}
 }
 
-// TestRestreamMatchesPartitionMajor covers RunHDRFWithState: a second pass
-// scoring affinity against a frozen prior result.
+// TestRestreamMatchesPartitionMajor covers the re-streaming pass: a second
+// pass scoring affinity against a frozen prior result's table.
 func TestRestreamMatchesPartitionMajor(t *testing.T) {
 	g := gen.CommunityPowerLaw(1200, 20, 6, 0.25, 305)
 	n := g.NumVertices()
@@ -257,7 +259,7 @@ func TestRestreamMatchesPartitionMajor(t *testing.T) {
 		state := NewRefState(n, k)
 		capacity := RefCapFor(1.05, m, k)
 		err := g.Edges(func(u, v graph.V) bool {
-			p := RefBestHDRF(state, state, u, v, deg[u], deg[v], stream.DefaultLambda, capacity)
+			p := RefHDRFArgmax(state, state, u, v, deg[u], deg[v], stream.DefaultLambda, capacity)
 			if p < 0 {
 				p = RefArgmin(state.Counts)
 			}
@@ -272,7 +274,7 @@ func TestRestreamMatchesPartitionMajor(t *testing.T) {
 		next := NewRefState(n, k)
 		var want []part.TaggedEdge
 		err = g.Edges(func(u, v graph.V) bool {
-			p := RefBestHDRF(next, state, u, v, deg[u], deg[v], stream.DefaultLambda, capacity)
+			p := RefHDRFArgmax(next, state, u, v, deg[u], deg[v], stream.DefaultLambda, capacity)
 			if p < 0 {
 				p = RefArgmin(next.Counts)
 			}

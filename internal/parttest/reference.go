@@ -82,10 +82,10 @@ func RefHDRFScore(r, reps *RefState, u, v graph.V, du, dv int32, p int, lambda f
 	return rep + bal
 }
 
-// RefBestHDRF is the old full-scan placement rule: score every admissible
+// RefHDRFArgmax is the old full-scan placement rule: score every admissible
 // partition, break ties toward lower load then lower index, -1 when every
 // partition is at capacity.
-func RefBestHDRF(r, reps *RefState, u, v graph.V, du, dv int32, lambda float64, capacity int64) int {
+func RefHDRFArgmax(r, reps *RefState, u, v graph.V, du, dv int32, lambda float64, capacity int64) int {
 	maxLoad, minLoad := r.LoadBounds()
 	best, bestScore := -1, math.Inf(-1)
 	for p := 0; p < r.K; p++ {

@@ -13,6 +13,7 @@ import (
 	"hep/internal/graph"
 	"hep/internal/obs"
 	"hep/internal/part"
+	"hep/internal/pstate"
 	"hep/internal/shard"
 	"hep/internal/stream"
 )
@@ -28,17 +29,19 @@ type Restream struct {
 	Lambda float64
 	// Alpha is the balance bound α ≥ 1 (default 1.05).
 	Alpha float64
-	// Workers > 1 runs every pass through the parallel sharded engine —
-	// re-streaming parallelizes naturally, since later passes score
-	// affinity against a frozen prior state that every worker can read
-	// without coordination. Workers ≤ 1 keeps the sequential passes.
+	// Workers is the number of batch-engine workers every pass places
+	// edges with (internal/shard; 0 = one). Re-streaming parallelizes
+	// naturally, since later passes score affinity against a frozen prior
+	// state that every worker can read without coordination. One worker
+	// gives the exact sequential passes.
 	Workers int
-	// BatchEdges pins the engine's fan-out batch size (0 = stream-scaled
-	// ceiling with adaptive sizing on).
+	// BatchEdges pins the engine's fan-out batch size (0 = the default:
+	// with more than one worker the stream-scaled ceiling with adaptive
+	// sizing on).
 	BatchEdges int
 	// Obs is the observability hook (nil = disabled): the degree pass and
-	// every streaming pass record phase spans, and the parallel engine folds
-	// hot-path counters into it.
+	// every streaming pass record phase spans, and the engine folds hot-path
+	// counters and per-batch quality samples into it.
 	Obs *obs.Obs
 }
 
@@ -62,16 +65,16 @@ func (r *Restream) Partition(src graph.EdgeStream, k int) (*part.Result, error) 
 	if alpha == 0 {
 		alpha = 1.05
 	}
-	opts := shard.Options{Workers: r.Workers, BatchEdges: r.BatchEdges, Obs: r.Obs.Counters(), Hub: r.Obs}
-	parallel := r.Workers > 1
+	opts := shard.Options{Workers: max(r.Workers, 1), BatchEdges: r.BatchEdges, Obs: r.Obs.Counters(), Hub: r.Obs}
 
-	// Exact-degree pre-pass; with Workers > 1 it fans out through the same
-	// batch engine as the streaming passes (bit-identical folded output).
+	// Exact-degree pre-pass; with more than one worker it fans out through
+	// the same batch engine as the streaming passes (bit-identical folded
+	// output).
 	var deg []int32
 	var m int64
 	var err error
 	sp := r.Obs.Span("degree-pass")
-	if parallel {
+	if opts.Workers > 1 {
 		deg, m, err = shard.Degrees(src, opts)
 	} else {
 		deg, m, err = graph.Degrees(src)
@@ -85,47 +88,27 @@ func (r *Restream) Partition(src graph.EdgeStream, k int) (*part.Result, error) 
 	// over the same m edges instead of sharing one cumulative total.
 	r.Obs.SetTotalEdges(m)
 	n := src.NumVertices()
+	capacity := stream.Capacity(alpha, m, k)
 
-	// Pass 1: plain streamed HDRF with exact degrees.
-	res := part.NewResult(n, k)
-	if r.passes() == 1 {
-		res.Sink = r.Sink
-	}
-	sp = r.Obs.Span("stream-pass-1")
-	if parallel {
-		err = stream.RunHDRFParallel(src, res, deg, lambda, alpha, m, opts)
-	} else {
-		// The parallel engine folds its own counters; the plain sequential
-		// run needs the one batch-boundary fold here.
-		err = stream.RunHDRF(src, res, deg, lambda, alpha, m)
-		r.Obs.Counters().Add(0, obs.CtrEdgesStreamed, m)
-		res.SampleQuality(r.Obs)
-	}
-	if err != nil {
-		return nil, err
-	}
-	sp.Edges(m).End()
-
-	// Passes 2..P: re-place each edge against the frozen previous state.
-	for pass := 1; pass < r.passes(); pass++ {
-		prev := res
-		next := part.NewResult(n, k)
-		if pass == r.passes()-1 {
-			next.Sink = r.Sink // only the final pass emits assignments
+	// Pass 1 is plain streamed HDRF with exact degrees; passes 2..P re-place
+	// each edge scoring affinity against the frozen previous pass.
+	var res *part.Result
+	var prior *pstate.Table
+	for pass := 1; pass <= r.passes(); pass++ {
+		res = part.NewResult(n, k)
+		name := "stream-pass-1"
+		if pass > 1 {
+			name = fmt.Sprintf("restream-pass-%d", pass)
 		}
-		sp = r.Obs.Span(fmt.Sprintf("restream-pass-%d", pass+1))
-		if parallel {
-			err = stream.RunHDRFWithStateParallel(src, next, prev, deg, lambda, alpha, m, opts)
-		} else {
-			err = stream.RunHDRFWithState(src, next, prev, deg, lambda, alpha, m)
-			r.Obs.Counters().Add(0, obs.CtrEdgesStreamed, m)
-			next.SampleQuality(r.Obs)
+		if pass == r.passes() {
+			res.Sink = r.Sink // only the final pass emits assignments
 		}
-		if err != nil {
+		sp = r.Obs.Span(name)
+		if err := stream.PlaceHDRF(src, res, prior, deg, lambda, capacity, m, opts); err != nil {
 			return nil, err
 		}
 		sp.Edges(m).End()
-		res = next
+		prior = res.Reps
 	}
 	return res, nil
 }

@@ -15,8 +15,14 @@
 // The package deliberately knows nothing about scoring: internal/stream owns
 // the HDRF scorer and implements BatchPlacer on top of the three primitives
 // here — AtomicTable (concurrent replica table), ShardedLoads (delta-folded
-// load tracker) and Run/RunSlice (the batch scheduler with deterministic
-// stream-order delivery).
+// load tracker) and Run (the batch scheduler with deterministic stream-order
+// delivery).
+//
+// Run is the one placement path at every worker count. With one worker it
+// places batches in the caller's goroutine, with no pipeline and no
+// reordering (runOne); a placer that writes the caller's sequential state
+// directly then reproduces the sequential pass exactly — internal/stream
+// runs HDRF this way, with the same output as a per-edge loop.
 package shard
 
 import (
@@ -53,8 +59,9 @@ type Options struct {
 	// BatchEdges ceiling while headroom is plentiful (staleness is cheap).
 	// The engine itself only consults Sizer; runners that know the
 	// capacity bound (internal/stream) translate this flag into an
-	// AdaptiveSizer. On by default in the parallel streaming runners when
-	// BatchEdges is 0; an explicit BatchEdges pins fixed-size batches.
+	// AdaptiveSizer. On by default in the HDRF runner when more than one
+	// worker runs and BatchEdges is 0; an explicit BatchEdges pins
+	// fixed-size batches.
 	AdaptiveBatch bool
 	// Sizer, if non-nil, dictates each successive dispatch batch size
 	// (clamped to [1, BatchEdges]). Installed by runners from

@@ -53,8 +53,8 @@ func (r *slabRef) drop() {
 }
 
 // job is one batch in flight: seq orders delivery, buf is the owned edge
-// buffer (nil when edges aliases a caller slice or a lent slab), slab is the
-// lent chunk the edges alias (nil on the copy path).
+// buffer (nil when edges aliases a lent slab), slab is the lent chunk the
+// edges alias (nil on the copy path).
 type job struct {
 	seq   int64
 	edges []graph.Edge
@@ -368,47 +368,4 @@ func runOne(src graph.EdgeStream, cs graph.ChunkStream, lend bool, w BatchPlacer
 		flush(edges)
 	}
 	return err
-}
-
-// RunSlice is Run over an in-memory edge slice: batches alias subslices of
-// edges (no copying), parts buffers are pooled, and delivery is in slice
-// order. Used by the out-of-core engine's concurrent per-edge fallback,
-// where the leftover batch edges are already materialized.
-func RunSlice(edges []graph.Edge, workers []BatchPlacer, opts Options, deliver func(edges []graph.Edge, parts []int32)) {
-	batchEdges := opts.BatchEdges
-	if batchEdges <= 0 {
-		batchEdges = DefaultBatchEdges
-	}
-	if len(workers) == 1 {
-		parts := make([]int32, batchEdges)
-		for off := 0; off < len(edges); off += batchEdges {
-			end := off + batchEdges
-			if end > len(edges) {
-				end = len(edges)
-			}
-			workers[0].PlaceBatch(edges[off:end], parts[:end-off])
-			deliver(edges[off:end], parts[:end-off])
-			opts.Obs.Add(0, obs.CtrBatches, 1)
-			opts.Obs.Add(0, obs.CtrEdgesStreamed, int64(end-off))
-		}
-		return
-	}
-	e := newEngine(workers, batchEdges, false, opts.Obs)
-	e.start()
-	go func() {
-		defer close(e.jobs)
-		var seq int64
-		for off := 0; off < len(edges); off += batchEdges {
-			end := off + batchEdges
-			if end > len(edges) {
-				end = len(edges)
-			}
-			j := <-e.free
-			j.seq = seq
-			seq++
-			j.edges = edges[off:end]
-			e.jobs <- j
-		}
-	}()
-	e.collect(opts.Obs, deliver)
 }

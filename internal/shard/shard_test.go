@@ -198,8 +198,9 @@ func (o *orderPlacer) PlaceBatch(edges []graph.Edge, parts []int32) {
 }
 
 // TestEngineOrderedDelivery checks the deterministic replay guarantee: for
-// W ∈ {2,4,8} and batch sizes that force heavy reordering, delivery is in
-// exact stream order, every edge exactly once.
+// W ∈ {1,2,4,8} and batch sizes that force heavy reordering, delivery is in
+// exact stream order, every edge exactly once. The MemGraph source lends its
+// slice as one slab, so batches alias it — the out-of-core fallback's path.
 func TestEngineOrderedDelivery(t *testing.T) {
 	const m, k = 50000, 13
 	edges := make([]graph.Edge, m)
@@ -207,7 +208,7 @@ func TestEngineOrderedDelivery(t *testing.T) {
 		edges[i] = graph.Edge{U: graph.V(i % 977), V: graph.V((7 * i) % 1009)}
 	}
 	g := graph.NewMemGraph(1009, edges)
-	for _, workers := range []int{2, 4, 8} {
+	for _, workers := range []int{1, 2, 4, 8} {
 		for _, batch := range []int{64, 4096} {
 			ws := make([]shard.BatchPlacer, workers)
 			for i := range ws {
@@ -233,32 +234,6 @@ func TestEngineOrderedDelivery(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestRunSliceOrderedDelivery is the same guarantee for the zero-copy slice
-// mode the ooc fallback uses.
-func TestRunSliceOrderedDelivery(t *testing.T) {
-	const m, k = 20000, 7
-	edges := make([]graph.Edge, m)
-	for i := range edges {
-		edges[i] = graph.Edge{U: graph.V(i % 313), V: graph.V((11 * i) % 499)}
-	}
-	ws := make([]shard.BatchPlacer, 4)
-	for i := range ws {
-		ws[i] = &orderPlacer{k: k}
-	}
-	next := 0
-	shard.RunSlice(edges, ws, shard.Options{BatchEdges: 128}, func(batch []graph.Edge, parts []int32) {
-		for i := range batch {
-			if batch[i] != edges[next] {
-				t.Fatalf("delivery %d out of order", next)
-			}
-			next++
-		}
-	})
-	if next != m {
-		t.Fatalf("delivered %d of %d edges", next, m)
 	}
 }
 
@@ -325,7 +300,7 @@ func TestParallelHDRFQualityPin(t *testing.T) {
 		}
 		for _, k := range []int{32, 128} {
 			seq := part.NewResult(g.NumVertices(), k)
-			if err := stream.RunHDRF(g, seq, deg, stream.DefaultLambda, 1.05, m); err != nil {
+			if err := stream.RunHDRFParallel(g, seq, deg, stream.DefaultLambda, 1.05, m, shard.Options{Workers: 1}); err != nil {
 				t.Fatal(err)
 			}
 			for _, workers := range []int{4, 8} {
@@ -350,9 +325,10 @@ func TestParallelHDRFQualityPin(t *testing.T) {
 	}
 }
 
-// TestParallelInformedAndRestream covers the two other parallel runners: an
-// informed pass over warm state and a with-state re-streaming pass, both
-// checked for exactly-once delivery and result validity.
+// TestParallelInformedAndRestream covers the two other parallel passes: an
+// informed pass over warm state and a re-streaming pass scored against a
+// frozen prior table, both checked for exactly-once delivery and result
+// validity.
 func TestParallelInformedAndRestream(t *testing.T) {
 	g := gen.MustDataset("OK").Build(0.05)
 	deg, m, err := graph.Degrees(g)
@@ -381,13 +357,14 @@ func TestParallelInformedAndRestream(t *testing.T) {
 	// Re-streaming: affinity against a frozen prior result read through
 	// per-worker readers.
 	prior := part.NewResult(n, k)
-	if err := stream.RunHDRF(g, prior, deg, stream.DefaultLambda, 1.05, m); err != nil {
+	if err := stream.RunHDRFParallel(g, prior, deg, stream.DefaultLambda, 1.05, m, shard.Options{Workers: 1}); err != nil {
 		t.Fatal(err)
 	}
 	next := part.NewResult(n, k)
 	col2 := &part.Collect{}
 	next.Sink = col2
-	if err := stream.RunHDRFWithStateParallel(g, next, prior, deg, stream.DefaultLambda, 1.05, m, opts); err != nil {
+	capacity := stream.Capacity(1.05, m, k)
+	if err := stream.PlaceHDRF(g, next, prior.Reps, deg, stream.DefaultLambda, capacity, m, opts); err != nil {
 		t.Fatal(err)
 	}
 	if err := next.Validate(); err != nil {

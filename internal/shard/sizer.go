@@ -43,7 +43,7 @@ func FixedBatch(totalM int64, workers int) int {
 }
 
 // unboundedCap is the threshold above which a capacity is treated as "no
-// bound": the scorers use math.MaxInt64 for unknown m (stream.capFor), and
+// bound": the scorers use math.MaxInt64 for unknown m (stream.Capacity), and
 // anything in that region can never be approached by real loads.
 const unboundedCap = math.MaxInt64 / 2
 

@@ -71,8 +71,8 @@ func TestAdaptiveSizerPolicy(t *testing.T) {
 		t.Fatalf("at bound: batch = %d, want floor %d", got, shard.MinBatchEdges)
 	}
 
-	// Unbounded capacity (m unknown → capFor's MaxInt64): pinned at the
-	// ceiling, no loads read.
+	// Unbounded capacity (m unknown → stream.Capacity's MaxInt64): pinned at
+	// the ceiling, no loads read.
 	s = shard.NewAdaptiveSizer(nil, math.MaxInt64, workers, ceil)
 	if got := s.NextBatch(); got != ceil {
 		t.Fatalf("unbounded: batch = %d, want ceiling %d", got, ceil)

@@ -47,7 +47,7 @@ func (a *ADWISE) Partition(src graph.EdgeStream, k int) (*part.Result, error) {
 	n := src.NumVertices()
 	res := part.NewResult(n, k)
 	res.Sink = a.Sink
-	capacity := capFor(alpha, src.NumEdges(), k)
+	capacity := Capacity(alpha, src.NumEdges(), k)
 	deg := make([]int32, n) // partial degrees, as in streamed HDRF
 
 	buf := make([]graph.Edge, 0, window)

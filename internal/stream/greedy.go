@@ -29,7 +29,7 @@ func (g *Greedy) Partition(src graph.EdgeStream, k int) (*part.Result, error) {
 	}
 	res := part.NewResult(src.NumVertices(), k)
 	res.Sink = g.Sink
-	capacity := capFor(alpha, src.NumEdges(), k)
+	capacity := Capacity(alpha, src.NumEdges(), k)
 	err := src.Edges(func(u, v graph.V) bool {
 		res.Assign(u, v, greedyChoice(res, u, v, capacity))
 		return true

@@ -25,16 +25,16 @@ type HDRF struct {
 	// ExactDegrees switches from streamed partial degrees to a pre-pass
 	// computing exact degrees.
 	ExactDegrees bool
-	// Workers > 1 places edges through the parallel sharded streaming
-	// engine (internal/shard). Parallel placement cannot observe partial
-	// degrees in stream order, so it always takes the exact-degree
-	// pre-pass. Workers ≤ 1 keeps the exact sequential path.
+	// Workers is the number of placement workers of the batch engine
+	// (internal/shard; 0 = one). One worker gives the exact sequential
+	// HDRF pass. More workers cannot observe partial degrees in stream
+	// order, so they always take the exact-degree pre-pass.
 	Workers int
 	// BatchEdges overrides the engine's fan-out batch size (0 = default).
 	BatchEdges int
 	// Obs is the observability hook (nil = disabled): the degree pass and
-	// the streaming pass record phase spans, and the parallel engine folds
-	// hot-path counters into it.
+	// the streaming pass record phase spans, and the engine folds hot-path
+	// counters and per-batch quality samples into it.
 	Obs *obs.Obs
 }
 
@@ -55,71 +55,41 @@ func (h *HDRF) params() (lambda, alpha float64) {
 // Partition implements part.Algorithm.
 func (h *HDRF) Partition(src graph.EdgeStream, k int) (*part.Result, error) {
 	lambda, alpha := h.params()
-	n := src.NumVertices()
-	res := part.NewResult(n, k)
+	res := part.NewResult(src.NumVertices(), k)
 	res.Sink = h.Sink
-	capacity := capFor(alpha, src.NumEdges(), k)
-
-	if h.Workers > 1 {
-		opts := shard.Options{Workers: h.Workers, BatchEdges: h.BatchEdges, Obs: h.Obs.Counters(), Hub: h.Obs}
-		// The exact-degree pre-pass fans out through the same engine the
-		// placement pass uses; its folded output is bit-identical to
-		// graph.Degrees.
+	opts := shard.Options{Workers: max(h.Workers, 1), BatchEdges: h.BatchEdges, Obs: h.Obs.Counters(), Hub: h.Obs}
+	pass := hdrfPass{lambda: lambda}
+	m := src.NumEdges()
+	if h.ExactDegrees || opts.Workers > 1 {
+		// The exact pre-pass counts the real m, so a count-less stream
+		// (NumEdges() == 0) still gets the α·m/k bound. With more than one
+		// worker it fans out through the same engine the placement pass
+		// uses; its folded output is bit-identical to graph.Degrees.
 		sp := h.Obs.Span("degree-pass")
-		deg, m, err := shard.Degrees(src, opts)
+		var err error
+		if opts.Workers > 1 {
+			pass.deg, m, err = shard.Degrees(src, opts)
+		} else {
+			pass.deg, m, err = graph.Degrees(src)
+		}
 		if err != nil {
 			return nil, err
 		}
 		sp.Edges(m).End()
+	} else {
+		pass.deg, pass.partial = make([]int32, res.N), true
+	}
+	if m > 0 {
 		// Per-pass denominator: the progress reporter scopes percentages to
 		// the current root phase, so each pass runs 0→100% over m edges.
 		h.Obs.SetTotalEdges(m)
-		sp = h.Obs.Span("stream")
-		if err := RunHDRFParallel(src, res, deg, lambda, alpha, m, opts); err != nil {
-			return nil, err
-		}
-		sp.Edges(m).End()
-		return res, nil
 	}
-
-	var deg []int32
-	if h.ExactDegrees {
-		var m int64
-		var err error
-		sp := h.Obs.Span("degree-pass")
-		deg, m, err = graph.Degrees(src)
-		if err != nil {
-			return nil, err
-		}
-		sp.Edges(m).End()
-		// The pre-pass counted the exact m, so a count-less stream
-		// (NumEdges() == 0) still gets the real α·m/k bound here — the
-		// same capacity the Workers > 1 path enforces.
-		capacity = capFor(alpha, m, k)
-	} else {
-		deg = make([]int32, n)
-	}
+	pass.capacity, pass.totalM = Capacity(alpha, m, k), m
 
 	sp := h.Obs.Span("stream")
-	err := src.Edges(func(u, v graph.V) bool {
-		if !h.ExactDegrees {
-			deg[u]++
-			deg[v]++
-		}
-		p := bestHDRF(res, u, v, deg[u], deg[v], lambda, capacity)
-		if p < 0 {
-			p = res.Loads.ArgMin()
-		}
-		res.Assign(u, v, p)
-		return true
-	})
-	if err != nil {
+	if err := pass.run(src, res, opts); err != nil {
 		return nil, err
 	}
-	// The sequential loop stays counter-free per edge; fold the totals once
-	// and take one end-of-stream quality sample.
-	h.Obs.Counters().Add(0, obs.CtrEdgesStreamed, res.M)
-	res.SampleQuality(h.Obs)
 	sp.Edges(res.M).End()
 	return res, nil
 }

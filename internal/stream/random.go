@@ -26,7 +26,7 @@ func (r *Random) Name() string { return "Random" }
 func (r *Random) Partition(src graph.EdgeStream, k int) (*part.Result, error) {
 	res := part.NewResult(src.NumVertices(), k)
 	res.Sink = r.Sink
-	capacity := capFor(maxf(r.Alpha, 1), src.NumEdges(), k)
+	capacity := Capacity(maxf(r.Alpha, 1), src.NumEdges(), k)
 	rng := rand.New(rand.NewSource(r.Seed))
 	err := src.Edges(func(u, v graph.V) bool {
 		p := rng.Intn(k)
@@ -45,7 +45,7 @@ func (r *Random) Partition(src graph.EdgeStream, k int) (*part.Result, error) {
 // RunRandom streams src into an existing result with capacity α·totalM/k,
 // for composing hybrid partitioners.
 func RunRandom(src graph.EdgeStream, res *part.Result, seed int64, alpha float64, totalM int64) error {
-	capacity := capFor(maxf(alpha, 1), totalM, res.K)
+	capacity := Capacity(maxf(alpha, 1), totalM, res.K)
 	rng := rand.New(rand.NewSource(seed))
 	return src.Edges(func(u, v graph.V) bool {
 		p := rng.Intn(res.K)

@@ -19,7 +19,6 @@ import (
 	"math/bits"
 
 	"hep/internal/graph"
-	"hep/internal/part"
 	"hep/internal/pstate"
 )
 
@@ -30,8 +29,9 @@ const hdrfEpsilon = 1e-9
 // used in the paper's evaluation (Appendix A: λ = 1.1).
 const DefaultLambda = 1.1
 
-// capFor returns the per-partition capacity bound ⌈α·m/k⌉ used by the
-// balance constraint of §2. α must be ≥ 1 for the bound to be feasible.
+// Capacity returns the per-partition capacity bound ⌈α·m/k⌉ used by the
+// balance constraint of §2. α below 1 is raised to 1, the smallest feasible
+// bound.
 //
 // m ≤ 0 means the edge count is unknown (graph.EdgeStream's NumEdges() == 0
 // contract — e.g. a discovery-skipped out-of-core stream) and the capacity
@@ -40,7 +40,7 @@ const DefaultLambda = 1.1
 // silently degrade to balance-only ArgMin placement. With no hard bound the
 // λ balance term still keeps loads even, which is the reference HDRF
 // behavior (it has no capacity constraint at all).
-func capFor(alpha float64, m int64, k int) int64 {
+func Capacity(alpha float64, m int64, k int) int64 {
 	if m <= 0 {
 		return math.MaxInt64
 	}
@@ -48,6 +48,17 @@ func capFor(alpha float64, m int64, k int) int64 {
 		alpha = 1
 	}
 	return int64(math.Ceil(alpha * float64(m) / float64(k)))
+}
+
+// RepView is the read surface of a replica table the scorer needs: the
+// candidate mask of an edge (partitions hosting either endpoint) and
+// per-vertex mask words. *pstate.Table (the live table one worker scores
+// and writes), pstate.Reader (a frozen prior state, one per re-streaming
+// worker) and shard.View (one worker's handle on the concurrent
+// AtomicTable) implement it.
+type RepView interface {
+	Candidates(u, v graph.V) []uint64
+	Word(v graph.V, wi int) uint64
 }
 
 // bestHDRF returns the admissible partition with the highest HDRF score for
@@ -58,88 +69,15 @@ func capFor(alpha float64, m int64, k int) int64 {
 //	C_REP  = g(u,p) + g(v,p)
 //	C_BAL  = λ · (maxLoad − load_p) / (ε + maxLoad − minLoad)
 //
-// Only candidate partitions are scored (see the package comment). Ties
-// break toward the lower load, then the lower index, matching a full
-// ascending scan and keeping runs deterministic.
+// Replica affinity comes from reps; loads come from an explicit view (a
+// worker's load snapshot plus its own in-batch increments) whose argmin is
+// < 0 when no admissible fallback partition exists. Only candidate
+// partitions are scored (see the package comment). Ties break toward the
+// lower load, then the lower index, matching a full ascending scan and
+// keeping runs deterministic.
 //
 //hep:noalloc
-func bestHDRF(res *part.Result, u, v graph.V, du, dv int32, lambda float64, capacity int64) int {
-	return bestHDRFSplit(res.Reps, res, u, v, du, dv, lambda, capacity)
-}
-
-// RepView is the read surface of a replica table the scoring loops need:
-// the candidate mask of an edge (partitions hosting either endpoint) and
-// per-vertex mask words. pstate.Reader (a frozen prior state read by
-// concurrent re-streaming workers) and shard.View (one worker's handle on
-// the concurrent AtomicTable) implement it for the parallel scorer
-// (bestHDRFView); the sequential path keeps a monomorphized copy of the
-// same loop over the concrete *pstate.Table (bestHDRFSplit), which also
-// satisfies this interface.
-type RepView interface {
-	Candidates(u, v graph.V) []uint64
-	Word(v graph.V, wi int) uint64
-}
-
-// bestHDRFSplit scores replica affinity against reps (which may be a frozen
-// prior state) and loads/capacity against the result being built. The body
-// is bestHDRFView monomorphized to the concrete *pstate.Table: the
-// sequential hot loop calls Candidates/Word millions of times per second
-// and interface dispatch costs ~10% at k=256, so the two copies are kept
-// in lockstep — internal/parttest/equiv_test.go pins both (sequential
-// directly, parallel through the quality/conformance suites) to the same
-// partition-major reference.
-//
-//hep:noalloc
-func bestHDRFSplit(reps *pstate.Table, res *part.Result, u, v graph.V, du, dv int32, lambda float64, capacity int64) int {
-	maxLoad, minLoad := res.Loads.Max(), res.Loads.Min()
-	counts := res.Counts
-	cand := reps.Candidates(u, v)
-	if minLoad < capacity {
-		pstate.SetBit(cand, res.Loads.ArgMin())
-	}
-	sum := float64(du) + float64(dv)
-	gu := 1 + (1 - float64(du)/sum)
-	gv := 1 + (1 - float64(dv)/sum)
-	denom := hdrfEpsilon + float64(maxLoad-minLoad)
-	best, bestScore := -1, math.Inf(-1)
-	for wi, w := range cand {
-		if w == 0 {
-			continue
-		}
-		wu, wv := reps.Word(u, wi), reps.Word(v, wi)
-		base := wi << 6
-		for w != 0 {
-			b := bits.TrailingZeros64(w)
-			w &= w - 1
-			p := base + b
-			if counts[p] >= capacity {
-				continue
-			}
-			var rep float64
-			if wu>>b&1 != 0 {
-				rep += gu
-			}
-			if wv>>b&1 != 0 {
-				rep += gv
-			}
-			s := rep + lambda*float64(maxLoad-counts[p])/denom
-			if s > bestScore || (s == bestScore && best >= 0 && counts[p] < counts[best]) {
-				best, bestScore = p, s
-			}
-		}
-	}
-	return best
-}
-
-// bestHDRFView is the RepView form of the scorer the parallel workers use:
-// candidate iteration over any replica view (shard.View over the concurrent
-// table, pstate.Reader over a frozen prior state) against an explicit load
-// view — the worker's bounded-staleness snapshot plus its own in-batch
-// increments, with argmin < 0 when no admissible fallback partition exists.
-// Keep the loop identical to bestHDRFSplit above.
-//
-//hep:noalloc
-func bestHDRFView(reps RepView, counts []int64, maxLoad, minLoad int64, argmin int, u, v graph.V, du, dv int32, lambda float64, capacity int64) int {
+func bestHDRF(reps RepView, counts []int64, maxLoad, minLoad int64, argmin int, u, v graph.V, du, dv int32, lambda float64, capacity int64) int {
 	cand := reps.Candidates(u, v)
 	if argmin >= 0 {
 		pstate.SetBit(cand, argmin)
@@ -176,51 +114,6 @@ func bestHDRFView(reps RepView, counts []int64, maxLoad, minLoad int64, argmin i
 		}
 	}
 	return best
-}
-
-// BestHDRF exposes the HDRF placement rule to other informed-streaming
-// phases (the out-of-core buffered partitioner's fallback): the admissible
-// partition with the highest score for (u,v) given exact degrees, or -1 when
-// every partition is at capacity.
-func BestHDRF(res *part.Result, u, v graph.V, du, dv int32, lambda float64, capacity int64) int {
-	return bestHDRF(res, u, v, du, dv, lambda, capacity)
-}
-
-// RunHDRF streams the edges of src into res using HDRF scoring with the
-// provided exact degree array. It is HEP's informed streaming phase: res
-// already carries the replica table produced by NE++, so every placement
-// decision is informed by the in-memory phase (paper §3.3), overcoming the
-// "uninformed assignment problem". totalM is the number of edges of the
-// complete graph, which defines the balance capacity α·|E|/k.
-func RunHDRF(src graph.EdgeStream, res *part.Result, deg []int32, lambda, alpha float64, totalM int64) error {
-	capacity := capFor(alpha, totalM, res.K)
-	return src.Edges(func(u, v graph.V) bool {
-		p := bestHDRF(res, u, v, deg[u], deg[v], lambda, capacity)
-		if p < 0 {
-			// All partitions at capacity: place on the least loaded to
-			// preserve the exactly-once guarantee (only reachable when
-			// α·|E|/k rounds below the residual load).
-			p = res.Loads.ArgMin()
-		}
-		res.Assign(u, v, p)
-		return true
-	})
-}
-
-// RunHDRFWithState streams src into res scoring replica affinity against a
-// *frozen* prior result (re-streaming: later passes re-place every edge
-// with full knowledge of the previous pass). Loads and capacity come from
-// the result being built; replica affinity comes from state.
-func RunHDRFWithState(src graph.EdgeStream, res, state *part.Result, deg []int32, lambda, alpha float64, totalM int64) error {
-	capacity := capFor(alpha, totalM, res.K)
-	return src.Edges(func(u, v graph.V) bool {
-		best := bestHDRFSplit(state.Reps, res, u, v, deg[u], deg[v], lambda, capacity)
-		if best < 0 {
-			best = res.Loads.ArgMin()
-		}
-		res.Assign(u, v, best)
-		return true
-	})
 }
 
 // hash32 is a deterministic avalanche hash (Murmur3 finalizer) used by the

@@ -13,6 +13,15 @@ import (
 	"hep/internal/shard"
 )
 
+// bestFor scores (u,v) against res's live state, as one worker does.
+func bestFor(res *part.Result, u, v graph.V, du, dv int32, lambda float64, capacity int64) int {
+	am := -1
+	if res.Loads.Min() < capacity {
+		am = res.Loads.ArgMin()
+	}
+	return bestHDRF(res.Reps, res.Counts, res.Loads.Max(), res.Loads.Min(), am, u, v, du, dv, lambda, capacity)
+}
+
 func TestHDRFPrefersReplicaOverlap(t *testing.T) {
 	// Two partitions; vertex 0 replicated on p1 only. The next edge
 	// (0,9) must land on p1 (replication term dominates at equal loads).
@@ -20,7 +29,7 @@ func TestHDRFPrefersReplicaOverlap(t *testing.T) {
 	res.Assign(0, 1, 1)
 	res.Assign(2, 3, 0) // equalize loads
 	deg := []int32{5, 1, 1, 1, 0, 0, 0, 0, 0, 5}
-	p := bestHDRF(res, 0, 9, deg[0], deg[9], DefaultLambda, 1<<30)
+	p := bestFor(res, 0, 9, deg[0], deg[9], DefaultLambda, 1<<30)
 	if p != 1 {
 		t.Fatalf("HDRF chose %d, want 1", p)
 	}
@@ -31,7 +40,7 @@ func TestHDRFBalanceTermBreaksTies(t *testing.T) {
 	res := part.NewResult(4, 2)
 	res.AddLoad(0, 100)
 	res.M = 100
-	p := bestHDRF(res, 0, 1, 1, 1, DefaultLambda, 1<<30)
+	p := bestFor(res, 0, 1, 1, 1, DefaultLambda, 1<<30)
 	if p != 1 {
 		t.Fatalf("HDRF chose loaded partition %d", p)
 	}
@@ -41,7 +50,7 @@ func TestHDRFRespectsCapacity(t *testing.T) {
 	res := part.NewResult(4, 2)
 	// p0 full at capacity 1; overlap pulls toward p0 but capacity forbids.
 	res.Assign(0, 1, 0)
-	p := bestHDRF(res, 0, 2, 3, 1, DefaultLambda, 1)
+	p := bestFor(res, 0, 2, 3, 1, DefaultLambda, 1)
 	if p != 1 {
 		t.Fatalf("capacity violated: chose %d", p)
 	}
@@ -57,7 +66,7 @@ func TestHDRFHighDegreeReplicatedFirst(t *testing.T) {
 	deg := []int32{100, 1, 2, 1}
 	// Edge (0,2): g(0,p0) = 1+(1-θ0) with θ0=100/102 ≈ small reward;
 	// g(2,p1) = 1+(1-θ2) with θ2=2/102 ≈ big reward → p1 wins.
-	p := bestHDRF(res, 0, 2, deg[0], deg[2], 0 /* no balance term */, 1<<30)
+	p := bestFor(res, 0, 2, deg[0], deg[2], 0 /* no balance term */, 1<<30)
 	if p != 1 {
 		t.Fatalf("HDRF did not keep the low-degree vertex local: chose %d", p)
 	}
@@ -79,7 +88,7 @@ func TestRunHDRFUsesInformedState(t *testing.T) {
 		deg[i] = 2
 	}
 	edges := []graph.Edge{{U: 1, V: 2}, {U: 60, V: 61}, {U: 10, V: 20}, {U: 70, V: 80}}
-	err := RunHDRF(graph.NewMemGraph(100, edges), res, deg, DefaultLambda, 1.5, 4)
+	err := RunHDRFParallel(graph.NewMemGraph(100, edges), res, deg, DefaultLambda, 1.5, 4, shard.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,19 +247,19 @@ type countless struct{ graph.EdgeStream }
 func (c countless) NumEdges() int64 { return 0 }
 
 func TestCapForUnknownCountIsUnbounded(t *testing.T) {
-	if got := capFor(1.05, 0, 4); got != math.MaxInt64 {
-		t.Fatalf("capFor(m=0) = %d, want unbounded", got)
+	if got := Capacity(1.05, 0, 4); got != math.MaxInt64 {
+		t.Fatalf("Capacity(m=0) = %d, want unbounded", got)
 	}
-	if got := capFor(1.05, -3, 4); got != math.MaxInt64 {
-		t.Fatalf("capFor(m<0) = %d, want unbounded", got)
+	if got := Capacity(1.05, -3, 4); got != math.MaxInt64 {
+		t.Fatalf("Capacity(m<0) = %d, want unbounded", got)
 	}
-	if got := capFor(1.0, 100, 4); got != 25 {
-		t.Fatalf("capFor(m=100) = %d, want 25", got)
+	if got := Capacity(1.0, 100, 4); got != 25 {
+		t.Fatalf("Capacity(m=100) = %d, want 25", got)
 	}
 }
 
 // TestCountlessStreamNoDegradation is the capacity-zero regression pin: with
-// the old capFor, a count-less stream yielded capacity 0, every scorer
+// the old capacity bound, a count-less stream yielded capacity 0, every scorer
 // returned -1, and HDRF/Greedy/ADWISE silently collapsed to balance-only
 // Loads.ArgMin() placement. After the fix each scorer must stay far below
 // that degraded replication factor while keeping every validity contract
@@ -369,7 +378,7 @@ func TestRunHDRFParallelCountlessStream(t *testing.T) {
 	const k = 8
 
 	seq := part.NewResult(g.NumVertices(), k)
-	if err := RunHDRF(g, seq, deg, DefaultLambda, 1.05, m); err != nil {
+	if err := RunHDRFParallel(g, seq, deg, DefaultLambda, 1.05, m, shard.Options{Workers: 1}); err != nil {
 		t.Fatal(err)
 	}
 
