@@ -407,9 +407,10 @@ func WriteBinaryFile(path string, edges []Edge) error {
 }
 
 // OpenBinaryFile opens a binary edge list as a streaming EdgeStream
-// without loading it into memory (n may be 0 to discover the vertex count).
+// without loading it into memory: the chunked reader of OpenChunked, at the
+// default chunk size. n ≤ 0 discovers the vertex count.
 func OpenBinaryFile(path string, n int) (EdgeStream, error) {
-	return edgeio.OpenFile(path, n)
+	return ooc.Open(path, max(n, 0), 0)
 }
 
 // OpenChunked opens a binary edge list as a chunked, prefetching EdgeStream

@@ -1,9 +1,12 @@
 package hep
 
 import (
+	"errors"
 	"math"
 	"path/filepath"
 	"testing"
+
+	"hep/internal/graph"
 )
 
 func TestPartitionEveryAlgorithm(t *testing.T) {
@@ -150,6 +153,16 @@ func TestBinaryFileRoundTripThroughFacade(t *testing.T) {
 	}
 	if len(edges) != len(g.E) {
 		t.Fatalf("%d edges, want %d", len(edges), len(g.E))
+	}
+	// n ≤ 0 discovers the vertex count.
+	for _, n := range []int{0, -1} {
+		s, err := OpenBinaryFile(path, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.NumVertices() != g.NumVertices() || s.NumEdges() != g.NumEdges() {
+			t.Fatalf("OpenBinaryFile(n=%d): n=%d m=%d, want %d, %d", n, s.NumVertices(), s.NumEdges(), g.NumVertices(), g.NumEdges())
+		}
 	}
 	stream, err := OpenBinaryFile(path, g.NumVertices())
 	if err != nil {
@@ -350,5 +363,37 @@ func TestOpenChunkedFacade(t *testing.T) {
 	}
 	if res.M != g.NumEdges() {
 		t.Fatalf("assigned %d of %d edges", res.M, g.NumEdges())
+	}
+}
+
+// TestHDRFVertexRangeError: HDRF over an edge naming a vertex at or past the
+// stream's vertex count returns graph.ErrVertexRange at every worker count,
+// never an index panic, and the sink sees no edge with such an id — for an
+// edge list declaring too few vertices and for a file opened without vertex
+// discovery (NumVertices 0).
+func TestHDRFVertexRangeError(t *testing.T) {
+	edges := []Edge{{U: 0, V: 1}, {U: 1, V: 9}, {U: 2, V: 3}}
+	path := filepath.Join(t.TempDir(), "g.bin")
+	if err := WriteBinaryFile(path, edges); err != nil {
+		t.Fatal(err)
+	}
+	undiscovered, err := OpenChunked(path, -1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srcs := map[string]EdgeStream{"n=5 edge list": NewGraph(5, edges), "undiscovered file": undiscovered}
+	for _, w := range []int{1, 2} {
+		for name, src := range srcs {
+			n := src.NumVertices()
+			sink := sinkFunc(func(u, v uint32, p int) {
+				if int(u) >= n || int(v) >= n {
+					t.Errorf("W=%d %s: sink got (%d,%d) with n=%d", w, name, u, v, n)
+				}
+			})
+			_, err := Partition(src, Config{Algorithm: AlgoHDRF, K: 2, Workers: w, Sink: sink})
+			if !errors.Is(err, graph.ErrVertexRange) {
+				t.Errorf("W=%d %s: err = %v, want ErrVertexRange", w, name, err)
+			}
+		}
 	}
 }

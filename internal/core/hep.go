@@ -29,7 +29,9 @@ type HEP struct {
 	// Lambda is the HDRF balance weight (default 1.1, Appendix A).
 	Lambda float64
 	// H2HStore overrides the spill store for E_h2h (default in-memory;
-	// use edgeio.NewFileH2H for out-of-core spilling).
+	// use ooc.NewVarintH2H for out-of-core spilling). Stores replay edge by
+	// edge; the streaming phase's engine copies them into slabs
+	// (shard.Lend).
 	H2HStore graph.H2HStore
 	// RandomStream replaces the informed HDRF streaming phase with random
 	// streaming (ablation: isolates the value of informed streaming).

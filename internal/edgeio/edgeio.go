@@ -1,9 +1,11 @@
 // Package edgeio reads and writes edge lists in the formats the paper's
 // evaluation uses: binary edge lists with 32-bit little-endian vertex id
 // pairs (Appendix A "Input Formats", Table 3 sizes refer to this format) and
-// whitespace-separated text. It also provides the file-backed spill store
-// for edges between two high-degree vertices (the "external edge file" of
-// §3.2.1).
+// whitespace-separated text, whole lists at a time, and writes partitioned
+// edges one binary file per partition. Streaming a binary edge list without
+// loading it is internal/ooc's job (ooc.Open, ooc.OpenMmap), as is the
+// on-disk spill store for edges between two high-degree vertices
+// (ooc.VarintH2H, the "external edge file" of §3.2.1).
 package edgeio
 
 import (
@@ -122,79 +124,6 @@ func ReadText(r io.Reader) ([]graph.Edge, error) {
 	return edges, nil
 }
 
-// File is a binary edge-list file exposing the graph.EdgeStream interface
-// without loading the edges into memory; every Edges call re-reads the file
-// (the multi-pass access pattern of streaming partitioners and the two-pass
-// CSR build).
-type File struct {
-	path string
-	n    int
-	m    int64
-}
-
-// OpenFile stats a binary edge list and records the vertex count (either
-// provided as n > 0, or discovered by a scan for the maximum id).
-func OpenFile(path string, n int) (*File, error) {
-	fi, err := os.Stat(path)
-	if err != nil {
-		return nil, err
-	}
-	if fi.Size()%8 != 0 {
-		return nil, fmt.Errorf("edgeio: %s: size %d not a multiple of 8", path, fi.Size())
-	}
-	f := &File{path: path, n: n, m: fi.Size() / 8}
-	if n <= 0 {
-		var max graph.V
-		seen := false
-		err := f.Edges(func(u, v graph.V) bool {
-			seen = true
-			if u > max {
-				max = u
-			}
-			if v > max {
-				max = v
-			}
-			return true
-		})
-		if err != nil {
-			return nil, err
-		}
-		if seen {
-			f.n = int(max) + 1
-		}
-	}
-	return f, nil
-}
-
-// NumVertices implements graph.EdgeStream.
-func (f *File) NumVertices() int { return f.n }
-
-// NumEdges implements graph.EdgeStream.
-func (f *File) NumEdges() int64 { return f.m }
-
-// Edges implements graph.EdgeStream by re-reading the file.
-func (f *File) Edges(yield func(u, v graph.V) bool) error {
-	fh, err := os.Open(f.path)
-	if err != nil {
-		return err
-	}
-	defer fh.Close()
-	br := bufio.NewReaderSize(fh, 1<<20)
-	var buf [8]byte
-	for {
-		_, err := io.ReadFull(br, buf[:])
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		if !yield(binary.LittleEndian.Uint32(buf[0:4]), binary.LittleEndian.Uint32(buf[4:8])) {
-			return nil
-		}
-	}
-}
-
 // PartitionWriter streams edge assignments into one binary edge-list file
 // per partition plus nothing else — the on-disk layout a distributed graph
 // engine ingests (one file per worker). It implements part.Sink via its
@@ -252,75 +181,6 @@ func (w *PartitionWriter) Close() error {
 				err = e
 			}
 		}
-	}
-	return err
-}
-
-// FileH2H is a file-backed graph.H2HStore: the external-memory edge file of
-// paper §3.2.1 that keeps E_h2h out of the partitioner's resident set.
-type FileH2H struct {
-	f   *os.File
-	bw  *bufio.Writer
-	len int64
-	buf [8]byte
-}
-
-// NewFileH2H creates a spill store backed by a temp file in dir (or the
-// system temp directory if dir is empty).
-func NewFileH2H(dir string) (*FileH2H, error) {
-	f, err := os.CreateTemp(dir, "hep-h2h-*.bin")
-	if err != nil {
-		return nil, err
-	}
-	return &FileH2H{f: f, bw: bufio.NewWriterSize(f, 1<<20)}, nil
-}
-
-// Append implements graph.H2HStore.
-func (s *FileH2H) Append(u, v graph.V) error {
-	binary.LittleEndian.PutUint32(s.buf[0:4], u)
-	binary.LittleEndian.PutUint32(s.buf[4:8], v)
-	if _, err := s.bw.Write(s.buf[:]); err != nil {
-		return err
-	}
-	s.len++
-	return nil
-}
-
-// Len implements graph.H2HStore.
-func (s *FileH2H) Len() int64 { return s.len }
-
-// Edges implements graph.H2HStore, flushing pending writes first.
-func (s *FileH2H) Edges(yield func(u, v graph.V) bool) error {
-	if err := s.bw.Flush(); err != nil {
-		return err
-	}
-	if _, err := s.f.Seek(0, io.SeekStart); err != nil {
-		return err
-	}
-	br := bufio.NewReaderSize(s.f, 1<<20)
-	var buf [8]byte
-	for {
-		_, err := io.ReadFull(br, buf[:])
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return err
-		}
-		if !yield(binary.LittleEndian.Uint32(buf[0:4]), binary.LittleEndian.Uint32(buf[4:8])) {
-			break
-		}
-	}
-	_, err := s.f.Seek(0, io.SeekEnd)
-	return err
-}
-
-// Close removes the backing file.
-func (s *FileH2H) Close() error {
-	name := s.f.Name()
-	err := s.f.Close()
-	if rmErr := os.Remove(name); err == nil {
-		err = rmErr
 	}
 	return err
 }

@@ -2,7 +2,6 @@ package edgeio
 
 import (
 	"bytes"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -71,169 +70,6 @@ func TestTextErrors(t *testing.T) {
 	}
 	if _, err := ReadText(strings.NewReader("1 99999999999\n")); err == nil {
 		t.Fatal("overflow accepted")
-	}
-}
-
-func TestFileStream(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "g.bin")
-	g := gen.BarabasiAlbert(100, 3, 2)
-	if err := WriteBinaryFile(path, g.E); err != nil {
-		t.Fatal(err)
-	}
-
-	f, err := OpenFile(path, 0) // discover n
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.NumVertices() != g.NumVertices() {
-		t.Fatalf("n = %d, want %d", f.NumVertices(), g.NumVertices())
-	}
-	if f.NumEdges() != g.NumEdges() {
-		t.Fatalf("m = %d, want %d", f.NumEdges(), g.NumEdges())
-	}
-	// Stream must be restartable (two passes, like the CSR builder).
-	for pass := 0; pass < 2; pass++ {
-		i := 0
-		err := f.Edges(func(u, v graph.V) bool {
-			if g.E[i] != (graph.Edge{U: u, V: v}) {
-				t.Fatalf("pass %d edge %d mismatch", pass, i)
-			}
-			i++
-			return true
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if int64(i) != g.NumEdges() {
-			t.Fatalf("pass %d saw %d edges", pass, i)
-		}
-	}
-	// Early stop must not error.
-	if err := f.Edges(func(u, v graph.V) bool { return false }); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestFileStreamExplicitN covers the write → open → re-iterate round trip
-// with a caller-provided vertex count (no discovery scan) and verifies the
-// stream stays restartable across interleaved early stops.
-func TestFileStreamExplicitN(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "g.bin")
-	g := gen.CommunityPowerLaw(500, 10, 6, 0.2, 9)
-	if err := WriteBinaryFile(path, g.E); err != nil {
-		t.Fatal(err)
-	}
-	f, err := OpenFile(path, 2*g.NumVertices())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.NumVertices() != 2*g.NumVertices() {
-		t.Fatalf("explicit n not honored: %d", f.NumVertices())
-	}
-	// Early stop, then two full passes: restartability must survive.
-	if err := f.Edges(func(u, v graph.V) bool { return false }); err != nil {
-		t.Fatal(err)
-	}
-	for pass := 0; pass < 2; pass++ {
-		var count int64
-		if err := f.Edges(func(u, v graph.V) bool { count++; return true }); err != nil {
-			t.Fatal(err)
-		}
-		if count != g.NumEdges() {
-			t.Fatalf("pass %d saw %d of %d edges", pass, count, g.NumEdges())
-		}
-	}
-}
-
-// TestFileStreamTruncatedAfterOpen pins the mid-stream truncation error
-// path: a file that shrinks to a non-multiple of 8 after OpenFile must
-// surface an error from Edges, not silently drop the partial record.
-func TestFileStreamTruncatedAfterOpen(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "g.bin")
-	g := gen.BarabasiAlbert(50, 2, 4)
-	if err := WriteBinaryFile(path, g.E); err != nil {
-		t.Fatal(err)
-	}
-	f, err := OpenFile(path, g.NumVertices())
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := writeRaw(path, raw[:len(raw)-5]); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Edges(func(u, v graph.V) bool { return true }); err == nil {
-		t.Fatal("truncated mid-stream file accepted")
-	}
-}
-
-func TestOpenFileErrors(t *testing.T) {
-	if _, err := OpenFile("/nonexistent/x.bin", 0); err == nil {
-		t.Fatal("missing file accepted")
-	}
-	dir := t.TempDir()
-	bad := filepath.Join(dir, "bad.bin")
-	if err := WriteBinaryFile(bad, nil); err != nil {
-		t.Fatal(err)
-	}
-	// Corrupt size: 5 bytes.
-	if err := writeRaw(bad, []byte{1, 2, 3, 4, 5}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenFile(bad, 0); err == nil {
-		t.Fatal("odd-sized file accepted")
-	}
-}
-
-func writeRaw(path string, b []byte) error {
-	return os.WriteFile(path, b, 0o644)
-}
-
-func TestFileH2H(t *testing.T) {
-	s, err := NewFileH2H(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := uint32(0); i < 100; i++ {
-		if err := s.Append(i, i+1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if s.Len() != 100 {
-		t.Fatalf("len = %d", s.Len())
-	}
-	// Iterate twice: the store must survive re-reads and keep appending.
-	for pass := 0; pass < 2; pass++ {
-		count := uint32(0)
-		err := s.Edges(func(u, v graph.V) bool {
-			if u != count || v != count+1 {
-				t.Fatalf("pass %d: edge (%d,%d) at pos %d", pass, u, v, count)
-			}
-			count++
-			return true
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if count != 100 {
-			t.Fatalf("pass %d saw %d edges", pass, count)
-		}
-	}
-	// Append after read.
-	if err := s.Append(1000, 1001); err != nil {
-		t.Fatal(err)
-	}
-	if s.Len() != 101 {
-		t.Fatalf("len after late append = %d", s.Len())
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
 	}
 }
 

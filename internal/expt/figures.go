@@ -6,13 +6,13 @@ import (
 
 	"hep/internal/core"
 	"hep/internal/dne"
-	"hep/internal/edgeio"
 	"hep/internal/graph"
 	"hep/internal/hybrid"
 	"hep/internal/memmodel"
 	"hep/internal/metrics"
 	"hep/internal/mlp"
 	"hep/internal/ne"
+	"hep/internal/ooc"
 	"hep/internal/part"
 	"hep/internal/stream"
 )
@@ -185,10 +185,10 @@ func Figure8(cfg Config) ([]Fig8Row, error) {
 				}
 				// HEP spills E_h2h to an external file, as in the paper
 				// (§3.2.1) — the memory knob is invisible otherwise.
-				var spill *edgeio.FileH2H
+				var spill *ooc.VarintH2H
 				if h, ok := a.(*core.HEP); ok {
 					var err error
-					spill, err = edgeio.NewFileH2H("")
+					spill, err = ooc.NewVarintH2H("")
 					if err != nil {
 						return nil, err
 					}

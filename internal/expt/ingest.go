@@ -13,6 +13,9 @@ import (
 	"hep/internal/shard"
 )
 
+// edgesOnly hides a stream's Chunks method, so the engine copies its edges.
+type edgesOnly struct{ graph.EdgeStream }
+
 // TableIngestRow is one (dataset, mode, W) point of the zero-copy ingest
 // comparison: a full engine pass over the on-disk edge file (the exact
 // degree pre-pass — placement-free, so the dispatch path dominates) under
@@ -32,10 +35,10 @@ type TableIngestRow struct {
 }
 
 // TableIngest compares the three ingest paths over the binary edge format —
-// per-edge copy dispatch (the legacy baseline, forced via
-// shard.Options.CopyDispatch), chunk-lending dispatch from the prefetching
-// chunked reader, and the memory-mapped reader (zero-copy on little-endian
-// hosts) — by timing a full engine pass (exact degree pre-pass) over each
+// per-edge copy into engine slabs (the baseline: the chunked reader behind
+// edgesOnly, which shard.Lend adapts), chunk-lending dispatch from the
+// prefetching chunked reader, and the memory-mapped reader (zero-copy on
+// little-endian hosts) — by timing a full engine pass (exact degree pre-pass) over each
 // dataset written to a temp file. README's "Zero-copy ingest" numbers come
 // from here (`hep-bench -exp ingest`).
 func TableIngest(cfg Config) ([]TableIngestRow, error) {
@@ -56,7 +59,7 @@ func TableIngest(cfg Config) ([]TableIngestRow, error) {
 		for _, w := range cfg.workers(1, 4) {
 			for _, mode := range []string{"copy", "lend", "mmap"} {
 				c := obs.NewCounters(w)
-				opts := shard.Options{Workers: w, Obs: c, CopyDispatch: mode == "copy"}
+				opts := shard.Options{Workers: w, Obs: c}
 				var ms *ooc.MmapStream
 				var src graph.EdgeStream
 				if mode == "mmap" {
@@ -69,6 +72,9 @@ func TableIngest(cfg Config) ([]TableIngestRow, error) {
 					src, err = ooc.Open(path, n, 0)
 					if err != nil {
 						return nil, err
+					}
+					if mode == "copy" {
+						src = edgesOnly{src}
 					}
 				}
 				start := time.Now()

@@ -33,10 +33,12 @@ func (e Edge) Canonical() Edge {
 }
 
 // EdgeStream is a (re-iterable) source of edges. Implementations include
-// in-memory edge lists (MemGraph), binary edge-list files (edgeio.File) and
-// the H2H spill stores. Edges must be yielded in a deterministic order and
-// the stream must be restartable: every call to Edges iterates the full
-// stream from the beginning.
+// in-memory edge lists (MemGraph), binary edge-list files (ooc.Stream,
+// ooc.MmapStream) and the H2H spill stores. Edges must be yielded in a
+// deterministic order and the stream must be restartable: every call to
+// Edges iterates the full stream from the beginning. The batch engine
+// consumes lent slabs only (ChunkStream); a stream that does not lend is
+// copied into slabs at the engine's entry (shard.Lend).
 type EdgeStream interface {
 	// NumVertices returns |V|; vertex ids are in [0, NumVertices).
 	NumVertices() int

@@ -10,7 +10,8 @@ import (
 // allocating constructs. The annotation goes on the doc comment (or first
 // line) of a function that sits on a per-edge or per-batch hot path — the
 // obs nil-hub hooks, the HDRF scorer (bestHDRF) and the one per-edge HDRF
-// loop (hdrfWorker.PlaceBatch), the engine's runOne — and the analyzer then
+// loop (hdrfWorker.PlaceBatch), the engine's runOne and the per-edge slab
+// fill of shard.Lend's copy adapter — and the analyzer then
 // rejects, anywhere in the function body:
 //
 //   - make, new, append (append may grow; pre-sized scratch belongs to the

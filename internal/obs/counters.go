@@ -53,16 +53,17 @@ const (
 	// CtrParallelBatches counts out-of-core batches whose regions were grown
 	// by concurrent expanders.
 	CtrParallelBatches
-	// CtrChunksLent counts decoded edge slabs lent zero-copy to the batch
-	// engine (graph.ChunkStream dispatch — batches alias the producer's
-	// buffers instead of being re-copied on the dispatch thread).
+	// CtrChunksLent counts decoded edge slabs a source lent zero-copy to the
+	// batch engine or Buffered's buffer fill (graph.ChunkStream — batches
+	// alias the producer's buffers instead of being re-copied on the
+	// dispatch thread).
 	CtrChunksLent
-	// CtrChunkCopyFallbacks counts batches the engine had to fill by
-	// per-edge copy because the source does not lend chunks (or copy
-	// dispatch was forced).
+	// CtrChunkCopyFallbacks counts slabs shard.Lend filled by per-edge copy
+	// because the source does not lend chunks (the H2H spill stores, plain
+	// user streams); each slab holds at most one batch ceiling of edges.
 	CtrChunkCopyFallbacks
-	// CtrBytesCopiedDispatch counts bytes of edge data copied into job
-	// buffers on the dispatch thread — exactly 0 on the chunk-lending path.
+	// CtrBytesCopiedDispatch counts bytes of edge data copied into those
+	// slabs on the dispatch thread — exactly 0 for a lending source.
 	CtrBytesCopiedDispatch
 	// CtrBatchResizes counts dispatch batches whose adaptive size differed
 	// from the previous batch's (capacity-aware batch sizing at work).

@@ -377,40 +377,29 @@ func (b *Buffered) Partition(src graph.EdgeStream, k int) (*part.Result, error) 
 		return nil
 	}
 	sp = b.Obs.Span("expand-stream")
+	// Fill the buffer by bulk copy from lent slabs (a source that does not
+	// lend is copied into slabs by shard.Lend). Buffer boundaries fall every
+	// bufEdges edges whatever the slab size, so the batches — and every
+	// placement downstream — do not depend on how the source is chunked.
 	var batchErr error
-	if cs, ok := graph.AsChunks(src); ok {
-		// Chunk-lending source: fill the buffer by bulk copy from the lent
-		// slabs instead of one append per edge. Buffer boundaries fall at
-		// exactly the same edge offsets as the per-edge path, so the batches
-		// — and every placement downstream — are bit-identical.
-		err = cs.Chunks(func(edges []graph.Edge, release func()) bool {
-			defer release()
+	cs, lends := shard.Lend(src, shard.DefaultBatchEdges, b.Obs.Counters())
+	err = cs.Chunks(func(edges []graph.Edge, release func()) bool {
+		defer release()
+		if lends {
 			b.Obs.Counters().Add(0, obs.CtrChunksLent, 1)
-			for len(edges) > 0 {
-				take := bufEdges - len(st.batch)
-				if take > len(edges) {
-					take = len(edges)
-				}
-				st.batch = append(st.batch, edges[:take]...)
-				edges = edges[take:]
-				if len(st.batch) == bufEdges {
-					if batchErr = run(); batchErr != nil {
-						return false
-					}
-				}
-			}
-			return true
-		})
-	} else {
-		err = src.Edges(func(u, v graph.V) bool {
-			st.batch = append(st.batch, graph.Edge{U: u, V: v})
+		}
+		for len(edges) > 0 {
+			take := min(bufEdges-len(st.batch), len(edges))
+			st.batch = append(st.batch, edges[:take]...)
+			edges = edges[take:]
 			if len(st.batch) == bufEdges {
-				batchErr = run()
-				return batchErr == nil
+				if batchErr = run(); batchErr != nil {
+					return false
+				}
 			}
-			return true
-		})
-	}
+		}
+		return true
+	})
 	if err != nil {
 		return nil, err
 	}

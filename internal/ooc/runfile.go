@@ -95,8 +95,8 @@ func (rr *RunReader) Edges(yield func(u, v graph.V) bool) error {
 }
 
 // VarintH2H is a graph.H2HStore backed by a delta-varint run in a temp
-// file — a drop-in, smaller replacement for edgeio.FileH2H in HEP's spill
-// path (the "external edge file" of paper §3.2.1).
+// file — HEP's on-disk spill store (the "external edge file" of paper
+// §3.2.1), smaller than the raw 8-byte records it replays.
 type VarintH2H struct {
 	f  *os.File
 	rw *RunWriter

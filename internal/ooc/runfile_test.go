@@ -100,7 +100,7 @@ func TestRunTruncated(t *testing.T) {
 	}
 }
 
-// TestVarintH2H mirrors edgeio.FileH2H's contract: append, re-iterate
+// TestVarintH2H pins the graph.H2HStore contract: append, re-iterate
 // twice, append after a read, close removes the backing file.
 func TestVarintH2H(t *testing.T) {
 	s, err := NewVarintH2H(t.TempDir())

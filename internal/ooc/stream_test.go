@@ -23,32 +23,36 @@ func TestStreamRoundTrip(t *testing.T) {
 	g := gen.BarabasiAlbert(500, 4, 1)
 	path := writeGraphFile(t, g)
 
-	// Chunk far smaller than the edge count so the pipeline cycles buffers.
-	s, err := Open(path, 0, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.NumVertices() != g.NumVertices() {
-		t.Fatalf("n = %d, want %d", s.NumVertices(), g.NumVertices())
-	}
-	if s.NumEdges() != g.NumEdges() {
-		t.Fatalf("m = %d, want %d", s.NumEdges(), g.NumEdges())
-	}
-	// Restartable: two identical passes.
-	for pass := 0; pass < 2; pass++ {
-		i := 0
-		err := s.Edges(func(u, v graph.V) bool {
-			if g.E[i] != (graph.Edge{U: u, V: v}) {
-				t.Fatalf("pass %d edge %d mismatch: got (%d,%d) want %v", pass, i, u, v, g.E[i])
-			}
-			i++
-			return true
-		})
+	// n = 0 discovers the vertex count; an explicit n, even above the max
+	// id, is kept as declared.
+	for _, tc := range []struct{ n, want int }{{0, g.NumVertices()}, {2 * g.NumVertices(), 2 * g.NumVertices()}} {
+		// Chunk far smaller than the edge count so the pipeline cycles buffers.
+		s, err := Open(path, tc.n, 64)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if int64(i) != g.NumEdges() {
-			t.Fatalf("pass %d saw %d edges", pass, i)
+		if s.NumVertices() != tc.want {
+			t.Fatalf("Open(n=%d): n = %d, want %d", tc.n, s.NumVertices(), tc.want)
+		}
+		if s.NumEdges() != g.NumEdges() {
+			t.Fatalf("m = %d, want %d", s.NumEdges(), g.NumEdges())
+		}
+		// Restartable: two identical passes.
+		for pass := 0; pass < 2; pass++ {
+			i := 0
+			err := s.Edges(func(u, v graph.V) bool {
+				if g.E[i] != (graph.Edge{U: u, V: v}) {
+					t.Fatalf("pass %d edge %d mismatch: got (%d,%d) want %v", pass, i, u, v, g.E[i])
+				}
+				i++
+				return true
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if int64(i) != g.NumEdges() {
+				t.Fatalf("pass %d saw %d edges", pass, i)
+			}
 		}
 	}
 }

@@ -22,7 +22,9 @@
 // places batches in the caller's goroutine, with no pipeline and no
 // reordering (runOne); a placer that writes the caller's sequential state
 // directly then reproduces the sequential pass exactly — internal/stream
-// runs HDRF this way, with the same output as a per-edge loop.
+// runs HDRF this way, with the same output as a per-edge loop. Lent slabs
+// are Run's one input: batches are slices of them, and a source that does
+// not lend is copied into recycled slabs once, at entry (Lend).
 package shard
 
 import (
@@ -42,8 +44,9 @@ type Options struct {
 	// BatchEdges is the batch size edges are fanned out in (0 =
 	// DefaultBatchEdges). Smaller batches tighten the staleness of the
 	// load bounds at the cost of more fold/snapshot traffic. With a Sizer
-	// installed it is the upper bound the per-batch sizes vary under (job
-	// buffers are allocated at this size once).
+	// installed it is the upper bound the per-batch sizes vary under (the
+	// parts buffers, and the slabs a non-lending source is copied into, are
+	// allocated at this size).
 	BatchEdges int
 	// Obs is the hot-path counter sink (nil = disabled). The engine folds
 	// batch/edge/stall totals into it at delivery boundaries.
@@ -53,25 +56,11 @@ type Options struct {
 	// samples into its bounded series ring at batch boundaries; the engine
 	// itself only feeds latency/stall histograms through Obs.
 	Hub *obs.Obs
-	// AdaptiveBatch selects capacity-aware adaptive batch sizing: batches
-	// shrink as the most-loaded partition approaches the α capacity bound
-	// (staleness is dangerous near the bound) and grow back toward the
-	// BatchEdges ceiling while headroom is plentiful (staleness is cheap).
-	// The engine itself only consults Sizer; runners that know the
-	// capacity bound (internal/stream) translate this flag into an
-	// AdaptiveSizer. On by default in the HDRF runner when more than one
-	// worker runs and BatchEdges is 0; an explicit BatchEdges pins
-	// fixed-size batches.
-	AdaptiveBatch bool
 	// Sizer, if non-nil, dictates each successive dispatch batch size
-	// (clamped to [1, BatchEdges]). Installed by runners from
-	// AdaptiveBatch; direct users may plug any policy.
+	// (clamped to [1, BatchEdges]). The HDRF runner installs a
+	// capacity-aware AdaptiveSizer when more than one worker runs and
+	// BatchEdges is 0; direct users may plug any policy.
 	Sizer BatchSizer
-	// CopyDispatch forces per-edge copy dispatch even when the source
-	// lends decoded chunks (graph.ChunkStream) — the measurement baseline
-	// for the zero-copy path, and an escape hatch should a lending source
-	// misbehave.
-	CopyDispatch bool
 }
 
 // Resolve returns the effective worker count: Workers, or GOMAXPROCS for 0.

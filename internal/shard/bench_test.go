@@ -19,10 +19,11 @@ func (nopPlacer) PlaceBatch(edges []graph.Edge, parts []int32) {
 	}
 }
 
-// BenchmarkZeroCopyDispatch compares the two dispatch modes of the sharded
-// engine over the same chunked in-memory workload: `copy` forces the legacy
-// per-edge append on the dispatch thread (Options.CopyDispatch), `lend`
-// slices lent slabs at batch boundaries. The ns/edge metric is the number
+// BenchmarkZeroCopyDispatch compares the two ingest modes of the sharded
+// engine over the same chunked in-memory workload: `copy` hides the
+// source's Chunks (edgesOnly), so the engine copies every edge into its
+// adapter's slabs on the dispatch thread; `lend` slices the source's own
+// slabs at batch boundaries. The ns/edge metric is the number
 // the README dispatch-cost table records; the lending sub-benchmarks also
 // assert bytes_copied_dispatch == 0.
 func BenchmarkZeroCopyDispatch(b *testing.B) {
@@ -30,19 +31,18 @@ func BenchmarkZeroCopyDispatch(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		for _, mode := range []string{"copy", "lend"} {
 			b.Run(fmt.Sprintf("%s/W=%d", mode, workers), func(b *testing.B) {
-				src := newSlabSource(1<<20, slabEdges, slabCount)
-				m := src.NumEdges()
+				slabs := newSlabSource(1<<20, slabEdges, slabCount)
+				m := slabs.NumEdges()
+				var src graph.EdgeStream = slabs
+				if mode == "copy" {
+					src = edgesOnly{s: slabs}
+				}
 				ws := make([]shard.BatchPlacer, workers)
 				for i := range ws {
 					ws[i] = nopPlacer{}
 				}
 				c := obs.NewCounters(workers)
-				opts := shard.Options{
-					Workers:      workers,
-					BatchEdges:   shard.DefaultBatchEdges,
-					Obs:          c,
-					CopyDispatch: mode == "copy",
-				}
+				opts := shard.Options{Workers: workers, BatchEdges: shard.DefaultBatchEdges, Obs: c}
 				deliver := func(edges []graph.Edge, parts []int32) {}
 				b.SetBytes(m * 8)
 				b.ResetTimer()

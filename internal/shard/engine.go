@@ -42,24 +42,27 @@ type slabRef struct {
 	release func()
 }
 
-func (r *slabRef) drop() {
+// drop gives up one hold and reports whether it was the last: the
+// producer's release has then run and the ref is free for the next slab.
+func (r *slabRef) drop() bool {
 	n := r.rc.Add(-1)
 	if check.Enabled {
 		check.Assertf(n >= 0, "slab refcount went negative (%d): more drops than holds", n)
 	}
-	if n == 0 {
-		r.release()
+	if n != 0 {
+		return false
 	}
+	r.release()
+	r.release = nil
+	return true
 }
 
-// job is one batch in flight: seq orders delivery, buf is the owned edge
-// buffer (nil when edges aliases a lent slab), slab is the lent chunk the
-// edges alias (nil on the copy path).
+// job is one batch in flight: seq orders delivery, slab is the lent chunk
+// the edges alias.
 type job struct {
 	seq   int64
 	edges []graph.Edge
 	parts []int32
-	buf   []graph.Edge
 	slab  *slabRef
 	// stall is stamped by the collector when the job arrives out of
 	// sequence; its wait in the reorder buffer feeds the stall histogram.
@@ -69,7 +72,9 @@ type job struct {
 // engine wires the dispatcher, W workers and the collecting caller together.
 // Buffers cycle free → jobs → results → free; the free list is sized so
 // every channel send has room, making the pipeline deadlock-free by
-// construction.
+// construction. Slab refs cycle the same way through refs: a ref is live
+// while a job or the dispatcher holds it, so at most one more than the jobs
+// are, and a run allocates none per slab.
 type engine struct {
 	workers  []BatchPlacer
 	maxBatch int
@@ -77,9 +82,10 @@ type engine struct {
 	jobs     chan *job
 	results  chan *job
 	free     chan *job
+	refs     chan *slabRef
 }
 
-func newEngine(workers []BatchPlacer, batchEdges int, ownBufs bool, c *obs.Counters) *engine {
+func newEngine(workers []BatchPlacer, batchEdges int, c *obs.Counters) *engine {
 	nbuf := 2*len(workers) + 2
 	e := &engine{
 		workers:  workers,
@@ -88,15 +94,13 @@ func newEngine(workers []BatchPlacer, batchEdges int, ownBufs bool, c *obs.Count
 		jobs:     make(chan *job, nbuf),
 		results:  make(chan *job, nbuf),
 		free:     make(chan *job, nbuf),
+		refs:     make(chan *slabRef, nbuf+1),
 	}
 	for i := 0; i < nbuf; i++ {
-		j := &job{parts: make([]int32, batchEdges)}
-		if ownBufs {
-			j.buf = make([]graph.Edge, 0, batchEdges)
-			j.edges = j.buf // first fill appends in place, like every recycle
-		}
-		e.free <- j
+		e.free <- &job{parts: make([]int32, batchEdges)}
+		e.refs <- new(slabRef)
 	}
+	e.refs <- new(slabRef)
 	return e
 }
 
@@ -134,9 +138,9 @@ func (e *engine) start() {
 // the stream yielded the edges. Counter folds happen here, once per batch,
 // from the single collector goroutine (lane 0): batches and edges delivered
 // (the live progress signal) and reorder stalls — batches that arrived ahead
-// of sequence and sat in the reorder buffer, i.e. worker skew. Jobs sliced
-// from a lent slab drop their slab reference here, after delivery: the last
-// sub-batch out triggers the producer's release.
+// of sequence and sat in the reorder buffer, i.e. worker skew. Every job
+// drops its slab reference here, after delivery: the last sub-batch out
+// triggers the producer's release.
 func (e *engine) collect(c *obs.Counters, deliver func(edges []graph.Edge, parts []int32)) {
 	var next int64
 	pending := make(map[int64]*job)
@@ -165,13 +169,10 @@ func (e *engine) collect(c *obs.Counters, deliver func(edges []graph.Edge, parts
 			deliver(jj.edges, jj.parts[:len(jj.edges)])
 			c.Add(0, obs.CtrBatches, 1)
 			c.Add(0, obs.CtrEdgesStreamed, int64(len(jj.edges)))
-			if jj.slab != nil {
-				jj.slab.drop()
-				jj.slab = nil
+			if jj.slab.drop() {
+				e.refs <- jj.slab
 			}
-			if jj.buf != nil {
-				jj.edges = jj.buf[:0]
-			}
+			jj.slab = nil
 			e.free <- jj
 			next++
 		}
@@ -179,7 +180,7 @@ func (e *engine) collect(c *obs.Counters, deliver func(edges []graph.Edge, parts
 }
 
 // sizeTracker resolves per-batch target sizes from the configured sizer,
-// clamping to [1, maxBatch] (the job buffers are sized maxBatch) and folding
+// clamping to [1, maxBatch] (the parts buffers are sized maxBatch) and folding
 // a resize counter whenever consecutive batches differ.
 type sizeTracker struct {
 	sizer    BatchSizer
@@ -213,10 +214,10 @@ func (t *sizeTracker) next() int {
 // Run streams src through the workers in batches and calls deliver once per
 // batch, in stream order, from the calling goroutine. Batch sizes come from
 // opts.Sizer when installed, bounded by opts.BatchEdges (0 =
-// DefaultBatchEdges). When the source lends decoded chunks
-// (graph.ChunkStream) and opts.CopyDispatch is off, batches are sliced out
-// of the lent slabs — the dispatch thread copies nothing; otherwise edges
-// are appended into owned job buffers (the copy path, counted in
+// DefaultBatchEdges). Batches are always sliced out of lent slabs: a
+// source that lends decoded chunks (graph.ChunkStream) lends its own, so
+// the dispatch thread copies nothing; any other source is adapted once,
+// here, by Lend, which copies its edges into recycled slabs (counted in
 // bytes_copied_dispatch). Run returns the stream's error, if any; batches
 // dispatched before the error still complete and deliver. The worker count
 // is len(workers) — opts.Workers is not consulted here; opts carries the
@@ -226,46 +227,37 @@ func Run(src graph.EdgeStream, workers []BatchPlacer, opts Options, deliver func
 	if maxBatch <= 0 {
 		maxBatch = DefaultBatchEdges
 	}
-	cs, lend := graph.AsChunks(src)
-	if opts.CopyDispatch {
-		lend = false
-	}
+	cs, lends := Lend(src, maxBatch, opts.Obs)
 	if len(workers) == 1 {
 		// One worker needs no pipeline: place in the caller's goroutine,
 		// batch by batch, preserving the same batch-boundary semantics.
-		return runOne(src, cs, lend, workers[0], maxBatch, opts, deliver)
+		return runOne(cs, lends, workers[0], maxBatch, opts, deliver)
 	}
-	e := newEngine(workers, maxBatch, !lend, opts.Obs)
+	e := newEngine(workers, maxBatch, opts.Obs)
 	e.start()
 	var serr error
 	go func() {
 		defer close(e.jobs)
-		if lend {
-			serr = e.dispatchLent(cs, opts)
-		} else {
-			serr = e.dispatchCopy(src, opts)
-		}
+		serr = e.dispatch(cs, lends, opts)
 	}()
 	e.collect(opts.Obs, deliver)
 	return serr
 }
 
-// dispatchLent slices batches out of lent slabs: per sub-batch the dispatch
-// thread does one slice expression and one refcount bump — no edge is
-// copied (bytes_copied_dispatch stays 0). The slab's release runs after the
-// collector delivers its last sub-batch.
-func (e *engine) dispatchLent(cs graph.ChunkStream, opts Options) error {
+// dispatch slices batches out of lent slabs: per sub-batch the dispatch
+// thread does one slice expression and one refcount bump. The slab's release
+// runs after the collector delivers its last sub-batch. Only a source's own
+// slabs (lends) count as chunks_lent; Lend's copies count as copy fallbacks.
+func (e *engine) dispatch(cs graph.ChunkStream, lends bool, opts Options) error {
 	sizes := newSizeTracker(opts, e.maxBatch)
 	var seq int64
-	err := cs.Chunks(func(slab []graph.Edge, release func()) bool {
+	return cs.Chunks(func(slab []graph.Edge, release func()) bool {
+		ref := <-e.refs
 		//hep:xfer release moves into the slabRef; the last sub-batch drop (in collect) runs it
-		ref := &slabRef{release: release}
+		ref.release = release
 		ref.rc.Store(1) // dispatcher hold, dropped after the slice loop
 		for off := 0; off < len(slab); {
-			end := off + sizes.next()
-			if end > len(slab) {
-				end = len(slab)
-			}
+			end := min(off+sizes.next(), len(slab))
 			j := <-e.free
 			j.seq = seq
 			seq++
@@ -275,97 +267,131 @@ func (e *engine) dispatchLent(cs graph.ChunkStream, opts Options) error {
 			e.jobs <- j
 			off = end
 		}
-		opts.Obs.Add(0, obs.CtrChunksLent, 1)
-		ref.drop()
-		return true
-	})
-	return err
-}
-
-// dispatchCopy appends every edge into owned job buffers — the legacy path
-// for sources that cannot lend chunks (and the CopyDispatch baseline). Each
-// dispatched batch folds its copied bytes and a copy-fallback count.
-func (e *engine) dispatchCopy(src graph.EdgeStream, opts Options) error {
-	sizes := newSizeTracker(opts, e.maxBatch)
-	var seq int64
-	cur := <-e.free
-	target := sizes.next()
-	ship := func() {
-		cur.seq = seq
-		seq++
-		opts.Obs.Add(0, obs.CtrChunkCopyFallbacks, 1)
-		opts.Obs.Add(0, obs.CtrBytesCopiedDispatch, int64(len(cur.edges))*8)
-		e.jobs <- cur
-	}
-	serr := src.Edges(func(u, v graph.V) bool {
-		cur.edges = append(cur.edges, graph.Edge{U: u, V: v})
-		if len(cur.edges) >= target {
-			ship()
-			cur = <-e.free
-			target = sizes.next()
+		if lends {
+			opts.Obs.Add(0, obs.CtrChunksLent, 1)
+		}
+		if ref.drop() {
+			e.refs <- ref
 		}
 		return true
 	})
-	if len(cur.edges) > 0 {
-		ship()
-	}
-	return serr
 }
 
 // runOne is the single-worker degenerate case of Run: same batching, no
 // goroutines, no reordering (and so no reorder stalls — only batch and edge
-// totals fold). The copy path reuses one grow-only batch buffer for the
-// whole run; the lending path slices lent slabs directly.
-func runOne(src graph.EdgeStream, cs graph.ChunkStream, lend bool, w BatchPlacer, maxBatch int, opts Options, deliver func(edges []graph.Edge, parts []int32)) error {
+// totals fold). Each slab is placed and released before the next is asked
+// for, so Lend's adapter recycles one slab for the whole run.
+func runOne(cs graph.ChunkStream, lends bool, w BatchPlacer, maxBatch int, opts Options, deliver func(edges []graph.Edge, parts []int32)) error {
 	c := opts.Obs
 	sizes := newSizeTracker(opts, maxBatch)
 	parts := make([]int32, maxBatch)
 	//hep:noalloc
-	flush := func(edges []graph.Edge) {
-		if c != nil {
-			t0 := time.Now()
-			w.PlaceBatch(edges, parts[:len(edges)])
-			c.Observe(0, obs.HistBatchNs, time.Since(t0).Nanoseconds())
-		} else {
-			w.PlaceBatch(edges, parts[:len(edges)])
-		}
-		deliver(edges, parts[:len(edges)])
-		c.Add(0, obs.CtrBatches, 1)
-		c.Add(0, obs.CtrEdgesStreamed, int64(len(edges)))
-	}
-	if lend {
-		err := cs.Chunks(func(slab []graph.Edge, release func()) bool {
-			for off := 0; off < len(slab); {
-				end := off + sizes.next()
-				if end > len(slab) {
-					end = len(slab)
-				}
-				flush(slab[off:end:end])
-				off = end
+	return cs.Chunks(func(slab []graph.Edge, release func()) bool {
+		for off := 0; off < len(slab); {
+			end := min(off+sizes.next(), len(slab))
+			edges, ps := slab[off:end:end], parts[:end-off]
+			if c != nil {
+				t0 := time.Now()
+				w.PlaceBatch(edges, ps)
+				c.Observe(0, obs.HistBatchNs, time.Since(t0).Nanoseconds())
+			} else {
+				w.PlaceBatch(edges, ps)
 			}
-			c.Add(0, obs.CtrChunksLent, 1)
-			release()
-			return true
-		})
-		return err
-	}
-	edges := make([]graph.Edge, 0, maxBatch)
-	target := sizes.next()
-	err := src.Edges(func(u, v graph.V) bool {
-		edges = append(edges, graph.Edge{U: u, V: v})
-		if len(edges) >= target {
-			c.Add(0, obs.CtrChunkCopyFallbacks, 1)
-			c.Add(0, obs.CtrBytesCopiedDispatch, int64(len(edges))*8)
-			flush(edges)
-			edges = edges[:0]
-			target = sizes.next()
+			deliver(edges, ps)
+			c.Add(0, obs.CtrBatches, 1)
+			c.Add(0, obs.CtrEdgesStreamed, int64(len(edges)))
+			off = end
 		}
+		if lends {
+			c.Add(0, obs.CtrChunksLent, 1)
+		}
+		release()
 		return true
 	})
-	if len(edges) > 0 {
-		c.Add(0, obs.CtrChunkCopyFallbacks, 1)
-		c.Add(0, obs.CtrBytesCopiedDispatch, int64(len(edges))*8)
-		flush(edges)
+}
+
+// Lend returns src as a slab-lending stream, and whether src lends its own
+// slabs. A source that does not (graph.AsChunks false: the H2H spill
+// stores, an AbortStream over them, plain user streams) is adapted: its
+// edges are copied into recycled slabs of at most slabEdges (≥ 1) edges,
+// and every lent copy folds one chunk_copy_fallbacks and its bytes into
+// bytes_copied_dispatch on c. This is the one place a consumer of lent
+// slabs (the engine, Buffered's buffer fill) meets a non-lending source.
+func Lend(src graph.EdgeStream, slabEdges int, c *obs.Counters) (graph.ChunkStream, bool) {
+	if cs, ok := graph.AsChunks(src); ok {
+		return cs, true
+	}
+	return &copyChunks{EdgeStream: src, slabEdges: slabEdges, c: c}, false
+}
+
+// copyChunks is Lend's adapter for a source that does not lend.
+type copyChunks struct {
+	graph.EdgeStream
+	slabEdges int
+	c         *obs.Counters
+}
+
+// slabPool recycles the adapter's slabs within one Chunks call. A slab is
+// allocated only when every earlier one is still lent, so a consumer that
+// releases each slab before taking the next (runOne, Buffered) reuses one
+// slab for the whole pass, and the W-worker engine, which holds at most
+// 2W+2 batches in flight, grows it to at most 2W+3.
+type slabPool struct {
+	mu    sync.Mutex
+	free  []*copySlab
+	edges int
+}
+
+// copySlab is one pooled slab; its release func is bound once, at
+// allocation, so lending a recycled slab allocates nothing.
+type copySlab struct {
+	edges   []graph.Edge
+	release func()
+}
+
+func (p *slabPool) get() *copySlab {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if n := len(p.free); n > 0 {
+		s := p.free[n-1]
+		p.free = p.free[:n-1]
+		return s
+	}
+	s := &copySlab{edges: make([]graph.Edge, p.edges)}
+	s.release = func() {
+		p.mu.Lock()
+		p.free = append(p.free, s)
+		p.mu.Unlock()
+	}
+	return s
+}
+
+// Chunks implements graph.ChunkStream: fill the current slab edge by edge
+// and lend it when it is full, then the partial tail — also when the source
+// stops with an error, so the edges it yielded before the error still reach
+// the consumer, as they do through Edges.
+func (s *copyChunks) Chunks(yield func(edges []graph.Edge, release func()) bool) error {
+	pool := &slabPool{edges: s.slabEdges}
+	cur, n := pool.get(), 0
+	lend := func() bool {
+		edges := cur.edges[:n:n]
+		n = 0
+		s.c.Add(0, obs.CtrChunkCopyFallbacks, 1)
+		s.c.Add(0, obs.CtrBytesCopiedDispatch, int64(len(edges))*8)
+		if !yield(edges, cur.release) {
+			return false
+		}
+		cur = pool.get()
+		return true
+	}
+	//hep:noalloc
+	err := s.EdgeStream.Edges(func(u, v graph.V) bool {
+		cur.edges[n] = graph.Edge{U: u, V: v}
+		n++
+		return n < len(cur.edges) || lend()
+	})
+	if n > 0 {
+		lend()
 	}
 	return err
 }

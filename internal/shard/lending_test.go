@@ -4,6 +4,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"hep/internal/check"
 	"hep/internal/graph"
 	"hep/internal/obs"
 	"hep/internal/part"
@@ -71,8 +72,8 @@ func (s *slabSource) Chunks(yield func(edges []graph.Edge, release func()) bool)
 	return nil
 }
 
-// edgesOnly hides a stream's Chunks method, forcing the engine's per-edge
-// copy path.
+// edgesOnly hides a stream's Chunks method, so the engine copies its edges
+// into slabs through shard.Lend.
 type edgesOnly struct{ s graph.EdgeStream }
 
 func (e edgesOnly) NumVertices() int                          { return e.s.NumVertices() }
@@ -128,42 +129,85 @@ func TestLendingOrderedDeliveryAndRelease(t *testing.T) {
 	}
 }
 
-// TestCopyDispatchForcesCopyPath pins the CopyDispatch escape hatch and its
-// counters: the same lending source dispatched with CopyDispatch delivers
-// identically but copies every edge on the dispatch thread.
-func TestCopyDispatchForcesCopyPath(t *testing.T) {
-	for _, workers := range []int{1, 3} {
-		src := newSlabSource(503, 700, 4)
-		m := src.NumEdges()
+// TestNonLendingSourceCopiedIntoSlabs pins Lend's adapter under the engine:
+// for W ∈ {1, 2, 4} a source that does not lend is delivered in exact
+// stream order with every edge exactly once, its edges are copied once
+// (bytes_copied_dispatch = 8·m, one copy fallback per slab of at most
+// BatchEdges edges) and nothing counts as lent. At W=2 the allocation count
+// of a run does not grow with the number of batches: slabs and slab refs
+// recycle.
+func TestNonLendingSourceCopiedIntoSlabs(t *testing.T) {
+	const k, batch = 13, 128
+	for _, workers := range []int{1, 2, 4} {
+		slabs := newSlabSource(997, 1000, 9)
+		want := slabs.all()
+		m := int64(len(want))
 		ws := make([]shard.BatchPlacer, workers)
 		for i := range ws {
-			ws[i] = &orderPlacer{k: 7}
+			ws[i] = &orderPlacer{k: k}
 		}
 		c := obs.NewCounters(workers)
-		var delivered int64
-		err := shard.Run(src, ws, shard.Options{BatchEdges: 256, Obs: c, CopyDispatch: true},
-			func(edges []graph.Edge, parts []int32) { delivered += int64(len(edges)) })
+		var got []part.TaggedEdge
+		err := shard.Run(edgesOnly{s: slabs}, ws, shard.Options{BatchEdges: batch, Obs: c}, func(edges []graph.Edge, parts []int32) {
+			if len(edges) > batch {
+				t.Fatalf("W=%d: batch of %d edges above the %d ceiling", workers, len(edges), batch)
+			}
+			for i := range edges {
+				got = append(got, part.TaggedEdge{E: edges[i], P: int(parts[i])})
+			}
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if delivered != m {
-			t.Fatalf("W=%d: delivered %d of %d edges", workers, delivered, m)
+		if int64(len(got)) != m {
+			t.Fatalf("W=%d: delivered %d of %d edges", workers, len(got), m)
 		}
-		if n := c.Total(obs.CtrChunksLent); n != 0 {
-			t.Fatalf("W=%d: chunks_lent = %d under CopyDispatch, want 0", workers, n)
-		}
-		if n := c.Total(obs.CtrBytesCopiedDispatch); n != m*8 {
-			t.Fatalf("W=%d: bytes_copied_dispatch = %d, want %d", workers, n, m*8)
-		}
-		if n := c.Total(obs.CtrChunkCopyFallbacks); n == 0 {
-			t.Fatalf("W=%d: chunk_copy_fallbacks = 0 under CopyDispatch", workers)
-		}
-		// CopyDispatch never yields slabs, so nothing was lent or released.
-		for i := range src.released {
-			if n := src.released[i].Load(); n != 0 {
-				t.Fatalf("W=%d: slab %d released %d times without being lent", workers, i, n)
+		for i := range got {
+			wantP := int((want[i].U + 3*want[i].V) % graph.V(k))
+			if got[i].E != want[i] || got[i].P != wantP {
+				t.Fatalf("W=%d: delivery %d = %v→%d, want %v→%d", workers, i, got[i].E, got[i].P, want[i], wantP)
 			}
 		}
+		if n := c.Total(obs.CtrBytesCopiedDispatch); n != 8*m {
+			t.Fatalf("W=%d: bytes_copied_dispatch = %d, want %d", workers, n, 8*m)
+		}
+		if n, want := c.Total(obs.CtrChunkCopyFallbacks), (m+batch-1)/batch; n != want {
+			t.Fatalf("W=%d: chunk_copy_fallbacks = %d, want %d (one per slab)", workers, n, want)
+		}
+		if n := c.Total(obs.CtrChunksLent); n != 0 {
+			t.Fatalf("W=%d: chunks_lent = %d for a non-lending source, want 0", workers, n)
+		}
+		for i := range slabs.released {
+			if n := slabs.released[i].Load(); n != 0 {
+				t.Fatalf("W=%d: slab %d of the hidden source released %d times", workers, i, n)
+			}
+		}
+	}
+
+	if check.Enabled {
+		// Assertions box their arguments per batch (the collector's
+		// sequence check, the slab refcount check): allocation behavior is
+		// a release-build property, as for the hotalloc analyzer.
+		return
+	}
+	allocs := func(m int) float64 {
+		edges := make([]graph.Edge, m)
+		for i := range edges {
+			edges[i] = graph.Edge{U: graph.V(i % 613), V: graph.V((5 * i) % 617)}
+		}
+		src := edgesOnly{s: graph.NewMemGraph(617, edges)}
+		ws := []shard.BatchPlacer{&orderPlacer{k: 3}, &orderPlacer{k: 3}}
+		return testing.AllocsPerRun(5, func() {
+			if err := shard.Run(src, ws, shard.Options{BatchEdges: 512}, func(edges []graph.Edge, parts []int32) {}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	// ~40 vs ~400 batches per run: a per-batch (or per-slab) allocation
+	// would add hundreds; the pools allocate at most 2W+3 slabs either way.
+	small, large := allocs(20_000), allocs(200_000)
+	if large > small+16 {
+		t.Fatalf("W=2 allocations grow with batches: %.0f for ~40 batches, %.0f for ~400", small, large)
 	}
 }
 

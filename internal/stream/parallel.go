@@ -1,6 +1,9 @@
 package stream
 
 import (
+	"fmt"
+	"sync/atomic"
+
 	"hep/internal/graph"
 	"hep/internal/part"
 	"hep/internal/pstate"
@@ -39,7 +42,8 @@ type replicaWriter interface {
 // sequential semantics (rotating argmin included) against a view that lags
 // other workers by at most one batch. partial makes the worker stream
 // partial degrees into deg before scoring each edge (standalone HDRF with
-// one worker).
+// one worker); it is the one worker whose ids no earlier pass has checked
+// against the vertex count, so it records an out-of-range id in fault.
 type hdrfWorker struct {
 	id       int
 	reps     RepView
@@ -50,6 +54,19 @@ type hdrfWorker struct {
 	lambda   float64
 	capacity int64
 	local    *pstate.Loads
+	fault    *idFault
+}
+
+// idFault is a pass's record of a vertex id outside [0, n): the error, and
+// the flag that stops the engine's scan (shard.AbortStream) and delivery.
+type idFault struct {
+	stop atomic.Bool
+	err  error
+}
+
+func (f *idFault) set(u, v graph.V, n int) {
+	f.err = fmt.Errorf("%w: edge (%d,%d) with n=%d", graph.ErrVertexRange, u, v, n)
+	f.stop.Store(true)
 }
 
 // PlaceBatch implements shard.BatchPlacer: reload the local load view from
@@ -58,21 +75,31 @@ type hdrfWorker struct {
 //
 //hep:noalloc
 func (w *hdrfWorker) PlaceBatch(edges []graph.Edge, parts []int32) {
+	if w.fault.stop.Load() {
+		return
+	}
 	w.loads.Snapshot(w.local.Counts())
 	w.local.Recompute()
 	counts := w.local.Counts()
+	deg := w.deg
 	for i := range edges {
 		u, v := edges[i].U, edges[i].V
 		if w.partial {
-			w.deg[u]++
-			w.deg[v]++
+			// The check stands in for the bounds checks of the two
+			// increments, which the compiler then drops.
+			if int(u) >= len(deg) || int(v) >= len(deg) {
+				w.fault.set(u, v, len(deg))
+				return
+			}
+			deg[u]++
+			deg[v]++
 		}
 		maxLoad, minLoad := w.local.Max(), w.local.Min()
 		am := -1
 		if minLoad < w.capacity {
 			am = w.local.ArgMin()
 		}
-		p := bestHDRF(w.reps, counts, maxLoad, minLoad, am, u, v, w.deg[u], w.deg[v], w.lambda, w.capacity)
+		p := bestHDRF(w.reps, counts, maxLoad, minLoad, am, u, v, deg[u], deg[v], w.lambda, w.capacity)
 		if p < 0 {
 			// Every candidate at capacity in the worker's view: least
 			// loaded, mirroring the sequential Loads.ArgMin fallback.
@@ -88,24 +115,22 @@ func (w *hdrfWorker) PlaceBatch(edges []graph.Edge, parts []int32) {
 }
 
 // sizeBatches resolves the batch policy for one parallel run. An explicit
-// opts.BatchEdges pins fixed-size batches at that literal value (and turns
-// adaptive sizing off unless opts.AdaptiveBatch asks for it); BatchEdges = 0
-// takes the shard.FixedBatch ceiling — batches scale with the stream so the
-// total staleness window (W workers × one batch) stays around 2% of the
-// edges — with capacity-aware adaptive sizing on by default varying batch
-// sizes below that ceiling from the live load bounds. Count-less streams
-// (totalM ≤ 0) keep the DefaultBatchEdges ceiling instead of collapsing to
-// the floor, and their unbounded capacity pins the adaptive policy at the
-// ceiling too.
+// opts.BatchEdges pins fixed-size batches at that literal value; BatchEdges
+// = 0 takes the shard.FixedBatch ceiling — batches scale with the stream so
+// the total staleness window (W workers × one batch) stays around 2% of the
+// edges — with capacity-aware adaptive sizing varying batch sizes below
+// that ceiling from the live load bounds. Count-less streams (totalM ≤ 0)
+// keep the DefaultBatchEdges ceiling instead of collapsing to the floor,
+// and their unbounded capacity pins the adaptive policy at the ceiling too.
+// A caller-installed opts.Sizer is kept.
 func sizeBatches(opts *shard.Options, loads *shard.ShardedLoads, capacity, totalM int64, workers int) {
-	adaptive := opts.AdaptiveBatch || opts.BatchEdges <= 0
-	if opts.BatchEdges <= 0 {
-		opts.BatchEdges = shard.FixedBatch(totalM, workers)
+	if opts.BatchEdges > 0 {
+		return
 	}
-	if adaptive && opts.Sizer == nil {
+	opts.BatchEdges = shard.FixedBatch(totalM, workers)
+	if opts.Sizer == nil {
 		opts.Sizer = shard.NewAdaptiveSizer(loads, capacity, workers, opts.BatchEdges)
 	}
-	opts.AdaptiveBatch = adaptive
 }
 
 // hdrfPass is one HDRF placement pass over a stream.
@@ -120,9 +145,15 @@ type hdrfPass struct {
 
 // run places every edge of src into res with opts.Resolve() workers through
 // shard.Run and delivers assignments to res (edge count, sink, one quality
-// sample per batch) in stream order.
+// sample per batch) in stream order. A partial-degree pass stops at the
+// first vertex id outside res's n, delivers nothing from that batch on, and
+// returns graph.ErrVertexRange.
 func (h hdrfPass) run(src graph.EdgeStream, res *part.Result, opts shard.Options) error {
 	workers := opts.Resolve()
+	var fault idFault
+	if h.partial {
+		src = shard.AbortStream{EdgeStream: src, Stop: &fault.stop}
+	}
 	var sh *part.Shared
 	var table replicaWriter
 	var loads *shard.ShardedLoads
@@ -136,6 +167,9 @@ func (h hdrfPass) run(src graph.EdgeStream, res *part.Result, opts shard.Options
 			opts.BatchEdges = shard.DefaultBatchEdges
 		}
 		deliver = func(edges []graph.Edge, parts []int32) {
+			if fault.stop.Load() {
+				return
+			}
 			for i := range edges {
 				res.M++
 				if res.Sink != nil {
@@ -170,6 +204,7 @@ func (h hdrfPass) run(src graph.EdgeStream, res *part.Result, opts shard.Options
 			lambda:   h.lambda,
 			capacity: h.capacity,
 			local:    pstate.NewLoads(res.K),
+			fault:    &fault,
 		}
 		switch {
 		case h.prior != nil:
@@ -181,7 +216,10 @@ func (h hdrfPass) run(src graph.EdgeStream, res *part.Result, opts shard.Options
 		}
 		ws[i] = w
 	}
-	return shard.Run(src, ws, opts, deliver)
+	if err := shard.Run(src, ws, opts, deliver); err != nil {
+		return err
+	}
+	return fault.err
 }
 
 // RunHDRFParallel streams src into res with HDRF scoring against the exact

@@ -333,35 +333,29 @@ func TestHDRFCountlessMatchesCounted(t *testing.T) {
 // to the floor.
 func TestSizeBatchesPolicy(t *testing.T) {
 	loads := shard.NewShardedLoads(pstate.NewLoads(8), 8)
-	mk := func(batch int, adaptive bool) shard.Options {
-		return shard.Options{Workers: 8, BatchEdges: batch, AdaptiveBatch: adaptive}
+	mk := func(batch int) shard.Options {
+		return shard.Options{Workers: 8, BatchEdges: batch}
 	}
 
-	o := mk(0, false)
+	o := mk(0)
 	sizeBatches(&o, loads, 1<<60, 1<<20, 8)
 	if o.BatchEdges != (1<<20)/(50*8) {
 		t.Fatalf("ceiling = %d, want FixedBatch %d", o.BatchEdges, (1<<20)/(50*8))
 	}
-	if !o.AdaptiveBatch || o.Sizer == nil {
-		t.Fatalf("adaptive sizing not on by default: adaptive=%v sizer=%v", o.AdaptiveBatch, o.Sizer)
+	if o.Sizer == nil {
+		t.Fatal("adaptive sizing not on by default")
 	}
 
-	o = mk(0, false)
+	o = mk(0)
 	sizeBatches(&o, loads, 1<<60, 0, 8)
 	if o.BatchEdges != shard.DefaultBatchEdges {
 		t.Fatalf("count-less ceiling = %d, want DefaultBatchEdges (no floor collapse)", o.BatchEdges)
 	}
 
-	o = mk(123, false)
+	o = mk(123)
 	sizeBatches(&o, loads, 1<<60, 1<<30, 8)
-	if o.BatchEdges != 123 || o.Sizer != nil || o.AdaptiveBatch {
+	if o.BatchEdges != 123 || o.Sizer != nil {
 		t.Fatalf("explicit batch not pinned fixed: %+v", o)
-	}
-
-	o = mk(123, true)
-	sizeBatches(&o, loads, 1<<60, 1<<30, 8)
-	if o.BatchEdges != 123 || o.Sizer == nil {
-		t.Fatalf("explicit batch with AdaptiveBatch should keep sizer: %+v", o)
 	}
 }
 
