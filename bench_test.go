@@ -374,32 +374,6 @@ func BenchmarkParallelHDRF(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelBuild measures the parallel pre-passes — the exact degree
-// pass through reduction lanes and the sharded two-pass CSR build with
-// atomic slot claims — against their sequential forms (TW stand-in, τ=10).
-// CI smokes it; `hep-bench -exp build` prints the scaling table.
-func BenchmarkParallelBuild(b *testing.B) {
-	g := gen.MustDataset("TW").Build(benchScale)
-	m := g.NumEdges()
-	const tau = 10.0
-	run := func(b *testing.B, workers int) {
-		b.SetBytes(m * 8)
-		for i := 0; i < b.N; i++ {
-			if _, _, err := ooc.DegreePassParallel(g, shard.Options{Workers: workers}); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := core.BuildCSRSharded(g, tau, nil, shard.Options{Workers: workers}); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*m), "ns/edge")
-	}
-	b.Run("seq", func(b *testing.B) { run(b, 1) })
-	for _, w := range []int{2, 4, 8} {
-		b.Run(fmt.Sprintf("W=%d", w), func(b *testing.B) { run(b, w) })
-	}
-}
-
 // BenchmarkParallelExpansion measures the out-of-core engine's concurrent
 // region expansion — W expander goroutines claiming batch edges by CAS —
 // against the sequential expander (TW stand-in, k=32). CI smokes it;
@@ -442,26 +416,4 @@ func BenchmarkCSRBuild(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkAblationParallelBuild compares sequential vs concurrent CSR
-// construction inside a full HEP run (§7 future work: parallelism).
-func BenchmarkAblationParallelBuild(b *testing.B) {
-	g := benchGraph()
-	b.Run("sequential", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			h := &core.HEP{Tau: 10}
-			if _, err := h.Partition(g, 32); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("workers-2", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			h := &core.HEP{Tau: 10, BuildWorkers: 2}
-			if _, err := h.Partition(g, 32); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }

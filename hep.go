@@ -150,21 +150,20 @@ type Config struct {
 	// algorithms — with Workers 0 (all cores) or > 1, placement depends
 	// on worker interleaving.
 	Seed int64
-	// Workers is the multi-core parallelism of the algorithms that have a
-	// parallel path, and it covers the whole pipeline, not just streaming:
-	// the exact-degree pre-pass and the sharded CSR build (AlgoHEP,
-	// AlgoHDRF, AlgoRestream, AlgoBuffered's degree pass), the sharded
-	// streaming engine behind AlgoHEP's informed phase, AlgoHDRF and
-	// AlgoRestream, AlgoBuffered's mini-CSR fill, its region expansion
-	// (up to Workers concurrent expanders per batch, DNE-style CAS edge
-	// claims) and its per-edge fallback, and DNE's own concurrent
-	// expanders. 0 resolves to GOMAXPROCS (DNE keeps
-	// its own default); 1 forces one worker, whose output is the exact
-	// sequential algorithm's, which is the determinism guarantee — parallel
-	// placement (and the sharded build's within-segment adjacency order)
-	// depends on worker interleaving. Algorithms with no parallel path (order-sensitive
-	// streaming like ADWISE, the in-memory partitioners) reject
-	// Workers > 1 instead of silently running sequentially.
+	// Workers is the multi-core parallelism of the placement passes of the
+	// algorithms that have a parallel path: the sharded streaming engine
+	// behind AlgoHEP's informed phase, AlgoHDRF and AlgoRestream,
+	// AlgoBuffered's region expansion (up to Workers concurrent expanders
+	// per batch, DNE-style CAS edge claims) and its per-edge fallback, and
+	// DNE's own concurrent expanders. The pre-passes — exact degree
+	// counting, HEP's CSR build, Buffered's mini-CSR fill — run
+	// sequentially at every worker count. 0 resolves to GOMAXPROCS (DNE
+	// keeps its own default); 1 forces one worker, whose output is the
+	// exact sequential algorithm's, which is the determinism guarantee —
+	// parallel placement depends on worker interleaving. Algorithms with no
+	// parallel path (order-sensitive streaming like ADWISE, the in-memory
+	// partitioners) reject Workers > 1 instead of silently running
+	// sequentially.
 	Workers int
 	// BatchEdges pins the parallel sharded engine's fan-out batch size for
 	// the algorithms with a parallel path. 0 (the default) lets the
@@ -278,10 +277,10 @@ func New(cfg Config) (Algorithm, error) {
 	switch name {
 	case AlgoHEP:
 		a = &core.HEP{Tau: cfg.Tau, Alpha: cfg.Alpha, Lambda: cfg.Lambda, Seed: cfg.Seed,
-			Workers: shardWorkers(cfg), BuildWorkers: shardWorkers(cfg), BatchEdges: cfg.BatchEdges, Obs: cfg.Obs}
+			Workers: shardWorkers(cfg), BatchEdges: cfg.BatchEdges, Obs: cfg.Obs}
 	case AlgoNEPP:
 		a = &core.HEP{Tau: math.Inf(1), Alpha: cfg.Alpha, Lambda: cfg.Lambda,
-			Workers: shardWorkers(cfg), BuildWorkers: shardWorkers(cfg), BatchEdges: cfg.BatchEdges, Obs: cfg.Obs}
+			Workers: shardWorkers(cfg), BatchEdges: cfg.BatchEdges, Obs: cfg.Obs}
 	case AlgoNE:
 		a = &ne.NE{Seed: cfg.Seed}
 	case AlgoSNE:

@@ -2,88 +2,15 @@ package core
 
 import (
 	"errors"
-	"math"
-	"sort"
 	"testing"
 
-	"hep/internal/gen"
 	"hep/internal/graph"
 	"hep/internal/shard"
 )
 
-// sortedSeg returns a copy of an adjacency segment in sorted order: the
-// sharded build claims slots concurrently, so segments match the sequential
-// build as sets, not sequences.
-func sortedSeg(s []graph.V) []graph.V {
-	c := append([]graph.V(nil), s...)
-	sort.Slice(c, func(i, j int) bool { return c[i] < c[j] })
-	return c
-}
-
-// TestBuildCSRShardedAdjacencyEquivalent pins the sharded two-pass build to
-// the sequential one on the paper's stand-ins at W ∈ {2, 4, 8}: identical
-// totals, pruning state, degrees and segment contents (as sets), and E_h2h
-// in identical stream order (the ordered collector owns the spill).
-func TestBuildCSRShardedAdjacencyEquivalent(t *testing.T) {
-	for _, name := range []string{"OK", "TW", "LJ"} {
-		g := gen.MustDataset(name).Build(0.05)
-		n := g.NumVertices()
-		for _, tau := range []float64{math.Inf(1), 10, 1.5} {
-			seq, err := graph.BuildCSR(g, tau, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, w := range []int{2, 4, 8} {
-				par, err := BuildCSRSharded(g, tau, nil, shard.Options{Workers: w, BatchEdges: 512})
-				if err != nil {
-					t.Fatalf("%s tau=%v W=%d: %v", name, tau, w, err)
-				}
-				if par.M() != seq.M() || par.InMemEdges() != seq.InMemEdges() ||
-					par.ColLen() != seq.ColLen() || par.MeanDegree() != seq.MeanDegree() {
-					t.Fatalf("%s tau=%v W=%d: frame totals differ", name, tau, w)
-				}
-				for v := 0; v < n; v++ {
-					if par.IsHigh(graph.V(v)) != seq.IsHigh(graph.V(v)) ||
-						par.Degree(graph.V(v)) != seq.Degree(graph.V(v)) {
-						t.Fatalf("%s tau=%v W=%d v=%d: pruning state differs", name, tau, w, v)
-					}
-					so, po := sortedSeg(seq.Out(graph.V(v))), sortedSeg(par.Out(graph.V(v)))
-					si, pi := sortedSeg(seq.In(graph.V(v))), sortedSeg(par.In(graph.V(v)))
-					if len(so) != len(po) || len(si) != len(pi) {
-						t.Fatalf("%s tau=%v W=%d v=%d: segment sizes differ", name, tau, w, v)
-					}
-					for i := range so {
-						if so[i] != po[i] {
-							t.Fatalf("%s tau=%v W=%d v=%d: out sets differ", name, tau, w, v)
-						}
-					}
-					for i := range si {
-						if si[i] != pi[i] {
-							t.Fatalf("%s tau=%v W=%d v=%d: in sets differ", name, tau, w, v)
-						}
-					}
-				}
-				var seqH2H, parH2H []graph.Edge
-				seq.H2H().Edges(func(u, v graph.V) bool {
-					seqH2H = append(seqH2H, graph.Edge{U: u, V: v})
-					return true
-				})
-				par.H2H().Edges(func(u, v graph.V) bool {
-					parH2H = append(parH2H, graph.Edge{U: u, V: v})
-					return true
-				})
-				if len(seqH2H) != len(parH2H) {
-					t.Fatalf("%s tau=%v W=%d: h2h lengths differ", name, tau, w)
-				}
-				for i := range seqH2H {
-					if seqH2H[i] != parH2H[i] {
-						t.Fatalf("%s tau=%v W=%d: h2h order differs at %d", name, tau, w, i)
-					}
-				}
-			}
-		}
-	}
-}
+// BuildCSRSharded is kept as a forward to graph.BuildCSR for the benchmark's
+// staged chains; these tests pin that it builds and rejects exactly like the
+// sequential builder at any worker count.
 
 func TestBuildCSRShardedOneWorkerDelegates(t *testing.T) {
 	g := graph.NewMemGraph(4, []graph.Edge{{U: 0, V: 1}})

@@ -40,17 +40,11 @@ type HEP struct {
 	Seed int64
 	// Tracer observes NE++ column-array accesses (paging simulation).
 	Tracer Tracer
-	// BuildWorkers > 1 builds the CSR with the sharded two-pass builder
-	// (BuildCSRSharded, §7 future work: parallelism): batch-parallel degree
-	// counting plus atomic slot claims. The build is adjacency-equivalent
-	// to the sequential one (same segments as sets, same E_h2h order), but
-	// within-segment entry order depends on worker interleaving, so — like
-	// Workers — bit-identical runs need BuildWorkers ≤ 1.
-	BuildWorkers int
 	// Workers is the number of batch-engine workers (internal/shard; 0 =
 	// one) that place E_h2h in the informed streaming phase (§3.3),
 	// against the replica state NE++ left behind. One worker gives the
-	// exact sequential informed-HDRF pass.
+	// exact sequential informed-HDRF pass. The CSR build and NE++ run
+	// sequentially at every worker count.
 	Workers int
 	// BatchEdges pins the engine's fan-out batch size (0 = the default: with
 	// more than one worker the stream-scaled ceiling with adaptive sizing
@@ -59,8 +53,8 @@ type HEP struct {
 	BatchEdges int
 
 	// Obs is the observability hook (nil = disabled): the CSR build, NE++
-	// and the h2h streaming phase record spans; the parallel build and the
-	// streaming phase fold engine counters into it.
+	// and the h2h streaming phase record spans; the streaming phase folds
+	// engine counters into it.
 	Obs *obs.Obs
 
 	// LastStats holds the NE++ statistics of the most recent run.
@@ -95,12 +89,8 @@ func (h *HEP) params() (tau, alpha, lambda float64) {
 // over src), runs NE++, then streams E_h2h.
 func (h *HEP) Partition(src graph.EdgeStream, k int) (*part.Result, error) {
 	tau, _, _ := h.params()
-	bw := h.BuildWorkers
-	if bw < 1 {
-		bw = 1 // 0 keeps the sequential build (Resolve would mean all cores)
-	}
 	sp := h.Obs.Span("csr-build")
-	csr, err := BuildCSRSharded(src, tau, h.H2HStore, shard.Options{Workers: bw, BatchEdges: h.BatchEdges, Obs: h.Obs.Counters()})
+	csr, err := graph.BuildCSR(src, tau, h.H2HStore)
 	if err != nil {
 		return nil, err
 	}

@@ -264,33 +264,3 @@ func TestHEPDeterministic(t *testing.T) {
 		t.Fatal("non-deterministic replication factor")
 	}
 }
-
-// TestHEPShardedBuildQuality: the sharded build is adjacency-equivalent but
-// not order-identical (within-segment entry order depends on worker
-// interleaving), so HEP over it is pinned on quality, not bits — every edge
-// assigned exactly once, valid state, and replication factor within 2% of
-// the sequential build, the same tolerance the parallel streaming pin uses.
-func TestHEPShardedBuildQuality(t *testing.T) {
-	g := gen.BarabasiAlbert(2000, 6, 91)
-	seq := &HEP{Tau: 10}
-	rs, err := seq.Partition(g, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range []int{2, 4} {
-		par := &HEP{Tau: 10, BuildWorkers: w}
-		rp, err := par.Partition(g, 16)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rp.M != g.NumEdges() {
-			t.Fatalf("W=%d: assigned %d of %d edges", w, rp.M, g.NumEdges())
-		}
-		if err := rp.Validate(); err != nil {
-			t.Fatalf("W=%d: %v", w, err)
-		}
-		if rf, srf := rp.ReplicationFactor(), rs.ReplicationFactor(); rf > srf*1.02 {
-			t.Errorf("W=%d: sharded-build RF %.4f > sequential %.4f + 2%%", w, rf, srf)
-		}
-	}
-}

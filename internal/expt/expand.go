@@ -81,3 +81,10 @@ func TableExpand(cfg Config) ([]TableExpandRow, error) {
 	t.flush()
 	return rows, cfg.report("expand", rows)
 }
+
+func speedup(seqNs, ns float64) float64 {
+	if ns <= 0 {
+		return 0
+	}
+	return seqNs / ns
+}

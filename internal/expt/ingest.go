@@ -16,10 +16,16 @@ import (
 // edgesOnly hides a stream's Chunks method, so the engine copies its edges.
 type edgesOnly struct{ graph.EdgeStream }
 
+// dispatchOnly is a placement-free engine worker: a pass through it prices
+// the engine's dispatch and ordered delivery alone.
+type dispatchOnly struct{}
+
+func (dispatchOnly) PlaceBatch(edges []graph.Edge, parts []int32) {}
+
 // TableIngestRow is one (dataset, mode, W) point of the zero-copy ingest
-// comparison: a full engine pass over the on-disk edge file (the exact
-// degree pre-pass — placement-free, so the dispatch path dominates) under
-// one of three ingest modes.
+// comparison: a full engine pass over the on-disk edge file through
+// placement-free workers, so the dispatch path dominates, under one of
+// three ingest modes.
 type TableIngestRow struct {
 	Dataset string
 	Mode    string // copy | lend | mmap
@@ -38,9 +44,9 @@ type TableIngestRow struct {
 // per-edge copy into engine slabs (the baseline: the chunked reader behind
 // edgesOnly, which shard.Lend adapts), chunk-lending dispatch from the
 // prefetching chunked reader, and the memory-mapped reader (zero-copy on
-// little-endian hosts) — by timing a full engine pass (exact degree pre-pass) over each
-// dataset written to a temp file. README's "Zero-copy ingest" numbers come
-// from here (`hep-bench -exp ingest`).
+// little-endian hosts) — by timing a full engine pass through
+// placement-free workers over each dataset written to a temp file. README's
+// "Zero-copy ingest" numbers come from here (`hep-bench -exp ingest`).
 func TableIngest(cfg Config) ([]TableIngestRow, error) {
 	dir, err := os.MkdirTemp("", "hep-ingest-")
 	if err != nil {
@@ -60,6 +66,10 @@ func TableIngest(cfg Config) ([]TableIngestRow, error) {
 			for _, mode := range []string{"copy", "lend", "mmap"} {
 				c := obs.NewCounters(w)
 				opts := shard.Options{Workers: w, Obs: c}
+				ws := make([]shard.BatchPlacer, w)
+				for i := range ws {
+					ws[i] = dispatchOnly{}
+				}
 				var ms *ooc.MmapStream
 				var src graph.EdgeStream
 				if mode == "mmap" {
@@ -77,8 +87,11 @@ func TableIngest(cfg Config) ([]TableIngestRow, error) {
 						src = edgesOnly{src}
 					}
 				}
+				var gotM int64
 				start := time.Now()
-				_, gotM, err := shard.Degrees(src, opts)
+				err := shard.Run(src, ws, opts, func(edges []graph.Edge, parts []int32) {
+					gotM += int64(len(edges))
+				})
 				elapsed := time.Since(start)
 				zero := false
 				if ms != nil {
@@ -103,7 +116,7 @@ func TableIngest(cfg Config) ([]TableIngestRow, error) {
 			}
 		}
 	}
-	t := newTable(cfg.out(), "Zero-copy ingest (engine degree pass over the binary edge file)")
+	t := newTable(cfg.out(), "Zero-copy ingest (placement-free engine pass over the binary edge file)")
 	t.row("graph", "mode", "W", "ns/edge", "chunks_lent", "bytes_copied", "zero-copy")
 	for _, r := range rows {
 		t.row(r.Dataset, r.Mode, r.Workers, r.NsEdge, r.ChunksLent, r.BytesCopied, r.ZeroCopy)

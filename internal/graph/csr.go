@@ -3,7 +3,6 @@ package graph
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"hep/internal/bitset"
 )
@@ -82,11 +81,16 @@ type CSR struct {
 
 // BuildCSR constructs a pruned CSR from src with threshold factor tau.
 // tau = math.Inf(1) disables pruning (pure NE++ over the full graph).
-// If store is nil an in-memory H2H store is used. Self-loops are rejected.
+// If store is nil an in-memory H2H store is used. Self-loops are rejected,
+// ids outside [0, NumVertices) return ErrVertexRange and a degree past the
+// int32 range ErrDegreeOverflow.
 //
 // Construction is the two-pass O(|E| + |V|) procedure of paper §4.1: the
 // first pass counts degrees and sizes the index arrays, the second pass
-// inserts edges into the column array or spills them to the H2H store.
+// inserts edges into the column array or spills them to the H2H store. Both
+// passes run sequentially at every worker count: on a 2-core host a
+// batch-parallel form (lane-folded counts, atomic slot claims) was about
+// twice as slow per edge.
 func BuildCSR(src EdgeStream, tau float64, store H2HStore) (*CSR, error) {
 	if tau <= 0 {
 		return nil, fmt.Errorf("graph: tau must be positive, got %v", tau)
@@ -106,6 +110,10 @@ func BuildCSR(src EdgeStream, tau float64, store H2HStore) (*CSR, error) {
 			loopErr = fmt.Errorf("graph: self-loop at vertex %d", u)
 			return false
 		}
+		if deg[u] >= maxDegree || deg[v] >= maxDegree {
+			loopErr = degreeOverflow(deg, u, v)
+			return false
+		}
 		outDeg[u]++
 		inDeg[v]++
 		deg[u]++
@@ -120,10 +128,9 @@ func BuildCSR(src EdgeStream, tau float64, store H2HStore) (*CSR, error) {
 		return nil, loopErr
 	}
 
-	c := AssembleCSR(n, m, tau, outDeg, inDeg, deg, store)
+	c := assembleCSR(n, m, tau, outDeg, inDeg, deg, store)
 
 	// Second pass: fill segments; outSize/inSize double as fill cursors.
-	//hep:unsync sequential builder: single-goroutine fill, the atomic Claim* cursors are for the parallel build only
 	err = src.Edges(func(u, v V) bool {
 		uh, vh := c.high.Has(u), c.high.Has(v)
 		if uh && vh {
@@ -153,14 +160,13 @@ func BuildCSR(src EdgeStream, tau float64, store H2HStore) (*CSR, error) {
 	return c, nil
 }
 
-// AssembleCSR builds the sized-but-empty frame of a pruned CSR from the
+// assembleCSR builds the sized-but-empty frame of a pruned CSR from the
 // first pass's per-vertex out/in-degree counts: it derives the mean degree
 // and the high-degree set, sizes the index and column arrays (high-degree
 // vertices get empty segments), and installs the H2H store (in-memory if
-// nil). The frame is what a second pass — sequential (BuildCSR) or
-// batch-parallel with atomic slot claims (core.BuildCSRSharded) — fills.
-// deg is adopted as the CSR's degree array, not copied.
-func AssembleCSR(n int, m int64, tau float64, outDeg, inDeg, deg []int32, store H2HStore) *CSR {
+// nil). BuildCSR's second pass fills it. deg is adopted as the CSR's degree
+// array, not copied.
+func assembleCSR(n int, m int64, tau float64, outDeg, inDeg, deg []int32, store H2HStore) *CSR {
 	mean := MeanDegree(n, m)
 	high := bitset.New(n)
 	if !math.IsInf(tau, 1) {
@@ -201,35 +207,6 @@ func AssembleCSR(n int, m int64, tau float64, outDeg, inDeg, deg []int32, store 
 	return c
 }
 
-// ClaimOut claims the next out-slot of u with an atomic cursor bump and
-// writes v there — the DNE-style slot claim concurrent fill workers use
-// during a parallel second pass (outSize doubles as the fill cursor, exactly
-// like the sequential builder, just bumped atomically). The segment was
-// sized by AssembleCSR, so a claim can never overrun it on the edge multiset
-// the first pass counted.
-func (c *CSR) ClaimOut(u, v V) {
-	pos := atomic.AddInt32(&c.outSize[u], 1) - 1
-	c.col[c.outIdx[u]+int64(pos)] = v
-}
-
-// ClaimIn claims the next in-slot of v and writes u there, like ClaimOut.
-func (c *CSR) ClaimIn(v, u V) {
-	pos := atomic.AddInt32(&c.inSize[v], 1) - 1
-	c.col[c.inIdx[v]+int64(pos)] = u
-}
-
-// SpillH2H appends an edge between two high-degree vertices to the H2H
-// store. Stores are not required to be concurrency-safe, so during a
-// parallel build only the ordered delivery goroutine may call this — which
-// also keeps the spill in exact stream order.
-func (c *CSR) SpillH2H(u, v V) error {
-	if err := c.h2h.Append(u, v); err != nil {
-		return err
-	}
-	c.h2hLen++
-	return nil
-}
-
 // N returns the number of vertices.
 func (c *CSR) N() int { return c.n }
 
@@ -265,8 +242,6 @@ func (c *CSR) HighSet() *bitset.Set { return c.high }
 
 // Out returns the valid out-list of v as a mutable slice view. Entry i is
 // the right-hand endpoint of an edge (v, Out(v)[i]) in input orientation.
-//
-//hep:unsync read phase: fill cursors are final once the (parallel) build returns
 func (c *CSR) Out(v V) []V {
 	s := c.outIdx[v]
 	return c.col[s : s+int64(c.outSize[v])]
@@ -274,8 +249,6 @@ func (c *CSR) Out(v V) []V {
 
 // In returns the valid in-list of v. Entry i is the left-hand endpoint of an
 // edge (In(v)[i], v) in input orientation.
-//
-//hep:unsync read phase: fill cursors are final once the (parallel) build returns
 func (c *CSR) In(v V) []V {
 	s := c.inIdx[v]
 	return c.col[s : s+int64(c.inSize[v])]
@@ -284,14 +257,10 @@ func (c *CSR) In(v V) []V {
 // ValidDegree returns the number of valid (not yet removed) entries in v's
 // lists. For a vertex outside the core set at a partition boundary this is
 // exactly its number of unassigned edges (see DESIGN.md).
-//
-//hep:unsync read phase: fill cursors are final once the (parallel) build returns
 func (c *CSR) ValidDegree(v V) int32 { return c.outSize[v] + c.inSize[v] }
 
 // RemoveOutAt removes entry i of v's out-list by swapping in the last valid
 // entry and shrinking the size field — the constant-time removal of §3.2.2.
-//
-//hep:unsync partition phase: single-owner mutation after the build, no Claim* in flight
 func (c *CSR) RemoveOutAt(v V, i int32) {
 	s := c.outIdx[v]
 	last := c.outSize[v] - 1
@@ -300,8 +269,6 @@ func (c *CSR) RemoveOutAt(v V, i int32) {
 }
 
 // RemoveInAt removes entry i of v's in-list, like RemoveOutAt.
-//
-//hep:unsync partition phase: single-owner mutation after the build, no Claim* in flight
 func (c *CSR) RemoveInAt(v V, i int32) {
 	s := c.inIdx[v]
 	last := c.inSize[v] - 1
@@ -311,13 +278,9 @@ func (c *CSR) RemoveInAt(v V, i int32) {
 
 // OutSpan returns the column-array offset and valid length of v's out
 // segment (used by the paging simulator's access trace).
-//
-//hep:unsync read phase: fill cursors are final once the (parallel) build returns
 func (c *CSR) OutSpan(v V) (offset int64, n int32) { return c.outIdx[v], c.outSize[v] }
 
 // InSpan returns the column-array offset and valid length of v's in segment.
-//
-//hep:unsync read phase: fill cursors are final once the (parallel) build returns
 func (c *CSR) InSpan(v V) (offset int64, n int32) { return c.inIdx[v], c.inSize[v] }
 
 // ColLen returns the length of the column array (total allocated entries).

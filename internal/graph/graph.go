@@ -11,6 +11,7 @@ package graph
 import (
 	"errors"
 	"fmt"
+	"math"
 )
 
 // V is a vertex identifier.
@@ -54,9 +55,9 @@ type EdgeStream interface {
 }
 
 // ChunkStream is an EdgeStream that can additionally *lend* its edges as
-// decoded contiguous slabs, so a consumer (the sharded batch engine, a
-// pre-pass) can slice batches out of the producer's own buffers instead of
-// re-copying every edge on the dispatch thread.
+// decoded contiguous slabs, so a consumer (the sharded batch engine,
+// Buffered's buffer fill) can slice batches out of the producer's own
+// buffers instead of re-copying every edge on the dispatch thread.
 //
 // Chunks calls yield with consecutive slabs covering exactly the edges
 // Edges would yield, in the same order. The slab is lent: the consumer may
@@ -149,17 +150,43 @@ func (g *MemGraph) Chunks(yield func(edges []Edge, release func()) bool) error {
 // [0, NumVertices).
 var ErrVertexRange = errors.New("graph: vertex id out of range")
 
+// ErrDegreeOverflow is returned when a vertex's degree would exceed the
+// int32 range — a pathological multigraph replaying the same edge billions
+// of times. Wrapping negative would silently corrupt every consumer of the
+// degree array (θ(u) in HDRF scores, the high-degree set of the CSR build),
+// so the counting passes fail instead.
+var ErrDegreeOverflow = errors.New("graph: vertex degree overflows int32")
+
+// maxDegree is the largest representable degree; a variable so tests can
+// lower it and exercise the overflow guard without streaming 2^31 edges.
+var maxDegree int32 = math.MaxInt32
+
+// degreeOverflow reports the endpoint of (u,v) whose count reached the
+// bound.
+func degreeOverflow(deg []int32, u, v V) error {
+	if deg[v] > deg[u] {
+		u = v
+	}
+	return fmt.Errorf("%w: vertex %d", ErrDegreeOverflow, u)
+}
+
 // Degrees computes the total degree of every vertex in src (each undirected
 // edge contributes 1 to both endpoints; self-loops contribute 2 to their
-// vertex). It returns the degree array and the number of edges seen.
+// vertex). It returns the degree array and the number of edges seen. Ids
+// outside [0, NumVertices) return ErrVertexRange, and a degree past the
+// int32 range ErrDegreeOverflow.
 func Degrees(src EdgeStream) ([]int32, int64, error) {
 	n := src.NumVertices()
 	deg := make([]int32, n)
 	var m int64
-	var rangeErr error
+	var loopErr error
 	err := src.Edges(func(u, v V) bool {
 		if int(u) >= n || int(v) >= n {
-			rangeErr = fmt.Errorf("%w: edge (%d,%d) with n=%d", ErrVertexRange, u, v, n)
+			loopErr = fmt.Errorf("%w: edge (%d,%d) with n=%d", ErrVertexRange, u, v, n)
+			return false
+		}
+		if deg[u] >= maxDegree || deg[v] >= maxDegree || (u == v && deg[u] >= maxDegree-1) {
+			loopErr = degreeOverflow(deg, u, v)
 			return false
 		}
 		deg[u]++
@@ -170,8 +197,8 @@ func Degrees(src EdgeStream) ([]int32, int64, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	if rangeErr != nil {
-		return nil, 0, rangeErr
+	if loopErr != nil {
+		return nil, 0, loopErr
 	}
 	return deg, m, nil
 }

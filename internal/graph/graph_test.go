@@ -1,7 +1,9 @@
 package graph
 
 import (
+	"errors"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -47,8 +49,56 @@ func TestDegrees(t *testing.T) {
 
 func TestDegreesRangeError(t *testing.T) {
 	g := NewMemGraph(2, []Edge{{U: 0, V: 5}})
-	if _, _, err := Degrees(g); err == nil {
-		t.Fatal("expected range error")
+	if _, _, err := Degrees(g); !errors.Is(err, ErrVertexRange) {
+		t.Fatalf("got %v, want ErrVertexRange", err)
+	}
+}
+
+// TestDegreeOverflowGuard lowers the representable-degree bound: both exact
+// counting passes, Degrees and BuildCSR's first pass, must fail with
+// ErrDegreeOverflow once a count would pass it instead of wrapping, and
+// accept a count that reaches it exactly.
+func TestDegreeOverflowGuard(t *testing.T) {
+	defer func(old int32) { maxDegree = old }(maxDegree)
+	maxDegree = 3
+
+	// star(d, in) gives vertex 0 degree d, as the left-hand endpoint of
+	// every edge (out-list) or the right-hand one (in-list).
+	star := func(d int, in bool) *MemGraph {
+		var edges []Edge
+		for i := 1; i <= d; i++ {
+			e := Edge{U: 0, V: V(i)}
+			if in {
+				e = Edge{U: V(i), V: 0}
+			}
+			edges = append(edges, e)
+		}
+		return NewMemGraph(d+1, edges)
+	}
+	for _, in := range []bool{false, true} {
+		if _, _, err := Degrees(star(3, in)); err != nil {
+			t.Fatalf("in=%v: Degrees rejected a degree at the bound: %v", in, err)
+		}
+		if _, err := BuildCSR(star(3, in), 10, nil); err != nil {
+			t.Fatalf("in=%v: BuildCSR rejected a degree at the bound: %v", in, err)
+		}
+		_, _, err := Degrees(star(4, in))
+		if !errors.Is(err, ErrDegreeOverflow) || !strings.Contains(err.Error(), "vertex 0") {
+			t.Fatalf("in=%v: Degrees got %v, want ErrDegreeOverflow at vertex 0", in, err)
+		}
+		_, err = BuildCSR(star(4, in), 10, nil)
+		if !errors.Is(err, ErrDegreeOverflow) || !strings.Contains(err.Error(), "vertex 0") {
+			t.Fatalf("in=%v: BuildCSR got %v, want ErrDegreeOverflow at vertex 0", in, err)
+		}
+	}
+
+	// A self-loop contributes 2 (Degrees only; BuildCSR rejects it), so it
+	// may not start past maxDegree-1.
+	if _, _, err := Degrees(NewMemGraph(2, []Edge{{U: 1, V: 0}, {U: 1, V: 1}})); err != nil {
+		t.Fatalf("self-loop reaching the bound rejected: %v", err)
+	}
+	if _, _, err := Degrees(NewMemGraph(3, []Edge{{U: 1, V: 0}, {U: 1, V: 2}, {U: 1, V: 1}})); !errors.Is(err, ErrDegreeOverflow) {
+		t.Fatalf("self-loop overflow got %v, want ErrDegreeOverflow", err)
 	}
 }
 
@@ -206,8 +256,8 @@ func TestCSRRejectsSelfLoopAndBadTau(t *testing.T) {
 }
 
 func TestCSRRangeError(t *testing.T) {
-	if _, err := BuildCSR(NewMemGraph(2, []Edge{{U: 0, V: 7}}), 10, nil); err == nil {
-		t.Fatal("out-of-range vertex accepted")
+	if _, err := BuildCSR(NewMemGraph(2, []Edge{{U: 0, V: 7}}), 10, nil); !errors.Is(err, ErrVertexRange) {
+		t.Fatalf("got %v, want ErrVertexRange", err)
 	}
 }
 
@@ -339,55 +389,5 @@ func TestCSRMemBytesAndSpans(t *testing.T) {
 	}
 	if c.ColLen() != 4 {
 		t.Fatalf("col len = %d, want 4 (two edges, both directions)", c.ColLen())
-	}
-}
-
-func TestAssembleCSRMatchesBuildCSRFrame(t *testing.T) {
-	// AssembleCSR is the shared sizing step of the sequential builder and
-	// the sharded builder (internal/core); claiming every slot sequentially
-	// against an assembled frame must reproduce BuildCSR exactly.
-	edges := randomSimpleEdges(7, 120, 700)
-	g := NewMemGraph(120, edges)
-	for _, tau := range []float64{math.Inf(1), 5, 1.2} {
-		seq, err := BuildCSR(g, tau, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		outDeg := make([]int32, 120)
-		inDeg := make([]int32, 120)
-		deg := make([]int32, 120)
-		for _, e := range edges {
-			outDeg[e.U]++
-			inDeg[e.V]++
-			deg[e.U]++
-			deg[e.V]++
-		}
-		c := AssembleCSR(120, int64(len(edges)), tau, outDeg, inDeg, deg, nil)
-		for _, e := range edges {
-			uh, vh := c.IsHigh(e.U), c.IsHigh(e.V)
-			if uh && vh {
-				if err := c.SpillH2H(e.U, e.V); err != nil {
-					t.Fatal(err)
-				}
-				continue
-			}
-			if !uh {
-				c.ClaimOut(e.U, e.V)
-			}
-			if !vh {
-				c.ClaimIn(e.V, e.U)
-			}
-		}
-		if c.M() != seq.M() || c.InMemEdges() != seq.InMemEdges() || c.ColLen() != seq.ColLen() {
-			t.Fatalf("tau=%v: frame totals differ", tau)
-		}
-		for v := 0; v < 120; v++ {
-			if len(c.Out(V(v))) != len(seq.Out(V(v))) || len(c.In(V(v))) != len(seq.In(V(v))) {
-				t.Fatalf("tau=%v v=%d: segment sizes differ", tau, v)
-			}
-			if c.IsHigh(V(v)) != seq.IsHigh(V(v)) || c.Degree(V(v)) != seq.Degree(V(v)) {
-				t.Fatalf("tau=%v v=%d: pruning state differs", tau, v)
-			}
-		}
 	}
 }

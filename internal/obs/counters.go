@@ -25,8 +25,8 @@ const (
 	// out of sequence and had to wait in the reorder buffer — worker skew
 	// made visible.
 	CtrReorderStalls
-	// CtrFolds counts lane-fold windows (reduction lanes and load-delta lanes
-	// merged into global state at batch/region boundaries).
+	// CtrFolds counts load-delta fold windows (per-worker load lanes merged
+	// into the global load tracker at batch/region boundaries).
 	CtrFolds
 	// CtrWarmSpills counts batch vertices that overflowed the warm-start
 	// bucket pool and fell back to per-region probing.
@@ -150,7 +150,7 @@ func (g GaugeID) String() string {
 }
 
 // cacheLine is the assumed coherence granule; lanes are padded to it so two
-// workers' counters never share a line (the shard.Lanes discipline).
+// workers' counters never share a line (the shard.ShardedLoads discipline).
 const cacheLine = 64
 
 // lane is one worker's padded counter block. Within a lane the slots share

@@ -3,8 +3,6 @@ package ooc
 import (
 	"fmt"
 	"math"
-	"sync"
-	"sync/atomic"
 
 	"hep/internal/dne"
 	"hep/internal/graph"
@@ -140,16 +138,17 @@ type Buffered struct {
 	Lambda float64
 	// Alpha is the balance bound α ≥ 1 (default 1.05).
 	Alpha float64
-	// Workers > 1 parallelizes every phase of a batch: the mini-CSR fill,
-	// the region expansion itself (up to Workers concurrent expanders, each
-	// growing a region into a distinct partition and claiming edges by CAS
-	// on the batch claim array — see expand_par.go) and the per-edge
-	// informed-HDRF fallback, which the batch engine places with that many
-	// workers. Workers ≤ 1 keeps the exact sequential expansion and a
+	// Workers > 1 parallelizes the placement phases of a batch: the region
+	// expansion itself (up to Workers concurrent expanders, each growing a
+	// region into a distinct partition and claiming edges by CAS on the
+	// batch claim array — see expand_par.go) and the per-edge informed-HDRF
+	// fallback, which the batch engine places with that many workers. The
+	// degree pass and the mini-CSR fill run sequentially at every worker
+	// count. Workers ≤ 1 keeps the exact sequential expansion and a
 	// one-worker fallback, which is the determinism guarantee.
 	Workers int
-	// BatchEdges pins the batch engine's fan-out batch size for the degree
-	// pass and the fallback (0 = the engine default).
+	// BatchEdges pins the batch engine's fan-out batch size for the
+	// fallback (0 = the engine default).
 	BatchEdges int
 	// ParallelFallbackMin is the minimum number of leftover edges worth
 	// fanning out (0 = default 2048; below it one worker places them).
@@ -313,16 +312,6 @@ func (st *batchState) bytes() int64 {
 // seedScanLimit bounds the affinity scan of the active list per seed choice.
 const seedScanLimit = 64
 
-// workersOrOne clamps the Workers knob for pre-pass fan-out: the zero value
-// historically means sequential here (unlike shard.Options, whose 0 resolves
-// to all cores).
-func (b *Buffered) workersOrOne() int {
-	if b.Workers < 1 {
-		return 1
-	}
-	return b.Workers
-}
-
 // Partition implements part.Algorithm: an exact chunked degree pass, then
 // buffer-fill / expand / flush over the stream.
 func (b *Buffered) Partition(src graph.EdgeStream, k int) (*part.Result, error) {
@@ -332,11 +321,9 @@ func (b *Buffered) Partition(src graph.EdgeStream, k int) (*part.Result, error) 
 	bufEdges, lambda, alpha := b.params()
 	b.LastStats = BufferedStats{}
 
-	// Exact chunked degree pass; with Workers > 1 it fans out through the
-	// batch engine's reduction lanes (bit-identical output, see
-	// DegreePassParallel).
+	// Exact chunked degree pass.
 	sp := b.Obs.Span("degree-pass")
-	deg, m, err := DegreePassParallel(src, shard.Options{Workers: b.workersOrOne(), BatchEdges: b.BatchEdges, Obs: b.Obs.Counters()})
+	deg, m, err := DegreePass(src)
 	if err != nil {
 		return nil, err
 	}
@@ -416,8 +403,6 @@ func (b *Buffered) Partition(src graph.EdgeStream, k int) (*part.Result, error) 
 }
 
 // processBatch builds the mini-CSR over st.batch and places every batch edge.
-//
-//hep:unsync single-goroutine batch phases; atomic cursor bumps on off are confined to fillAdjacencyParallel
 func (b *Buffered) processBatch(st *batchState, localID []int32, res *part.Result, deg []int32, lambda float64, capacity int64) error {
 	b.LastStats.Batches++
 	pre := b.LastStats
@@ -450,16 +435,12 @@ func (b *Buffered) processBatch(st *batchState, localID []int32, res *part.Resul
 		sum += st.udeg[v]
 		st.off[v] = sum - st.udeg[v]
 	}
-	if w := b.workersOrOne(); w > 1 && len(batch) >= parallelFillMin {
-		b.fillAdjacencyParallel(st, localID, w)
-	} else {
-		for i := range batch {
-			lu, lv := localID[batch[i].U], localID[batch[i].V]
-			st.adjV[st.off[lu]], st.adjE[st.off[lu]] = lv, int32(i)
-			st.off[lu]++
-			st.adjV[st.off[lv]], st.adjE[st.off[lv]] = lu, int32(i)
-			st.off[lv]++
-		}
+	for i := range batch {
+		lu, lv := localID[batch[i].U], localID[batch[i].V]
+		st.adjV[st.off[lu]], st.adjE[st.off[lu]] = lv, int32(i)
+		st.off[lu]++
+		st.adjV[st.off[lv]], st.adjE[st.off[lv]] = lu, int32(i)
+		st.off[lv]++
 	}
 
 	// Warm-start index: every batch vertex's replica mask iterated once,
@@ -528,51 +509,11 @@ func (b *Buffered) processBatch(st *batchState, localID []int32, res *part.Resul
 }
 
 // start returns the adjacency segment start of local vertex v.
-//
-//hep:unsync off is frozen (segment ends) once the adjacency fill completes; this phase only reads it
 func (st *batchState) start(v int32) int32 {
 	if v == 0 {
 		return 0
 	}
 	return st.off[v-1]
-}
-
-// parallelFillMin is the batch size below which the sequential mini-CSR
-// adjacency fill beats fanning out claim goroutines.
-const parallelFillMin = 1 << 14
-
-// fillAdjacencyParallel is the concurrent form of the mini-CSR adjacency
-// fill: the batch is split into contiguous ranges and each worker claims
-// slots with atomic cursor bumps on the offset array — the same DNE-style
-// claim discipline as core.BuildCSRSharded's second pass. Segment contents
-// match the sequential fill as sets; within-segment order depends on worker
-// interleaving, which is covered by the Workers > 1 nondeterminism contract.
-func (b *Buffered) fillAdjacencyParallel(st *batchState, localID []int32, workers int) {
-	batch := st.batch
-	chunk := (len(batch) + workers - 1) / workers
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		if lo >= len(batch) {
-			break
-		}
-		hi := lo + chunk
-		if hi > len(batch) {
-			hi = len(batch)
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				lu, lv := localID[batch[i].U], localID[batch[i].V]
-				su := atomic.AddInt32(&st.off[lu], 1) - 1
-				st.adjV[su], st.adjE[su] = lv, int32(i)
-				sv := atomic.AddInt32(&st.off[lv], 1) - 1
-				st.adjV[sv], st.adjE[sv] = lu, int32(i)
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
 }
 
 // defaultParallelFallbackMin is the leftover-edge count below which one
@@ -604,7 +545,7 @@ func (b *Buffered) fallback(st *batchState, res *part.Result, deg []int32, lambd
 	if fanOut <= 0 {
 		fanOut = defaultParallelFallbackMin
 	}
-	workers := b.workersOrOne()
+	workers := max(b.Workers, 1)
 	if len(st.fbEdges) < fanOut {
 		workers = 1
 	}

@@ -1,7 +1,6 @@
 package ooc
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
@@ -9,11 +8,10 @@ import (
 	"hep/internal/shard"
 )
 
-// ErrDegreeOverflow is returned when a vertex's degree exceeds the int32
-// range — a pathological multigraph replaying the same edge billions of
-// times. Wrapping negative would silently corrupt θ(u) in every downstream
-// HDRF score, so the pass fails instead.
-var ErrDegreeOverflow = errors.New("ooc: vertex degree overflows int32")
+// ErrDegreeOverflow is graph.ErrDegreeOverflow, the one sentinel of every
+// exact degree count: DegreePass returns it when a vertex's degree would
+// exceed the int32 range.
+var ErrDegreeOverflow = graph.ErrDegreeOverflow
 
 // maxDegree is the largest representable degree; a variable so tests can
 // lower it and exercise the overflow guard without streaming 2^31 edges.
@@ -59,19 +57,8 @@ func DegreePass(src graph.EdgeStream) (deg []int32, m int64, err error) {
 	return deg, m, nil
 }
 
-// DegreePassParallel is DegreePass through the parallel batch engine
-// (internal/shard): opts.Resolve() workers accumulate degree deltas into
-// per-worker reduction lanes and fold them at batch boundaries. Addition
-// commutes, so the output is bit-identical to DegreePass whatever the worker
-// interleaving; an int32 overflow is detected at the fold and reported as
-// ErrDegreeOverflow. With one worker it routes to the sequential pass.
+// DegreePassParallel is DegreePass at every worker count; opts is unused.
+// It is kept, with its signature, for the benchmark's staged chains (bench/).
 func DegreePassParallel(src graph.EdgeStream, opts shard.Options) (deg []int32, m int64, err error) {
-	if opts.Resolve() <= 1 {
-		return DegreePass(src)
-	}
-	deg, m, err = shard.DegreesGrow(src, opts)
-	if errors.Is(err, shard.ErrOverflow) {
-		return nil, 0, fmt.Errorf("%w: %v", ErrDegreeOverflow, err)
-	}
-	return deg, m, err
+	return DegreePass(src)
 }

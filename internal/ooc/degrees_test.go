@@ -9,10 +9,13 @@ import (
 	"hep/internal/shard"
 )
 
-// TestDegreePassParallelBitIdentical pins the parallel degree pre-pass to
-// the sequential one on the paper's power-law stand-ins: same array length,
-// same every entry, same edge count, at W ∈ {2, 4, 8}. Addition commutes,
-// so any divergence is an engine bug, not tolerable drift.
+// DegreePassParallel is kept as a forward to DegreePass for the benchmark's
+// staged chains; the DegreePassParallel tests pin that it stays the
+// sequential pass at any worker count.
+
+// TestDegreePassParallelBitIdentical pins the forward to DegreePass on the
+// paper's power-law stand-ins: same array length, same every entry, same
+// edge count, at W ∈ {2, 4, 8}.
 func TestDegreePassParallelBitIdentical(t *testing.T) {
 	for _, name := range []string{"OK", "TW", "LJ"} {
 		g := gen.MustDataset(name).Build(0.05)
@@ -42,7 +45,7 @@ func TestDegreePassParallelBitIdentical(t *testing.T) {
 
 // TestDegreePassParallelDiscoversFromFile runs both passes over a chunked
 // on-disk stream opened without vertex discovery (NumVertices() == 0, the
-// count-less shape): the parallel pass must discover the same domain.
+// count-less shape): the forward must discover the same domain.
 func TestDegreePassParallelDiscoversFromFile(t *testing.T) {
 	g := gen.CommunityPowerLaw(2000, 25, 6, 0.2, 77)
 	path := writeGraphFile(t, g)
@@ -99,19 +102,15 @@ func TestDegreePassOverflowGuard(t *testing.T) {
 	}
 }
 
-// TestDegreePassParallelOverflow pins the guard the parallel pass relies on:
-// an int32 lane fold that would wrap returns shard.ErrOverflow (which
-// DegreePassParallel rewraps as ErrDegreeOverflow). Reaching it through the
-// full pass would need 2^31 streamed edges, so the fold is driven directly.
+// TestDegreePassParallelOverflow: the forward surfaces the overflow guard at
+// every worker count, as the one sentinel graph.ErrDegreeOverflow.
 func TestDegreePassParallelOverflow(t *testing.T) {
-	l := shard.NewLanes[int32](1, 1)
-	l.Add(0, 0, 1<<31-1)
-	if err := l.Fold(0); err != nil {
-		t.Fatal(err)
-	}
-	l.Add(0, 0, 1)
-	err := l.Fold(0)
-	if !errors.Is(err, shard.ErrOverflow) {
-		t.Fatalf("fold returned %v, want shard.ErrOverflow", err)
+	defer func(old int32) { maxDegree = old }(maxDegree)
+	maxDegree = 3
+	g := graph.NewMemGraph(5, []graph.Edge{
+		{U: 0, V: 1}, {U: 0, V: 2}, {U: 0, V: 3}, {U: 0, V: 4},
+	})
+	if _, _, err := DegreePassParallel(g, shard.Options{Workers: 2}); !errors.Is(err, graph.ErrDegreeOverflow) {
+		t.Fatalf("got %v, want graph.ErrDegreeOverflow", err)
 	}
 }

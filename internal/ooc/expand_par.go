@@ -30,7 +30,7 @@ import (
 // 2% of the sequential expander.
 
 // defaultParallelExpandMin is the batch size below which sequential region
-// growing beats spinning up expander goroutines (mirrors parallelFillMin).
+// growing beats spinning up expander goroutines.
 const defaultParallelExpandMin = 1 << 14
 
 // seedStepLimit caps how many positions past the cursor one seed choice may
@@ -156,8 +156,6 @@ func (b *Buffered) expandParallel(st *batchState, res *part.Result, capacity int
 // p already had a region this batch: its replicas in the live table postdate
 // the batch-start bucket index, so the warm start rescans instead of reading
 // stale buckets (the concurrent analog of seqWarmCandidates' rescan path).
-//
-//hep:unsync off is frozen (segment ends) once the adjacency fill completes; this phase only reads it
 func (b *Buffered) growRegionConcurrent(st *batchState, ex *expanderState, sh *part.Shared, plan *expandPlan, w, p int, quota int64, repeat bool) int {
 	var placed int64
 	ex.heap.Reset()
@@ -222,8 +220,6 @@ func (b *Buffered) growRegionConcurrent(st *batchState, ex *expanderState, sh *p
 // edge between x and an existing member is claimed for p with a CAS (losing
 // a race simply skips the edge — the winner owns it), and x enters the heap
 // keyed by its unclaimed external degree as of now (stale thereafter).
-//
-//hep:unsync off is frozen (segment ends) once the adjacency fill completes; this phase only reads it
 func (b *Buffered) joinConcurrent(st *batchState, ex *expanderState, sh *part.Shared, w, p int, x int32, placed *int64, quota int64) {
 	ex.member[x] = true
 	ex.touched = append(ex.touched, x)
@@ -268,8 +264,6 @@ func (b *Buffered) joinConcurrent(st *batchState, ex *expanderState, sh *part.Sh
 // unclaimedDeg counts v's unclaimed incident edges — the concurrent analog
 // of the sequential udeg, recomputed from the claim array on demand instead
 // of maintained by decrements.
-//
-//hep:unsync off is frozen (segment ends) once the adjacency fill completes; this phase only reads it
 func (st *batchState) unclaimedDeg(v int32) int32 {
 	var c int32
 	for i := st.start(v); i < st.off[v]; i++ {

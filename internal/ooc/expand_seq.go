@@ -99,8 +99,6 @@ func (b *Buffered) scanWarmCandidates(st *batchState, res *part.Result, ex *expa
 // the member with the fewest unassigned external edges. It returns the
 // number of edges placed, never more than quota (which the caller clamps to
 // the partition's remaining capacity).
-//
-//hep:unsync off is frozen (segment ends) once the adjacency fill completes; this phase only reads it
 func (b *Buffered) growRegion(st *batchState, res *part.Result, p, quota int) int {
 	placed := 0
 	ex := st.expanders[0]
@@ -153,8 +151,6 @@ func (b *Buffered) growRegion(st *batchState, res *part.Result, p, quota int) in
 // join adds local vertex x to the current region: every unassigned edge
 // between x and an existing member is assigned to p, and x enters the heap
 // keyed by its remaining (external) unassigned degree.
-//
-//hep:unsync off is frozen (segment ends) once the adjacency fill completes; this phase only reads it
 func (b *Buffered) join(st *batchState, ex *expanderState, res *part.Result, x int32, p int, placed *int, quota int) {
 	ex.member[x] = true
 	ex.touched = append(ex.touched, x)

@@ -408,7 +408,8 @@ func (t *Table) Release() (dense []uint64, pages [][]uint64, vcount []int64, cov
 // of Release, used by the shard layer to hand a frozen concurrent table back
 // to the sequential world. dense must hold n words, vcount k counts; pages
 // may be nil when every overflow page is unallocated (or k ≤ 64); covered is
-// the running covered-vertex count carried across the transplant.
+// the running covered-vertex count carried across the transplant, or -1 to
+// count it from the masks.
 func Adopt(n, k int, dense []uint64, pages [][]uint64, vcount []int64, covered int64) *Table {
 	if len(dense) != n || len(vcount) != k {
 		panic("pstate: Adopt state does not match n, k")
@@ -430,29 +431,13 @@ func Adopt(n, k int, dense []uint64, pages [][]uint64, vcount []int64, covered i
 	if t.extra > 0 && t.pages == nil {
 		t.pages = make([][]uint64, (n+PageVertices-1)/PageVertices)
 	}
+	if covered < 0 {
+		_, c := t.TotalAndCovered()
+		t.covered = int64(c)
+	}
 	if check.Enabled {
-		var exact int64
-		for v := 0; v < t.n; v++ {
-			if t.dense[v] != 0 {
-				exact++
-				continue
-			}
-			if t.extra > 0 {
-				for _, w := range t.page(graph.V(v)) {
-					if w != 0 {
-						exact++
-						break
-					}
-				}
-			}
-		}
-		if t.extra == 0 {
-			check.Assertf(t.covered == exact, "mask transplant: covered %d != %d vertices with replica bits", t.covered, exact)
-		} else {
-			// k > 64 first-bit races may overcount the running covered value
-			// (see shard.AtomicTable.Add); a transplant must never undercount.
-			check.Assertf(t.covered >= exact, "mask transplant: covered %d < %d vertices with replica bits", t.covered, exact)
-		}
+		_, exact := t.TotalAndCovered()
+		check.Assertf(t.covered == int64(exact), "mask transplant: covered %d != %d vertices with replica bits", t.covered, exact)
 	}
 	return t
 }

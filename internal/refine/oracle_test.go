@@ -11,7 +11,6 @@ import (
 	"hep/internal/graph"
 	"hep/internal/part"
 	"hep/internal/pstate"
-	"hep/internal/shard"
 	"hep/internal/stream"
 )
 
@@ -101,7 +100,7 @@ func oracleScan(t *pstate.Table, inc incidence, edges []graph.Edge, parts []int3
 	bound int64, workers int, st *Stats) ([]move, int64) {
 
 	k := t.K()
-	gains := shard.NewLanes[int64](workers, k)
+	gains := make([]int64, workers)
 	perWorker := make([][]move, workers)
 	recomputes := make([]int64, workers)
 	var wg sync.WaitGroup
@@ -154,7 +153,7 @@ func oracleScan(t *pstate.Table, inc incidence, edges []graph.Edge, parts []int3
 						panic(fmt.Sprintf("oracle: gain %d above the model's maximum of 1", bestGain))
 					}
 					local = append(local, move{v: v, from: int32(p), to: bestTo, cnt: int32(cnt)})
-					gains.Add(w, int(bestTo), int64(bestGain))
+					gains[w] += int64(bestGain)
 				}
 			}
 			for p := w; p < k; p += workers {
@@ -179,12 +178,8 @@ func oracleScan(t *pstate.Table, inc incidence, edges []graph.Edge, parts []int3
 	for _, r := range recomputes {
 		st.GainRecomputes += r
 	}
-	est, err := gains.Drain()
-	if err != nil {
-		panic(err)
-	}
 	var sum int64
-	for _, g := range est {
+	for _, g := range gains {
 		sum += g
 	}
 	var moves []move

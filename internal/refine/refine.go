@@ -21,17 +21,16 @@
 //
 // Rounds are the safety boundary: workers stride the boundary vertices, each
 // gathering its per-partition edge counts and neighbour-mask ANDs in one pass
-// over its incidence, accumulate per-target gains in shard.Lanes, and apply
-// the selected moves with CAS claims on the assignment array. The replica
-// table is then patched in place — only the endpoints of claimed edges can
-// change mask — and its running total compared against the round-start
-// total. Moves never change which vertices are covered, so the total-replica
-// ordering is exactly the RF ordering — a round that would worsen it is
-// reverted wholesale (assignment from a round-start snapshot, touched masks
-// from their saved words), which turns the per-move estimate into a hard
-// RF-never-worse guarantee at round granularity. A round costs one pass over
-// the boundary's incidence plus the incidence of the claimed edges'
-// endpoints, and the O(m) snapshot copy.
+// over its incidence, and apply the selected moves with CAS claims on the
+// assignment array. The replica table is then patched in place — only the
+// endpoints of claimed edges can change mask — and its running total compared
+// against the round-start total. Moves never change which vertices are
+// covered, so the total-replica ordering is exactly the RF ordering — a round
+// that would worsen it is reverted wholesale (assignment from a round-start
+// snapshot, touched masks from their saved words), which turns the per-move
+// estimate into a hard RF-never-worse guarantee at round granularity. A round
+// costs one pass over the boundary's incidence plus the incidence of the
+// claimed edges' endpoints, and the O(m) snapshot copy.
 //
 // The optional split–merge mode (merge.go, after the Split_Merge_Partitioner
 // scheme) partitions into x·k buckets first and greedily merges back to k by
@@ -177,8 +176,8 @@ type Stats struct {
 	GainRecomputes int64
 	// MovedEdges counts edge migrations across all applied moves.
 	MovedEdges int64
-	// EstimatedGain sums the estimated replica gain of the selected moves
-	// (shard.Lanes drain of the scan phases).
+	// EstimatedGain sums the estimated replica gain of the selected moves.
+	// Every selected gain is 1, so it counts them.
 	EstimatedGain int64
 	// RevertedRounds counts rounds rolled back because the patched replica
 	// table showed a net RF regression (at most 1: a revert stops the pass).
@@ -345,11 +344,7 @@ func Run(res *part.Result, edges []graph.Edge, parts []int32, o Options) (Stats,
 		}
 
 		rsp := o.Obs.Span("refine-round")
-		moves, est, err := scanMoves(t, inc, edges, parts, boundary, loads, st.Bound, workers, c, &st)
-		if err != nil {
-			rsp.End()
-			return st, err
-		}
+		moves := scanMoves(t, inc, edges, parts, boundary, loads, st.Bound, workers, c, &st)
 		c.Add(0, obs.CtrRefineRounds, 1)
 		st.Rounds++
 		if len(moves) == 0 {
@@ -361,7 +356,7 @@ func Run(res *part.Result, edges []graph.Edge, parts []int32, o Options) (Stats,
 			}
 			break
 		}
-		st.EstimatedGain += est
+		st.EstimatedGain += int64(len(moves))
 		st.Interactions += countInteractions(moves, inc, edges, parts, first)
 
 		copy(snapshot, parts)
@@ -421,16 +416,14 @@ func collectBoundary(t *pstate.Table, n int) []graph.V {
 // the count of v's p-edges and the AND of their other endpoints' mask words.
 // Evacuating v from a hosting partition p gains 1 exactly on the targets
 // mask(v) & AND_p &^ bit(p) — every p-neighbour already lives there — and
-// the lowest-loaded target wins, ties to the lowest partition id. Selected
-// gains accumulate per target partition in shard.Lanes; the merged move list
-// is sorted by (v, from), so every worker count yields the same list.
+// the lowest-loaded target wins, ties to the lowest partition id. The
+// merged move list is sorted by (v, from), so every worker count yields the
+// same list.
 func scanMoves(t *pstate.Table, inc incidence, edges []graph.Edge, parts []int32,
 	boundary []graph.V, loads []atomic.Int64,
-	bound int64, workers int, c *obs.Counters, st *Stats) ([]move, int64, error) {
+	bound int64, workers int, c *obs.Counters, st *Stats) []move {
 
 	k, words := t.K(), t.Words()
-	gains := shard.NewLanes[int64](workers, k)
-	gains.SetObs(c)
 	perWorker := make([][]move, workers)
 	recomputes := make([]int64, workers)
 	var wg sync.WaitGroup
@@ -511,7 +504,6 @@ func scanMoves(t *pstate.Table, inc incidence, edges []graph.Edge, parts []int32
 					}
 					if best >= 0 {
 						local = append(local, move{v: v, from: p, to: int32(best), cnt: ne})
-						gains.Add(w, best, 1)
 					}
 				}
 				seen = seen[:0]
@@ -529,14 +521,6 @@ func scanMoves(t *pstate.Table, inc incidence, edges []graph.Edge, parts []int32
 	}
 	st.GainRecomputes += total
 
-	est, err := gains.Drain()
-	if err != nil {
-		return nil, 0, err
-	}
-	var sum int64
-	for _, g := range est {
-		sum += g
-	}
 	var moves []move
 	for _, l := range perWorker {
 		moves = append(moves, l...)
@@ -547,7 +531,7 @@ func scanMoves(t *pstate.Table, inc incidence, edges []graph.Edge, parts []int32
 		}
 		return cmp.Compare(a.from, b.from)
 	})
-	return moves, sum, nil
+	return moves
 }
 
 // countInteractions reports how many selected moves the apply phase's claim

@@ -29,11 +29,12 @@ type Restream struct {
 	Lambda float64
 	// Alpha is the balance bound α ≥ 1 (default 1.05).
 	Alpha float64
-	// Workers is the number of batch-engine workers every pass places
-	// edges with (internal/shard; 0 = one). Re-streaming parallelizes
-	// naturally, since later passes score affinity against a frozen prior
-	// state that every worker can read without coordination. One worker
-	// gives the exact sequential passes.
+	// Workers is the number of batch-engine workers every streaming pass
+	// places edges with (internal/shard; 0 = one); the exact-degree
+	// pre-pass is sequential. Re-streaming parallelizes naturally, since
+	// later passes score affinity against a frozen prior state that every
+	// worker can read without coordination. One worker gives the exact
+	// sequential passes.
 	Workers int
 	// BatchEdges pins the engine's fan-out batch size (0 = the default:
 	// with more than one worker the stream-scaled ceiling with adaptive
@@ -67,18 +68,9 @@ func (r *Restream) Partition(src graph.EdgeStream, k int) (*part.Result, error) 
 	}
 	opts := shard.Options{Workers: max(r.Workers, 1), BatchEdges: r.BatchEdges, Obs: r.Obs.Counters(), Hub: r.Obs}
 
-	// Exact-degree pre-pass; with more than one worker it fans out through
-	// the same batch engine as the streaming passes (bit-identical folded
-	// output).
-	var deg []int32
-	var m int64
-	var err error
+	// Exact-degree pre-pass, sequential at every worker count.
 	sp := r.Obs.Span("degree-pass")
-	if opts.Workers > 1 {
-		deg, m, err = shard.Degrees(src, opts)
-	} else {
-		deg, m, err = graph.Degrees(src)
-	}
+	deg, m, err := graph.Degrees(src)
 	if err != nil {
 		return nil, err
 	}

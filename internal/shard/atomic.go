@@ -25,6 +25,12 @@
 // runs HDRF this way, with the same output as a per-edge loop. Lent slabs
 // are Run's one input: batches are slices of them, and a source that does
 // not lend is copied into recycled slabs once, at entry (Lend).
+//
+// Run drives placement passes only: HDRF, re-streaming, HEP's informed h2h
+// phase and Buffered's fallback. The pre-passes — exact degree counts, HEP's
+// CSR build, Buffered's mini-CSR fill — run sequentially at every worker
+// count, as in the paper: on a 2-core host their batch-parallel forms were
+// slower than the sequential passes at two workers.
 package shard
 
 import (
@@ -118,10 +124,12 @@ func FromTable(t *pstate.Table) *AtomicTable {
 
 // Freeze converts the table back to a sequential pstate.Table, transplanting
 // the backing arrays. The AtomicTable is consumed; all workers must have
-// stopped before the call.
+// stopped before the call. For k > 64 the covered count is recounted
+// exactly, since Add may have undercounted it (see there).
 //
 //hep:unsync single-owner transplant: every worker has stopped, the arrays move to the sequential table
 func (t *AtomicTable) Freeze() *pstate.Table {
+	covered := atomic.LoadInt64(&t.covered)
 	var pages [][]uint64
 	if t.extra > 0 {
 		pages = make([][]uint64, len(t.pages))
@@ -130,8 +138,9 @@ func (t *AtomicTable) Freeze() *pstate.Table {
 				pages[i] = *pg
 			}
 		}
+		covered = -1 // Adopt recounts
 	}
-	ft := pstate.Adopt(t.n, t.k, t.dense, pages, t.vcount, atomic.LoadInt64(&t.covered))
+	ft := pstate.Adopt(t.n, t.k, t.dense, pages, t.vcount, covered)
 	*t = AtomicTable{}
 	return ft
 }
@@ -215,9 +224,10 @@ func (t *AtomicTable) Add(v graph.V, p int) bool {
 				// The CAS winner observed the word at zero, so for k ≤ 64
 				// (one word per vertex) exactly one adder counts the vertex.
 				// For k > 64 two workers landing first bits in *different*
-				// words of the same vertex can in principle both count — the
-				// running value may overcount by that sliver; final metrics
-				// use the exact TotalAndCovered scan.
+				// words of the same vertex can each see the other's bit
+				// (CAS a, CAS b, read b, read a), and then neither counts it;
+				// both counting is impossible. The running value may
+				// undercount by that sliver until Freeze recounts it.
 				atomic.AddInt64(&t.covered, 1)
 			}
 			return true
@@ -254,8 +264,8 @@ func (t *AtomicTable) otherWordsZero(v graph.V, won *uint64) bool {
 
 // Covered returns the running number of vertices with at least one replica
 // bit set — the cheap numerator's partner for live replication-factor
-// sampling. Exact for k ≤ 64; may slightly overcount under k > 64 races
-// (see Add).
+// sampling. Exact for k ≤ 64. For k > 64, samples taken mid-pass may read
+// slightly low (first-bit races, see Add); Freeze recounts exactly.
 func (t *AtomicTable) Covered() int64 { return atomic.LoadInt64(&t.covered) }
 
 // Retries returns the number of failed CAS attempts Add has absorbed — the

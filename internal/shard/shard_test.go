@@ -83,6 +83,11 @@ func TestAtomicTableConcurrentAdds(t *testing.T) {
 			t.Fatalf("partition %d: |V(p)| %d != %d", p, got.VertexCount(p), want.VertexCount(p))
 		}
 	}
+	// First bits landing in different mask words of one vertex can leave
+	// the running count low; the frozen table must hold the exact count.
+	if got.Covered() != want.Covered() {
+		t.Fatalf("covered %d after Freeze, want %d", got.Covered(), want.Covered())
+	}
 }
 
 // TestFromTableFreezeRoundTrip transplants a warm sequential table (with

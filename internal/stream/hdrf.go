@@ -28,7 +28,8 @@ type HDRF struct {
 	// Workers is the number of placement workers of the batch engine
 	// (internal/shard; 0 = one). One worker gives the exact sequential
 	// HDRF pass. More workers cannot observe partial degrees in stream
-	// order, so they always take the exact-degree pre-pass.
+	// order, so they always take the exact-degree pre-pass, which runs
+	// sequentially.
 	Workers int
 	// BatchEdges overrides the engine's fan-out batch size (0 = default).
 	BatchEdges int
@@ -62,16 +63,10 @@ func (h *HDRF) Partition(src graph.EdgeStream, k int) (*part.Result, error) {
 	m := src.NumEdges()
 	if h.ExactDegrees || opts.Workers > 1 {
 		// The exact pre-pass counts the real m, so a count-less stream
-		// (NumEdges() == 0) still gets the α·m/k bound. With more than one
-		// worker it fans out through the same engine the placement pass
-		// uses; its folded output is bit-identical to graph.Degrees.
+		// (NumEdges() == 0) still gets the α·m/k bound.
 		sp := h.Obs.Span("degree-pass")
 		var err error
-		if opts.Workers > 1 {
-			pass.deg, m, err = shard.Degrees(src, opts)
-		} else {
-			pass.deg, m, err = graph.Degrees(src)
-		}
+		pass.deg, m, err = graph.Degrees(src)
 		if err != nil {
 			return nil, err
 		}

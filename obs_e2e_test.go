@@ -82,10 +82,11 @@ func TestConfigObsEndToEnd(t *testing.T) {
 }
 
 // TestOneWorkerProgressSignal pins the live progress signal at Workers: 1,
-// where placement runs the engine's single-goroutine path: every placed edge
-// is counted once per streaming pass (HEP's h2h edges included), batches
-// fold per engine batch, and the quality series samples per batch rather
-// than once per pass.
+// where placement runs the engine's single-goroutine path, and at Workers: 2:
+// every placed edge is counted once per placement pass (HEP's h2h edges
+// included; the sequential degree and CSR pre-passes count nothing),
+// batches fold per engine or buffer batch, and the quality series samples
+// per batch rather than once per pass.
 func TestOneWorkerProgressSignal(t *testing.T) {
 	g := Dataset("OK", 0.25)
 	m := g.NumEdges()
@@ -96,22 +97,26 @@ func TestOneWorkerProgressSignal(t *testing.T) {
 		{AlgoHDRF, 1},
 		{AlgoRestream, 3},
 		{AlgoHEP, 1},
+		{AlgoBuffered, 1},
 	} {
 		t.Run(tc.algo, func(t *testing.T) {
-			o := NewObs(1)
-			_, err := Partition(g, Config{Algorithm: tc.algo, K: 8, Tau: 2, Passes: int(tc.passes), Workers: 1, Obs: o})
-			if err != nil {
-				t.Fatal(err)
-			}
-			rep := o.Report()
-			if got, want := rep.Counters[obs.CtrEdgesStreamed.String()], tc.passes*m; got != want {
-				t.Errorf("edges_streamed = %d, want %d (%d passes × %d edges)", got, want, tc.passes, m)
-			}
-			if got := rep.Counters[obs.CtrBatches.String()]; got < 2*tc.passes {
-				t.Errorf("batches = %d, want ≥ 2 per pass over %d passes", got, tc.passes)
-			}
-			if n := len(o.Series()); n < 2 {
-				t.Errorf("quality series holds %d samples, want ≥ 2", n)
+			for _, w := range []int{1, 2} {
+				o := NewObs(w)
+				_, err := Partition(g, Config{Algorithm: tc.algo, K: 8, Tau: 2, Passes: int(tc.passes),
+					Buffer: int(m / 8), Workers: w, Obs: o})
+				if err != nil {
+					t.Fatal(err)
+				}
+				rep := o.Report()
+				if got, want := rep.Counters[obs.CtrEdgesStreamed.String()], tc.passes*m; got != want {
+					t.Errorf("W=%d: edges_streamed = %d, want %d (%d passes × %d edges)", w, got, want, tc.passes, m)
+				}
+				if got := rep.Counters[obs.CtrBatches.String()]; got < 2*tc.passes {
+					t.Errorf("W=%d: batches = %d, want ≥ 2 per pass over %d passes", w, got, tc.passes)
+				}
+				if n := len(o.Series()); n < 2 {
+					t.Errorf("W=%d: quality series holds %d samples, want ≥ 2", w, n)
+				}
 			}
 		})
 	}
