@@ -374,37 +374,6 @@ func BenchmarkParallelHDRF(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelExpansion measures the out-of-core engine's concurrent
-// region expansion — W expander goroutines claiming batch edges by CAS —
-// against the sequential expander (TW stand-in, k=32). CI smokes it;
-// `hep-bench -exp expand` prints the scaling table.
-func BenchmarkParallelExpansion(b *testing.B) {
-	g := gen.MustDataset("TW").Build(benchScale)
-	m := g.NumEdges()
-	const k = 32
-	run := func(b *testing.B, workers int) {
-		b.SetBytes(m * 8)
-		var rf float64
-		for i := 0; i < b.N; i++ {
-			algo := &ooc.Buffered{BufferEdges: 1 << 15, Workers: workers, ParallelExpandMin: 1}
-			res, err := algo.Partition(g, k)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if workers > 1 && algo.LastStats.PeakExpanders < 2 {
-				b.Fatalf("peak expanders %d, want ≥ 2", algo.LastStats.PeakExpanders)
-			}
-			rf = res.ReplicationFactor()
-		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*m), "ns/edge")
-		b.ReportMetric(rf, "rf")
-	}
-	b.Run("seq", func(b *testing.B) { run(b, 1) })
-	for _, w := range []int{2, 4, 8} {
-		b.Run(fmt.Sprintf("W=%d", w), func(b *testing.B) { run(b, w) })
-	}
-}
-
 // BenchmarkCSRBuild isolates graph-building cost (§4.1: two passes,
 // O(|E|+|V|)).
 func BenchmarkCSRBuild(b *testing.B) {

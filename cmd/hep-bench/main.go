@@ -22,11 +22,11 @@ import (
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment: fig2|fig5|fig7|fig8|fig9|table2|table3|table4|table5|table6|ooc|state|shard|expand|ingest|refine|all")
+		exp      = flag.String("exp", "all", "experiment: fig2|fig5|fig7|fig8|fig9|table2|table3|table4|table5|table6|ooc|state|shard|ingest|refine|all")
 		scale    = flag.Float64("scale", 0.25, "dataset scale factor")
 		datasets = flag.String("datasets", "", "comma-separated dataset names (default per experiment)")
 		ks       = flag.String("k", "", "comma-separated partition counts (default per experiment)")
-		workers  = flag.String("workers", "", "comma-separated worker counts for -exp shard/expand (default 1,2,4,8) and ingest (default 1,4)")
+		workers  = flag.String("workers", "", "comma-separated worker counts for -exp shard (default 1,2,4,8) and ingest (default 1,4)")
 		skipSlow = flag.Bool("skipslow", true, "skip partitioners the paper marks OOT on large graphs")
 		jsonOut  = flag.String("json", "", "additionally write every table's rows as machine-readable JSON (hep-bench/v1) to this file")
 	)
@@ -74,11 +74,10 @@ func main() {
 		"ooc":    func(c expt.Config) error { _, err := expt.TableBuffered(c); return err },
 		"state":  func(c expt.Config) error { _, err := expt.TableState(c); return err },
 		"shard":  func(c expt.Config) error { _, err := expt.TableShard(c); return err },
-		"expand": func(c expt.Config) error { _, err := expt.TableExpand(c); return err },
 		"ingest": func(c expt.Config) error { _, err := expt.TableIngest(c); return err },
 		"refine": expt.TableRefine,
 	}
-	order := []string{"table3", "fig2", "fig5", "fig7", "fig8", "fig9", "table2", "table4", "table5", "table6", "ooc", "state", "shard", "expand", "ingest", "refine"}
+	order := []string{"table3", "fig2", "fig5", "fig7", "fig8", "fig9", "table2", "table4", "table5", "table6", "ooc", "state", "shard", "ingest", "refine"}
 
 	if *exp == "all" {
 		for _, name := range order {

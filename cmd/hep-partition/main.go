@@ -44,7 +44,7 @@ func main() {
 		assign  = flag.String("assign", "", "write 'u v partition' lines to this file")
 		buffer  = flag.Int("buffer", 0, "buffered algorithm: edges per batch (0 = default or derived from -budget)")
 		workers = flag.Int("workers", 0, "parallel workers for the placement passes — sharded streaming, "+
-			"Buffered's expansion and fallback — and DNE; degree passes and CSR builds run sequentially "+
+			"Buffered's fallback — and DNE; degree passes, CSR builds and Buffered's region expansion run sequentially "+
 			"(0 = all cores, 1 = exact sequential path; algorithms with no parallel path reject > 1)")
 		budget = flag.Int64("budget", 0, "if > 0, fit the partitioner to this many bytes: "+
 			"picks τ for -algo hep (§4.4), sizes the edge buffer for -algo buffered")

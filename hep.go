@@ -153,10 +153,9 @@ type Config struct {
 	// Workers is the multi-core parallelism of the placement passes of the
 	// algorithms that have a parallel path: the sharded streaming engine
 	// behind AlgoHEP's informed phase, AlgoHDRF and AlgoRestream,
-	// AlgoBuffered's region expansion (up to Workers concurrent expanders
-	// per batch, DNE-style CAS edge claims) and its per-edge fallback, and
-	// DNE's own concurrent expanders. The pre-passes — exact degree
-	// counting, HEP's CSR build, Buffered's mini-CSR fill — run
+	// AlgoBuffered's per-edge fallback, and DNE's own concurrent
+	// expanders. The pre-passes — exact degree counting, HEP's CSR build,
+	// Buffered's mini-CSR fill — and Buffered's region expansion run
 	// sequentially at every worker count. 0 resolves to GOMAXPROCS (DNE
 	// keeps its own default); 1 forces one worker, whose output is the
 	// exact sequential algorithm's, which is the determinism guarantee —
@@ -476,24 +475,12 @@ func FitBudget(src EdgeStream, cfg Config) (Config, error) {
 		}
 		cfg.Tau = tau
 	case AlgoBuffered:
-		// Concurrent region expansion charges per-expander batch state, so
-		// the buffer is sized for the resolved worker count — a parallel run
-		// under a budget gets a smaller buffer, never a broken bound. The
-		// expander count is capped at K (ooc never runs more), so a
-		// many-core host with small K is not undersized for state it could
-		// never allocate.
-		workers := shardWorkers(cfg)
-		if workers > cfg.K {
-			workers = cfg.K
-		}
-		fit := ooc.BufferForBudgetWorkers(cfg.MemBudget, workers)
+		// Region expansion is sequential at every worker count, so the
+		// same budget buys the same buffer whatever Workers is.
+		fit := ooc.BufferForBudget(cfg.MemBudget)
 		if fit < 1 {
-			perEdge := ooc.BytesPerBufferedEdge
-			if workers > 1 {
-				perEdge += (workers - 1) * ooc.BytesPerExpanderEdge
-			}
-			return cfg, fmt.Errorf("hep: budget %d bytes below one buffered edge (%d bytes at %d workers)",
-				cfg.MemBudget, perEdge, workers)
+			return cfg, fmt.Errorf("hep: budget %d bytes below one buffered edge (%d bytes)",
+				cfg.MemBudget, ooc.BytesPerBufferedEdge)
 		}
 		if cfg.Buffer == 0 || cfg.Buffer > fit {
 			cfg.Buffer = fit

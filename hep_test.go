@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"hep/internal/graph"
+	"hep/internal/ooc"
 )
 
 func TestPartitionEveryAlgorithm(t *testing.T) {
@@ -297,31 +298,21 @@ func TestFitBudget(t *testing.T) {
 	}
 
 	// Buffered: an explicit Buffer larger than the budget allows is
-	// clamped — the budget is the contract.
-	cfg, err = FitBudget(g, Config{Algorithm: AlgoBuffered, K: 32, Buffer: 1 << 30, MemBudget: 1 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := 1 << 20 / 112; cfg.Buffer > want {
-		t.Fatalf("buffer %d not clamped to budget (≤ %d)", cfg.Buffer, want)
+	// clamped — the budget is the contract — and the budget buys the same
+	// buffer at every worker count, since W > 1 adds no batch state.
+	for _, w := range []int{1, 2, 4} {
+		cfg, err = FitBudget(g, Config{Algorithm: AlgoBuffered, K: 32, Buffer: 1 << 30, Workers: w, MemBudget: 1 << 20})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := ooc.BufferForBudget(1 << 20); cfg.Buffer != want {
+			t.Fatalf("W=%d: buffer %d, want BufferForBudget's %d", w, cfg.Buffer, want)
+		}
 	}
 	// A smaller explicit Buffer already fits and is kept.
 	cfg, err = FitBudget(g, Config{Algorithm: AlgoBuffered, K: 32, Buffer: 10, MemBudget: 1 << 20})
 	if err != nil || cfg.Buffer != 10 {
 		t.Fatalf("small explicit buffer not kept: %d (%v)", cfg.Buffer, err)
-	}
-	// Concurrent expanders charge per-worker batch state: the same budget
-	// yields a smaller buffer at Workers=4 than at Workers=1.
-	c1, err := FitBudget(g, Config{Algorithm: AlgoBuffered, K: 32, Workers: 1, MemBudget: 1 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c4, err := FitBudget(g, Config{Algorithm: AlgoBuffered, K: 32, Workers: 4, MemBudget: 1 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c4.Buffer >= c1.Buffer {
-		t.Fatalf("W=4 buffer %d not smaller than W=1 buffer %d under the same budget", c4.Buffer, c1.Buffer)
 	}
 
 	// Algorithms that would silently ignore the budget are rejected.

@@ -5,9 +5,8 @@ import "sync/atomic"
 // Claims is the shared edge-claim array of the DNE discipline: one atomic
 // int32 per edge, 0 = unclaimed, owner+1 = claimed. Concurrent expanders
 // race for edges with a single compare-and-swap per claim, so exactly one
-// claimant wins each edge — the exactly-once invariant every concurrent
-// expansion in the repository (DNE's k expanders, the out-of-core engine's
-// batch expanders) builds on. All methods are safe for concurrent use.
+// claimant wins each edge — the exactly-once invariant DNE's concurrent
+// expanders build on. All methods are safe for concurrent use.
 type Claims struct {
 	c []atomic.Int32
 }
@@ -18,8 +17,8 @@ func NewClaims(m int) *Claims {
 }
 
 // Reset resizes the array to m edges and marks them all unclaimed, reusing
-// the backing array when it is large enough (the out-of-core engine recycles
-// one claim array across batches). Not safe to call concurrently with claims.
+// the backing array when it is large enough, so one claim array can be
+// recycled across rounds. Not safe to call concurrently with claims.
 func (cl *Claims) Reset(m int) {
 	if m > cap(cl.c) {
 		cl.c = make([]atomic.Int32, m)

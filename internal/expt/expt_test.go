@@ -270,28 +270,3 @@ func TestTable6Runs(t *testing.T) {
 		t.Error("modeled run-time did not grow under memory pressure")
 	}
 }
-
-func TestTableExpandRuns(t *testing.T) {
-	var buf bytes.Buffer
-	rows, err := TableExpand(Config{Scale: 0.1, Datasets: []string{"TW"}, Workers: []int{1, 4}, Out: &buf})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("rows = %d, want 2", len(rows))
-	}
-	seq, par := rows[0], rows[1]
-	if seq.Workers != 1 || par.Workers != 4 {
-		t.Fatalf("worker columns %d, %d", seq.Workers, par.Workers)
-	}
-	if par.Expanders < 2 {
-		t.Errorf("W=4 row grew regions with peak %d expanders, want ≥ 2", par.Expanders)
-	}
-	// The 2%-of-sequential quality pin, as reported by the table itself.
-	if par.RF > seq.RF*1.02 {
-		t.Errorf("W=4 RF %.4f above sequential %.4f + 2%%", par.RF, seq.RF)
-	}
-	if !strings.Contains(buf.String(), "Parallel region expansion") {
-		t.Error("table title missing")
-	}
-}

@@ -26,7 +26,7 @@ const (
 	// made visible.
 	CtrReorderStalls
 	// CtrFolds counts load-delta fold windows (per-worker load lanes merged
-	// into the global load tracker at batch/region boundaries).
+	// into the global load tracker at batch boundaries).
 	CtrFolds
 	// CtrWarmSpills counts batch vertices that overflowed the warm-start
 	// bucket pool and fell back to per-region probing.
@@ -50,9 +50,11 @@ const (
 	// CtrWarmRescans counts repeat regions that rescanned for fresh replicas
 	// because the batch-start bucket index predates an earlier region.
 	CtrWarmRescans
-	// CtrParallelBatches counts out-of-core batches whose regions were grown
-	// by concurrent expanders.
-	CtrParallelBatches
+	// retiredParallelBatches counted out-of-core batches grown by concurrent
+	// region expanders, which the engine no longer has; nothing writes it.
+	// The slot keeps "parallel_batches" registered so ValidateReport still
+	// accepts hep-trace/v1 traces that carry it.
+	retiredParallelBatches
 	// CtrChunksLent counts decoded edge slabs a source lent zero-copy to the
 	// batch engine or Buffered's buffer fill (graph.ChunkStream — batches
 	// alias the producer's buffers instead of being re-copied on the
@@ -101,7 +103,7 @@ var counterNames = [NumCounters]string{
 	CtrWarmMaskPasses:       "warm_mask_passes",
 	CtrWarmScanProbes:       "warm_scan_probes",
 	CtrWarmRescans:          "warm_rescans",
-	CtrParallelBatches:      "parallel_batches",
+	retiredParallelBatches:  "parallel_batches",
 	CtrChunksLent:           "chunks_lent",
 	CtrChunkCopyFallbacks:   "chunk_copy_fallbacks",
 	CtrBytesCopiedDispatch:  "bytes_copied_dispatch",
@@ -125,9 +127,11 @@ func (id CounterID) String() string {
 type GaugeID uint8
 
 const (
-	// GaugePeakExpanders is the largest number of expansion regions ever in
-	// flight at once.
-	GaugePeakExpanders GaugeID = iota
+	// retiredExpanderPeak recorded the most concurrent region expanders
+	// ever in flight, which the out-of-core engine no longer has; nothing
+	// writes it. The slot keeps "peak_expanders" registered so
+	// ValidateReport still accepts hep-trace/v1 traces that carry it.
+	retiredExpanderPeak GaugeID = iota
 	// GaugePeakBufferBytes is the high-water mark of buffer-scaled
 	// batch-local allocation in the out-of-core engine.
 	GaugePeakBufferBytes
@@ -137,7 +141,7 @@ const (
 )
 
 var gaugeNames = [NumGauges]string{
-	GaugePeakExpanders:   "peak_expanders",
+	retiredExpanderPeak:  "peak_expanders",
 	GaugePeakBufferBytes: "peak_buffer_bytes",
 }
 

@@ -46,7 +46,7 @@ func goldenReport() *Obs {
 	c.Add(0, CtrMovesApplied, 12)
 	c.Add(1, CtrMovesRejectedBalance, 2)
 	c.Add(1, CtrGainRecomputes, 64)
-	c.SetMax(GaugePeakExpanders, 2)
+	c.SetMax(GaugePeakBufferBytes, 2)
 
 	c.Observe(0, HistBatchNs, 1_500_000)
 	c.Observe(1, HistBatchNs, 900_000)

@@ -174,9 +174,9 @@ func TestDisabledHotPathAllocates0(t *testing.T) {
 		sp.End()
 		c := o.Counters()
 		c.Add(0, CtrEdgesStreamed, 512)
-		c.SetMax(GaugePeakExpanders, 4)
+		c.SetMax(GaugePeakBufferBytes, 4)
 		c.Observe(0, HistBatchNs, 12345)
-		if c.Total(CtrEdgesStreamed) != 0 || c.Gauge(GaugePeakExpanders) != 0 {
+		if c.Total(CtrEdgesStreamed) != 0 || c.Gauge(GaugePeakBufferBytes) != 0 {
 			t.Fatal("nil counters returned nonzero")
 		}
 		if o.SampleTick() {
@@ -237,7 +237,7 @@ func TestCountersConcurrentFold(t *testing.T) {
 					for i := 0; i < folds; i++ {
 						c.Add(w, CtrEdgesStreamed, 3)
 						c.Add(w, CtrBatches, 1)
-						c.SetMax(GaugePeakExpanders, int64(w+1))
+						c.SetMax(GaugePeakBufferBytes, int64(w+1))
 					}
 				}(w)
 			}
@@ -251,7 +251,7 @@ func TestCountersConcurrentFold(t *testing.T) {
 			if got := c.Total(CtrBatches); got != int64(workers)*folds {
 				t.Errorf("batch total %d, want %d", got, int64(workers)*folds)
 			}
-			if got := c.Gauge(GaugePeakExpanders); got != int64(workers) {
+			if got := c.Gauge(GaugePeakBufferBytes); got != int64(workers) {
 				t.Errorf("gauge %d, want %d", got, workers)
 			}
 		})

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"hep/internal/dne"
 	"hep/internal/graph"
 	"hep/internal/obs"
 	"hep/internal/part"
@@ -13,56 +12,32 @@ import (
 	"hep/internal/stream"
 )
 
-// DefaultBufferEdges is the default batch size B (1Mi edges ≈ 152 MiB of
-// batch-local state at one expander, see BytesPerBufferedEdge).
+// DefaultBufferEdges is the default batch size B (1Mi edges ≈ 148 MiB of
+// batch-local state, see BytesPerBufferedEdge).
 const DefaultBufferEdges = 1 << 20
 
 // BytesPerBufferedEdge is the worst-case batch-local allocation per buffered
-// edge with a single expander. Per edge: the edge itself (8) + two adjacency
-// entries (adjV+adjE, 2×8) + an assigned flag (1) + a claim slot (4,
-// allocated only when Workers > 1 but charged always so the budget bound
-// holds in every mode) + the fallback's gather buffer (8, charged always,
-// too) = 37 bytes. Per batch vertex, of which an edge introduces at most
+// edge, the same at every worker count. Per edge: the edge itself (8) + two
+// adjacency entries (adjV+adjE, 2×8) + an assigned flag (1) + the
+// fallback's gather buffer (8, allocated on the first fallback but charged
+// always) = 33 bytes. Per batch vertex, of which an edge introduces at most
 // two: verts (4) + off (4) + udeg (4) + activePos (4) + active (4) + warm
 // bucket pool (warmPoolPerVertex×4 = 12) + overflow (4) = 36, plus the
 // expander state (member 1 + touched 4 + heap pos/ids/keys 12 + candidate
-// buffer 4 = 21) = 57 bytes. Total 37 + 2·57 = 151, rounded up to 152 for
+// buffer 4 = 21) = 57 bytes. Total 33 + 2·57 = 147, rounded up to 148 for
 // slack. batchState.bytes() tracks the real allocation against this bound.
 // State that does not scale with the buffer — the O(|V|) vertex arrays
 // (degree array, local-id map, vertex-major replica table) and the O(k)
 // per-partition arrays (bucket heads, region flags, like the result's own
 // counts) — is the fixed resident baseline of the out-of-core model, not
 // part of the buffer budget.
-const BytesPerBufferedEdge = 152
-
-// BytesPerExpanderEdge is the additional worst-case batch-local allocation
-// per buffered edge for each expander goroutine beyond the first: two batch
-// vertices × (member 1 + touched 4 + heap 12 + candidates 4) = 42 bytes,
-// rounded up to 44. Concurrent region expansion (Workers > 1) runs up to
-// Workers expanders; BufferForBudgetWorkers folds this into the sizing.
-const BytesPerExpanderEdge = 44
+const BytesPerBufferedEdge = 148
 
 // BufferForBudget returns the largest buffer size B whose worst-case
-// batch-local allocation fits budgetBytes with a single expander (capped so
-// the batch-local int32 bookkeeping cannot overflow).
+// batch-local allocation fits budgetBytes (capped so the batch-local int32
+// bookkeeping cannot overflow).
 func BufferForBudget(budgetBytes int64) int {
-	return BufferForBudgetWorkers(budgetBytes, 1)
-}
-
-// BufferForBudgetWorkers is BufferForBudget for a run with w concurrent
-// expanders: each expander beyond the first charges BytesPerExpanderEdge per
-// buffered edge, so a parallel run under a byte budget gets a smaller buffer
-// rather than a broken bound.
-func BufferForBudgetWorkers(budgetBytes int64, w int) int {
-	per := int64(BytesPerBufferedEdge)
-	if w > 1 {
-		per += int64(w-1) * BytesPerExpanderEdge
-	}
-	b := budgetBytes / per
-	if b > maxBufferEdges {
-		b = maxBufferEdges
-	}
-	return int(b)
+	return int(min(budgetBytes/BytesPerBufferedEdge, maxBufferEdges))
 }
 
 // BufferedStats instruments a Buffered run.
@@ -78,17 +53,15 @@ type BufferedStats struct {
 	FallbackEdges int64
 	// PeakBufferBytes is the high-water mark of buffer-scaled batch-local
 	// allocations (edge buffer, mini-CSR, per-batch vertex state, bucket
-	// pool, claim array and expander states; the O(k) fixed baseline is
-	// excluded). Guaranteed to stay ≤ BytesPerBufferedEdge +
-	// (Workers−1)·BytesPerExpanderEdge per buffered edge.
+	// pool, expander state and fallback gather buffer; the O(k) fixed
+	// baseline is excluded). Guaranteed to stay ≤ BytesPerBufferedEdge per
+	// buffered edge at every worker count.
 	PeakBufferBytes int64
 
-	// ParallelBatches counts batches whose regions were grown by concurrent
-	// expanders (Workers > 1 and the batch cleared ParallelExpandMin).
+	// ParallelBatches is always 0: regions are grown sequentially at every
+	// worker count. It counted batches grown by concurrent expanders, and
+	// stays only because the repository benchmark (bench/staged.go) reads it.
 	ParallelBatches int
-	// PeakExpanders is the largest number of regions ever in flight at
-	// once — ≥ 2 whenever a parallel batch had two admissible partitions.
-	PeakExpanders int
 
 	// WarmMaskPasses counts batch vertices indexed by the warm-start bucket
 	// build: one per batch vertex per batch, independent of k (the build
@@ -131,21 +104,19 @@ type Buffered struct {
 	part.SinkHolder
 
 	// BufferEdges is the buffer size B in edges (default DefaultBufferEdges).
-	// Derive it from a byte budget with BufferForBudget (or
-	// BufferForBudgetWorkers when running concurrent expanders).
+	// Derive it from a byte budget with BufferForBudget; the same budget
+	// buys the same buffer at every worker count.
 	BufferEdges int
 	// Lambda is the HDRF fallback balance weight (default 1.1).
 	Lambda float64
 	// Alpha is the balance bound α ≥ 1 (default 1.05).
 	Alpha float64
-	// Workers > 1 parallelizes the placement phases of a batch: the region
-	// expansion itself (up to Workers concurrent expanders, each growing a
-	// region into a distinct partition and claiming edges by CAS on the
-	// batch claim array — see expand_par.go) and the per-edge informed-HDRF
-	// fallback, which the batch engine places with that many workers. The
-	// degree pass and the mini-CSR fill run sequentially at every worker
-	// count. Workers ≤ 1 keeps the exact sequential expansion and a
-	// one-worker fallback, which is the determinism guarantee.
+	// Workers > 1 fans the per-edge informed-HDRF fallback out over that
+	// many batch-engine workers once a batch leaves at least
+	// ParallelFallbackMin edges to it. The degree pass, the mini-CSR fill and
+	// region expansion run sequentially at every worker count, so a run
+	// whose fallbacks stay below that floor places every edge exactly as
+	// Workers ≤ 1 does. Workers ≤ 1 is the determinism guarantee.
 	Workers int
 	// BatchEdges pins the batch engine's fan-out batch size for the
 	// fallback (0 = the engine default).
@@ -153,10 +124,6 @@ type Buffered struct {
 	// ParallelFallbackMin is the minimum number of leftover edges worth
 	// fanning out (0 = default 2048; below it one worker places them).
 	ParallelFallbackMin int
-	// ParallelExpandMin is the minimum batch size worth growing regions
-	// concurrently (0 = default 16Ki edges; below it sequential expansion
-	// wins).
-	ParallelExpandMin int
 	// Obs is the observability hook (nil = disabled): the degree pass and
 	// the buffered streaming loop record phase spans, and every LastStats
 	// event additionally folds into the obs counter lanes at batch
@@ -167,21 +134,11 @@ type Buffered struct {
 	// LastStats holds the statistics of the most recent run.
 	LastStats BufferedStats
 
-	// legacyWarmScan routes the sequential warm start through the retired
+	// legacyWarmScan routes the warm start through the retired
 	// one-probe-per-active-vertex-per-region scan instead of the bucket
 	// index. Test-only: the equivalence suite pins the candidate iteration
 	// bit-for-bit against this path.
 	legacyWarmScan bool
-	// expandFault, if set, is called by every concurrent expander once per
-	// region grant; a non-nil error aborts the batch. Test-only: the race
-	// suite uses it to verify the abort discipline.
-	expandFault func(worker int) error
-	// legacyRepeatWarm makes concurrent repeat regions reuse the batch-start
-	// bucket index instead of rescanning the live replica table — the
-	// pre-fix behavior, which misses every replica the partition's earlier
-	// region added this batch. Test-only: the repeat-region regression test
-	// pins the fixed warm start against this path.
-	legacyRepeatWarm bool
 }
 
 // Name implements part.Algorithm.
@@ -239,14 +196,8 @@ type batchState struct {
 	// partition, one mask iteration per vertex per batch.
 	buckets *pstate.Buckets
 
-	// expanders holds one region-growing state per expander goroutine;
-	// expanders[0] is the sequential mode's. Grown on demand, counted
-	// against the buffer budget.
-	expanders []*expanderState
-
-	// claims is the concurrent expanders' shared edge-claim array
-	// (allocated lazily on the first parallel batch, charged always).
-	claims *dne.Claims
+	// ex is the region-growing state, counted against the buffer budget.
+	ex *expanderState
 
 	// fbEdges gathers the leftover edges for the fallback (allocated
 	// lazily on the first fallback, charged always).
@@ -261,7 +212,7 @@ type batchState struct {
 
 func newBatchState(bufEdges, k int) *batchState {
 	maxV := 2 * bufEdges
-	st := &batchState{
+	return &batchState{
 		batch:     make([]graph.Edge, 0, bufEdges),
 		assigned:  make([]bool, bufEdges),
 		verts:     make([]graph.V, 0, maxV),
@@ -273,19 +224,7 @@ func newBatchState(bufEdges, k int) *batchState {
 		adjV:      make([]int32, 2*bufEdges),
 		adjE:      make([]int32, 2*bufEdges),
 		buckets:   pstate.NewBuckets(k, warmPoolPerVertex*maxV, maxV),
-		expanders: []*expanderState{newExpanderState(maxV)},
-	}
-	return st
-}
-
-// ensureExpanders grows the expander-state pool to w entries.
-func (st *batchState) ensureExpanders(w int) {
-	maxV := len(st.off)
-	for len(st.expanders) < w {
-		st.expanders = append(st.expanders, newExpanderState(maxV))
-	}
-	if st.claims == nil {
-		st.claims = dne.NewClaims(cap(st.batch))
+		ex:        newExpanderState(maxV),
 	}
 }
 
@@ -294,23 +233,13 @@ func (st *batchState) ensureExpanders(w int) {
 // expanded flags) belong to the fixed resident baseline and are excluded,
 // like the O(|V|) vertex arrays.
 func (st *batchState) bytes() int64 {
-	b := int64(cap(st.batch))*8 + int64(cap(st.assigned)) +
+	return int64(cap(st.batch))*8 + int64(cap(st.assigned)) +
 		int64(cap(st.verts))*4 + int64(cap(st.off))*4 + int64(cap(st.udeg))*4 +
 		int64(cap(st.activePos))*4 + int64(cap(st.active))*4 +
 		int64(cap(st.adjV))*4 + int64(cap(st.adjE))*4 +
 		st.buckets.Bytes() - int64(st.buckets.K()+1)*4 +
-		int64(cap(st.fbEdges))*8
-	for _, ex := range st.expanders {
-		b += ex.bytes()
-	}
-	if st.claims != nil {
-		b += st.claims.Bytes()
-	}
-	return b
+		int64(cap(st.fbEdges))*8 + st.ex.bytes()
 }
-
-// seedScanLimit bounds the affinity scan of the active list per seed choice.
-const seedScanLimit = 64
 
 // Partition implements part.Algorithm: an exact chunked degree pass, then
 // buffer-fill / expand / flush over the stream.
@@ -456,25 +385,14 @@ func (b *Buffered) processBatch(st *batchState, localID []int32, res *part.Resul
 		st.expanded[p] = false
 	}
 
-	var remaining int
-	if w := b.expandWorkers(len(batch), res.K); w > 1 {
-		var err error
-		remaining, err = b.expandParallel(st, res, capacity, w)
-		if err != nil {
-			return err
-		}
-	} else {
-		// Active list: every batch vertex starts with unassigned edges.
-		st.active = st.active[:0]
-		for v := 0; v < nv; v++ {
-			st.activePos[v] = int32(len(st.active))
-			st.active = append(st.active, int32(v))
-			st.expanders[0].member[v] = false
-		}
-		remaining = b.expandSequential(st, res, capacity)
+	// Active list: every batch vertex starts with unassigned edges.
+	st.active = st.active[:0]
+	for v := 0; v < nv; v++ {
+		st.activePos[v] = int32(len(st.active))
+		st.active = append(st.active, int32(v))
+		st.ex.member[v] = false
 	}
-
-	if remaining > 0 {
+	if remaining := b.expand(st, res, capacity); remaining > 0 {
 		if err := b.fallback(st, res, deg, lambda, capacity); err != nil {
 			return err
 		}
@@ -498,9 +416,7 @@ func (b *Buffered) processBatch(st *batchState, localID []int32, res *part.Resul
 	c.Add(0, obs.CtrWarmMaskPasses, b.LastStats.WarmMaskPasses-pre.WarmMaskPasses)
 	c.Add(0, obs.CtrWarmScanProbes, b.LastStats.WarmScanProbes-pre.WarmScanProbes)
 	c.Add(0, obs.CtrWarmRescans, b.LastStats.WarmRescans-pre.WarmRescans)
-	c.Add(0, obs.CtrParallelBatches, int64(b.LastStats.ParallelBatches-pre.ParallelBatches))
 	c.Add(0, obs.CtrWarmSpills, int64(len(st.buckets.Overflow())))
-	c.SetMax(obs.GaugePeakExpanders, int64(b.LastStats.PeakExpanders))
 	// One quality sample per buffered batch: running RF, balance and load
 	// spread land in the series ring right after the counter fold, on the
 	// same batch boundary — never per edge or per region.

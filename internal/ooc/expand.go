@@ -5,21 +5,55 @@ import (
 
 	"hep/internal/obs"
 	"hep/internal/part"
+	"hep/internal/vheap"
 )
 
-// The sequential expander: one region at a time, exact unassigned-degree
+// Region expansion: one region at a time, exact unassigned-degree
 // bookkeeping (udeg, the active list and heap keys stay in lockstep with
 // every assignment), and the candidate-iteration warm start over the batch
-// bucket index. With Workers ≤ 1 this is the only expansion path and its
-// output is deterministic; the concurrent expanders (expand_par.go) trade
-// that exactness for parallelism.
+// bucket index. This is the only expansion path at every worker count, so
+// its output is deterministic; Workers > 1 only fans out the fallback.
 
-// expandSequential runs the region sweep of one batch: one region per
-// partition normally covers the batch exactly (k regions × ⌈batch/k⌉ quota);
-// the cap only binds when capacity clamps quotas, in which case the
-// leftovers take the informed fallback. Returns the number of edges the
-// expansion left unassigned.
-func (b *Buffered) expandSequential(st *batchState, res *part.Result, capacity int64) int {
+// expanderState is the region-growing scratch: the membership of the region
+// currently being grown, the undo list that clears it, the
+// min-external-degree heap driving core moves, and the candidate assembly
+// buffer. Sized by the batch vertex bound so no operation reallocates.
+type expanderState struct {
+	member  []bool      // region membership of the current region
+	touched []int32     // members of the current region (for reset)
+	heap    *vheap.Heap // region members keyed by external degree
+	cands   []int32     // warm-start candidate assembly buffer
+}
+
+func newExpanderState(maxV int) *expanderState {
+	return &expanderState{
+		member:  make([]bool, maxV),
+		touched: make([]int32, 0, maxV),
+		heap:    vheap.NewWithCap(maxV, maxV),
+		cands:   make([]int32, 0, maxV),
+	}
+}
+
+// bytes returns the state's allocation, charged against the buffer budget.
+func (ex *expanderState) bytes() int64 {
+	return int64(cap(ex.member)) + int64(cap(ex.touched))*4 +
+		ex.heap.Bytes() + int64(cap(ex.cands))*4
+}
+
+// clearRegion resets the membership written by the current region.
+func (ex *expanderState) clearRegion() {
+	for _, v := range ex.touched {
+		ex.member[v] = false
+	}
+	ex.touched = ex.touched[:0]
+}
+
+// expand runs the region sweep of one batch: one region per partition
+// normally covers the batch exactly (k regions × ⌈batch/k⌉ quota); the cap
+// only binds when capacity clamps quotas, in which case the leftovers take
+// the informed fallback. Returns the number of edges the expansion left
+// unassigned.
+func (b *Buffered) expand(st *batchState, res *part.Result, capacity int64) int {
 	remaining := len(st.batch)
 	quotaBase := (len(st.batch) + res.K - 1) / res.K
 	if quotaBase < 1 {
@@ -45,23 +79,29 @@ func (b *Buffered) expandSequential(st *batchState, res *part.Result, capacity i
 	return remaining
 }
 
-// seqWarmCandidates assembles the warm-start set for partition p in the
-// exact order the retired k-probe scan produced: the bucket index (plus
-// overflow probes) yields every active vertex replicated on p, and sorting
-// by position in the active list reproduces the active-scan order bit for
-// bit. A repeat region into a partition already expanded this batch cannot
-// use the batch-start index (the earlier region added replicas the index
-// predates), so it falls back to the full scan — counted by WarmRescans and
-// pinned to zero on the stand-ins.
-func (b *Buffered) seqWarmCandidates(st *batchState, res *part.Result, ex *expanderState, p int) []int32 {
+// warmCandidates assembles the warm-start set for partition p in the exact
+// order the retired k-probe scan produced: the bucket index (plus overflow
+// probes, the only per-region probe cost left) yields every active vertex
+// replicated on p, and sorting by position in the active list reproduces
+// the active-scan order bit for bit. A repeat region into a partition
+// already expanded this batch cannot use the batch-start index (the earlier
+// region added replicas the index predates), so it falls back to the full
+// scan — counted by WarmRescans and pinned to zero on the stand-ins.
+func (b *Buffered) warmCandidates(st *batchState, res *part.Result, p int) []int32 {
 	if b.legacyWarmScan || st.expanded[p] {
 		if !b.legacyWarmScan {
 			b.LastStats.WarmRescans++
 		}
-		return b.scanWarmCandidates(st, res, ex, p)
+		return b.scanWarmCandidates(st, res, p)
 	}
-	cands, probes := st.warmInto(ex.cands[:0], res.Reps, p)
-	b.LastStats.WarmScanProbes += probes
+	ex := st.ex
+	cands := append(ex.cands[:0], st.buckets.Bucket(p)...)
+	for _, v := range st.buckets.Overflow() {
+		b.LastStats.WarmScanProbes++
+		if res.Reps.Has(st.verts[v], p) {
+			cands = append(cands, v)
+		}
+	}
 	n := 0
 	for _, v := range cands {
 		if st.activePos[v] >= 0 {
@@ -81,15 +121,15 @@ func (b *Buffered) seqWarmCandidates(st *batchState, res *part.Result, ex *expan
 // per active batch vertex per region. It survives only as the repeat-region
 // escape hatch and as the reference the equivalence tests pin the candidate
 // iteration against (legacyWarmScan).
-func (b *Buffered) scanWarmCandidates(st *batchState, res *part.Result, ex *expanderState, p int) []int32 {
-	out := ex.cands[:0]
+func (b *Buffered) scanWarmCandidates(st *batchState, res *part.Result, p int) []int32 {
+	out := st.ex.cands[:0]
 	for _, v := range st.active {
 		if res.Reps.Has(st.verts[v], p) {
 			out = append(out, v)
 		}
 	}
 	b.LastStats.WarmScanProbes += int64(len(st.active))
-	ex.cands = out[:0]
+	st.ex.cands = out[:0]
 	return out
 }
 
@@ -101,7 +141,7 @@ func (b *Buffered) scanWarmCandidates(st *batchState, res *part.Result, ex *expa
 // the partition's remaining capacity).
 func (b *Buffered) growRegion(st *batchState, res *part.Result, p, quota int) int {
 	placed := 0
-	ex := st.expanders[0]
+	ex := st.ex
 	ex.heap.Reset()
 	ex.touched = ex.touched[:0]
 
@@ -110,23 +150,23 @@ func (b *Buffered) growRegion(st *batchState, res *part.Result, p, quota int) in
 	// region up front, so edges between two p-replicated vertices are
 	// assigned to p at zero replication cost and the expansion continues
 	// p's existing territory instead of opening a new one.
-	for _, v := range b.seqWarmCandidates(st, res, ex, p) {
+	for _, v := range b.warmCandidates(st, res, p) {
 		if placed >= quota {
 			break
 		}
 		if st.udeg[v] > 0 && !ex.member[v] {
-			b.join(st, ex, res, v, p, &placed, quota)
+			b.join(st, res, v, p, &placed, quota)
 		}
 	}
 	st.expanded[p] = true
 
 	for placed < quota {
 		if ex.heap.Len() == 0 {
-			seed := st.pickSeed(res, ex, p)
+			seed := st.pickSeed(res, p)
 			if seed < 0 {
 				break
 			}
-			b.join(st, ex, res, seed, p, &placed, quota)
+			b.join(st, res, seed, p, &placed, quota)
 			continue
 		}
 		v, _ := ex.heap.PopMin()
@@ -140,7 +180,7 @@ func (b *Buffered) growRegion(st *batchState, res *part.Result, p, quota int) in
 				continue
 			}
 			if u := st.adjV[i]; !ex.member[u] {
-				b.join(st, ex, res, u, p, &placed, quota)
+				b.join(st, res, u, p, &placed, quota)
 			}
 		}
 	}
@@ -151,7 +191,8 @@ func (b *Buffered) growRegion(st *batchState, res *part.Result, p, quota int) in
 // join adds local vertex x to the current region: every unassigned edge
 // between x and an existing member is assigned to p, and x enters the heap
 // keyed by its remaining (external) unassigned degree.
-func (b *Buffered) join(st *batchState, ex *expanderState, res *part.Result, x int32, p int, placed *int, quota int) {
+func (b *Buffered) join(st *batchState, res *part.Result, x int32, p int, placed *int, quota int) {
+	ex := st.ex
 	ex.member[x] = true
 	ex.touched = append(ex.touched, x)
 	for i := st.start(x); i < st.off[x]; i++ {
@@ -166,8 +207,8 @@ func (b *Buffered) join(st *batchState, ex *expanderState, res *part.Result, x i
 		st.assigned[e] = true
 		*placed++
 		b.LastStats.ExpansionEdges++
-		st.decUnassigned(ex, x)
-		st.decUnassigned(ex, st.adjV[i])
+		st.decUnassigned(x)
+		st.decUnassigned(st.adjV[i])
 	}
 	if st.udeg[x] > 0 && !ex.heap.Contains(uint32(x)) {
 		ex.heap.Push(uint32(x), st.udeg[x])
@@ -176,9 +217,9 @@ func (b *Buffered) join(st *batchState, ex *expanderState, res *part.Result, x i
 
 // decUnassigned decrements v's unassigned-edge count, keeping the heap key
 // in sync and removing v from the active list when it is exhausted.
-func (st *batchState) decUnassigned(ex *expanderState, v int32) {
+func (st *batchState) decUnassigned(v int32) {
 	st.udeg[v]--
-	if ex.heap.Contains(uint32(v)) {
+	if ex := st.ex; ex.heap.Contains(uint32(v)) {
 		if st.udeg[v] > 0 {
 			ex.heap.Add(uint32(v), -1)
 		} else {
@@ -197,13 +238,16 @@ func (st *batchState) decUnassigned(ex *expanderState, v int32) {
 	st.activePos[v] = -1
 }
 
+// seedScanLimit bounds the affinity scan of the active list per seed choice.
+const seedScanLimit = 64
+
 // pickSeed selects the next expansion seed for partition p: among a bounded
 // prefix of the active list it prefers a non-member vertex already
 // replicated on p (stitching the batch onto the global replica state),
 // breaking ties toward the fewest unassigned edges; with no replica hit it
 // falls back to the scanned vertex with minimum unassigned degree (the
 // NE-style low-degree seed). Returns -1 when no unassigned vertex remains.
-func (st *batchState) pickSeed(res *part.Result, ex *expanderState, p int) int32 {
+func (st *batchState) pickSeed(res *part.Result, p int) int32 {
 	limit := len(st.active)
 	if limit > seedScanLimit {
 		limit = seedScanLimit
@@ -211,7 +255,7 @@ func (st *batchState) pickSeed(res *part.Result, ex *expanderState, p int) int32
 	bestHit, bestAny := int32(-1), int32(-1)
 	for i := 0; i < limit; i++ {
 		v := st.active[i]
-		if ex.member[v] {
+		if st.ex.member[v] {
 			continue
 		}
 		if res.Reps.Has(st.verts[v], p) {

@@ -1,7 +1,6 @@
 package ooc
 
 import (
-	"errors"
 	"fmt"
 	"testing"
 
@@ -24,6 +23,20 @@ func runCollected(t *testing.T, b *Buffered, g graph.EdgeStream, k int) (*part.R
 	return res, col
 }
 
+// sameSequence fails the test unless got and want delivered the same
+// assignments, edge and partition, in the same order.
+func sameSequence(t *testing.T, what string, got, want *part.Collect) {
+	t.Helper()
+	if len(got.Edges) != len(want.Edges) {
+		t.Fatalf("%s: %d vs %d assignments", what, len(got.Edges), len(want.Edges))
+	}
+	for i := range got.Edges {
+		if got.Edges[i] != want.Edges[i] {
+			t.Fatalf("%s: assignment %d diverged: %v vs %v", what, i, got.Edges[i], want.Edges[i])
+		}
+	}
+}
+
 // TestWarmStartBitIdenticalToLegacyScan pins the candidate-iteration warm
 // start bit-for-bit against the retired k-probe scan: on every stand-in the
 // full assignment sequence — edge order and chosen partitions, which
@@ -39,15 +52,7 @@ func TestWarmStartBitIdenticalToLegacyScan(t *testing.T) {
 				bOld := &Buffered{BufferEdges: buf, legacyWarmScan: true}
 				_, colOld := runCollected(t, bOld, g, k)
 
-				if len(colNew.Edges) != len(colOld.Edges) {
-					t.Fatalf("%s buf=%d k=%d: %d vs %d assignments", name, buf, k, len(colNew.Edges), len(colOld.Edges))
-				}
-				for i := range colNew.Edges {
-					if colNew.Edges[i] != colOld.Edges[i] {
-						t.Fatalf("%s buf=%d k=%d: assignment %d diverged: bucket %v vs scan %v",
-							name, buf, k, i, colNew.Edges[i], colOld.Edges[i])
-					}
-				}
+				sameSequence(t, fmt.Sprintf("%s buf=%d k=%d: bucket vs scan", name, buf, k), colNew, colOld)
 				if bNew.LastStats.Batches < 2 {
 					t.Fatalf("%s buf=%d: want a multi-batch run, got %d batches", name, buf, bNew.LastStats.Batches)
 				}
@@ -96,25 +101,15 @@ func TestWarmStartProbeRegression(t *testing.T) {
 }
 
 // TestRepeatRegionWarmRescan pins the repeat-region warm start: when the
-// plan grants the same partition a second region within one batch (forced
-// here by saturating k−2 partitions, so a four-region budget must re-grant
-// each of the two admissible partitions), the second region rescans the live
-// replica table — the batch-start bucket index predates every replica the
-// partition's first region placed. legacyRepeatWarm keeps the pre-fix
-// stale-bucket behavior compilable so the regression stays visible: missing
-// those fresh replicas must never cost replication factor. Concurrent
-// expansion is not run-to-run deterministic, and single W=2 runs of the two
-// modes overlap (a few pairs in forty come out inverted), so the pin
-// compares the mean RF of repeatRuns alternating runs per mode.
+// sweep grows a second region into a partition within one batch (forced
+// here by saturating partitions 2 and 3 of k=4, so the four-region sweep
+// alternates between partitions 0 and 1), that region rescans the active
+// list against the live replica table, because the batch-start bucket index
+// predates every replica the partition's first region placed. The rescan is
+// the retired scan itself, so the run must deliver exactly the sink
+// sequence of a run that scans for every region (legacyWarmScan).
 func TestRepeatRegionWarmRescan(t *testing.T) {
 	g := gen.MustDataset("OK").Build(0.05)
-	var edges []graph.Edge
-	if err := g.Edges(func(u, v graph.V) bool {
-		edges = append(edges, graph.Edge{U: u, V: v})
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
 	n := g.NumVertices()
 	deg, m, err := graph.Degrees(g)
 	if err != nil {
@@ -122,18 +117,23 @@ func TestRepeatRegionWarmRescan(t *testing.T) {
 	}
 	const k = 4
 	capacity := m // loose bound: the two live partitions never clamp a quota
+	// Two synthetic vertices outside the batch saturate partitions 2 and 3
+	// before the batch runs, leaving 0 and 1 as the only admissible targets.
+	preload := make([]part.TaggedEdge, 0, 2*capacity)
+	for i := int64(0); i < capacity; i++ {
+		e := graph.Edge{U: graph.V(n), V: graph.V(n + 1)}
+		preload = append(preload, part.TaggedEdge{E: e, P: 2}, part.TaggedEdge{E: e, P: 3})
+	}
 
-	run := func(legacy bool) (*part.Result, BufferedStats) {
-		b := &Buffered{Workers: 2, ParallelExpandMin: 1, legacyRepeatWarm: legacy}
-		st := newBatchState(len(edges), k)
-		st.batch = append(st.batch[:0], edges...)
-		// Two synthetic vertices (outside the batch) saturate partitions 2
-		// and 3 before the batch runs, leaving partitions 0 and 1 as the only
-		// admissible grant targets.
+	run := func(legacy bool) (*part.Result, *part.Collect, BufferedStats) {
+		b := &Buffered{legacyWarmScan: legacy}
+		st := newBatchState(len(g.E), k)
+		st.batch = append(st.batch[:0], g.E...)
 		res := part.NewResult(n+2, k)
-		for i := int64(0); i < capacity; i++ {
-			res.Assign(graph.V(n), graph.V(n+1), 2)
-			res.Assign(graph.V(n), graph.V(n+1), 3)
+		col := &part.Collect{}
+		res.Sink = col
+		for _, te := range preload {
+			res.Assign(te.E.U, te.E.V, te.P)
 		}
 		localID := make([]int32, n+2)
 		for i := range localID {
@@ -142,54 +142,59 @@ func TestRepeatRegionWarmRescan(t *testing.T) {
 		if err := b.processBatch(st, localID, res, deg, 1.1, capacity); err != nil {
 			t.Fatal(err)
 		}
-		return res, b.LastStats
+		return res, col, b.LastStats
 	}
 
-	const repeatRuns = 32
-	want := int64(len(edges)) + 2*capacity
-	var rfF, rfL float64
-	for i := 0; i < repeatRuns; i++ {
-		resFixed, stFixed := run(false)
-		resLegacy, stLegacy := run(true)
-		if stFixed.WarmRescans == 0 {
-			t.Fatal("forcing failed: no repeat region rescanned the replica table")
-		}
-		if stLegacy.WarmRescans != 0 {
-			t.Fatalf("legacy path rescanned %d times, want 0", stLegacy.WarmRescans)
-		}
-		// Both modes must still assign every batch edge exactly once on top
-		// of the synthetic pre-load.
-		for name, res := range map[string]*part.Result{"fixed": resFixed, "legacy": resLegacy} {
-			if res.M != want {
-				t.Fatalf("%s: %d assignments, want %d", name, res.M, want)
-			}
-			if err := res.Validate(); err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-		}
-		rfF += resFixed.ReplicationFactor() / repeatRuns
-		rfL += resLegacy.ReplicationFactor() / repeatRuns
+	res, col, st := run(false)
+	if st.WarmRescans == 0 {
+		t.Fatal("forcing failed: no repeat region rescanned the replica table")
 	}
-	// The rescan stitches a repeat region onto the replicas its partition's
-	// first region just placed; the stale buckets cannot see them.
-	if rfF > rfL*1.01 {
-		t.Errorf("fixed warm start mean RF %.4f worse than stale-bucket mean RF %.4f over %d runs each", rfF, rfL, repeatRuns)
+	if err := res.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	// Every batch edge exactly once, on top of the synthetic pre-load.
+	all := append([]graph.Edge(nil), g.E...)
+	for _, te := range preload {
+		all = append(all, te.E)
+	}
+	if err := parttest.CheckExactlyOnce(graph.NewMemGraph(n+2, all), res, col); err != nil {
+		t.Fatal(err)
+	}
+	_, colScan, _ := run(true)
+	sameSequence(t, "rescan vs legacy scan", col, colScan)
+}
+
+// TestBufferedWorkersMatchOneWorker pins the single expansion path: regions
+// grow sequentially at every worker count and only the fallback fans out,
+// and only past its floor. A run whose fallback stays under that floor must
+// therefore deliver exactly the W=1 sink sequence at W ∈ {2, 4}.
+func TestBufferedWorkersMatchOneWorker(t *testing.T) {
+	for _, name := range []string{"OK", "TW", "LJ"} {
+		g := gen.MustDataset(name).Build(0.1)
+		for _, k := range []int{32, 128} {
+			one := &Buffered{BufferEdges: 1 << 14}
+			_, want := runCollected(t, one, g, k)
+			if fb := one.LastStats.FallbackEdges; fb >= defaultParallelFallbackMin {
+				t.Fatalf("%s k=%d: %d fallback edges reach the fan-out floor %d", name, k, fb, defaultParallelFallbackMin)
+			}
+			for _, workers := range []int{2, 4} {
+				_, got := runCollected(t, &Buffered{BufferEdges: 1 << 14, Workers: workers}, g, k)
+				sameSequence(t, fmt.Sprintf("%s k=%d W=%d vs W=1", name, k, workers), got, want)
+			}
+		}
 	}
 }
 
-// TestParallelExpansionExactlyOnce is the concurrency half of the race
-// suite: at W ∈ {2, 4, 8} the concurrent expanders must assign every batch
-// edge exactly once (CAS claim storm on the batch claim array), keep replica
-// state consistent, deliver each edge once to the sink, and actually grow
-// regions concurrently (≥ 2 expanders in flight per parallel batch). Run
-// under -race this doubles as the claim-storm and warm-bucket construction
-// race test.
+// TestParallelExpansionExactlyOnce runs Buffered at W ∈ {2, 4, 8} on the OK
+// and TW stand-ins: every edge must be assigned exactly once, replica state
+// must stay consistent with the sink, and expansion, sequential at every W,
+// must place edges.
 func TestParallelExpansionExactlyOnce(t *testing.T) {
 	for _, name := range []string{"OK", "TW"} {
 		g := gen.MustDataset(name).Build(0.1)
 		for _, workers := range []int{2, 4, 8} {
 			t.Run(fmt.Sprintf("%s/W=%d", name, workers), func(t *testing.T) {
-				b := &Buffered{BufferEdges: 1 << 14, Workers: workers, ParallelExpandMin: 1}
+				b := &Buffered{BufferEdges: 1 << 14, Workers: workers}
 				res, col := runCollected(t, b, g, 32)
 				if err := res.Validate(); err != nil {
 					t.Fatal(err)
@@ -200,12 +205,6 @@ func TestParallelExpansionExactlyOnce(t *testing.T) {
 				if err := parttest.CheckReplicas(res, col); err != nil {
 					t.Fatal(err)
 				}
-				if b.LastStats.ParallelBatches == 0 {
-					t.Fatal("no batch took the concurrent expansion path")
-				}
-				if b.LastStats.PeakExpanders < 2 {
-					t.Fatalf("peak concurrent expanders %d, want ≥ 2", b.LastStats.PeakExpanders)
-				}
 				if b.LastStats.ExpansionEdges == 0 {
 					t.Fatal("no edges placed by expansion")
 				}
@@ -214,11 +213,11 @@ func TestParallelExpansionExactlyOnce(t *testing.T) {
 	}
 }
 
-// TestParallelExpansionTinyBatches drives the concurrent expanders through
-// degenerate shapes — batches smaller than the worker count, k exceeding the
-// batch, single-edge buffers — where the claim, grant and fallback edge
-// cases all trigger.
-func TestParallelExpansionTinyBatches(t *testing.T) {
+// TestBufferedTinyBatches drives W=4 runs, with the fallback allowed to fan
+// out at any size, through degenerate shapes — batches smaller than the
+// worker count, k exceeding the batch, single-edge buffers — where the
+// region sweep's edge cases trigger, and checks the balance bound.
+func TestBufferedTinyBatches(t *testing.T) {
 	graphs := map[string]*graph.MemGraph{
 		"ba":   gen.BarabasiAlbert(600, 4, 7),
 		"star": gen.Star(64),
@@ -227,7 +226,7 @@ func TestParallelExpansionTinyBatches(t *testing.T) {
 	for gname, g := range graphs {
 		for _, buf := range []int{1, 7, 128} {
 			for _, k := range []int{2, 5, 16} {
-				b := &Buffered{BufferEdges: buf, Workers: 4, ParallelExpandMin: 1, ParallelFallbackMin: 1}
+				b := &Buffered{BufferEdges: buf, Workers: 4, ParallelFallbackMin: 1}
 				if _, err := parttest.RunAndCheck(b, g, k, 1.05, 2); err != nil {
 					t.Errorf("%s buf=%d k=%d: %v", gname, buf, k, err)
 				}
@@ -236,57 +235,18 @@ func TestParallelExpansionTinyBatches(t *testing.T) {
 	}
 }
 
-// TestParallelExpansionAbortsOnWorkerError mirrors the batch engine's
-// AbortStream discipline at the region level: the first worker error stops
-// every expander promptly and surfaces from Partition.
-func TestParallelExpansionAbortsOnWorkerError(t *testing.T) {
-	g := gen.MustDataset("OK").Build(0.05)
-	boom := errors.New("expander 1 exploded")
-	b := &Buffered{BufferEdges: 1 << 13, Workers: 4, ParallelExpandMin: 1}
-	b.expandFault = func(worker int) error {
-		if worker == 1 {
-			return boom
-		}
-		return nil
-	}
-	_, err := b.Partition(g, 32)
-	if !errors.Is(err, boom) {
-		t.Fatalf("Partition error = %v, want the injected worker fault", err)
-	}
-	// The abort must hit the first parallel batch: no batch after the
-	// faulting one may have been processed.
-	if b.LastStats.ParallelBatches != 1 {
-		t.Fatalf("processed %d parallel batches after the fault, want 1", b.LastStats.ParallelBatches)
-	}
-}
-
-// TestBufferForBudgetWorkers pins the workers-aware budget sizing: each
-// expander beyond the first charges BytesPerExpanderEdge.
-func TestBufferForBudgetWorkers(t *testing.T) {
-	if b := BufferForBudgetWorkers(int64(BytesPerBufferedEdge+3*BytesPerExpanderEdge)*100, 4); b != 100 {
-		t.Fatalf("W=4 sizing = %d, want 100", b)
-	}
-	if a, b := BufferForBudget(1<<20), BufferForBudgetWorkers(1<<20, 1); a != b {
-		t.Fatalf("W=1 sizing %d != BufferForBudget %d", b, a)
-	}
-	if a, b := BufferForBudgetWorkers(1<<20, 8), BufferForBudget(1<<20); a >= b {
-		t.Fatalf("W=8 buffer %d not smaller than W=1 %d", a, b)
-	}
-}
-
-// TestParallelExpansionBudget pins the memory contract of the concurrent
-// mode: with the buffer sized by BufferForBudgetWorkers, the tracked peak
-// batch-local allocation — claim array and all expander states included —
-// stays within the byte budget.
+// TestParallelExpansionBudget pins the memory contract at W > 1: with the
+// buffer sized by BufferForBudget — the same buffer W=1 gets — and the
+// fallback allowed to fan out over four workers at any size, the tracked
+// peak batch-local allocation stays within the byte budget.
 func TestParallelExpansionBudget(t *testing.T) {
 	g := gen.MustDataset("OK").Build(0.25)
 	const budget = 1 << 21
-	const workers = 4
-	bufEdges := BufferForBudgetWorkers(budget, workers)
+	bufEdges := BufferForBudget(budget)
 	if bufEdges <= 0 || int64(bufEdges) >= g.NumEdges() {
 		t.Fatalf("bad test sizing: buffer %d of %d edges", bufEdges, g.NumEdges())
 	}
-	b := &Buffered{BufferEdges: bufEdges, Workers: workers, ParallelExpandMin: 1}
+	b := &Buffered{BufferEdges: bufEdges, Workers: 4, ParallelFallbackMin: 1}
 	res, err := b.Partition(g, 32)
 	if err != nil {
 		t.Fatal(err)
@@ -294,8 +254,8 @@ func TestParallelExpansionBudget(t *testing.T) {
 	if res.M != g.NumEdges() {
 		t.Fatalf("assigned %d of %d edges", res.M, g.NumEdges())
 	}
-	if b.LastStats.ParallelBatches == 0 {
-		t.Fatal("no concurrent batches")
+	if b.LastStats.Batches < 2 {
+		t.Fatalf("want multiple batches, got %d", b.LastStats.Batches)
 	}
 	if b.LastStats.PeakBufferBytes > budget {
 		t.Fatalf("peak buffer %d exceeds budget %d", b.LastStats.PeakBufferBytes, budget)
@@ -320,20 +280,21 @@ func TestBudgetBoundSmallBufferLargeK(t *testing.T) {
 	}
 }
 
-// TestParallelExpansionLowDegreeBatch is the seed-scan linearity regression:
-// a matching-like batch (every vertex degree 1) empties the expander heap
-// after every placed edge, so each edge costs one seed choice. If the seed
-// cursor ever stops hopping dead positions (exhausted vertices and passed
-// members), this test degenerates from linear to quadratic in the batch
-// size and times out instead of finishing in well under a second.
-func TestParallelExpansionLowDegreeBatch(t *testing.T) {
+// TestBufferedLowDegreeBatch is the seed-scan linearity regression: a
+// matching-like batch (every vertex degree 1) empties the expander heap
+// after every placed edge, so each edge costs one seed choice. If a seed
+// choice ever stops being bounded by seedScanLimit (exhausted vertices
+// must leave the active list), this test degenerates from linear to
+// quadratic in the batch size and times out instead of finishing in well
+// under a second.
+func TestBufferedLowDegreeBatch(t *testing.T) {
 	const m = 1 << 17
 	edges := make([]graph.Edge, m)
 	for i := range edges {
 		edges[i] = graph.Edge{U: graph.V(2 * i), V: graph.V(2*i + 1)}
 	}
 	g := graph.NewMemGraph(2*m, edges)
-	b := &Buffered{BufferEdges: m, Workers: 2, ParallelExpandMin: 1}
+	b := &Buffered{BufferEdges: m, Workers: 2}
 	res, err := b.Partition(g, 32)
 	if err != nil {
 		t.Fatal(err)

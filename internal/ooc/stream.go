@@ -6,7 +6,9 @@
 // partitioner (Buffered) in the spirit of buffered streaming edge
 // partitioning (Chhabra et al., 2024): fill a bounded edge buffer, partition
 // the batch with neighborhood expansion seeded by the global replica state,
-// flush, repeat.
+// flush, repeat. Regions grow sequentially at every worker count; Workers > 1
+// fans out only the per-edge fallback through the batch engine
+// (internal/shard), so the buffer a byte budget buys does not depend on it.
 //
 // The resident set of every component is bounded by O(|V|) vertex state
 // (degree array, replica bitsets) plus a configurable buffer; the edge list

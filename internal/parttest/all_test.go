@@ -53,10 +53,6 @@ func allAlgorithms() []algoCase {
 		{&core.HEP{Tau: 10, Workers: 4}, 0, 0},
 		{&restream.Restream{Passes: 2, Workers: 4}, 0, 0},
 		{&ooc.Buffered{BufferEdges: 512, Workers: 4, ParallelFallbackMin: 1}, 0, 0},
-		// Concurrent region expansion forced down to tiny batches: CAS edge
-		// claims, region grants and the delivery sweep all exercised on
-		// every graph family.
-		{&ooc.Buffered{BufferEdges: 512, Workers: 4, ParallelFallbackMin: 1, ParallelExpandMin: 1}, 0, 0},
 	}
 }
 

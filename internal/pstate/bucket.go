@@ -19,7 +19,7 @@ import "hep/internal/graph"
 // and the masks, never on timing.
 //
 // Build is single-threaded; the built index is immutable and may be read
-// concurrently (the concurrent expanders share one).
+// concurrently.
 type Buckets struct {
 	k        int
 	heads    []int32 // len k+1; bucket p is pool[heads[p]:heads[p+1]]

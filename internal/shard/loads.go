@@ -81,26 +81,6 @@ func (s *ShardedLoads) mergeChecked(d []int64) {
 	s.global.Merge(d)
 }
 
-// FoldSnapshot merges worker w's lane into the global tracker and copies the
-// freshly folded counts into dst (len k) in one critical section, returning
-// the tracked bounds. It is the region-boundary hook of the out-of-core
-// concurrent expanders: a worker folds the loads of the region it just grew
-// and picks its next target partition against counts that include them,
-// without letting another worker's fold slip between the two reads.
-func (s *ShardedLoads) FoldSnapshot(w int, dst []int64) (max, min int64, argmin int) {
-	d := s.deltas[w]
-	s.mu.Lock()
-	s.mergeChecked(d)
-	copy(dst, s.global.Counts())
-	max, min, argmin = s.global.Max(), s.global.Min(), s.global.ArgMin()
-	s.mu.Unlock()
-	for p := range d {
-		d[p] = 0
-	}
-	s.obs.Add(w, obs.CtrFolds, 1)
-	return max, min, argmin
-}
-
 // Snapshot copies the folded global counts into dst (len k) and returns the
 // tracked bounds — the view a worker scores one batch against.
 func (s *ShardedLoads) Snapshot(dst []int64) (max, min int64, argmin int) {
