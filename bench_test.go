@@ -287,12 +287,12 @@ func BenchmarkBufferedVsHDRF(b *testing.B) {
 }
 
 // BenchmarkHDRFPlacement measures the per-edge HDRF placement cost of the
-// vertex-major replica table (candidate iteration + incremental load
-// tracker) against the pre-refactor partition-major representation (k
-// replica bitsets, O(k) probes and an O(k) loadBounds rescan per edge),
-// on the TW power-law stand-in. The gap widens with k: the old loop pays k
-// regardless, the new one pays ⌈k/64⌉ word reads plus the few partitions
-// actually hosting an endpoint.
+// vertex-major replica table (class-min scorer + incremental load tracker)
+// against the pre-refactor partition-major representation (k replica
+// bitsets, O(k) probes and an O(k) loadBounds rescan per edge), on the TW
+// power-law stand-in. The gap widens with k: the old loop scores all k
+// partitions, the new one reads ⌈k/64⌉ words per endpoint, compares the
+// loads of the partitions hosting an endpoint, and scores at most four.
 func BenchmarkHDRFPlacement(b *testing.B) {
 	g := gen.MustDataset("TW").Build(benchScale)
 	deg, m, err := graph.Degrees(g)

@@ -39,6 +39,8 @@
 package hep
 
 import (
+	"cmp"
+	"errors"
 	"fmt"
 	"math"
 
@@ -143,7 +145,7 @@ type Config struct {
 	Tau float64
 	// Alpha is the edge balance bound α ≥ 1 where applicable.
 	Alpha float64
-	// Lambda is the HDRF balance weight (default 1.1).
+	// Lambda is the HDRF balance weight, ≥ 0 (0 = default 1.1).
 	Lambda float64
 	// Seed makes randomized algorithms deterministic. Note that full
 	// run-to-run determinism also requires Workers: 1 for the parallel
@@ -263,10 +265,80 @@ func shardWorkers(cfg Config) int {
 	return shard.Options{Workers: cfg.Workers}.Resolve()
 }
 
+// idChecked wraps an algorithm that has no guarded degree pass and runs it
+// over idCheckStream, so a vertex id ≥ n is an error, not an index panic.
+// HEP, NE++, HDRF, DBH, simple-hybrid and re-HDRF check ids in their
+// degree pass; Buffered grows its id domain by design.
+type idChecked struct{ sinkAlgorithm }
+
+type sinkAlgorithm interface {
+	Algorithm
+	part.SinkSetter
+}
+
+// Partition implements Algorithm.
+func (a idChecked) Partition(src EdgeStream, k int) (*Result, error) {
+	return a.sinkAlgorithm.Partition(idCheckStream{src}, k)
+}
+
+// idCheckStream stops the wrapped stream's scan at the first edge naming a
+// vertex id ≥ NumVertices and returns graph.ErrVertexRange. Like
+// shard.AbortStream it lends chunks when the wrapped stream does; each slab
+// is checked before it is handed on.
+type idCheckStream struct{ graph.EdgeStream }
+
+func vertexRange(u, v graph.V, n int) error {
+	if int(u) < n && int(v) < n {
+		return nil
+	}
+	return fmt.Errorf("%w: edge (%d,%d) with n=%d", graph.ErrVertexRange, u, v, n)
+}
+
+// Edges implements graph.EdgeStream.
+func (s idCheckStream) Edges(yield func(u, v graph.V) bool) error {
+	n, bad := s.NumVertices(), error(nil)
+	err := s.EdgeStream.Edges(func(u, v graph.V) bool {
+		bad = vertexRange(u, v, n)
+		return bad == nil && yield(u, v)
+	})
+	return cmp.Or(err, bad)
+}
+
+// Chunks implements graph.ChunkStream. A slab holding an out-of-range id
+// is released unseen.
+func (s idCheckStream) Chunks(yield func(edges []graph.Edge, release func()) bool) error {
+	cs, ok := graph.AsChunks(s.EdgeStream)
+	if !ok {
+		return errors.New("hep: wrapped stream does not lend chunks")
+	}
+	n, bad := s.NumVertices(), error(nil)
+	err := cs.Chunks(func(edges []graph.Edge, release func()) bool {
+		for _, e := range edges {
+			if bad = vertexRange(e.U, e.V, n); bad != nil {
+				release()
+				return false
+			}
+		}
+		//hep:xfer forwarded to the wrapped consumer, which inherits the release obligation
+		return yield(edges, release)
+	})
+	return cmp.Or(err, bad)
+}
+
+// LendsChunks is the graph.AsChunks conditional-lending hook.
+func (s idCheckStream) LendsChunks() bool {
+	_, ok := graph.AsChunks(s.EdgeStream)
+	return ok
+}
+
 // New returns the partitioner selected by cfg.
 func New(cfg Config) (Algorithm, error) {
 	if cfg.Workers < 0 {
 		return nil, fmt.Errorf("hep: Workers must be ≥ 0, got %d", cfg.Workers)
+	}
+	// The HDRF scorer relies on a balance term that never rises with load.
+	if !(cfg.Lambda >= 0) {
+		return nil, fmt.Errorf("hep: Lambda must be ≥ 0, got %v", cfg.Lambda)
 	}
 	name := cfg.Algorithm
 	if name == "" {
@@ -281,26 +353,26 @@ func New(cfg Config) (Algorithm, error) {
 		a = &core.HEP{Tau: math.Inf(1), Alpha: cfg.Alpha, Lambda: cfg.Lambda,
 			Workers: shardWorkers(cfg), BatchEdges: cfg.BatchEdges, Obs: cfg.Obs}
 	case AlgoNE:
-		a = &ne.NE{Seed: cfg.Seed}
+		a = idChecked{&ne.NE{Seed: cfg.Seed}}
 	case AlgoSNE:
-		a = &ne.SNE{}
+		a = idChecked{&ne.SNE{}}
 	case AlgoDNE:
-		a = &dne.DNE{Workers: cfg.Workers, Seed: cfg.Seed}
+		a = idChecked{&dne.DNE{Workers: cfg.Workers, Seed: cfg.Seed}}
 	case AlgoMETIS:
-		a = &mlp.MLP{Seed: cfg.Seed}
+		a = idChecked{&mlp.MLP{Seed: cfg.Seed}}
 	case AlgoHDRF:
 		a = &stream.HDRF{Lambda: cfg.Lambda, Alpha: cfg.Alpha, Workers: shardWorkers(cfg),
 			BatchEdges: cfg.BatchEdges, Obs: cfg.Obs}
 	case AlgoDBH:
 		a = &stream.DBH{}
 	case AlgoGreedy:
-		a = &stream.Greedy{Alpha: cfg.Alpha}
+		a = idChecked{&stream.Greedy{Alpha: cfg.Alpha}}
 	case AlgoGrid:
-		a = &stream.Grid{}
+		a = idChecked{&stream.Grid{}}
 	case AlgoADWISE:
-		a = &stream.ADWISE{Window: cfg.Window, Lambda: cfg.Lambda, Alpha: cfg.Alpha}
+		a = idChecked{&stream.ADWISE{Window: cfg.Window, Lambda: cfg.Lambda, Alpha: cfg.Alpha}}
 	case AlgoRandom:
-		a = &stream.Random{Seed: cfg.Seed, Alpha: cfg.Alpha}
+		a = idChecked{&stream.Random{Seed: cfg.Seed, Alpha: cfg.Alpha}}
 	case AlgoSimpleHybrid:
 		tau := cfg.Tau
 		if tau == 0 {

@@ -83,6 +83,9 @@ func TestWorkersValidation(t *testing.T) {
 	if _, err := FitBudget(g, Config{Algorithm: AlgoHEP, K: 4, Workers: -2, MemBudget: 1 << 40}); err == nil {
 		t.Error("FitBudget accepted Workers=-2")
 	}
+	if _, err := New(Config{Algorithm: AlgoHDRF, K: 4, Lambda: -1}); err == nil {
+		t.Error("New accepted Lambda=-1")
+	}
 	// ADWISE is the canonical order-sensitive algorithm with no parallel
 	// path: Workers > 1 is a clear error, Workers ≤ 1 runs.
 	if _, err := Partition(g, Config{Algorithm: AlgoADWISE, K: 4, Workers: 2}); err == nil {
@@ -385,6 +388,70 @@ func TestHDRFVertexRangeError(t *testing.T) {
 			if !errors.Is(err, graph.ErrVertexRange) {
 				t.Errorf("W=%d %s: err = %v, want ErrVertexRange", w, name, err)
 			}
+		}
+	}
+}
+
+// TestEveryAlgorithmRejectsVertexRange runs every algorithm over an edge to
+// vertex 9 on a 5-vertex graph: each must return an error wrapping
+// graph.ErrVertexRange, never panic, at W=1 and at W=2 where the algorithm
+// has a parallel path. Buffered is exempt: it grows its id domain by design.
+func TestEveryAlgorithmRejectsVertexRange(t *testing.T) {
+	edges := []Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 9}, {U: 3, V: 4}}
+	parallel := map[string]bool{}
+	for _, name := range ParallelAlgorithms() {
+		parallel[name] = true
+	}
+	for _, name := range Algorithms() {
+		if name == AlgoBuffered {
+			continue
+		}
+		for _, w := range []int{1, 2} {
+			if w > 1 && !parallel[name] {
+				continue
+			}
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Errorf("%s W=%d: panic: %v", name, w, r)
+					}
+				}()
+				_, err := Partition(NewGraph(5, edges), Config{Algorithm: name, K: 2, Workers: w, Seed: 1})
+				if !errors.Is(err, graph.ErrVertexRange) {
+					t.Errorf("%s W=%d: err = %v, want ErrVertexRange", name, w, err)
+				}
+			}()
+		}
+	}
+}
+
+// TestIDCheckStreamLends pins the facade's range check to the chunk-lending
+// contract: over a lending stream it lends, hands clean slabs on, and
+// releases a slab holding an out-of-range id without yielding it.
+func TestIDCheckStreamLends(t *testing.T) {
+	for _, tc := range []struct {
+		edges []Edge
+		bad   bool
+	}{
+		{[]Edge{{U: 0, V: 1}, {U: 1, V: 4}}, false},
+		{[]Edge{{U: 0, V: 1}, {U: 1, V: 5}}, true},
+	} {
+		cs, ok := graph.AsChunks(idCheckStream{NewGraph(5, tc.edges)})
+		if !ok {
+			t.Fatal("idCheckStream over a lending stream does not lend")
+		}
+		yielded := 0
+		err := cs.Chunks(func(edges []graph.Edge, release func()) bool {
+			yielded += len(edges)
+			release()
+			return true
+		})
+		if tc.bad {
+			if !errors.Is(err, graph.ErrVertexRange) || yielded != 0 {
+				t.Fatalf("bad slab: err = %v, %d edges yielded", err, yielded)
+			}
+		} else if err != nil || yielded != len(tc.edges) {
+			t.Fatalf("clean slab: err = %v, %d of %d edges yielded", err, yielded, len(tc.edges))
 		}
 	}
 }

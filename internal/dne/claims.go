@@ -16,20 +16,6 @@ func NewClaims(m int) *Claims {
 	return &Claims{c: make([]atomic.Int32, m)}
 }
 
-// Reset resizes the array to m edges and marks them all unclaimed, reusing
-// the backing array when it is large enough, so one claim array can be
-// recycled across rounds. Not safe to call concurrently with claims.
-func (cl *Claims) Reset(m int) {
-	if m > cap(cl.c) {
-		cl.c = make([]atomic.Int32, m)
-		return
-	}
-	cl.c = cl.c[:m]
-	for i := range cl.c {
-		cl.c[i].Store(0)
-	}
-}
-
 // Len returns the number of edges covered.
 func (cl *Claims) Len() int { return len(cl.c) }
 
@@ -57,6 +43,3 @@ func (cl *Claims) Claimed(e int) bool { return cl.c[e].Load() != 0 }
 //
 //hep:noalloc
 func (cl *Claims) Assign(e int, owner int32) { cl.c[e].Store(owner + 1) }
-
-// Bytes returns the backing allocation (4 bytes per covered edge).
-func (cl *Claims) Bytes() int64 { return int64(cap(cl.c)) * 4 }

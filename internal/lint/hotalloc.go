@@ -9,7 +9,8 @@ import (
 // HotAlloc checks that //hep:noalloc-annotated functions contain no
 // allocating constructs. The annotation goes on the doc comment (or first
 // line) of a function that sits on a per-edge or per-batch hot path — the
-// obs nil-hub hooks, the HDRF scorer (bestHDRF) and the one per-edge HDRF
+// obs nil-hub hooks, the HDRF class-min scorer (bestHDRF, whose finalist
+// tables are fixed-size arrays on the stack) and the one per-edge HDRF
 // loop (hdrfWorker.PlaceBatch), the engine's runOne and the per-edge slab
 // fill of shard.Lend's copy adapter — and the analyzer then
 // rejects, anywhere in the function body:

@@ -7,8 +7,10 @@
 // the partition-major `k bitsets of n bits` layout. The transpose is what
 // makes streaming scoring fast on power-law graphs: the HDRF/Greedy/ADWISE
 // inner loop only needs the partitions where one of the edge's endpoints is
-// already replicated, and a vertex-major mask hands exactly that set over in
-// ⌈k/64⌉ word reads instead of k bitset probes. It is the layout the
+// already replicated, and the endpoints' masks hand that set over in
+// ⌈k/64⌉ word reads each (Word) instead of k bitset probes. HDRF then
+// scores only the least-loaded partition of each replica class (see
+// internal/stream). It is the layout the
 // scaled-up buffered streaming systems keep resident (Chhabra et al.,
 // "Buffered Streaming Edge Partitioning"; "Partitioning Trillion Edge
 // Graphs on Edge Devices").
@@ -16,7 +18,7 @@
 // Layout and the memory trade: partitions 0..63 of every vertex live in one
 // dense uint64 word — 8·n bytes regardless of k, so for k < 64 the dense
 // word costs MORE than the partition-major k·n/8 (2× at k=32); the win
-// there is purely the per-edge candidate iteration. For k > 64 the
+// there is purely the per-edge mask-word iteration. For k > 64 the
 // remaining partitions live in overflow pages — fixed ranges of
 // PageVertices vertices, each page allocated lazily on the first write of
 // an overflow bit in its range — so the worst case matches partition-major
@@ -39,9 +41,10 @@ const pageShift = 12
 // Table is the vertex-major replica table for a graph with n vertices and k
 // partitions. The zero value is unusable; use NewTable.
 //
-// Methods are not safe for concurrent use (Candidates shares one scratch
-// buffer); every partitioner in the repository mutates its Table from a
-// single goroutine.
+// Reads (Has, Word, Count, RangeVertex) are safe for concurrent use while
+// no goroutine mutates the table — the re-streaming workers share one
+// frozen prior table this way. Add and Remove are not; every partitioner
+// in the repository mutates its Table from a single goroutine.
 type Table struct {
 	n, k  int
 	extra int      // overflow words per vertex: ⌈k/64⌉ − 1
@@ -52,9 +55,8 @@ type Table struct {
 	// vertex, allocated on first overflow write in the range.
 	pages [][]uint64
 
-	vcount  []int64  // |V(p_i)|: vertices with bit p set, per partition
-	covered int64    // vertices with ≥1 bit set, maintained in Add/Remove
-	scratch []uint64 // reusable candidate mask, ⌈k/64⌉ words
+	vcount  []int64 // |V(p_i)|: vertices with bit p set, per partition
+	covered int64   // vertices with ≥1 bit set, maintained in Add/Remove
 }
 
 // NewTable returns an empty table for n vertices and k partitions.
@@ -67,12 +69,11 @@ func NewTable(n, k int) *Table {
 		words = 1
 	}
 	t := &Table{
-		n:       n,
-		k:       k,
-		extra:   words - 1,
-		dense:   make([]uint64, n),
-		vcount:  make([]int64, k),
-		scratch: make([]uint64, words),
+		n:      n,
+		k:      k,
+		extra:  words - 1,
+		dense:  make([]uint64, n),
+		vcount: make([]int64, k),
 	}
 	if t.extra > 0 {
 		t.pages = make([][]uint64, (n+PageVertices-1)/PageVertices)
@@ -206,43 +207,6 @@ func (t *Table) Word(v graph.V, wi int) uint64 {
 	return ov[wi-1]
 }
 
-// Candidates fills the table's scratch mask with mask(u) | mask(v) — the
-// partitions where either endpoint of edge (u,v) is already replicated —
-// and returns it. The slice is valid until the next Candidates call and
-// must not be retained.
-func (t *Table) Candidates(u, v graph.V) []uint64 {
-	return t.candidatesInto(t.scratch, u, v)
-}
-
-// candidatesInto fills m (⌈k/64⌉ words) with mask(u) | mask(v).
-func (t *Table) candidatesInto(m []uint64, u, v graph.V) []uint64 {
-	m[0] = t.dense[u] | t.dense[v]
-	if t.extra > 0 {
-		ou, ov := t.page(u), t.page(v)
-		switch {
-		case ou == nil && ov == nil:
-			for i := 1; i < len(m); i++ {
-				m[i] = 0
-			}
-		case ov == nil:
-			copy(m[1:], ou)
-		case ou == nil:
-			copy(m[1:], ov)
-		default:
-			for i := 0; i < t.extra; i++ {
-				m[i+1] = ou[i] | ov[i]
-			}
-		}
-	}
-	return m
-}
-
-// SetBit sets bit p in a mask produced by Candidates (used to merge the
-// balance-only fallback partition into the candidate set).
-func SetBit(mask []uint64, p int) {
-	mask[p>>6] |= 1 << (uint(p) & 63)
-}
-
 // Count returns the number of partitions vertex v is replicated on.
 func (t *Table) Count(v graph.V) int {
 	c := bits.OnesCount64(t.dense[v])
@@ -369,29 +333,6 @@ func (t *Table) PagesAllocated() int {
 	return n
 }
 
-// Reader is an independent read-only view of a Table with its own candidate
-// scratch buffer. The Table's own Candidates shares one scratch, so
-// concurrent readers — parallel re-streaming workers scoring against a
-// frozen prior table — each take a Reader instead. The table must not be
-// mutated while readers are in use.
-type Reader struct {
-	t       *Table
-	scratch []uint64
-}
-
-// Reader returns a new independent read view of t.
-func (t *Table) Reader() *Reader {
-	return &Reader{t: t, scratch: make([]uint64, t.extra+1)}
-}
-
-// Candidates is Table.Candidates into the reader's private scratch.
-func (r *Reader) Candidates(u, v graph.V) []uint64 {
-	return r.t.candidatesInto(r.scratch, u, v)
-}
-
-// Word returns mask word wi of vertex v.
-func (r *Reader) Word(v graph.V, wi int) uint64 { return r.t.Word(v, wi) }
-
 // Release hands over the table's backing arrays — dense words, overflow
 // pages (nil when k ≤ 64), per-partition vertex counts — plus the running
 // covered-vertex count, and resets t to the unusable zero value. The shard
@@ -426,7 +367,6 @@ func Adopt(n, k int, dense []uint64, pages [][]uint64, vcount []int64, covered i
 		pages:   pages,
 		vcount:  vcount,
 		covered: covered,
-		scratch: make([]uint64, words),
 	}
 	if t.extra > 0 && t.pages == nil {
 		t.pages = make([][]uint64, (n+PageVertices-1)/PageVertices)

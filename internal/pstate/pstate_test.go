@@ -91,37 +91,32 @@ func TestTableOverflowPaged(t *testing.T) {
 	}
 }
 
-func TestTableCandidates(t *testing.T) {
+// TestTableWords reads the partitions hosting either endpoint from the two
+// vertices' mask words, across the dense word and an overflow page.
+func TestTableWords(t *testing.T) {
 	tab := NewTable(50, 130)
 	tab.Add(1, 0)
 	tab.Add(1, 70)
 	tab.Add(2, 5)
 	tab.Add(2, 129)
-	m := tab.Candidates(1, 2)
 	var got []int
-	for wi, w := range m {
-		for w != 0 {
+	for wi := range tab.Words() {
+		for w := tab.Word(1, wi) | tab.Word(2, wi); w != 0; w &= w - 1 {
 			got = append(got, wi<<6+bits.TrailingZeros64(w))
-			w &= w - 1
 		}
 	}
 	want := []int{0, 5, 70, 129}
 	if len(got) != len(want) {
-		t.Fatalf("candidates = %v, want %v", got, want)
+		t.Fatalf("partitions = %v, want %v", got, want)
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("candidates = %v, want %v", got, want)
+			t.Fatalf("partitions = %v, want %v", got, want)
 		}
 	}
-	SetBit(m, 100)
-	if m[1]>>36&1 != 1 {
-		t.Fatal("SetBit missed")
-	}
-	// One endpoint with no overflow page must not hide the other's bits.
-	m = tab.Candidates(1, 3)
-	if m[1]>>6&1 != 1 { // partition 70
-		t.Fatal("candidates lost overflow bits when one side is unpaged")
+	// A vertex with no overflow page reads zero there.
+	if tab.Word(3, 1) != 0 || tab.Word(1, 1)>>6&1 != 1 { // partition 70
+		t.Fatal("overflow word misread")
 	}
 }
 
@@ -301,36 +296,9 @@ func TestLoadsMerge(t *testing.T) {
 	}
 }
 
-// TestReaderMatchesTable checks an independent Reader returns the same
-// candidate masks and words as the table's own shared-scratch path.
-func TestReaderMatchesTable(t *testing.T) {
-	for _, k := range []int{8, 130} {
-		rng := rand.New(rand.NewSource(int64(300 + k)))
-		tab := NewTable(500, k)
-		for i := 0; i < 2000; i++ {
-			tab.Add(graph.V(rng.Intn(500)), rng.Intn(k))
-		}
-		r1, r2 := tab.Reader(), tab.Reader()
-		for i := 0; i < 200; i++ {
-			u, v := graph.V(rng.Intn(500)), graph.V(rng.Intn(500))
-			want := append([]uint64(nil), tab.Candidates(u, v)...)
-			got1 := r1.Candidates(u, v)
-			got2 := r2.Candidates(v, u) // interleaved on a second reader
-			for wi := range want {
-				if got1[wi] != want[wi] || got2[wi] != want[wi] {
-					t.Fatalf("k=%d: reader candidates diverged at word %d", k, wi)
-				}
-				if r1.Word(u, wi) != tab.Word(u, wi) {
-					t.Fatalf("k=%d: reader word diverged", k)
-				}
-			}
-		}
-	}
-}
-
 // TestReleaseAdoptRoundTrip transplants a table's backing state out and
-// back, checking bits, counts and candidate masks survive and the released
-// table is reset.
+// back, checking bits, counts and the covered count survive and the
+// released table is reset.
 func TestReleaseAdoptRoundTrip(t *testing.T) {
 	for _, k := range []int{5, 200} {
 		rng := rand.New(rand.NewSource(int64(400 + k)))

@@ -80,10 +80,10 @@ func (o Options) Resolve() int {
 // AtomicTable is the concurrent form of pstate.Table: the same vertex-major
 // mask layout (one dense uint64 word per vertex for partitions 0..63, lazily
 // allocated overflow pages above), with bit sets done by atomic CAS on the
-// word and page allocation guarded by a mutex. It is API-compatible with the
-// read surface the scoring loops use (Has/Word/Candidates via View) and
-// converts to and from pstate.Table without copying a mask word
-// (FromTable/Freeze transplant the backing arrays).
+// word and page allocation guarded by a mutex. It offers the read surface
+// the scorer uses (Word, read with atomic loads, so W workers score
+// concurrently) and converts to and from pstate.Table without copying a
+// mask word (FromTable/Freeze transplant the backing arrays).
 type AtomicTable struct {
 	n, k, extra int
 	dense       []uint64 // accessed with atomic loads/CAS
@@ -285,53 +285,5 @@ func (t *AtomicTable) Word(v graph.V, wi int) uint64 {
 	return atomic.LoadUint64(&ov[wi-1])
 }
 
-// CandidatesInto fills m (⌈k/64⌉ words) with mask(u) | mask(v) — the same
-// candidate set pstate.Table.Candidates hands the scoring loops, read with
-// atomic loads. Workers pass their own scratch (see View).
-func (t *AtomicTable) CandidatesInto(m []uint64, u, v graph.V) []uint64 {
-	m[0] = atomic.LoadUint64(&t.dense[u]) | atomic.LoadUint64(&t.dense[v])
-	if t.extra > 0 {
-		ou, ov := t.page(u), t.page(v)
-		switch {
-		case ou == nil && ov == nil:
-			for i := 1; i < len(m); i++ {
-				m[i] = 0
-			}
-		case ov == nil:
-			for i := 0; i < t.extra; i++ {
-				m[i+1] = atomic.LoadUint64(&ou[i])
-			}
-		case ou == nil:
-			for i := 0; i < t.extra; i++ {
-				m[i+1] = atomic.LoadUint64(&ov[i])
-			}
-		default:
-			for i := 0; i < t.extra; i++ {
-				m[i+1] = atomic.LoadUint64(&ou[i]) | atomic.LoadUint64(&ov[i])
-			}
-		}
-	}
-	return m
-}
-
 // VertexCount returns |V(p)| for one partition.
 func (t *AtomicTable) VertexCount(p int) int64 { return atomic.LoadInt64(&t.vcount[p]) }
-
-// View is one worker's read handle on the table: the shared candidate-mask
-// API with a private scratch buffer, so W workers can score concurrently.
-type View struct {
-	t       *AtomicTable
-	scratch []uint64
-}
-
-// View returns a new independent read view.
-func (t *AtomicTable) View() *View {
-	return &View{t: t, scratch: make([]uint64, t.extra+1)}
-}
-
-// Candidates returns mask(u) | mask(v) in the view's private scratch; the
-// slice is valid until the next Candidates call on the same view.
-func (v *View) Candidates(u, w graph.V) []uint64 { return v.t.CandidatesInto(v.scratch, u, w) }
-
-// Word returns mask word wi of vertex x.
-func (v *View) Word(x graph.V, wi int) uint64 { return v.t.Word(x, wi) }

@@ -92,7 +92,7 @@ func TestAtomicTableConcurrentAdds(t *testing.T) {
 
 // TestFromTableFreezeRoundTrip transplants a warm sequential table (with
 // materialized overflow pages) into atomic form and back, checking nothing
-// is copied wrong and reads through a View match the original bits.
+// is copied wrong and mask words read atomically match the original bits.
 func TestFromTableFreezeRoundTrip(t *testing.T) {
 	const n, k = 1000, 200
 	rng := rand.New(rand.NewSource(2))
@@ -108,21 +108,27 @@ func TestFromTableFreezeRoundTrip(t *testing.T) {
 		bits = append(bits, b)
 	}
 	at := shard.FromTable(seq)
-	view := at.View()
 	for _, b := range bits {
 		if !at.Has(b.v, b.p) {
 			t.Fatalf("transplant lost bit (%d, %d)", b.v, b.p)
 		}
 	}
-	// Candidates through the view match a fresh sequential candidates call
-	// after the round trip.
-	u, v := graph.V(1), graph.V(2)
-	gotCand := append([]uint64(nil), view.Candidates(u, v)...)
+	// Mask words read through the atomic table match the sequential
+	// table's after the round trip, paged and unpaged vertices alike.
+	var got [][]uint64
+	for v := range graph.V(n) {
+		ws := make([]uint64, at.Words())
+		for wi := range ws {
+			ws[wi] = at.Word(v, wi)
+		}
+		got = append(got, ws)
+	}
 	back := at.Freeze()
-	wantCand := back.Candidates(u, v)
-	for i := range wantCand {
-		if gotCand[i] != wantCand[i] {
-			t.Fatalf("candidate word %d: got %x want %x", i, gotCand[i], wantCand[i])
+	for v, ws := range got {
+		for wi, w := range ws {
+			if want := back.Word(graph.V(v), wi); w != want {
+				t.Fatalf("vertex %d word %d: got %x want %x", v, wi, w, want)
+			}
 		}
 	}
 	for _, b := range bits {

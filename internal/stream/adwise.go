@@ -6,7 +6,6 @@ import (
 
 	"hep/internal/graph"
 	"hep/internal/part"
-	"hep/internal/pstate"
 )
 
 // ADWISE is the adaptive window-based streaming partitioner (Mayer et al.,
@@ -53,9 +52,8 @@ func (a *ADWISE) Partition(src graph.EdgeStream, k int) (*part.Result, error) {
 	buf := make([]graph.Edge, 0, window)
 	flushOne := func() {
 		// Pick the best (edge, partition) pair over the whole window. Per
-		// edge only the candidate partitions (replica overlap) plus the
-		// least-loaded fallback are scored; a full k-scan per window edge
-		// would repeat the work candidate iteration exists to avoid.
+		// edge only the partitions hosting an endpoint, read from their mask
+		// words, plus the least-loaded fallback are scored, not all k.
 		maxLoad, minLoad := res.Loads.Max(), res.Loads.Min()
 		counts := res.Counts
 		denom := hdrfEpsilon + float64(maxLoad-minLoad)
@@ -67,19 +65,15 @@ func (a *ADWISE) Partition(src graph.EdgeStream, k int) (*part.Result, error) {
 			sum := float64(du) + float64(dv)
 			gu := 1 + (1 - float64(du)/sum)
 			gv := 1 + (1 - float64(dv)/sum)
-			cand := res.Reps.Candidates(e.U, e.V)
-			if admissible {
-				pstate.SetBit(cand, argmin)
-			}
-			for wi, w := range cand {
-				if w == 0 {
-					continue
-				}
+			for wi := range res.Reps.Words() {
 				wu, wv := res.Reps.Word(e.U, wi), res.Reps.Word(e.V, wi)
+				w := wu | wv
+				if admissible && argmin>>6 == wi {
+					w |= 1 << (uint(argmin) & 63)
+				}
 				base := wi << 6
-				for w != 0 {
+				for ; w != 0; w &= w - 1 {
 					b := bits.TrailingZeros64(w)
-					w &= w - 1
 					p := base + b
 					if counts[p] >= capacity {
 						continue

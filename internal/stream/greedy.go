@@ -40,23 +40,18 @@ func (g *Greedy) Partition(src graph.EdgeStream, k int) (*part.Result, error) {
 	return res, nil
 }
 
-// greedyChoice iterates only the partitions hosting u or v (the candidate
-// mask): the both/either preferences can only come from there, and the
-// fallback — least loaded overall, even when every partition is at
+// greedyChoice iterates only the partitions hosting u or v, read from their
+// mask words: the both/either preferences can only come from there, and
+// the fallback — least loaded overall, even when every partition is at
 // capacity — is the load tracker's argmin.
 func greedyChoice(res *part.Result, u, v graph.V, capacity int64) int {
 	bothBest, eitherBest := -1, -1
 	counts := res.Counts
-	cand := res.Reps.Candidates(u, v)
-	for wi, w := range cand {
-		if w == 0 {
-			continue
-		}
+	for wi := range res.Reps.Words() {
 		wu, wv := res.Reps.Word(u, wi), res.Reps.Word(v, wi)
 		base := wi << 6
-		for w != 0 {
+		for w := wu | wv; w != 0; w &= w - 1 {
 			b := bits.TrailingZeros64(w)
-			w &= w - 1
 			p := base + b
 			load := counts[p]
 			if load >= capacity {

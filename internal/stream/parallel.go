@@ -33,9 +33,9 @@ type replicaWriter interface {
 	Add(v graph.V, p int) bool
 }
 
-// hdrfWorker is one placement worker: reps is where candidate masks come
-// from (the table being written for plain and informed streaming, a frozen
-// prior table's reader for re-streaming), table is where replica bits are
+// hdrfWorker is one placement worker: reps is where the scorer reads
+// replica masks (the table being written for plain and informed streaming,
+// a frozen prior table for re-streaming), table is where replica bits are
 // written. local is the worker's load view — a full pstate.Loads tracker
 // reloaded from the folded global counts at each batch boundary and advanced
 // per own assignment within the batch, so the in-batch loop has exactly the
@@ -101,7 +101,7 @@ func (w *hdrfWorker) PlaceBatch(edges []graph.Edge, parts []int32) {
 		}
 		p := bestHDRF(w.reps, counts, maxLoad, minLoad, am, u, v, deg[u], deg[v], w.lambda, w.capacity)
 		if p < 0 {
-			// Every candidate at capacity in the worker's view: least
+			// Every partition at capacity in the worker's view: least
 			// loaded, mirroring the sequential Loads.ArgMin fallback.
 			p = w.local.ArgMin()
 		}
@@ -154,15 +154,15 @@ func (h hdrfPass) run(src graph.EdgeStream, res *part.Result, opts shard.Options
 	if h.partial {
 		src = shard.AbortStream{EdgeStream: src, Stop: &fault.stop}
 	}
-	var sh *part.Shared
 	var table replicaWriter
+	var reps RepView
 	var loads *shard.ShardedLoads
 	var deliver func(edges []graph.Edge, parts []int32)
 	if workers == 1 {
 		// One worker writes the live table directly and scores exact loads
 		// through a single lane. Fixed batches: the adaptive sizer only
 		// bounds staleness, and one worker has none.
-		table, loads = res.Reps, shard.NewShardedLoads(res.Loads, 1)
+		table, reps, loads = res.Reps, res.Reps, shard.NewShardedLoads(res.Loads, 1)
 		if opts.BatchEdges <= 0 {
 			opts.BatchEdges = shard.DefaultBatchEdges
 		}
@@ -179,9 +179,9 @@ func (h hdrfPass) run(src graph.EdgeStream, res *part.Result, opts shard.Options
 			res.SampleQuality(opts.Hub)
 		}
 	} else {
-		sh = res.Shared(workers).SetObs(opts.Obs)
+		sh := res.Shared(workers).SetObs(opts.Obs)
 		defer sh.Finish()
-		table, loads = sh.Table, sh.Loads
+		table, reps, loads = sh.Table, sh.Table, sh.Loads
 		// Size batches from totalM, never src.NumEdges(): a count-less
 		// stream (NumEdges() == 0, count unknown) would collapse the batch
 		// to the 256 floor and pay ~16× the per-batch synchronization.
@@ -193,10 +193,14 @@ func (h hdrfPass) run(src graph.EdgeStream, res *part.Result, opts shard.Options
 			sh.SampleQuality(opts.Hub)
 		}
 	}
+	if h.prior != nil {
+		reps = h.prior
+	}
 	ws := make([]shard.BatchPlacer, workers)
 	for i := range ws {
-		w := &hdrfWorker{
+		ws[i] = &hdrfWorker{
 			id:       i,
+			reps:     reps,
 			table:    table,
 			loads:    loads,
 			deg:      h.deg,
@@ -206,15 +210,6 @@ func (h hdrfPass) run(src graph.EdgeStream, res *part.Result, opts shard.Options
 			local:    pstate.NewLoads(res.K),
 			fault:    &fault,
 		}
-		switch {
-		case h.prior != nil:
-			w.reps = h.prior.Reader()
-		case sh != nil:
-			w.reps = sh.Table.View()
-		default:
-			w.reps = res.Reps
-		}
-		ws[i] = w
 	}
 	if err := shard.Run(src, ws, opts, deliver); err != nil {
 		return err

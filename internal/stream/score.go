@@ -4,14 +4,16 @@
 //
 // All partitioners here look at one edge (or a small window) at a time and
 // keep only per-partition state: edge counts and the vertex-major replica
-// table. The scoring loops iterate only the *candidate* partitions — those
-// already hosting one of the edge's endpoints, handed over as a k-bit mask
-// by pstate.Table — plus the least-loaded partition as the balance-only
-// fallback. A partition hosting neither endpoint scores rep = 0, and among
-// those the balance term is maximized exactly at the minimum load, so this
-// candidate set provably contains the full-scan argmax (ties included: the
-// fallback anchor is the lowest-index minimum-load partition, which is the
-// one a full ascending scan would keep).
+// table. The scoring loops read the endpoints' k-bit masks from
+// pstate.Table a word at a time. The HDRF scorer then scores at most four
+// finalists per edge: the least-loaded admissible partition of each replica
+// class (hosting both endpoints, u only, v only) and the least-loaded
+// partition overall. Within a class every partition has the same replica
+// term, and the balance term never falls as the load falls, so a class's
+// least-loaded partition is the best it has (ties included: it is also
+// the lowest index at that load, the one a full ascending scan keeps). A
+// partition hosting neither endpoint has no replica term, so none of them
+// beats the least-loaded partition overall, the load tracker's argmin.
 package stream
 
 import (
@@ -19,7 +21,6 @@ import (
 	"math/bits"
 
 	"hep/internal/graph"
-	"hep/internal/pstate"
 )
 
 // hdrfEpsilon avoids division by zero in the balance term (Petroni et al.).
@@ -50,14 +51,12 @@ func Capacity(alpha float64, m int64, k int) int64 {
 	return int64(math.Ceil(alpha * float64(m) / float64(k)))
 }
 
-// RepView is the read surface of a replica table the scorer needs: the
-// candidate mask of an edge (partitions hosting either endpoint) and
-// per-vertex mask words. *pstate.Table (the live table one worker scores
-// and writes), pstate.Reader (a frozen prior state, one per re-streaming
-// worker) and shard.View (one worker's handle on the concurrent
-// AtomicTable) implement it.
+// RepView is the read surface of a replica table the scorer needs: mask
+// word wi (partitions 64·wi .. 64·wi+63) of a vertex. *pstate.Table (the
+// live table one worker scores and writes, or a frozen prior table the
+// re-streaming workers share) and *shard.AtomicTable (the concurrent table
+// W > 1 workers share) implement it.
 type RepView interface {
-	Candidates(u, v graph.V) []uint64
 	Word(v graph.V, wi int) uint64
 }
 
@@ -70,47 +69,58 @@ type RepView interface {
 //	C_BAL  = λ · (maxLoad − load_p) / (ε + maxLoad − minLoad)
 //
 // Replica affinity comes from reps; loads come from an explicit view (a
-// worker's load snapshot plus its own in-batch increments) whose argmin is
-// < 0 when no admissible fallback partition exists. Only candidate
-// partitions are scored (see the package comment). Ties break toward the
-// lower load, then the lower index, matching a full ascending scan and
-// keeping runs deterministic.
+// worker's load snapshot plus its own in-batch increments): counts, their
+// bounds, and argmin, the lowest-index partition at minLoad, or < 0 when no
+// admissible fallback partition exists. Ties break toward the lower load,
+// then the lower index, matching a full ascending scan and keeping runs
+// deterministic.
+//
+// One pass over the endpoints' mask words keeps the lowest-(load, index)
+// admissible partition of each replica class, and only those and argmin
+// are scored (see the package comment; λ ≥ 0 makes the balance term
+// non-increasing in the load).
 //
 //hep:noalloc
 func bestHDRF(reps RepView, counts []int64, maxLoad, minLoad int64, argmin int, u, v graph.V, du, dv int32, lambda float64, capacity int64) int {
-	cand := reps.Candidates(u, v)
-	if argmin >= 0 {
-		pstate.SetBit(cand, argmin)
+	// fin[c] is the finalist of replica class c (1 = u only, 2 = v only,
+	// 3 = both) and lo[c] its load; fin[0] is argmin, scored with no
+	// replica term. Were argmin in class c, it would also be fin[c], scored
+	// in full there. Starting lo at capacity admits only loads below it. The
+	// ascending scan replaces a finalist only on a strictly lower load, so
+	// the lowest index wins a tie; the update is a select, not a branch, so
+	// it compiles to conditional moves.
+	fin := [4]int{-1, -1, -1, -1}
+	lo := [4]int64{capacity, capacity, capacity, capacity}
+	for wi := range (len(counts) + 63) >> 6 {
+		wu, wv := reps.Word(u, wi), reps.Word(v, wi)
+		base := wi << 6
+		for w := wu | wv; w != 0; w &= w - 1 {
+			b := bits.TrailingZeros64(w)
+			c := wu>>b&1 | wv>>b&1<<1
+			l, f := counts[base+b], fin[c]
+			if l < lo[c] {
+				f = base + b
+			}
+			fin[c], lo[c] = f, min(l, lo[c])
+		}
+	}
+	if argmin >= 0 && counts[argmin] < capacity {
+		fin[0] = argmin
 	}
 	sum := float64(du) + float64(dv)
 	gu := 1 + (1 - float64(du)/sum)
 	gv := 1 + (1 - float64(dv)/sum)
+	rep := [4]float64{0, gu, gv, gu + gv}
 	denom := hdrfEpsilon + float64(maxLoad-minLoad)
 	best, bestScore := -1, math.Inf(-1)
-	for wi, w := range cand {
-		if w == 0 {
+	for c, p := range fin {
+		if p < 0 {
 			continue
 		}
-		wu, wv := reps.Word(u, wi), reps.Word(v, wi)
-		base := wi << 6
-		for w != 0 {
-			b := bits.TrailingZeros64(w)
-			w &= w - 1
-			p := base + b
-			if counts[p] >= capacity {
-				continue
-			}
-			var rep float64
-			if wu>>b&1 != 0 {
-				rep += gu
-			}
-			if wv>>b&1 != 0 {
-				rep += gv
-			}
-			s := rep + lambda*float64(maxLoad-counts[p])/denom
-			if s > bestScore || (s == bestScore && best >= 0 && counts[p] < counts[best]) {
-				best, bestScore = p, s
-			}
+		s := rep[c] + lambda*float64(maxLoad-counts[p])/denom
+		if s > bestScore || (s == bestScore && best >= 0 &&
+			(counts[p] < counts[best] || counts[p] == counts[best] && p < best)) {
+			best, bestScore = p, s
 		}
 	}
 	return best
