@@ -55,7 +55,7 @@ func main() {
 		refineWorkers = flag.Int("refine-workers", 0, "refinement parallelism, independent of -workers "+
 			"(0 = all cores, 1 = deterministic sequential path)")
 		mmap = flag.Bool("mmap", false, "memory-map the input instead of streaming it through the "+
-			"chunked reader: zero-copy ingest on little-endian hosts (falls back to positioned reads "+
+			"chunked reader: zero-copy ingest on little-endian hosts (the chunked reader serves "+
 			"where mmap is unavailable)")
 		batch = flag.Int("batch", 0, "pin the parallel engine's fan-out batch size "+
 			"(0 = stream-scaled ceiling with capacity-aware adaptive sizing)")
@@ -127,7 +127,7 @@ func main() {
 		fail(merr)
 		defer ms.Close()
 		if *verbose {
-			fmt.Fprintf(os.Stderr, "hep-partition: mmap input (mapped=%v zero-copy=%v)\n", ms.Mapped(), ms.ZeroCopy())
+			fmt.Fprintf(os.Stderr, "hep-partition: mmap input (mapped=%v)\n", ms.Mapped())
 		}
 		src = ms
 	} else {

@@ -25,10 +25,10 @@
 // paper's evaluation.
 //
 // For graphs larger than RAM, AlgoBuffered runs the out-of-core engine
-// (internal/ooc): a chunked, prefetching stream over the binary edge file
-// feeds a bounded B-edge buffer that is partitioned batch-wise by
-// neighborhood expansion seeded with the global replica state, with an
-// informed HDRF fallback — resident memory is O(|V|) vertex state plus the
+// (internal/ooc): the chunked reader of the binary edge file feeds a
+// bounded B-edge buffer that is partitioned batch-wise by neighborhood
+// expansion seeded with the global replica state, with an informed HDRF
+// fallback — resident memory is O(|V|) vertex state plus the
 // configured buffer, never the edge list. PartitionFile composes the whole
 // recipe (open, discover, pick τ or buffer from Config.MemBudget, spill
 // E_h2h to a compressed run file, partition) in one call:
@@ -467,9 +467,11 @@ func Dataset(name string, scale float64) *MemGraph {
 // DatasetNames lists the dataset registry.
 func DatasetNames() []string { return gen.DatasetNames() }
 
-// ReadBinaryFile loads a binary edge list (consecutive little-endian
-// uint32 pairs, the paper's input format).
-func ReadBinaryFile(path string) ([]Edge, error) { return edgeio.ReadBinaryFile(path) }
+// ReadBinaryFile loads a whole binary edge list (consecutive little-endian
+// uint32 pairs, the paper's input format) into one exactly-sized slice,
+// reading the records straight into it as the chunked reader does. A size
+// that is not a multiple of 8 is an error.
+func ReadBinaryFile(path string) ([]Edge, error) { return ooc.ReadFile(path) }
 
 // WriteBinaryFile writes a binary edge list.
 func WriteBinaryFile(path string, edges []Edge) error {
@@ -478,16 +480,17 @@ func WriteBinaryFile(path string, edges []Edge) error {
 
 // OpenBinaryFile opens a binary edge list as a streaming EdgeStream
 // without loading it into memory: the chunked reader of OpenChunked, at the
-// default chunk size. n ≤ 0 discovers the vertex count.
+// default slab size. n ≤ 0 discovers the vertex count.
 func OpenBinaryFile(path string, n int) (EdgeStream, error) {
 	return ooc.Open(path, max(n, 0), 0)
 }
 
-// OpenChunked opens a binary edge list as a chunked, prefetching EdgeStream
-// (the out-of-core engine's reader): a concurrent read-ahead goroutine keeps
-// one chunk in flight while the previous one is decoded. n may be 0 to
-// discover the vertex count (or < 0 to skip discovery); chunkEdges 0
-// selects the default chunk size.
+// OpenChunked opens a binary edge list as the chunked reader, the
+// out-of-core engine's one reader of the format: on every pass a read-ahead
+// goroutine reads the file straight into []Edge slabs of chunkEdges edges
+// (0 selects 32Ki, 256 KiB), allocated on demand up to three per pass, and
+// lends them to the consumer while it reads the next. n may be 0 to
+// discover the vertex count (or < 0 to skip discovery).
 func OpenChunked(path string, n, chunkEdges int) (EdgeStream, error) {
 	return ooc.Open(path, n, chunkEdges)
 }
@@ -499,9 +502,9 @@ type MmapStream = ooc.MmapStream
 // OpenMmap opens a binary edge list as a memory-mapped EdgeStream: the
 // kernel pages edge bytes straight into the process, and on little-endian
 // hosts the partitioners' ingest borrows slices of the mapping itself —
-// zero read syscalls, zero decode, zero copy on the dispatch path. On
-// platforms without mmap (or under the nommap build tag) the same stream
-// transparently falls back to positioned reads with pooled decode buffers.
+// zero read syscalls, zero decode, zero copy on the dispatch path. Where
+// the file cannot be mapped (no mmap, the nommap build tag, a big-endian
+// host) the stream is the chunked reader of OpenChunked instead.
 // n may be 0 to discover the vertex count (or < 0 to skip discovery).
 // Unlike the other Open* streams the result must be Closed.
 func OpenMmap(path string, n int) (*MmapStream, error) {
@@ -565,8 +568,8 @@ func FitBudget(src EdgeStream, cfg Config) (Config, error) {
 }
 
 // PartitionFile partitions an on-disk binary edge list without ever
-// materializing it: the file is opened as a chunked prefetching stream and
-// fed to the configured partitioner. When Config.MemBudget is set, the
+// materializing it: the file is opened with the chunked reader (OpenChunked)
+// and fed to the configured partitioner. When Config.MemBudget is set, the
 // partitioner is fit to the budget first — AlgoHEP picks the largest τ whose
 // §4.2 footprint fits (ChooseTau) and spills E_h2h to a compressed on-disk
 // run instead of RAM; AlgoBuffered sizes its edge buffer so batch-local

@@ -46,7 +46,7 @@ func TestPipelineFileToPartitionFiles(t *testing.T) {
 	}
 	var total int64
 	for p := 0; p < k; p++ {
-		edges, err := edgeio.ReadBinaryFile(filepath.Join(dir, "out") + "." + itoa(p) + ".bin")
+		edges, err := ReadBinaryFile(filepath.Join(dir, "out") + "." + itoa(p) + ".bin")
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -95,7 +95,7 @@ func TableIngest(cfg Config) ([]TableIngestRow, error) {
 				elapsed := time.Since(start)
 				zero := false
 				if ms != nil {
-					zero = ms.ZeroCopy()
+					zero = ms.Mapped()
 					ms.Close()
 				}
 				if err != nil {

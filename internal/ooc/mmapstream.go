@@ -1,7 +1,6 @@
 package ooc
 
 import (
-	"encoding/binary"
 	"fmt"
 	"os"
 	"sync/atomic"
@@ -10,265 +9,120 @@ import (
 	"hep/internal/graph"
 )
 
+// mapChunkEdges is the length of the mapping slices MmapStream lends. They
+// alias the mapping, so the size costs no memory; it only sets where the
+// batch engine's batches are cut.
+const mapChunkEdges = 1 << 16
+
 // MmapStream is a binary edge-list reader in the spirit of the exemplar HEP
 // implementation, which memory-maps its graph file: the kernel pages edge
 // data straight into the partitioner's address space, so ingest costs no
-// read syscalls, no userspace buffer and — on little-endian hosts, where the
-// on-disk layout *is* the in-memory []graph.Edge layout — no decode either:
-// Chunks lends slices of the mapping itself.
+// read syscalls and no userspace buffer, and — on little-endian hosts, where
+// the on-disk layout *is* the in-memory []graph.Edge layout — Chunks lends
+// slices of the mapping itself.
 //
-// Portability: on platforms without mmap support (or under the nommap build
-// tag, which CI exercises) the same type transparently falls back to ReadAt
-// over the kept-open file with pooled decode slabs — same API, same edge
-// sequence, one buffered copy more. Mapped reports which mode is active.
+// It has two modes. Where the file can be mapped on a little-endian host it
+// lends the mapping; everywhere else (no mmap, the nommap build tag, which
+// CI exercises, a big-endian host, a failed map) it is the chunked reader
+// of Open — same API, same edge sequence. Mapped reports which.
 //
-// Unlike Stream, an MmapStream holds OS resources (the mapping and the file
-// descriptor) for its whole lifetime and must be Closed; lent slabs must be
-// released before Close.
+// Unlike Stream, a mapped MmapStream holds the mapping for its whole
+// lifetime and must be Closed; lent slabs must be released before Close.
 type MmapStream struct {
-	path       string
-	n          int
-	m          int64
-	chunkEdges int
-
-	f       *os.File
-	data    []byte       // the mapping (nil in ReadAt-fallback mode)
+	file    Stream       // path and counts; the chunked reader when unmapped
+	edges   []graph.Edge // the mapping as edges (nil: the chunked reader serves)
 	unmap   func() error // releases the mapping
-	edges   []graph.Edge // zero-copy view of data (little-endian hosts only)
 	closed  atomic.Bool
-	lentOut atomic.Int64 // slabs currently lent (guards Close in tests)
+	lentOut atomic.Int64 // mapping slices currently lent (guards Close in tests)
 }
-
-// hostLittleEndian reports whether the running machine stores uint32s in
-// the file's byte order, making the mapped bytes directly reinterpretable.
-var hostLittleEndian = func() bool {
-	x := uint32(0x01020304)
-	return *(*byte)(unsafe.Pointer(&x)) == 0x04
-}()
-
-// edgeLayoutMatches pins the struct layout the zero-copy view depends on:
-// graph.Edge must be exactly two packed uint32s, U first.
-const edgeLayoutMatches = unsafe.Sizeof(graph.Edge{}) == 8 && unsafe.Offsetof(graph.Edge{}.V) == 4
 
 // OpenMmap opens a binary edge-list file (consecutive little-endian uint32
 // pairs, the same format Open reads) as a memory-mapped EdgeStream. n > 0
 // declares the vertex count, n == 0 discovers it with one scan over the
-// mapping, n < 0 skips discovery (NumVertices reports 0). If the platform
-// cannot map the file the reader silently uses its ReadAt fallback.
+// mapping, n < 0 skips discovery (NumVertices reports 0). If the file cannot
+// be mapped the stream is the chunked reader instead.
 func OpenMmap(path string, n int) (*MmapStream, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
+	defer f.Close() // a mapping outlives its descriptor
 	fi, err := f.Stat()
 	if err != nil {
-		f.Close()
 		return nil, err
 	}
-	if fi.Size()%8 != 0 {
-		f.Close()
-		return nil, fmt.Errorf("ooc: %s: size %d not a multiple of 8", path, fi.Size())
+	m, err := edgeCount(path, fi.Size())
+	if err != nil {
+		return nil, err
 	}
-	s := &MmapStream{path: path, m: fi.Size() / 8, chunkEdges: DefaultChunkEdges, f: f}
-	if fi.Size() > 0 {
-		if data, unmap, err := mmapFile(f, fi.Size()); err == nil {
-			s.data, s.unmap = data, unmap
-			if hostLittleEndian && edgeLayoutMatches {
-				s.edges = unsafe.Slice((*graph.Edge)(unsafe.Pointer(&data[0])), s.m)
-			}
-		}
+	s := &MmapStream{file: Stream{path: path, m: m, chunkEdges: int(min(DefaultChunkEdges, m))}}
+	if m > 0 && hostLittleEndian {
 		// A map failure (errMmapUnsupported, exotic filesystems, 32-bit
-		// address-space exhaustion) is not fatal: the ReadAt path serves the
-		// same edges from the same descriptor.
-	}
-	if n > 0 {
-		s.n = n
-		return s, nil
-	}
-	if n < 0 {
-		return s, nil
-	}
-	var max graph.V
-	seen := false
-	if err := s.Edges(func(u, v graph.V) bool {
-		seen = true
-		if u > max {
-			max = u
+		// address-space exhaustion) is not fatal: the chunked reader
+		// serves the same edges.
+		if data, unmap, err := mmapFile(f, fi.Size()); err == nil {
+			s.edges, s.unmap = unsafe.Slice((*graph.Edge)(unsafe.Pointer(&data[0])), m), unmap
 		}
-		if v > max {
-			max = v
-		}
-		return true
-	}); err != nil {
+	}
+	if s.file.n, err = vertexCount(s, n); err != nil {
 		s.Close()
 		return nil, err
-	}
-	if seen {
-		s.n = int(max) + 1
 	}
 	return s, nil
 }
 
 // NumVertices implements graph.EdgeStream.
-func (s *MmapStream) NumVertices() int { return s.n }
+func (s *MmapStream) NumVertices() int { return s.file.n }
 
 // NumEdges implements graph.EdgeStream.
-func (s *MmapStream) NumEdges() int64 { return s.m }
+func (s *MmapStream) NumEdges() int64 { return s.file.m }
 
-// Mapped reports whether the file is actually memory-mapped (false in the
-// ReadAt fallback mode — nommap builds or platforms without mmap).
-func (s *MmapStream) Mapped() bool { return s.data != nil }
+// Mapped reports whether Chunks lends slices of the mapping itself (false
+// when the stream is the chunked reader).
+func (s *MmapStream) Mapped() bool { return s.edges != nil }
 
-// ZeroCopy reports whether Chunks lends slices of the mapping itself
-// (mapped, little-endian host) rather than decoded pool slabs.
-func (s *MmapStream) ZeroCopy() bool { return s.edges != nil }
-
-// Close unmaps the file and closes the descriptor. Idempotent. Lent slabs
-// of a zero-copy stream must be released before Close — they alias the
-// mapping.
+// Close unmaps the file. Idempotent. Lent slabs of a mapped stream must be
+// released before Close — they alias the mapping.
 func (s *MmapStream) Close() error {
-	if !s.closed.CompareAndSwap(false, true) {
+	if !s.closed.CompareAndSwap(false, true) || s.unmap == nil {
 		return nil
 	}
-	var err error
-	if s.unmap != nil {
-		err = s.unmap()
-		s.data, s.edges = nil, nil
-	}
-	if cerr := s.f.Close(); err == nil {
-		err = cerr
-	}
-	return err
+	s.edges = nil
+	return s.unmap()
 }
 
-// Edges implements graph.EdgeStream. Zero-copy mode walks the mapped edge
-// view directly; mapped big-endian hosts decode from the mapping; the
-// fallback decodes from ReadAt chunks.
+// Edges implements graph.EdgeStream over the slabs of one Chunks pass.
 func (s *MmapStream) Edges(yield func(u, v graph.V) bool) error {
-	if s.closed.Load() {
-		return fmt.Errorf("ooc: %s: stream is closed", s.path)
-	}
-	if s.edges != nil {
-		for i := range s.edges {
-			if !yield(s.edges[i].U, s.edges[i].V) {
-				return nil
-			}
-		}
-		return nil
-	}
-	if s.data != nil {
-		for off := 0; off < len(s.data); off += 8 {
-			u := binary.LittleEndian.Uint32(s.data[off : off+4])
-			v := binary.LittleEndian.Uint32(s.data[off+4 : off+8])
-			if !yield(u, v) {
-				return nil
-			}
-		}
-		return nil
-	}
-	buf := make([]byte, s.chunkEdges*8)
-	var off int64
-	for off < s.m*8 {
-		n, err := s.f.ReadAt(buf, off)
-		if valid := n - n%8; valid > 0 {
-			for i := 0; i < valid; i += 8 {
-				u := binary.LittleEndian.Uint32(buf[i : i+4])
-				v := binary.LittleEndian.Uint32(buf[i+4 : i+8])
-				if !yield(u, v) {
-					return nil
-				}
-			}
-			off += int64(valid)
-		}
-		if err != nil {
-			if off >= s.m*8 {
-				return nil
-			}
-			return fmt.Errorf("ooc: %s: read at %d: %w", s.path, off, err)
-		}
-	}
-	return nil
+	return eachEdge(s.Chunks, yield)
 }
 
-// Chunks implements graph.ChunkStream. In zero-copy mode the lent slabs are
-// slices of the mapping itself — release is a no-op and nothing is ever
-// copied or decoded. Otherwise chunks are decoded into a pool of lentSlabs
-// recycled slabs, like Stream.Chunks without the prefetch goroutine (the
-// page cache — or the mapping — already holds the bytes).
+// Chunks implements graph.ChunkStream. A mapped stream lends slices of the
+// mapping itself — nothing is ever read, copied or decoded, and release
+// only counts the slice back in. Otherwise it is the chunked reader's pass.
 func (s *MmapStream) Chunks(yield func(edges []graph.Edge, release func()) bool) error {
 	if s.closed.Load() {
-		return fmt.Errorf("ooc: %s: stream is closed", s.path)
+		return fmt.Errorf("ooc: %s: stream is closed", s.file.path)
 	}
-	if s.edges != nil {
-		for off := 0; off < len(s.edges); off += s.chunkEdges {
-			end := off + s.chunkEdges
-			if end > len(s.edges) {
-				end = len(s.edges)
-			}
-			s.lentOut.Add(1)
-			var released atomic.Bool
-			release := func() {
-				if released.CompareAndSwap(false, true) {
-					s.lentOut.Add(-1)
-				}
-			}
-			if !yield(s.edges[off:end:end], release) {
-				return nil
-			}
-		}
-		return nil
+	if s.edges == nil {
+		return s.file.Chunks(yield)
 	}
-	free := make(chan []graph.Edge, lentSlabs)
-	for i := 0; i < lentSlabs; i++ {
-		free <- make([]graph.Edge, s.chunkEdges)
-	}
-	var buf []byte
-	if s.data == nil {
-		buf = make([]byte, s.chunkEdges*8)
-	}
-	var off int64
-	for off < s.m*8 {
-		slab := <-free
-		var edges []graph.Edge
-		if s.data != nil {
-			end := off + int64(s.chunkEdges*8)
-			if end > int64(len(s.data)) {
-				end = int64(len(s.data))
-			}
-			edges = slab[:(end-off)/8]
-			decodeEdges(edges, s.data[off:end])
-			off = end
-		} else {
-			n, err := s.f.ReadAt(buf, off)
-			valid := n - n%8
-			if valid == 0 {
-				if err != nil && off < s.m*8 {
-					return fmt.Errorf("ooc: %s: read at %d: %w", s.path, off, err)
-				}
-				return nil
-			}
-			edges = slab[:valid/8]
-			decodeEdges(edges, buf[:valid])
-			off += int64(valid)
-		}
-		full := slab
+	for off := 0; off < len(s.edges); off += mapChunkEdges {
+		end := min(off+mapChunkEdges, len(s.edges))
+		s.lentOut.Add(1)
 		var released atomic.Bool
 		release := func() {
 			if released.CompareAndSwap(false, true) {
-				select {
-				case free <- full:
-				default:
-				}
+				s.lentOut.Add(-1)
 			}
 		}
-		if !yield(edges, release) {
+		if !yield(s.edges[off:end:end], release) {
 			return nil
 		}
 	}
 	return nil
 }
 
-// Lent returns the number of zero-copy slabs currently lent out (always 0
-// in fallback modes, whose slabs are pool-owned). Test hook for the release
-// discipline.
+// Lent returns the number of mapping slices currently lent out (always 0
+// for the chunked reader, whose slabs are pool-owned). Test hook for the
+// release discipline.
 func (s *MmapStream) Lent() int64 { return s.lentOut.Load() }

@@ -30,9 +30,9 @@ type RunWriter struct {
 	buf   [2 * binary.MaxVarintLen64]byte
 }
 
-// NewRunWriter returns a RunWriter encoding into w.
+// NewRunWriter returns a RunWriter encoding into w through a 64 KiB buffer.
 func NewRunWriter(w io.Writer) *RunWriter {
-	return &RunWriter{w: bufio.NewWriterSize(w, 1<<20)}
+	return &RunWriter{w: bufio.NewWriterSize(w, 64<<10)}
 }
 
 // Append encodes one edge.
@@ -64,9 +64,10 @@ type RunReader struct {
 	count int64
 }
 
-// NewRunReader returns a RunReader decoding count edges from r.
-func NewRunReader(r io.Reader, count int64) *RunReader {
-	return &RunReader{r: bufio.NewReaderSize(r, 1<<20), count: count}
+// NewRunReader returns a RunReader decoding count edges, encoded in size
+// bytes, from r. Its read buffer is sized to the run, at most 1 MiB.
+func NewRunReader(r io.Reader, count, size int64) *RunReader {
+	return &RunReader{r: bufio.NewReaderSize(r, int(min(size, 1<<20))), count: count}
 }
 
 // Edges decodes every edge, stopping early if yield returns false.
@@ -132,7 +133,7 @@ func (s *VarintH2H) Edges(yield func(u, v graph.V) bool) error {
 	if _, err := s.f.Seek(0, io.SeekStart); err != nil {
 		return err
 	}
-	rr := NewRunReader(s.f, s.rw.Count())
+	rr := NewRunReader(s.f, s.rw.Count(), s.rw.Bytes())
 	if err := rr.Edges(yield); err != nil {
 		return err
 	}

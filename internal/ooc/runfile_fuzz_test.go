@@ -48,7 +48,7 @@ func FuzzRunRoundTrip(f *testing.F) {
 			t.Fatalf("encoded %d bytes, writer tracked %d", buf.Len(), rw.Bytes())
 		}
 		var got []graph.Edge
-		rr := NewRunReader(bytes.NewReader(buf.Bytes()), rw.Count())
+		rr := NewRunReader(bytes.NewReader(buf.Bytes()), rw.Count(), rw.Bytes())
 		if err := rr.Edges(func(u, v graph.V) bool {
 			got = append(got, graph.Edge{U: u, V: v})
 			return true
@@ -112,7 +112,7 @@ func FuzzRunRoundTrip(f *testing.F) {
 		// errors (or a clean early stop), never a panic; accepted edges must
 		// be within the u32 vertex domain by the decoder's range check.
 		count := int64(len(data))/2 + 1
-		hostile := NewRunReader(bytes.NewReader(data), count)
+		hostile := NewRunReader(bytes.NewReader(data), count, int64(len(data)))
 		decoded := 0
 		if err := hostile.Edges(func(u, v graph.V) bool {
 			decoded++

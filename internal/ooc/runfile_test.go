@@ -32,7 +32,7 @@ func TestRunRoundTrip(t *testing.T) {
 		t.Fatalf("Bytes() = %d, buffer holds %d", w.Bytes(), buf.Len())
 	}
 
-	r := NewRunReader(&buf, w.Count())
+	r := NewRunReader(&buf, w.Count(), w.Bytes())
 	i := 0
 	err := r.Edges(func(u, v graph.V) bool {
 		if g.E[i] != (graph.Edge{U: u, V: v}) {
@@ -68,7 +68,7 @@ func TestRunExtremeIds(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got []graph.Edge
-	err := NewRunReader(&buf, w.Count()).Edges(func(u, v graph.V) bool {
+	err := NewRunReader(&buf, w.Count(), w.Bytes()).Edges(func(u, v graph.V) bool {
 		got = append(got, graph.Edge{U: u, V: v})
 		return true
 	})
@@ -94,7 +94,7 @@ func TestRunTruncated(t *testing.T) {
 		t.Fatal(err)
 	}
 	cut := buf.Bytes()[:buf.Len()-1]
-	err := NewRunReader(bytes.NewReader(cut), 10).Edges(func(u, v graph.V) bool { return true })
+	err := NewRunReader(bytes.NewReader(cut), 10, int64(len(cut))).Edges(func(u, v graph.V) bool { return true })
 	if err == nil {
 		t.Fatal("truncated run accepted")
 	}

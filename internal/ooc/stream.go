@@ -1,14 +1,17 @@
 // Package ooc is the out-of-core engine: a bounded-memory pipeline for
-// partitioning graphs that do not fit in RAM. It provides a chunked,
-// double-buffered prefetching edge stream over binary edge-list files, an
-// external-memory degree pass, delta-varint-encoded on-disk edge runs (also
-// usable as the H2H spill store of paper §3.2.1), and a buffered streaming
-// partitioner (Buffered) in the spirit of buffered streaming edge
-// partitioning (Chhabra et al., 2024): fill a bounded edge buffer, partition
-// the batch with neighborhood expansion seeded by the global replica state,
-// flush, repeat. Regions grow sequentially at every worker count; Workers > 1
-// fans out only the per-edge fallback through the batch engine
-// (internal/shard), so the buffer a byte budget buys does not depend on it.
+// partitioning graphs that do not fit in RAM. It provides the one reader of
+// binary edge-list files (Stream: a read-ahead goroutine reads the file
+// straight into lent []graph.Edge slabs, and every per-edge pass walks those
+// slabs; MmapStream lends the mapping instead where it can; ReadFile loads a
+// whole file), an external-memory degree pass, delta-varint-encoded on-disk
+// edge runs (also usable as the H2H spill store of paper §3.2.1), and a
+// buffered streaming partitioner (Buffered) in the spirit of buffered
+// streaming edge partitioning (Chhabra et al., 2024): fill a bounded edge
+// buffer, partition the batch with neighborhood expansion seeded by the
+// global replica state, flush, repeat. Regions grow sequentially at every
+// worker count; Workers > 1 fans out only the per-edge fallback through the
+// batch engine (internal/shard), so the buffer a byte budget buys does not
+// depend on it.
 //
 // The resident set of every component is bounded by O(|V|) vertex state
 // (degree array, replica bitsets) plus a configurable buffer; the edge list
@@ -16,24 +19,134 @@
 package ooc
 
 import (
-	"encoding/binary"
 	"fmt"
 	"io"
+	"math/bits"
 	"os"
 	"sync/atomic"
+	"unsafe"
 
 	"hep/internal/graph"
 )
 
-// DefaultChunkEdges is the default read-ahead chunk size: 64Ki edges
-// (512 KiB per chunk, two chunks in flight).
-const DefaultChunkEdges = 1 << 16
+// DefaultChunkEdges is the default slab size of the chunked reader: 32Ki
+// edges, 256 KiB per slab, at most lentSlabs of them per pass.
+const DefaultChunkEdges = 1 << 15
 
-// Stream is a chunked, prefetching graph.EdgeStream over a binary edge-list
-// file (consecutive little-endian uint32 pairs). Every Edges call restarts
-// the file and runs a concurrent read-ahead goroutine that keeps one chunk
-// in flight while the previous one is consumed, so decode and disk I/O
-// overlap. At most two chunks are resident at any time.
+// lentSlabs caps the slabs one pass of the chunked reader allocates. They
+// are allocated on demand: a file smaller than one slab costs one, and a
+// consumer that releases each slab before taking the next usually costs two
+// (one being walked, one being read). The third is the lending slack — while
+// a slow consumer (a worker still placing the batches sliced out of one
+// slab) holds a slab past the next yield, the read-ahead goroutine still has
+// a slab to read into, so read-ahead never stalls on a lent buffer.
+const lentSlabs = 3
+
+// The wire format is graph.Edge's memory layout — two uint32s, U first — so
+// the reader reads records straight into edge slabs. This line stops
+// compiling if that layout ever changes.
+var _ = [1]struct{}{}[unsafe.Sizeof(graph.Edge{})-8+unsafe.Offsetof(graph.Edge{}.V)-4]
+
+// hostLittleEndian reports whether the running machine stores uint32s in
+// the file's byte order, so records read into a slab are already native.
+var hostLittleEndian = func() bool {
+	x := uint32(0x01020304)
+	return *(*byte)(unsafe.Pointer(&x)) == 0x04
+}()
+
+// edgeBytes views edges as the bytes of their records.
+func edgeBytes(edges []graph.Edge) []byte {
+	if len(edges) == 0 {
+		return nil
+	}
+	return unsafe.Slice((*byte)(unsafe.Pointer(&edges[0])), len(edges)*8)
+}
+
+// readEdges fills edges with the next records of r, in native byte order.
+func readEdges(r io.Reader, edges []graph.Edge) error {
+	if _, err := io.ReadFull(r, edgeBytes(edges)); err != nil {
+		return err
+	}
+	if !hostLittleEndian {
+		swapBytes(edges)
+	}
+	return nil
+}
+
+// swapBytes reverses the byte order of every id in place: on a big-endian
+// host it turns little-endian records into native ids.
+func swapBytes(edges []graph.Edge) {
+	for i := range edges {
+		edges[i].U = bits.ReverseBytes32(edges[i].U)
+		edges[i].V = bits.ReverseBytes32(edges[i].V)
+	}
+}
+
+// edgeCount is the number of 8-byte records in a file of size bytes.
+func edgeCount(path string, size int64) (int64, error) {
+	if size%8 != 0 {
+		return 0, fmt.Errorf("ooc: %s: size %d not a multiple of 8", path, size)
+	}
+	return size / 8, nil
+}
+
+// ReadFile reads a whole binary edge-list file into one exactly-sized
+// slice; a size that is not a multiple of 8 is an error.
+func ReadFile(path string) ([]graph.Edge, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	m, err := edgeCount(path, fi.Size())
+	if err != nil {
+		return nil, err
+	}
+	edges := make([]graph.Edge, m)
+	if err := readEdges(f, edges); err != nil {
+		return nil, fmt.Errorf("ooc: %s: %w", path, err)
+	}
+	return edges, nil
+}
+
+// vertexCount resolves the n of Open and OpenMmap: n > 0 is kept as
+// declared, n < 0 skips discovery (0), and n == 0 scans src once for the
+// largest id plus one.
+func vertexCount(src graph.EdgeStream, n int) (int, error) {
+	if n != 0 {
+		return max(n, 0), nil
+	}
+	err := src.Edges(func(u, v graph.V) bool {
+		n = max(n, int(u)+1, int(v)+1)
+		return true
+	})
+	return n, err
+}
+
+// eachEdge walks the slabs one pass of chunks lends, yielding their edges
+// in order; it releases each slab before asking for the next.
+func eachEdge(chunks func(yield func(edges []graph.Edge, release func()) bool) error, yield func(u, v graph.V) bool) error {
+	return chunks(func(edges []graph.Edge, release func()) bool {
+		defer release()
+		for _, e := range edges {
+			if !yield(e.U, e.V) {
+				return false
+			}
+		}
+		return true
+	})
+}
+
+// Stream is the chunked reader: a graph.ChunkStream over a binary edge-list
+// file (consecutive little-endian uint32 pairs). Every pass reopens the
+// file, and a read-ahead goroutine reads it straight into []graph.Edge slabs
+// that are lent to the consumer, so disk I/O overlaps consumption and
+// nothing is decoded or copied on the little-endian hosts the format
+// matches. Edges walks the same slabs. A pass holds at most lentSlabs slabs.
 type Stream struct {
 	path       string
 	n          int
@@ -45,44 +158,23 @@ type Stream struct {
 // n > 0 declares the vertex count; n == 0 discovers it with one chunked
 // scan for the maximum id; n < 0 skips discovery entirely (NumVertices
 // reports 0) for consumers that discover ids on the fly, like Buffered's
-// degree pass. chunkEdges <= 0 selects DefaultChunkEdges.
+// degree pass. chunkEdges <= 0 selects DefaultChunkEdges; a slab never
+// holds more edges than the file.
 func Open(path string, n, chunkEdges int) (*Stream, error) {
 	fi, err := os.Stat(path)
 	if err != nil {
 		return nil, err
 	}
-	if fi.Size()%8 != 0 {
-		return nil, fmt.Errorf("ooc: %s: size %d not a multiple of 8", path, fi.Size())
+	m, err := edgeCount(path, fi.Size())
+	if err != nil {
+		return nil, err
 	}
 	if chunkEdges <= 0 {
 		chunkEdges = DefaultChunkEdges
 	}
-	s := &Stream{path: path, n: n, m: fi.Size() / 8, chunkEdges: chunkEdges}
-	if n < 0 {
-		s.n = 0
-		return s, nil
-	}
-	if n == 0 {
-		var max graph.V
-		seen := false
-		err := s.Edges(func(u, v graph.V) bool {
-			seen = true
-			if u > max {
-				max = u
-			}
-			if v > max {
-				max = v
-			}
-			return true
-		})
-		if err != nil {
-			return nil, err
-		}
-		if seen {
-			s.n = int(max) + 1
-		} else {
-			s.n = 0
-		}
+	s := &Stream{path: path, m: m, chunkEdges: int(min(int64(chunkEdges), m))}
+	if s.n, err = vertexCount(s, n); err != nil {
+		return nil, err
 	}
 	return s, nil
 }
@@ -93,110 +185,23 @@ func (s *Stream) NumVertices() int { return s.n }
 // NumEdges implements graph.EdgeStream.
 func (s *Stream) NumEdges() int64 { return s.m }
 
-// ChunkEdges returns the configured read-ahead chunk size in edges.
-func (s *Stream) ChunkEdges() int { return s.chunkEdges }
-
-// chunk is one prefetched block of the file.
-type chunk struct {
-	buf []byte // filled prefix of a recycled buffer
-	n   int    // valid bytes
-	err error  // terminal read error (not io.EOF)
-}
-
-// Edges implements graph.EdgeStream. Each call opens the file afresh and
-// streams it through a double-buffered prefetch pipeline: a reader goroutine
-// fills chunks ahead of the decode loop; buffers are recycled through a free
-// list, so the pipeline allocates exactly two chunk buffers per pass.
+// Edges implements graph.EdgeStream over the slabs of one Chunks pass.
 func (s *Stream) Edges(yield func(u, v graph.V) bool) error {
-	f, err := os.Open(s.path)
-	if err != nil {
-		return err
-	}
-	done := make(chan struct{})
-	defer close(done)
-
-	free := make(chan []byte, 2)
-	full := make(chan chunk, 2)
-	free <- make([]byte, s.chunkEdges*8)
-	free <- make([]byte, s.chunkEdges*8)
-
-	go func() {
-		defer close(full)
-		defer f.Close()
-		for {
-			var buf []byte
-			select {
-			case buf = <-free:
-			case <-done:
-				return
-			}
-			n, err := io.ReadFull(f, buf)
-			if valid := n - n%8; valid > 0 {
-				select {
-				case full <- chunk{buf: buf, n: valid}:
-				case <-done:
-					return
-				}
-			}
-			if err == nil {
-				continue
-			}
-			if err == io.EOF || err == io.ErrUnexpectedEOF {
-				if n%8 != 0 {
-					err = fmt.Errorf("ooc: %s: truncated edge record (%d trailing bytes)", s.path, n%8)
-				} else {
-					return // clean tail
-				}
-			}
-			select {
-			case full <- chunk{err: err}:
-			case <-done:
-			}
-			return
-		}
-	}()
-
-	for c := range full {
-		for off := 0; off < c.n; off += 8 {
-			u := binary.LittleEndian.Uint32(c.buf[off : off+4])
-			v := binary.LittleEndian.Uint32(c.buf[off+4 : off+8])
-			if !yield(u, v) {
-				return nil
-			}
-		}
-		if c.err != nil {
-			return c.err
-		}
-		if c.buf != nil {
-			select {
-			case free <- c.buf:
-			default:
-			}
-		}
-	}
-	return nil
+	return eachEdge(s.Chunks, yield)
 }
 
-// lentSlabs is the slab-pool depth of the chunk-lending path: two slabs keep
-// decode and consumption overlapped like the Edges pipeline, and the third is
-// the lending slack — while a slow consumer (a worker still placing the
-// batches sliced out of one slab) holds a slab past the next yield, the
-// prefetch goroutine still has a free slab to decode into, so read-ahead
-// never stalls on a lent buffer.
-const lentSlabs = 3
-
-// edgeChunk is one decoded block of the file in flight to the consumer.
+// edgeChunk is one slab of the file in flight to the consumer.
 type edgeChunk struct {
 	edges []graph.Edge // filled prefix of a recycled slab
-	err   error        // terminal read error (not io.EOF)
+	err   error        // terminal read error
 }
 
-// Chunks implements graph.ChunkStream: the same chunked prefetch pipeline as
-// Edges, but the read-ahead goroutine also *decodes* each chunk into a
-// []graph.Edge slab which is then lent to the consumer — both the disk read
-// and the byte decode come off the consumer's thread, and the consumer
-// slices batches out of the slab without copying an edge. Slabs recycle
-// through a free pool once released; at most lentSlabs are resident.
+// Chunks implements graph.ChunkStream. Each call opens the file afresh; a
+// read-ahead goroutine reads the NumEdges records Open counted into slabs
+// and lends them in file order, so the consumer slices batches out of the
+// slab without copying an edge. A released slab returns to the pass's free
+// pool; a new one is allocated only when none is free and fewer than
+// lentSlabs exist. A file that is shorter than it was at Open is an error.
 func (s *Stream) Chunks(yield func(edges []graph.Edge, release func()) bool) error {
 	f, err := os.Open(s.path)
 	if err != nil {
@@ -205,48 +210,38 @@ func (s *Stream) Chunks(yield func(edges []graph.Edge, release func()) bool) err
 	done := make(chan struct{})
 	defer close(done)
 
+	// Both channels are sized to the slab cap: a pass never has more than
+	// lentSlabs slabs to hand around.
 	free := make(chan []graph.Edge, lentSlabs)
 	full := make(chan edgeChunk, lentSlabs)
-	for i := 0; i < lentSlabs; i++ {
-		free <- make([]graph.Edge, s.chunkEdges)
-	}
-
 	go func() {
 		defer close(full)
 		defer f.Close()
-		buf := make([]byte, s.chunkEdges*8)
-		for {
+		slabs := 0
+		for off := int64(0); off < s.m; {
 			var slab []graph.Edge
-			select {
-			case slab = <-free:
-			case <-done:
-				return
-			}
-			n, err := io.ReadFull(f, buf)
-			if valid := n - n%8; valid > 0 {
-				edges := slab[:valid/8]
-				decodeEdges(edges, buf)
+			if len(free) == 0 && slabs < lentSlabs {
+				slab, slabs = make([]graph.Edge, s.chunkEdges), slabs+1
+			} else {
 				select {
-				case full <- edgeChunk{edges: edges}:
+				case slab = <-free:
 				case <-done:
 					return
 				}
 			}
-			if err == nil {
-				continue
-			}
-			if err == io.EOF || err == io.ErrUnexpectedEOF {
-				if n%8 != 0 {
-					err = fmt.Errorf("ooc: %s: truncated edge record (%d trailing bytes)", s.path, n%8)
-				} else {
-					return // clean tail
-				}
+			c := edgeChunk{edges: slab[:min(int64(len(slab)), s.m-off)]}
+			if err := readEdges(f, c.edges); err != nil {
+				c = edgeChunk{err: fmt.Errorf("ooc: %s: short read at edge %d of %d: %w", s.path, off, s.m, err)}
 			}
 			select {
-			case full <- edgeChunk{err: err}:
+			case full <- c:
 			case <-done:
+				return
 			}
-			return
+			if c.err != nil {
+				return
+			}
+			off += int64(len(c.edges))
 		}
 	}()
 
@@ -271,13 +266,4 @@ func (s *Stream) Chunks(yield func(edges []graph.Edge, release func()) bool) err
 		}
 	}
 	return nil
-}
-
-// decodeEdges decodes len(dst) little-endian uint32 pairs from buf into dst.
-func decodeEdges(dst []graph.Edge, buf []byte) {
-	for i := range dst {
-		off := i * 8
-		dst[i].U = binary.LittleEndian.Uint32(buf[off : off+4])
-		dst[i].V = binary.LittleEndian.Uint32(buf[off+4 : off+8])
-	}
 }

@@ -58,9 +58,9 @@ func waitGoroutines(t *testing.T, base int) {
 	t.Fatalf("goroutines leaked: %d > baseline %d\n%s", runtime.NumGoroutine(), base, buf[:n])
 }
 
-// TestStreamChunksMatchEdges pins the lending reader against the byte-level
-// double-buffered Edges path: same edges, same order, across chunk sizes
-// that do and do not divide the stream.
+// TestStreamChunksMatchEdges pins the lending reader against the edge list
+// the file was written from: same edges, same order, across chunk sizes
+// that do and do not divide the stream, pass after pass.
 func TestStreamChunksMatchEdges(t *testing.T) {
 	g := gen.BarabasiAlbert(800, 5, 3)
 	path := writeGraphFile(t, g)
@@ -170,8 +170,8 @@ func TestMmapStreamRoundTrip(t *testing.T) {
 	sameEdges(t, "mmap Edges", got, g.E)
 	sameEdges(t, "mmap Chunks", collectChunks(t, s), g.E)
 
-	if s.ZeroCopy() {
-		// Zero-copy slabs alias the mapping: the Lent gauge must return to
+	if s.Mapped() {
+		// Mapped slabs alias the mapping: the Lent gauge must return to
 		// zero once every slab is released (collectChunks released them all).
 		if n := s.Lent(); n != 0 {
 			t.Fatalf("%d slabs still lent after release", n)
@@ -193,20 +193,16 @@ func TestMmapStreamRoundTrip(t *testing.T) {
 	}
 }
 
-// TestMmapStreamReadAtFallback forces the positioned-read mode (no mapping)
-// and pins it against the file: same edges from Edges and Chunks, chunk
-// sizes that do not divide the stream included.
-func TestMmapStreamReadAtFallback(t *testing.T) {
+// TestMmapStreamChunkedReader forces the unmapped mode, where the stream is
+// the chunked reader, and pins it against the file: same edges from Edges
+// and Chunks, a slab size that does not divide the stream, and Close still
+// shutting both down.
+func TestMmapStreamChunkedReader(t *testing.T) {
 	g := gen.BarabasiAlbert(500, 3, 7)
 	path := writeGraphFile(t, g)
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := &MmapStream{path: path, n: g.NumVertices(), m: g.NumEdges(), chunkEdges: 96, f: f}
-	defer s.Close()
-	if s.Mapped() || s.ZeroCopy() {
-		t.Fatal("fallback stream claims to be mapped")
+	s := &MmapStream{file: Stream{path: path, n: g.NumVertices(), m: g.NumEdges(), chunkEdges: 96}}
+	if s.Mapped() {
+		t.Fatal("unmapped stream claims to be mapped")
 	}
 	var got []graph.Edge
 	if err := s.Edges(func(u, v graph.V) bool {
@@ -215,8 +211,14 @@ func TestMmapStreamReadAtFallback(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	sameEdges(t, "fallback Edges", got, g.E)
-	sameEdges(t, "fallback Chunks", collectChunks(t, s), g.E)
+	sameEdges(t, "chunked Edges", got, g.E)
+	sameEdges(t, "chunked Chunks", collectChunks(t, s), g.E)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Edges(func(u, v graph.V) bool { return true }); err == nil {
+		t.Fatal("Edges on a closed stream must error")
+	}
 }
 
 func TestMmapStreamOpenErrors(t *testing.T) {

@@ -17,18 +17,29 @@ import "math/bits"
 // total — O(1) per edge.
 //
 // The zero value is unusable; use NewLoads. Not safe for concurrent use.
+//
+// Most increments write the counts, max and nAtMin and the atMin mask, and
+// the parallel HDRF workers each increment a tracker of their own. So the
+// struct is padded to two cache lines and each backing array is allocated
+// in whole lines: trackers allocated back to back never share a line, which
+// otherwise made two workers' increments contend for it.
 type Loads struct {
 	counts   []int64
 	max, min int64
 	atMin    []uint64 // partitions with counts[p] == min
 	nAtMin   int
+	_        [56]byte // pads the struct to 128 B
 }
+
+// lineWords rounds n 8-byte words up to whole 64-byte cache lines.
+func lineWords(n int) int { return (n + 7) &^ 7 }
 
 // NewLoads returns a tracker for k partitions, all at load zero.
 func NewLoads(k int) *Loads {
+	words := (k + 63) / 64
 	l := &Loads{
-		counts: make([]int64, k),
-		atMin:  make([]uint64, (k+63)/64),
+		counts: make([]int64, k, lineWords(k)),
+		atMin:  make([]uint64, words, lineWords(words)),
 		nAtMin: k,
 	}
 	for p := 0; p < k; p++ {
