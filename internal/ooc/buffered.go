@@ -24,8 +24,10 @@ const DefaultBufferEdges = 1 << 20
 // two: verts (4) + off (4) + udeg (4) + activePos (4) + active (4) + warm
 // bucket pool (warmPoolPerVertex×4 = 12) + overflow (4) = 36, plus the
 // expander state (member 1 + touched 4 + heap pos/ids/keys 12 + candidate
-// buffer 4 = 21) = 57 bytes. Total 33 + 2·57 = 147, rounded up to 148 for
-// slack. batchState.bytes() tracks the real allocation against this bound.
+// buffer 4 + candidate position mark ⅛ = 21.125) = 57.125 bytes. Total
+// 33 + 2·57.125 = 147.25, rounded up to 148 for slack; the mark rounds up
+// to whole bytes, ⌈2B/8⌉ ≤ B, so 148·B holds at every B ≥ 1.
+// batchState.bytes() tracks the real allocation against this bound.
 // State that does not scale with the buffer — the O(|V|) vertex arrays
 // (degree array, local-id map, vertex-major replica table) and the O(k)
 // per-partition arrays (bucket heads, region flags, like the result's own

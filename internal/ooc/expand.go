@@ -1,7 +1,8 @@
 package ooc
 
 import (
-	"sort"
+	"encoding/binary"
+	"math/bits"
 
 	"hep/internal/obs"
 	"hep/internal/part"
@@ -17,12 +18,18 @@ import (
 // expanderState is the region-growing scratch: the membership of the region
 // currently being grown, the undo list that clears it, the
 // min-external-degree heap driving core moves, and the candidate assembly
-// buffer. Sized by the batch vertex bound so no operation reallocates.
+// buffer with its position mark. Sized by the batch vertex bound so no
+// operation reallocates.
 type expanderState struct {
 	member  []bool      // region membership of the current region
 	touched []int32     // members of the current region (for reset)
 	heap    *vheap.Heap // region members keyed by external degree
 	cands   []int32     // warm-start candidate assembly buffer
+	// mark holds one bit per active-list position, set for the warm-start
+	// candidates of the region being seeded and all zero between regions.
+	// It is byte-granular, not whole uint64 words, so its charge rounds up
+	// by under one byte and fits the per-edge slack at every buffer size.
+	mark []byte
 }
 
 func newExpanderState(maxV int) *expanderState {
@@ -31,13 +38,14 @@ func newExpanderState(maxV int) *expanderState {
 		touched: make([]int32, 0, maxV),
 		heap:    vheap.NewWithCap(maxV, maxV),
 		cands:   make([]int32, 0, maxV),
+		mark:    make([]byte, (maxV+7)/8),
 	}
 }
 
 // bytes returns the state's allocation, charged against the buffer budget.
 func (ex *expanderState) bytes() int64 {
 	return int64(cap(ex.member)) + int64(cap(ex.touched))*4 +
-		ex.heap.Bytes() + int64(cap(ex.cands))*4
+		ex.heap.Bytes() + int64(cap(ex.cands))*4 + int64(cap(ex.mark))
 }
 
 // clearRegion resets the membership written by the current region.
@@ -81,9 +89,11 @@ func (b *Buffered) expand(st *batchState, res *part.Result, capacity int64) int 
 
 // warmCandidates assembles the warm-start set for partition p in the exact
 // order the retired k-probe scan produced: the bucket index (plus overflow
-// probes, the only per-region probe cost left) yields every active vertex
-// replicated on p, and sorting by position in the active list reproduces
-// the active-scan order bit for bit. A repeat region into a partition
+// probes, the only per-region probe cost left) yields every vertex
+// replicated on p, each still-active one marks its active-list position, and
+// walking the marks in ascending position reproduces the active-scan order
+// bit for bit. Positions are distinct, so the walk needs no sort and costs
+// O(bucket + |active|/64) per region. A repeat region into a partition
 // already expanded this batch cannot use the batch-start index (the earlier
 // region added replicas the index predates), so it falls back to the full
 // scan — counted by WarmRescans and pinned to zero on the stand-ins.
@@ -95,24 +105,50 @@ func (b *Buffered) warmCandidates(st *batchState, res *part.Result, p int) []int
 		return b.scanWarmCandidates(st, res, p)
 	}
 	ex := st.ex
-	cands := append(ex.cands[:0], st.buckets.Bucket(p)...)
+	for _, v := range st.buckets.Bucket(p) {
+		ex.markActive(st.activePos[v])
+	}
 	for _, v := range st.buckets.Overflow() {
 		b.LastStats.WarmScanProbes++
 		if res.Reps.Has(st.verts[v], p) {
-			cands = append(cands, v)
+			ex.markActive(st.activePos[v])
 		}
 	}
-	n := 0
-	for _, v := range cands {
-		if st.activePos[v] >= 0 {
-			cands[n] = v
-			n++
+	return ex.takeMarked(st.active)
+}
+
+// markActive marks active-list position pos; an exhausted vertex (pos -1)
+// is not a candidate.
+func (ex *expanderState) markActive(pos int32) {
+	if pos >= 0 {
+		ex.mark[pos>>3] |= 1 << (pos & 7)
+	}
+}
+
+// takeMarked returns the active vertices whose positions are marked, in
+// ascending position, and clears the marks. It reads the mark 64 positions
+// at a time; only the last, partial word is assembled byte by byte.
+func (ex *expanderState) takeMarked(active []int32) []int32 {
+	cands := ex.cands[:0]
+	mark := ex.mark[:(len(active)+7)/8]
+	for i := 0; i < len(mark); i += 8 {
+		chunk := mark[i:min(i+8, len(mark))]
+		var w uint64
+		if len(chunk) == 8 {
+			w = binary.LittleEndian.Uint64(chunk)
+		} else {
+			for j, c := range chunk {
+				w |= uint64(c) << (8 * j)
+			}
+		}
+		if w == 0 {
+			continue
+		}
+		clear(chunk)
+		for base := 8 * i; w != 0; w &= w - 1 {
+			cands = append(cands, active[base+bits.TrailingZeros64(w)])
 		}
 	}
-	cands = cands[:n]
-	sort.Slice(cands, func(i, j int) bool {
-		return st.activePos[cands[i]] < st.activePos[cands[j]]
-	})
 	ex.cands = cands[:0]
 	return cands
 }

@@ -2,12 +2,15 @@ package ooc
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"hep/internal/gen"
 	"hep/internal/graph"
 	"hep/internal/part"
 	"hep/internal/parttest"
+	"hep/internal/pstate"
+	"hep/internal/stream"
 )
 
 // runCollected runs a Buffered configuration with a collecting sink.
@@ -164,6 +167,67 @@ func TestRepeatRegionWarmRescan(t *testing.T) {
 	sameSequence(t, "rescan vs legacy scan", col, colScan)
 }
 
+// TestWarmStartOverflowMatchesLegacyScan pins the order of the bucket-pool
+// overflow candidates, which the stand-in runs never produce
+// (TestWarmStartProbeRegression pins WarmScanProbes at zero there). Over
+// consecutive batches of a stand-in, with a bucket pool far too small for
+// the batches' replicas, most warm-start candidates come from overflow
+// probes, and the run must deliver exactly the sink sequence of a run that
+// scans for every region (legacyWarmScan). The position mark must read all
+// zero after every batch.
+func TestWarmStartOverflowMatchesLegacyScan(t *testing.T) {
+	g := gen.MustDataset("OK").Build(0.05)
+	n := g.NumVertices()
+	deg, m, err := graph.Degrees(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const k, bufEdges = 32, 1 << 11
+	capacity := int64(math.Ceil(1.05 * float64(m) / k))
+
+	run := func(legacy bool) (*part.Collect, BufferedStats) {
+		b := &Buffered{legacyWarmScan: legacy}
+		st := newBatchState(bufEdges, k)
+		maxV := 2 * bufEdges
+		st.buckets = pstate.NewBuckets(k, maxV/16, maxV)
+		res := part.NewResult(n, k)
+		col := &part.Collect{}
+		res.Sink = col
+		localID := make([]int32, n)
+		for i := range localID {
+			localID[i] = -1
+		}
+		spilled := false
+		for lo := 0; lo < len(g.E); lo += bufEdges {
+			st.batch = append(st.batch[:0], g.E[lo:min(lo+bufEdges, len(g.E))]...)
+			if err := b.processBatch(st, localID, res, deg, stream.DefaultLambda, capacity); err != nil {
+				t.Fatal(err)
+			}
+			spilled = spilled || len(st.buckets.Overflow()) > 0
+			for i, c := range st.ex.mark {
+				if c != 0 {
+					t.Fatalf("legacy=%v batch at edge %d: mark byte %d reads %#x after the batch", legacy, lo, i, c)
+				}
+			}
+		}
+		if !spilled {
+			t.Fatalf("legacy=%v: no batch spilled vertices to the overflow list", legacy)
+		}
+		if err := parttest.CheckExactlyOnce(g, res, col); err != nil {
+			t.Fatal(err)
+		}
+		return col, b.LastStats
+	}
+
+	col, st := run(false)
+	// With no repeat region, every per-region probe is an overflow probe.
+	if st.WarmScanProbes == 0 || st.WarmRescans != 0 {
+		t.Fatalf("want overflow probes and no rescans: %d probes, %d rescans", st.WarmScanProbes, st.WarmRescans)
+	}
+	colScan, _ := run(true)
+	sameSequence(t, "overflow candidates vs legacy scan", col, colScan)
+}
+
 // TestBufferedWorkersMatchOneWorker pins the single expansion path: regions
 // grow sequentially at every worker count and only the fallback fans out,
 // and only past its floor. A run whose fallback stays under that floor must
@@ -263,20 +327,56 @@ func TestParallelExpansionBudget(t *testing.T) {
 }
 
 // TestBudgetBoundSmallBufferLargeK pins the documented PeakBufferBytes
-// bound in the regime where O(k) state dwarfs the per-edge slack: a
-// 64-edge buffer at k=256 must still stay within BytesPerBufferedEdge per
-// buffered edge, because the bucket heads and region flags are fixed
-// resident baseline, not buffer-scaled state.
+// bound where the per-edge slack is thinnest: buffers of 1 to 64 edges, k up
+// to 256 and a tight α = 1.0 that sends leftovers to the fallback, whose
+// gather buffer is then allocated. Every run, and the full batch state of
+// every buffer size with that gather buffer allocated (no run below eight
+// edges reaches the fallback), must stay within BytesPerBufferedEdge per
+// buffered edge: the bucket heads and region flags are fixed resident
+// baseline, not buffer-scaled state, and the byte-granular position mark,
+// ⌈2B/8⌉ bytes, fits the one byte of slack per edge.
 func TestBudgetBoundSmallBufferLargeK(t *testing.T) {
-	g := gen.BarabasiAlbert(400, 4, 11)
-	const bufEdges = 64
-	b := &Buffered{BufferEdges: bufEdges}
-	if _, err := b.Partition(g, 256); err != nil {
-		t.Fatal(err)
+	graphs := map[string]*graph.MemGraph{
+		"ba":   gen.BarabasiAlbert(600, 4, 7),
+		"star": gen.Star(64),
 	}
-	if bound := int64(bufEdges) * BytesPerBufferedEdge; b.LastStats.PeakBufferBytes > bound {
-		t.Fatalf("peak buffer %d exceeds documented bound %d (k=256, %d-edge buffer)",
-			b.LastStats.PeakBufferBytes, bound, bufEdges)
+	bufs := []int{31, 33, 64}
+	for buf := 1; buf <= 16; buf++ {
+		bufs = append(bufs, buf)
+	}
+	for _, buf := range bufs {
+		st := newBatchState(buf, 256)
+		st.fbEdges = make([]graph.Edge, 0, cap(st.batch)) // as the first fallback allocates it
+		if bound := int64(buf) * BytesPerBufferedEdge; st.bytes() > bound {
+			t.Errorf("buf=%d: worst-case batch state %d B exceeds documented bound %d", buf, st.bytes(), bound)
+		}
+	}
+	fellBack := false
+	for gname, g := range graphs {
+		for _, buf := range bufs {
+			for _, k := range []int{1, 2, 5, 16, 256} {
+				for _, alpha := range []float64{1.0, 1.05} {
+					b := &Buffered{BufferEdges: buf, Alpha: alpha}
+					res, err := b.Partition(g, k)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if res.M != g.NumEdges() {
+						t.Fatalf("%s buf=%d k=%d α=%.2f: assigned %d of %d edges", gname, buf, k, alpha, res.M, g.NumEdges())
+					}
+					if bound := int64(buf) * BytesPerBufferedEdge; b.LastStats.PeakBufferBytes > bound {
+						t.Errorf("%s buf=%d k=%d α=%.2f: peak buffer %d exceeds documented bound %d",
+							gname, buf, k, alpha, b.LastStats.PeakBufferBytes, bound)
+					}
+					if buf <= 16 && b.LastStats.FallbackEdges > 0 {
+						fellBack = true
+					}
+				}
+			}
+		}
+	}
+	if !fellBack {
+		t.Fatal("no case with a buffer of at most 16 edges ran the fallback, so its gather buffer was never charged")
 	}
 }
 

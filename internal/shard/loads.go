@@ -25,11 +25,14 @@ type ShardedLoads struct {
 
 // NewShardedLoads wraps global with w delta lanes. The global tracker must
 // not be written through any other path until the parallel run finishes.
+// Each lane is allocated in whole 64-byte cache lines: every placed edge
+// increments the placing worker's lane, and lanes packed back to back would
+// make two workers' increments contend for a shared line.
 func NewShardedLoads(global *pstate.Loads, w int) *ShardedLoads {
 	k := global.K()
 	deltas := make([][]int64, w)
 	for i := range deltas {
-		deltas[i] = make([]int64, k)
+		deltas[i] = make([]int64, k, (k+7)&^7)
 	}
 	return &ShardedLoads{global: global, deltas: deltas}
 }
