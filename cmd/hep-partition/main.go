@@ -57,8 +57,6 @@ func main() {
 		mmap = flag.Bool("mmap", false, "memory-map the input instead of streaming it through the "+
 			"chunked reader: zero-copy ingest on little-endian hosts (the chunked reader serves "+
 			"where mmap is unavailable)")
-		batch = flag.Int("batch", 0, "pin the parallel engine's fan-out batch size "+
-			"(0 = stream-scaled ceiling with capacity-aware adaptive sizing)")
 		traceJSON = flag.String("trace-json", "", "write the machine-readable run trace "+
 			"(phase timeline + hot-path counters, hep-trace/v1) to this file")
 		metricsAddr = flag.String("metrics-addr", "", "serve expvar (/debug/vars, live hep counters), "+
@@ -82,7 +80,7 @@ func main() {
 	cfg := hep.Config{
 		Algorithm: *algo, K: *k, Tau: *tau,
 		Alpha: *alpha, Lambda: *lambda, Seed: *seed,
-		Buffer: *buffer, MemBudget: *budget, Workers: *workers, BatchEdges: *batch,
+		Buffer: *buffer, MemBudget: *budget, Workers: *workers,
 		Refine: *refineMode, RefineRounds: *refineRounds, RefineWorkers: *refineWorkers,
 	}
 

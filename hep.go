@@ -166,14 +166,6 @@ type Config struct {
 	// partitioners) reject Workers > 1 instead of silently running
 	// sequentially.
 	Workers int
-	// BatchEdges pins the parallel sharded engine's fan-out batch size for
-	// the algorithms with a parallel path. 0 (the default) lets the
-	// runners scale the ceiling with the stream and vary batch sizes below
-	// it adaptively — batches shrink as the most-loaded partition
-	// approaches the α capacity bound and grow back while headroom is
-	// plentiful. An explicit value pins fixed-size batches (and turns the
-	// adaptive policy off), which is the knob for staleness experiments.
-	BatchEdges int
 	// Window sizes ADWISE's edge buffer.
 	Window int
 	// Passes is the number of re-streaming passes for AlgoRestream.
@@ -348,10 +340,10 @@ func New(cfg Config) (Algorithm, error) {
 	switch name {
 	case AlgoHEP:
 		a = &core.HEP{Tau: cfg.Tau, Alpha: cfg.Alpha, Lambda: cfg.Lambda, Seed: cfg.Seed,
-			Workers: shardWorkers(cfg), BatchEdges: cfg.BatchEdges, Obs: cfg.Obs}
+			Workers: shardWorkers(cfg), Obs: cfg.Obs}
 	case AlgoNEPP:
 		a = &core.HEP{Tau: math.Inf(1), Alpha: cfg.Alpha, Lambda: cfg.Lambda,
-			Workers: shardWorkers(cfg), BatchEdges: cfg.BatchEdges, Obs: cfg.Obs}
+			Workers: shardWorkers(cfg), Obs: cfg.Obs}
 	case AlgoNE:
 		a = idChecked{&ne.NE{Seed: cfg.Seed}}
 	case AlgoSNE:
@@ -361,8 +353,7 @@ func New(cfg Config) (Algorithm, error) {
 	case AlgoMETIS:
 		a = idChecked{&mlp.MLP{Seed: cfg.Seed}}
 	case AlgoHDRF:
-		a = &stream.HDRF{Lambda: cfg.Lambda, Alpha: cfg.Alpha, Workers: shardWorkers(cfg),
-			BatchEdges: cfg.BatchEdges, Obs: cfg.Obs}
+		a = &stream.HDRF{Lambda: cfg.Lambda, Alpha: cfg.Alpha, Workers: shardWorkers(cfg), Obs: cfg.Obs}
 	case AlgoDBH:
 		a = &stream.DBH{}
 	case AlgoGreedy:
@@ -381,10 +372,10 @@ func New(cfg Config) (Algorithm, error) {
 		a = &hybrid.Simple{Tau: tau, Seed: cfg.Seed}
 	case AlgoRestream:
 		a = &restream.Restream{Passes: cfg.Passes, Lambda: cfg.Lambda, Alpha: cfg.Alpha,
-			Workers: shardWorkers(cfg), BatchEdges: cfg.BatchEdges, Obs: cfg.Obs}
+			Workers: shardWorkers(cfg), Obs: cfg.Obs}
 	case AlgoBuffered:
 		a = &ooc.Buffered{BufferEdges: cfg.Buffer, Lambda: cfg.Lambda, Alpha: cfg.Alpha,
-			Workers: shardWorkers(cfg), BatchEdges: cfg.BatchEdges, Obs: cfg.Obs}
+			Workers: shardWorkers(cfg), Obs: cfg.Obs}
 	default:
 		return nil, fmt.Errorf("hep: unknown algorithm %q", name)
 	}

@@ -46,11 +46,6 @@ type HEP struct {
 	// exact sequential informed-HDRF pass. The CSR build and NE++ run
 	// sequentially at every worker count.
 	Workers int
-	// BatchEdges pins the engine's fan-out batch size (0 = the default: with
-	// more than one worker the stream-scaled ceiling with adaptive sizing
-	// on; an explicit value fixes batch sizes and disables adaptive
-	// sizing).
-	BatchEdges int
 
 	// Obs is the observability hook (nil = disabled): the CSR build, NE++
 	// and the h2h streaming phase record spans; the streaming phase folds
@@ -130,7 +125,7 @@ func (h *HEP) PartitionCSR(csr *graph.CSR, k int) (*part.Result, error) {
 			err = stream.RunRandom(h2h, res, h.Seed, alpha, csr.M())
 		} else {
 			err = stream.RunHDRFParallel(h2h, res, csr.Degrees(), lambda, alpha, csr.M(),
-				shard.Options{Workers: max(h.Workers, 1), BatchEdges: h.BatchEdges, Obs: h.Obs.Counters(), Hub: h.Obs})
+				shard.Options{Workers: max(h.Workers, 1), Obs: h.Obs})
 		}
 		if err != nil {
 			return nil, err

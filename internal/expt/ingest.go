@@ -64,8 +64,9 @@ func TableIngest(cfg Config) ([]TableIngestRow, error) {
 		n, m := g.NumVertices(), g.NumEdges()
 		for _, w := range cfg.workers(1, 4) {
 			for _, mode := range []string{"copy", "lend", "mmap"} {
-				c := obs.NewCounters(w)
-				opts := shard.Options{Workers: w, Obs: c}
+				o := obs.New(w)
+				c := o.Counters()
+				opts := shard.Options{Workers: w, Obs: o}
 				ws := make([]shard.BatchPlacer, w)
 				for i := range ws {
 					ws[i] = dispatchOnly{}

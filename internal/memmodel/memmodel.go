@@ -36,8 +36,6 @@ type Footprint struct {
 	AuxBitsets int64
 	// Heap is 2·|V|·b_id (min-heap + position lookup).
 	Heap int64
-	// H2HEdges counts the edges spilled out of memory at this τ.
-	H2HEdges int64
 }
 
 // Total returns the §4.2 sum:
@@ -46,17 +44,16 @@ func (f Footprint) Total() int64 {
 	return f.ColumnArray + f.IndexArrays + f.SizeFields + f.ReplicaTable + f.AuxBitsets + f.Heap
 }
 
-// Estimate evaluates the model for one τ given the degree array and k.
+// Estimate evaluates the model for one τ given the degree array and k. The
+// column-array size is exact: it is the degree sum of the low-degree
+// vertices, which the CSR build stores.
 func Estimate(deg []int32, m int64, k int, tau float64) Footprint {
 	n := len(deg)
 	mean := graph.MeanDegree(n, m)
 	f := Footprint{Tau: tau}
 	var colEntries int64
-	var highDeg []int32
 	for _, d := range deg {
-		if graph.HighDegree(d, tau, mean) {
-			highDeg = append(highDeg, d)
-		} else {
+		if !graph.HighDegree(d, tau, mean) {
 			colEntries += int64(d)
 		}
 	}
@@ -66,101 +63,38 @@ func Estimate(deg []int32, m int64, k int, tau float64) Footprint {
 	f.ReplicaTable = pstate.MaxTableBytes(n, k)
 	f.AuxBitsets = 3 * int64(n) / 8
 	f.Heap = 2 * int64(n) * BytesPerID
-	f.H2HEdges = estimateH2H(highDeg, m)
 	return f
 }
 
-// estimateH2H approximates |E_h2h| from the high-degree sequence with the
-// Chung–Lu expected-multiplicity model: an edge between v and u exists with
-// probability ≈ d(v)·d(u)/(2m). The exact count requires a pass over the
-// edges (TauSweep does that); this closed form backs the quick estimator.
-func estimateH2H(highDeg []int32, m int64) int64 {
-	if m == 0 || len(highDeg) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, d := range highDeg {
-		sum += float64(d)
-	}
-	// Expected edges inside the high set ≈ (Σd)² / (4m), capped at m.
-	est := int64(sum * sum / (4 * float64(m)))
-	if est > m {
-		est = m
-	}
-	return est
-}
-
-// SweepPoint is one row of the τ pre-computation (Table 2's workload):
-// exact column-array size and H2H count for a candidate τ.
-type SweepPoint struct {
-	Tau        float64
-	Footprint  Footprint
-	ExactH2H   int64
-	ExactColmn int64
-}
-
-// TauSweep computes, in one pass over the degree array plus one pass over
-// the edges, the exact memory footprint for every candidate τ — the
-// pre-computation step of §4.4 whose run-time Table 2 reports. Candidates
-// must be sorted descending for the cumulative trick to apply; the function
-// sorts a copy defensively.
-func TauSweep(src graph.EdgeStream, k int, taus []float64) ([]SweepPoint, error) {
+// TauSweep evaluates the footprint of every candidate τ from one degree
+// pass over src — the pre-computation step of §4.4 whose run-time Table 2
+// reports. The footprints come back sorted by descending τ.
+func TauSweep(src graph.EdgeStream, k int, taus []float64) ([]Footprint, error) {
 	deg, m, err := graph.Degrees(src)
 	if err != nil {
 		return nil, err
 	}
-	n := len(deg)
-	mean := graph.MeanDegree(n, m)
-
 	sorted := append([]float64(nil), taus...)
 	sort.Sort(sort.Reverse(sort.Float64Slice(sorted)))
-
-	points := make([]SweepPoint, len(sorted))
+	points := make([]Footprint, len(sorted))
 	for i, tau := range sorted {
-		points[i] = SweepPoint{Tau: tau, Footprint: Estimate(deg, m, k, tau)}
-	}
-	// Exact per-τ column entries and H2H counts in a single edge pass:
-	// degree thresholds are monotone in τ, so an edge is H2H for all τ
-	// below the largest threshold at which both endpoints are high.
-	for i := range points {
-		tau := points[i].Tau
-		var col int64
-		for _, d := range deg {
-			if !graph.HighDegree(d, tau, mean) {
-				col += int64(d)
-			}
-		}
-		points[i].ExactColmn = col
-	}
-	err = src.Edges(func(u, v graph.V) bool {
-		for i := range points {
-			tau := points[i].Tau
-			if graph.HighDegree(deg[u], tau, mean) && graph.HighDegree(deg[v], tau, mean) {
-				points[i].ExactH2H++
-			}
-		}
-		return true
-	})
-	if err != nil {
-		return nil, err
+		points[i] = Estimate(deg, m, k, tau)
 	}
 	return points, nil
 }
 
-// ChooseTau returns the largest candidate τ whose exact §4.2 footprint
-// (with the exact column-array size) fits budgetBytes, and whether any
-// candidate fits. Larger τ means more edges handled in memory and a better
-// replication factor (§4.3), so the maximum feasible τ is optimal.
+// ChooseTau returns the largest candidate τ whose §4.2 footprint fits
+// budgetBytes, and whether any candidate fits. Larger τ means more edges
+// handled in memory and a better replication factor (§4.3), so the maximum
+// feasible τ is optimal.
 func ChooseTau(src graph.EdgeStream, k int, taus []float64, budgetBytes int64) (float64, bool, error) {
 	points, err := TauSweep(src, k, taus)
 	if err != nil {
 		return 0, false, err
 	}
-	for _, p := range points { // sorted descending
-		f := p.Footprint
-		f.ColumnArray = p.ExactColmn * BytesPerID
+	for _, f := range points { // sorted descending
 		if f.Total() <= budgetBytes {
-			return p.Tau, true, nil
+			return f.Tau, true, nil
 		}
 	}
 	return 0, false, nil

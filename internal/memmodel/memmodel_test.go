@@ -58,12 +58,6 @@ func TestEstimatePruningShrinksColumn(t *testing.T) {
 	if pruned.ColumnArray >= full.ColumnArray {
 		t.Fatalf("pruned column %d not below full %d", pruned.ColumnArray, full.ColumnArray)
 	}
-	if full.H2HEdges != 0 {
-		t.Fatal("no pruning should mean no h2h")
-	}
-	if pruned.H2HEdges == 0 {
-		t.Fatal("tau=1 should estimate h2h edges on a power-law graph")
-	}
 }
 
 func TestTauSweepExactMatchesCSR(t *testing.T) {
@@ -81,12 +75,9 @@ func TestTauSweepExactMatchesCSR(t *testing.T) {
 		if points[i].Tau > points[i-1].Tau {
 			t.Fatal("sweep not sorted descending")
 		}
-		// Lower τ ⇒ more pruning ⇒ smaller column, more h2h.
-		if points[i].ExactColmn > points[i-1].ExactColmn {
+		// Lower τ ⇒ more pruning ⇒ smaller column.
+		if points[i].ColumnArray > points[i-1].ColumnArray {
 			t.Fatal("column entries not monotone")
-		}
-		if points[i].ExactH2H < points[i-1].ExactH2H {
-			t.Fatal("h2h not monotone")
 		}
 	}
 	// Cross-check each point against a real CSR build.
@@ -95,11 +86,8 @@ func TestTauSweepExactMatchesCSR(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if csr.ColLen() != p.ExactColmn {
-			t.Errorf("tau=%v: sweep column %d, CSR %d", p.Tau, p.ExactColmn, csr.ColLen())
-		}
-		if csr.H2H().Len() != p.ExactH2H {
-			t.Errorf("tau=%v: sweep h2h %d, CSR %d", p.Tau, p.ExactH2H, csr.H2H().Len())
+		if csr.ColLen()*BytesPerID != p.ColumnArray {
+			t.Errorf("tau=%v: sweep column %d B, CSR %d entries", p.Tau, p.ColumnArray, csr.ColLen())
 		}
 	}
 }
@@ -127,24 +115,39 @@ func TestChooseTau(t *testing.T) {
 		t.Fatal(err)
 	}
 	low := points[len(points)-1] // smallest τ = smallest footprint
-	budget := low.Footprint.Total() - low.Footprint.ColumnArray + low.ExactColmn*BytesPerID + 1
-	tau, ok, err = ChooseTau(g, 32, taus, budget)
+	tau, ok, err = ChooseTau(g, 32, taus, low.Total()+1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !ok {
-		t.Fatalf("budget %d should admit tau=1", budget)
+		t.Fatalf("budget %d should admit tau=1", low.Total()+1)
 	}
 	if tau > 100 {
 		t.Fatalf("chose tau=%v", tau)
 	}
 }
 
-func TestEstimateH2HCapped(t *testing.T) {
-	if est := estimateH2H([]int32{1000, 1000}, 10); est != 10 {
-		t.Fatalf("estimate %d not capped at m", est)
+// TestChooseTauReadsStreamOnce pins the §4.4 fit to one degree pass: every
+// candidate's footprint comes from the degree array, so the edge list is
+// read once however many candidates there are.
+func TestChooseTauReadsStreamOnce(t *testing.T) {
+	src := &passCounter{EdgeStream: gen.BarabasiAlbert(2000, 8, 3)}
+	if _, _, err := ChooseTau(src, 32, []float64{100, 50, 20, 10, 5, 2, 1}, 1<<20); err != nil {
+		t.Fatal(err)
 	}
-	if estimateH2H(nil, 100) != 0 {
-		t.Fatal("empty high set should give 0")
+	if src.passes != 1 {
+		t.Fatalf("ChooseTau read the stream %d times, want 1", src.passes)
 	}
+}
+
+// passCounter counts the passes made over the stream it wraps. It does not
+// lend chunks, so every reader goes through Edges.
+type passCounter struct {
+	graph.EdgeStream
+	passes int
+}
+
+func (s *passCounter) Edges(yield func(u, v graph.V) bool) error {
+	s.passes++
+	return s.EdgeStream.Edges(yield)
 }

@@ -115,17 +115,11 @@ type Buffered struct {
 	Alpha float64
 	// Workers > 1 fans the per-edge informed-HDRF fallback out over that
 	// many batch-engine workers once a batch leaves at least
-	// ParallelFallbackMin edges to it. The degree pass, the mini-CSR fill and
-	// region expansion run sequentially at every worker count, so a run
-	// whose fallbacks stay below that floor places every edge exactly as
-	// Workers ≤ 1 does. Workers ≤ 1 is the determinism guarantee.
+	// parallelFallbackMin (2048) edges to it. The degree pass, the mini-CSR
+	// fill and region expansion run sequentially at every worker count, so
+	// a run whose fallbacks stay below that floor places every edge exactly
+	// as Workers ≤ 1 does. Workers ≤ 1 is the determinism guarantee.
 	Workers int
-	// BatchEdges pins the batch engine's fan-out batch size for the
-	// fallback (0 = the engine default).
-	BatchEdges int
-	// ParallelFallbackMin is the minimum number of leftover edges worth
-	// fanning out (0 = default 2048; below it one worker places them).
-	ParallelFallbackMin int
 	// Obs is the observability hook (nil = disabled): the degree pass and
 	// the buffered streaming loop record phase spans, and every LastStats
 	// event additionally folds into the obs counter lanes at batch
@@ -434,15 +428,16 @@ func (st *batchState) start(v int32) int32 {
 	return st.off[v-1]
 }
 
-// defaultParallelFallbackMin is the leftover-edge count below which one
-// fallback worker beats fanning out over several.
-const defaultParallelFallbackMin = 2048
+// parallelFallbackMin is the leftover-edge count below which one fallback
+// worker beats fanning out over several; a variable so tests can lower it
+// and fan small batches out.
+var parallelFallbackMin = 2048
 
 // fallback places every still-unassigned batch edge with per-edge informed
 // HDRF (exact global degrees, global replica state) — the escape hatch for
 // cross-region edges and capacity overflow. The leftovers are gathered in
 // batch order and streamed through the HDRF runner: with Workers > 1 and at
-// least ParallelFallbackMin of them they fan out over that many workers,
+// least parallelFallbackMin of them they fan out over that many workers,
 // otherwise one worker places them in order. Sink delivery stays in batch
 // order.
 func (b *Buffered) fallback(st *batchState, res *part.Result, deg []int32, lambda float64, capacity int64) error {
@@ -459,12 +454,8 @@ func (b *Buffered) fallback(st *batchState, res *part.Result, deg []int32, lambd
 			st.assigned[i] = true
 		}
 	}
-	fanOut := b.ParallelFallbackMin
-	if fanOut <= 0 {
-		fanOut = defaultParallelFallbackMin
-	}
 	workers := max(b.Workers, 1)
-	if len(st.fbEdges) < fanOut {
+	if len(st.fbEdges) < parallelFallbackMin {
 		workers = 1
 	}
 	left := int64(len(st.fbEdges))
@@ -473,7 +464,7 @@ func (b *Buffered) fallback(st *batchState, res *part.Result, deg []int32, lambd
 	// A MemGraph lends its slice as one slab: batches alias fbEdges and
 	// nothing is copied.
 	return stream.PlaceHDRF(graph.NewMemGraph(res.N, st.fbEdges), res, nil, deg, lambda, capacity, left,
-		shard.Options{Workers: workers, BatchEdges: b.BatchEdges, Obs: b.Obs.Counters(), Hub: b.Obs})
+		shard.Options{Workers: workers, Obs: b.Obs})
 }
 
 // pickPartition returns the least-loaded partition below capacity, or -1.

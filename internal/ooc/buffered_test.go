@@ -81,8 +81,9 @@ func TestBufferedParallelFallback(t *testing.T) {
 	const k = 32
 	capacity := int64(1.05*float64(m)/float64(k)) + 1
 
+	fanOutAlways(t)
 	run := func(workers int) (*part.Result, *part.Collect, *Buffered) {
-		b := &Buffered{Workers: workers, ParallelFallbackMin: 1}
+		b := &Buffered{Workers: workers}
 		st := newBatchState(len(g.E), k)
 		st.batch = append(st.batch[:0], g.E...)
 		res := part.NewResult(g.NumVertices(), k)
@@ -207,4 +208,12 @@ func TestBufferForBudget(t *testing.T) {
 	if b := BufferForBudget(10); b != 0 {
 		t.Fatalf("tiny budget: %d, want 0", b)
 	}
+}
+
+// fanOutAlways lowers the fallback's fan-out floor to one edge for the rest
+// of the test, so runs at W > 1 place every leftover through the engine.
+func fanOutAlways(t *testing.T) {
+	old := parallelFallbackMin
+	parallelFallbackMin = 1
+	t.Cleanup(func() { parallelFallbackMin = old })
 }

@@ -238,8 +238,8 @@ func TestBufferedWorkersMatchOneWorker(t *testing.T) {
 		for _, k := range []int{32, 128} {
 			one := &Buffered{BufferEdges: 1 << 14}
 			_, want := runCollected(t, one, g, k)
-			if fb := one.LastStats.FallbackEdges; fb >= defaultParallelFallbackMin {
-				t.Fatalf("%s k=%d: %d fallback edges reach the fan-out floor %d", name, k, fb, defaultParallelFallbackMin)
+			if fb := one.LastStats.FallbackEdges; fb >= int64(parallelFallbackMin) {
+				t.Fatalf("%s k=%d: %d fallback edges reach the fan-out floor %d", name, k, fb, parallelFallbackMin)
 			}
 			for _, workers := range []int{2, 4} {
 				_, got := runCollected(t, &Buffered{BufferEdges: 1 << 14, Workers: workers}, g, k)
@@ -252,7 +252,7 @@ func TestBufferedWorkersMatchOneWorker(t *testing.T) {
 // TestParallelExpansionExactlyOnce runs Buffered at W ∈ {2, 4, 8} on the OK
 // and TW stand-ins: every edge must be assigned exactly once, replica state
 // must stay consistent with the sink, and expansion, sequential at every W,
-// must place edges.
+// must place edges. (Expansion is not concurrent; the name predates that.)
 func TestParallelExpansionExactlyOnce(t *testing.T) {
 	for _, name := range []string{"OK", "TW"} {
 		g := gen.MustDataset(name).Build(0.1)
@@ -282,6 +282,7 @@ func TestParallelExpansionExactlyOnce(t *testing.T) {
 // worker count, k exceeding the batch, single-edge buffers — where the
 // region sweep's edge cases trigger, and checks the balance bound.
 func TestBufferedTinyBatches(t *testing.T) {
+	fanOutAlways(t)
 	graphs := map[string]*graph.MemGraph{
 		"ba":   gen.BarabasiAlbert(600, 4, 7),
 		"star": gen.Star(64),
@@ -290,7 +291,7 @@ func TestBufferedTinyBatches(t *testing.T) {
 	for gname, g := range graphs {
 		for _, buf := range []int{1, 7, 128} {
 			for _, k := range []int{2, 5, 16} {
-				b := &Buffered{BufferEdges: buf, Workers: 4, ParallelFallbackMin: 1}
+				b := &Buffered{BufferEdges: buf, Workers: 4}
 				if _, err := parttest.RunAndCheck(b, g, k, 1.05, 2); err != nil {
 					t.Errorf("%s buf=%d k=%d: %v", gname, buf, k, err)
 				}
@@ -299,18 +300,19 @@ func TestBufferedTinyBatches(t *testing.T) {
 	}
 }
 
-// TestParallelExpansionBudget pins the memory contract at W > 1: with the
+// TestBufferedWorkersBudget pins the memory contract at W > 1: with the
 // buffer sized by BufferForBudget — the same buffer W=1 gets — and the
 // fallback allowed to fan out over four workers at any size, the tracked
 // peak batch-local allocation stays within the byte budget.
-func TestParallelExpansionBudget(t *testing.T) {
+func TestBufferedWorkersBudget(t *testing.T) {
+	fanOutAlways(t)
 	g := gen.MustDataset("OK").Build(0.25)
 	const budget = 1 << 21
 	bufEdges := BufferForBudget(budget)
 	if bufEdges <= 0 || int64(bufEdges) >= g.NumEdges() {
 		t.Fatalf("bad test sizing: buffer %d of %d edges", bufEdges, g.NumEdges())
 	}
-	b := &Buffered{BufferEdges: bufEdges, Workers: 4, ParallelFallbackMin: 1}
+	b := &Buffered{BufferEdges: bufEdges, Workers: 4}
 	res, err := b.Partition(g, 32)
 	if err != nil {
 		t.Fatal(err)

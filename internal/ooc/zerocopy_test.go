@@ -317,10 +317,11 @@ func TestParallelHDRFOverChunkedFile(t *testing.T) {
 	}
 
 	for _, workers := range []int{2, 4} {
-		c := obs.NewCounters(workers)
+		o := obs.New(workers)
+		c := o.Counters()
 		res := part.NewResult(s.NumVertices(), k)
 		err := stream.RunHDRFParallel(s, res, deg, stream.DefaultLambda, 1.05, m,
-			shard.Options{Workers: workers, Obs: c})
+			shard.Options{Workers: workers, Obs: o})
 		if err != nil {
 			t.Fatal(err)
 		}

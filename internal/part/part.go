@@ -8,6 +8,7 @@ import (
 	"fmt"
 
 	"hep/internal/graph"
+	"hep/internal/obs"
 	"hep/internal/pstate"
 )
 
@@ -84,6 +85,19 @@ func (r *Result) Warm(v graph.V, p int) { r.Reps.Add(v, p) }
 // AddLoad adds delta edges to partition p's count without touching replica
 // state, keeping the load tracker consistent (cold path; tests).
 func (r *Result) AddLoad(p int, delta int64) { r.Loads.Bulk(p, delta) }
+
+// SampleQuality pushes one running-quality sample from the sequential state
+// (running replica totals, incremental covered count, load tracker bounds)
+// into the hub's series ring. Nil-safe; the SampleTick gate skips the gather
+// entirely when sampling is off. Callers invoke it at batch, region or pass
+// boundaries, never per edge.
+func (r *Result) SampleQuality(o *obs.Obs) {
+	if !o.SampleTick() {
+		return
+	}
+	o.RecordSample(r.M, r.Reps.TotalReplicas(), r.Reps.Covered(),
+		r.Loads.Max(), r.Loads.Min(), r.K)
+}
 
 // ReplicationFactor returns RF = (1/|V'|) Σ_i |V(p_i)| where |V'| is the
 // number of vertices covered by at least one partition (isolated vertices

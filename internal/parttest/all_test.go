@@ -45,14 +45,15 @@ func allAlgorithms() []algoCase {
 		{&hybrid.Simple{Tau: 10, Seed: 13}, 1.0, 2},
 		{&ooc.Buffered{BufferEdges: 512}, 1.05, 2},
 		{&ooc.Buffered{BufferEdges: 8192}, 1.05, 2}, // conformance graphs fit one batch
-		// Parallel sharded streaming paths (internal/shard). Tiny batches
-		// force real cross-batch interleaving even on small graphs; no
-		// balance guarantee is asserted because the bounded-staleness load
-		// view may overshoot α by up to a batch on inputs this small.
-		{&stream.HDRF{Workers: 4, BatchEdges: 64}, 0, 0},
+		// Parallel sharded streaming paths (internal/shard). No balance
+		// guarantee is asserted because the bounded-staleness load view may
+		// overshoot α by up to a batch on inputs this small. HDRF over
+		// 64-edge batches and Buffered's fallback fanned out at any size are
+		// pinned in their own packages' tests.
+		{&stream.HDRF{Workers: 4}, 0, 0},
 		{&core.HEP{Tau: 10, Workers: 4}, 0, 0},
 		{&restream.Restream{Passes: 2, Workers: 4}, 0, 0},
-		{&ooc.Buffered{BufferEdges: 512, Workers: 4, ParallelFallbackMin: 1}, 0, 0},
+		{&ooc.Buffered{BufferEdges: 512, Workers: 4}, 0, 0},
 	}
 }
 

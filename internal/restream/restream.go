@@ -36,10 +36,6 @@ type Restream struct {
 	// worker can read without coordination. One worker gives the exact
 	// sequential passes.
 	Workers int
-	// BatchEdges pins the engine's fan-out batch size (0 = the default:
-	// with more than one worker the stream-scaled ceiling with adaptive
-	// sizing on).
-	BatchEdges int
 	// Obs is the observability hook (nil = disabled): the degree pass and
 	// every streaming pass record phase spans, and the engine folds hot-path
 	// counters and per-batch quality samples into it.
@@ -66,7 +62,7 @@ func (r *Restream) Partition(src graph.EdgeStream, k int) (*part.Result, error) 
 	if alpha == 0 {
 		alpha = 1.05
 	}
-	opts := shard.Options{Workers: max(r.Workers, 1), BatchEdges: r.BatchEdges, Obs: r.Obs.Counters(), Hub: r.Obs}
+	opts := shard.Options{Workers: max(r.Workers, 1), Obs: r.Obs}
 
 	// Exact-degree pre-pass, sequential at every worker count.
 	sp := r.Obs.Span("degree-pass")

@@ -47,25 +47,21 @@ import (
 type Options struct {
 	// Workers is the number of placement workers (0 = GOMAXPROCS).
 	Workers int
-	// BatchEdges is the batch size edges are fanned out in (0 =
-	// DefaultBatchEdges). Smaller batches tighten the staleness of the
-	// load bounds at the cost of more fold/snapshot traffic. With a Sizer
-	// installed it is the upper bound the per-batch sizes vary under (the
-	// parts buffers, and the slabs a non-lending source is copied into, are
-	// allocated at this size).
+	// BatchEdges is the largest batch edges are fanned out in (0 =
+	// DefaultBatchEdges): the parts buffers, and the slabs a non-lending
+	// source is copied into, are allocated at this size. Without a Sizer
+	// every batch has this size. The HDRF runner resolves it from the
+	// worker count when it is 0, and pins fixed batches when it is not.
 	BatchEdges int
-	// Obs is the hot-path counter sink (nil = disabled). The engine folds
-	// batch/edge/stall totals into it at delivery boundaries.
-	Obs *obs.Counters
-	// Hub is the full observability hub (nil = disabled). Runners that own
-	// live quality state (internal/stream, internal/ooc) push RF/balance
-	// samples into its bounded series ring at batch boundaries; the engine
-	// itself only feeds latency/stall histograms through Obs.
-	Hub *obs.Obs
+	// Obs is the observability hub (nil = disabled). The engine folds
+	// batch/edge/stall totals and latency histograms into its counters at
+	// delivery boundaries; runners that own live quality state
+	// (internal/stream) push RF/balance samples into its series ring.
+	Obs *obs.Obs
 	// Sizer, if non-nil, dictates each successive dispatch batch size
 	// (clamped to [1, BatchEdges]). The HDRF runner installs a
 	// capacity-aware AdaptiveSizer when more than one worker runs and
-	// BatchEdges is 0; direct users may plug any policy.
+	// BatchEdges is 0.
 	Sizer BatchSizer
 }
 

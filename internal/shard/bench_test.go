@@ -41,8 +41,9 @@ func BenchmarkZeroCopyDispatch(b *testing.B) {
 				for i := range ws {
 					ws[i] = nopPlacer{}
 				}
-				c := obs.NewCounters(workers)
-				opts := shard.Options{Workers: workers, BatchEdges: shard.DefaultBatchEdges, Obs: c}
+				o := obs.New(workers)
+				c := o.Counters()
+				opts := shard.Options{Workers: workers, BatchEdges: shard.DefaultBatchEdges, Obs: o}
 				deliver := func(edges []graph.Edge, parts []int32) {}
 				b.SetBytes(m * 8)
 				b.ResetTimer()

@@ -189,8 +189,8 @@ type sizeTracker struct {
 	c        *obs.Counters
 }
 
-func newSizeTracker(opts Options, maxBatch int) *sizeTracker {
-	return &sizeTracker{sizer: opts.Sizer, maxBatch: maxBatch, last: -1, c: opts.Obs}
+func newSizeTracker(sizer BatchSizer, maxBatch int, c *obs.Counters) *sizeTracker {
+	return &sizeTracker{sizer: sizer, maxBatch: maxBatch, last: -1, c: c}
 }
 
 func (t *sizeTracker) next() int {
@@ -221,26 +221,29 @@ func (t *sizeTracker) next() int {
 // bytes_copied_dispatch). Run returns the stream's error, if any; batches
 // dispatched before the error still complete and deliver. The worker count
 // is len(workers) — opts.Workers is not consulted here; opts carries the
-// batch bound, the sizing policy and the observability sink.
+// batch bound, the sizing policy and the observability hub, whose counters
+// the engine folds into.
 func Run(src graph.EdgeStream, workers []BatchPlacer, opts Options, deliver func(edges []graph.Edge, parts []int32)) error {
 	maxBatch := opts.BatchEdges
 	if maxBatch <= 0 {
 		maxBatch = DefaultBatchEdges
 	}
-	cs, lends := Lend(src, maxBatch, opts.Obs)
+	c := opts.Obs.Counters()
+	cs, lends := Lend(src, maxBatch, c)
+	sizes := newSizeTracker(opts.Sizer, maxBatch, c)
 	if len(workers) == 1 {
 		// One worker needs no pipeline: place in the caller's goroutine,
 		// batch by batch, preserving the same batch-boundary semantics.
-		return runOne(cs, lends, workers[0], maxBatch, opts, deliver)
+		return runOne(cs, lends, workers[0], sizes, c, deliver)
 	}
-	e := newEngine(workers, maxBatch, opts.Obs)
+	e := newEngine(workers, maxBatch, c)
 	e.start()
 	var serr error
 	go func() {
 		defer close(e.jobs)
-		serr = e.dispatch(cs, lends, opts)
+		serr = e.dispatch(cs, lends, sizes)
 	}()
-	e.collect(opts.Obs, deliver)
+	e.collect(c, deliver)
 	return serr
 }
 
@@ -248,8 +251,7 @@ func Run(src graph.EdgeStream, workers []BatchPlacer, opts Options, deliver func
 // thread does one slice expression and one refcount bump. The slab's release
 // runs after the collector delivers its last sub-batch. Only a source's own
 // slabs (lends) count as chunks_lent; Lend's copies count as copy fallbacks.
-func (e *engine) dispatch(cs graph.ChunkStream, lends bool, opts Options) error {
-	sizes := newSizeTracker(opts, e.maxBatch)
+func (e *engine) dispatch(cs graph.ChunkStream, lends bool, sizes *sizeTracker) error {
 	var seq int64
 	return cs.Chunks(func(slab []graph.Edge, release func()) bool {
 		ref := <-e.refs
@@ -268,7 +270,7 @@ func (e *engine) dispatch(cs graph.ChunkStream, lends bool, opts Options) error 
 			off = end
 		}
 		if lends {
-			opts.Obs.Add(0, obs.CtrChunksLent, 1)
+			e.c.Add(0, obs.CtrChunksLent, 1)
 		}
 		if ref.drop() {
 			e.refs <- ref
@@ -281,10 +283,8 @@ func (e *engine) dispatch(cs graph.ChunkStream, lends bool, opts Options) error 
 // goroutines, no reordering (and so no reorder stalls — only batch and edge
 // totals fold). Each slab is placed and released before the next is asked
 // for, so Lend's adapter recycles one slab for the whole run.
-func runOne(cs graph.ChunkStream, lends bool, w BatchPlacer, maxBatch int, opts Options, deliver func(edges []graph.Edge, parts []int32)) error {
-	c := opts.Obs
-	sizes := newSizeTracker(opts, maxBatch)
-	parts := make([]int32, maxBatch)
+func runOne(cs graph.ChunkStream, lends bool, w BatchPlacer, sizes *sizeTracker, c *obs.Counters, deliver func(edges []graph.Edge, parts []int32)) error {
+	parts := make([]int32, sizes.maxBatch)
 	//hep:noalloc
 	return cs.Chunks(func(slab []graph.Edge, release func()) bool {
 		for off := 0; off < len(slab); {

@@ -93,9 +93,10 @@ func TestLendingOrderedDeliveryAndRelease(t *testing.T) {
 		for i := range ws {
 			ws[i] = &orderPlacer{k: k}
 		}
-		c := obs.NewCounters(workers)
+		o := obs.New(workers)
+		c := o.Counters()
 		var got []part.TaggedEdge
-		err := shard.Run(src, ws, shard.Options{BatchEdges: 128, Obs: c}, func(edges []graph.Edge, parts []int32) {
+		err := shard.Run(src, ws, shard.Options{BatchEdges: 128, Obs: o}, func(edges []graph.Edge, parts []int32) {
 			for i := range edges {
 				got = append(got, part.TaggedEdge{E: edges[i], P: int(parts[i])})
 			}
@@ -146,9 +147,10 @@ func TestNonLendingSourceCopiedIntoSlabs(t *testing.T) {
 		for i := range ws {
 			ws[i] = &orderPlacer{k: k}
 		}
-		c := obs.NewCounters(workers)
+		o := obs.New(workers)
+		c := o.Counters()
 		var got []part.TaggedEdge
-		err := shard.Run(edgesOnly{s: slabs}, ws, shard.Options{BatchEdges: batch, Obs: c}, func(edges []graph.Edge, parts []int32) {
+		err := shard.Run(edgesOnly{s: slabs}, ws, shard.Options{BatchEdges: batch, Obs: o}, func(edges []graph.Edge, parts []int32) {
 			if len(edges) > batch {
 				t.Fatalf("W=%d: batch of %d edges above the %d ceiling", workers, len(edges), batch)
 			}
@@ -211,14 +213,14 @@ func TestNonLendingSourceCopiedIntoSlabs(t *testing.T) {
 	}
 }
 
-// TestLendingSizerSlicesSlabs pins sizer-driven slab slicing: a Fixed sizer
+// TestLendingSizerSlicesSlabs pins sizer-driven slab slicing: a fixed sizer
 // cuts every slab at its boundaries (delivered batch lengths), and a
 // size-alternating sizer folds batch_resizes.
 func TestLendingSizerSlicesSlabs(t *testing.T) {
 	src := newSlabSource(101, 1000, 3)
 	ws := []shard.BatchPlacer{&orderPlacer{k: 5}, &orderPlacer{k: 5}}
 	var sizes []int
-	err := shard.Run(src, ws, shard.Options{BatchEdges: 4096, Sizer: shard.Fixed(100)},
+	err := shard.Run(src, ws, shard.Options{BatchEdges: 4096, Sizer: fixedSizer(100)},
 		func(edges []graph.Edge, parts []int32) { sizes = append(sizes, len(edges)) })
 	if err != nil {
 		t.Fatal(err)
@@ -233,17 +235,22 @@ func TestLendingSizerSlicesSlabs(t *testing.T) {
 	}
 
 	src = newSlabSource(101, 1000, 2)
-	c := obs.NewCounters(2)
+	o := obs.New(2)
 	alt := &alternatingSizer{a: 100, b: 200}
-	err = shard.Run(src, ws, shard.Options{BatchEdges: 4096, Sizer: alt, Obs: c},
+	err = shard.Run(src, ws, shard.Options{BatchEdges: 4096, Sizer: alt, Obs: o},
 		func(edges []graph.Edge, parts []int32) {})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := c.Total(obs.CtrBatchResizes); n == 0 {
+	if n := o.Counters().Total(obs.CtrBatchResizes); n == 0 {
 		t.Fatal("alternating sizer folded no batch_resizes")
 	}
 }
+
+// fixedSizer asks for the same batch size every time.
+type fixedSizer int
+
+func (f fixedSizer) NextBatch() int { return int(f) }
 
 type alternatingSizer struct{ a, b, n int }
 

@@ -109,10 +109,3 @@ func (a *AdaptiveSizer) NextBatch() int {
 	}
 	return int(b)
 }
-
-// Fixed is a BatchSizer that always returns the same size — the explicit
-// fixed policy, and the test seam for sizer plumbing.
-type Fixed int
-
-// NextBatch implements BatchSizer.
-func (f Fixed) NextBatch() int { return int(f) }

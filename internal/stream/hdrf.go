@@ -31,8 +31,6 @@ type HDRF struct {
 	// order, so they always take the exact-degree pre-pass, which runs
 	// sequentially.
 	Workers int
-	// BatchEdges overrides the engine's fan-out batch size (0 = default).
-	BatchEdges int
 	// Obs is the observability hook (nil = disabled): the degree pass and
 	// the streaming pass record phase spans, and the engine folds hot-path
 	// counters and per-batch quality samples into it.
@@ -58,7 +56,7 @@ func (h *HDRF) Partition(src graph.EdgeStream, k int) (*part.Result, error) {
 	lambda, alpha := h.params()
 	res := part.NewResult(src.NumVertices(), k)
 	res.Sink = h.Sink
-	opts := shard.Options{Workers: max(h.Workers, 1), BatchEdges: h.BatchEdges, Obs: h.Obs.Counters(), Hub: h.Obs}
+	opts := shard.Options{Workers: max(h.Workers, 1), Obs: h.Obs}
 	pass := hdrfPass{lambda: lambda}
 	m := src.NumEdges()
 	if h.ExactDegrees || opts.Workers > 1 {

@@ -2,9 +2,11 @@ package stream
 
 import (
 	"fmt"
+	"math"
 	"sync/atomic"
 
 	"hep/internal/graph"
+	"hep/internal/obs"
 	"hep/internal/part"
 	"hep/internal/pstate"
 	"hep/internal/shard"
@@ -42,8 +44,9 @@ type replicaWriter interface {
 // sequential semantics (rotating argmin included) against a view that lags
 // other workers by at most one batch. partial makes the worker stream
 // partial degrees into deg before scoring each edge (standalone HDRF with
-// one worker); it is the one worker whose ids no earlier pass has checked
-// against the vertex count, so it records an out-of-range id in fault.
+// one worker); it is the one worker whose ids and degree counts no earlier
+// pass has checked, so it records an out-of-range id or a degree past the
+// int32 range in fault.
 type hdrfWorker struct {
 	id       int
 	reps     RepView
@@ -54,19 +57,33 @@ type hdrfWorker struct {
 	lambda   float64
 	capacity int64
 	local    *pstate.Loads
-	fault    *idFault
+	fault    *passFault
 }
 
-// idFault is a pass's record of a vertex id outside [0, n): the error, and
-// the flag that stops the engine's scan (shard.AbortStream) and delivery.
-type idFault struct {
+// passFault is a pass's record of the error that stopped its scan, and the
+// flag that stops the engine's scan (shard.AbortStream) and delivery.
+type passFault struct {
 	stop atomic.Bool
 	err  error
 }
 
-func (f *idFault) set(u, v graph.V, n int) {
-	f.err = fmt.Errorf("%w: edge (%d,%d) with n=%d", graph.ErrVertexRange, u, v, n)
+func (f *passFault) set(err error) {
+	f.err = err
 	f.stop.Store(true)
+}
+
+// vertexRangeError is graph.Degrees' error for an edge naming an id ≥ n.
+func vertexRangeError(u, v graph.V, n int) error {
+	return fmt.Errorf("%w: edge (%d,%d) with n=%d", graph.ErrVertexRange, u, v, n)
+}
+
+// degreeOverflowError is graph.Degrees' error for an edge whose endpoint
+// count cannot grow: it names the endpoint with the larger count.
+func degreeOverflowError(deg []int32, u, v graph.V) error {
+	if deg[v] > deg[u] {
+		u = v
+	}
+	return fmt.Errorf("%w: vertex %d", graph.ErrDegreeOverflow, u)
 }
 
 // PlaceBatch implements shard.BatchPlacer: reload the local load view from
@@ -88,7 +105,13 @@ func (w *hdrfWorker) PlaceBatch(edges []graph.Edge, parts []int32) {
 			// The check stands in for the bounds checks of the two
 			// increments, which the compiler then drops.
 			if int(u) >= len(deg) || int(v) >= len(deg) {
-				w.fault.set(u, v, len(deg))
+				w.fault.set(vertexRangeError(u, v, len(deg)))
+				return
+			}
+			// A count at the int32 maximum cannot grow; a self-loop
+			// adds 2 to one count.
+			if deg[u] == math.MaxInt32 || deg[v] == math.MaxInt32 || (u == v && deg[u] == math.MaxInt32-1) {
+				w.fault.set(degreeOverflowError(deg, u, v))
 				return
 			}
 			deg[u]++
@@ -122,15 +145,12 @@ func (w *hdrfWorker) PlaceBatch(edges []graph.Edge, parts []int32) {
 // that ceiling from the live load bounds. Count-less streams (totalM ≤ 0)
 // keep the DefaultBatchEdges ceiling instead of collapsing to the floor,
 // and their unbounded capacity pins the adaptive policy at the ceiling too.
-// A caller-installed opts.Sizer is kept.
 func sizeBatches(opts *shard.Options, loads *shard.ShardedLoads, capacity, totalM int64, workers int) {
 	if opts.BatchEdges > 0 {
 		return
 	}
 	opts.BatchEdges = shard.FixedBatch(totalM, workers)
-	if opts.Sizer == nil {
-		opts.Sizer = shard.NewAdaptiveSizer(loads, capacity, workers, opts.BatchEdges)
-	}
+	opts.Sizer = shard.NewAdaptiveSizer(loads, capacity, workers, opts.BatchEdges)
 }
 
 // hdrfPass is one HDRF placement pass over a stream.
@@ -145,19 +165,24 @@ type hdrfPass struct {
 
 // run places every edge of src into res with opts.Resolve() workers through
 // shard.Run and delivers assignments to res (edge count, sink, one quality
-// sample per batch) in stream order. A partial-degree pass stops at the
-// first vertex id outside res's n, delivers nothing from that batch on, and
-// returns graph.ErrVertexRange.
+// sample per batch) in stream order. It is the one place a placement pass
+// is set up: it picks the batch policy from the worker count (fixed
+// DefaultBatchEdges batches for one worker, the adaptive policy of
+// sizeBatches for more, unless opts.BatchEdges pins a size) and, for more
+// than one worker, moves res's state into its concurrent form for the run.
+// A partial-degree pass stops at the first vertex id outside res's n or
+// degree past the int32 range, delivers nothing from that batch on, and
+// returns graph.ErrVertexRange or graph.ErrDegreeOverflow.
 func (h hdrfPass) run(src graph.EdgeStream, res *part.Result, opts shard.Options) error {
 	workers := opts.Resolve()
-	var fault idFault
+	var fault passFault
 	if h.partial {
 		src = shard.AbortStream{EdgeStream: src, Stop: &fault.stop}
 	}
 	var table replicaWriter
 	var reps RepView
 	var loads *shard.ShardedLoads
-	var deliver func(edges []graph.Edge, parts []int32)
+	var shared *shard.AtomicTable
 	if workers == 1 {
 		// One worker writes the live table directly and scores exact loads
 		// through a single lane. Fixed batches: the adaptive sizer only
@@ -166,31 +191,39 @@ func (h hdrfPass) run(src graph.EdgeStream, res *part.Result, opts shard.Options
 		if opts.BatchEdges <= 0 {
 			opts.BatchEdges = shard.DefaultBatchEdges
 		}
-		deliver = func(edges []graph.Edge, parts []int32) {
-			if fault.stop.Load() {
-				return
-			}
-			for i := range edges {
-				res.M++
-				if res.Sink != nil {
-					res.Sink.Assign(edges[i].U, edges[i].V, int(parts[i]))
-				}
-			}
-			res.SampleQuality(opts.Hub)
-		}
 	} else {
-		sh := res.Shared(workers).SetObs(opts.Obs)
-		defer sh.Finish()
-		table, reps, loads = sh.Table, sh.Table, sh.Loads
+		// The replica table moves into CAS-backed shared form (no mask word
+		// is copied) and the load tracker gets one delta lane per worker.
+		// Workers apply replica bits and loads themselves; delivery records
+		// the edge count and the sink, which need stream order. Once every
+		// worker has stopped, the table freezes back into res.
+		shared = shard.FromTable(res.Reps)
+		defer func() {
+			opts.Obs.Counters().Add(0, obs.CtrCASRetries, shared.Retries())
+			res.Reps = shared.Freeze()
+		}()
+		table, reps = shared, shared
+		loads = shard.NewShardedLoads(res.Loads, workers)
+		loads.SetObs(opts.Obs.Counters())
 		// Size batches from totalM, never src.NumEdges(): a count-less
 		// stream (NumEdges() == 0, count unknown) would collapse the batch
 		// to the 256 floor and pay ~16× the per-batch synchronization.
-		sizeBatches(&opts, sh.Loads, h.capacity, h.totalM, workers)
-		deliver = func(edges []graph.Edge, parts []int32) {
-			for i := range edges {
-				sh.Deliver(edges[i].U, edges[i].V, int(parts[i]))
+		sizeBatches(&opts, loads, h.capacity, h.totalM, workers)
+	}
+	deliver := func(edges []graph.Edge, parts []int32) {
+		if fault.stop.Load() {
+			return
+		}
+		for i := range edges {
+			res.M++
+			if res.Sink != nil {
+				res.Sink.Assign(edges[i].U, edges[i].V, int(parts[i]))
 			}
-			sh.SampleQuality(opts.Hub)
+		}
+		if shared == nil {
+			res.SampleQuality(opts.Obs)
+		} else {
+			sampleShared(opts.Obs, res, shared, loads)
 		}
 	}
 	if h.prior != nil {
@@ -215,6 +248,22 @@ func (h hdrfPass) run(src graph.EdgeStream, res *part.Result, opts shard.Options
 		return err
 	}
 	return fault.err
+}
+
+// sampleShared pushes one running-quality sample from the live concurrent
+// state — atomic per-partition vertex counts, the covered-vertex counter and
+// the sharded load bounds — into the hub's series ring. The SampleTick gate
+// skips the O(k) gather entirely when sampling is off.
+func sampleShared(o *obs.Obs, res *part.Result, t *shard.AtomicTable, loads *shard.ShardedLoads) {
+	if !o.SampleTick() {
+		return
+	}
+	var replicas int64
+	for p := 0; p < res.K; p++ {
+		replicas += t.VertexCount(p)
+	}
+	max, min := loads.Bounds()
+	o.RecordSample(res.M, replicas, t.Covered(), max, min, res.K)
 }
 
 // RunHDRFParallel streams src into res with HDRF scoring against the exact

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -421,17 +422,17 @@ func TestAdaptiveBatchAlphaNearOne(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		c := obs.NewCounters(workers)
+		o := obs.New(workers)
 		adapt := part.NewResult(g.NumVertices(), k)
 		err = RunHDRFParallel(g, adapt, deg, DefaultLambda, alpha, m,
-			shard.Options{Workers: workers, Obs: c})
+			shard.Options{Workers: workers, Obs: o})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if adapt.M != m {
 			t.Fatalf("k=%d: adaptive assigned %d of %d edges", k, adapt.M, m)
 		}
-		resizes += c.Total(obs.CtrBatchResizes)
+		resizes += o.Counters().Total(obs.CtrBatchResizes)
 		frf, arf := fixed.ReplicationFactor(), adapt.ReplicationFactor()
 		if arf > frf*1.02 {
 			t.Errorf("k=%d: adaptive RF %.4f > fixed %.4f + 2%%", k, arf, frf)
@@ -479,4 +480,87 @@ func TestAdaptiveBatchTinyGraph(t *testing.T) {
 			t.Fatalf("delivery %d = %v, want %v", i, col.Edges[i].E, edges[i])
 		}
 	}
+}
+
+// TestPartialDegreeOverflow pins the int32 guard of the one-worker
+// partial-degree pass: an edge whose endpoint count cannot grow stops the
+// pass with graph.ErrDegreeOverflow, as the exact degree passes do. A
+// self-loop adds 2 to one count, so it stops one count earlier. Nothing of
+// the batch holding the edge is delivered, and no count wraps negative.
+func TestPartialDegreeOverflow(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		full graph.V // endpoint whose count starts at the edge
+		at   int32
+		bad  graph.Edge
+	}{
+		{"edge", 3, math.MaxInt32, graph.Edge{U: 2, V: 3}},
+		{"self-loop", 3, math.MaxInt32 - 1, graph.Edge{U: 3, V: 3}},
+	} {
+		edges := []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, tc.bad, {U: 0, V: 2}}
+		g := graph.NewMemGraph(4, edges)
+		deg := make([]int32, 4)
+		deg[tc.full] = tc.at
+		res := part.NewResult(4, 2)
+		col := &part.Collect{}
+		res.Sink = col
+		pass := hdrfPass{deg: deg, partial: true, lambda: DefaultLambda, capacity: Capacity(1.05, 4, 2), totalM: 4}
+		err := pass.run(g, res, shard.Options{Workers: 1})
+		if !errors.Is(err, graph.ErrDegreeOverflow) {
+			t.Fatalf("%s: err = %v, want ErrDegreeOverflow", tc.name, err)
+		}
+		if res.M != 0 || len(col.Edges) != 0 {
+			t.Errorf("%s: delivered %d edges (sink %d) from the overflowing batch", tc.name, res.M, len(col.Edges))
+		}
+		for v, d := range deg {
+			if d < 0 {
+				t.Errorf("%s: degree of %d wrapped to %d", tc.name, v, d)
+			}
+		}
+		if deg[tc.full] != tc.at {
+			t.Errorf("%s: degree of %d moved from %d to %d", tc.name, tc.full, tc.at, deg[tc.full])
+		}
+	}
+}
+
+// TestHDRFSmallBatchesConformance keeps W=4 HDRF over 64-edge batches under
+// the shared validity contract on several graph families: batches that
+// small force real cross-batch interleaving even on small graphs. No
+// balance bound is asserted, because the bounded-staleness load view may
+// overshoot α by up to a batch on inputs this small.
+func TestHDRFSmallBatchesConformance(t *testing.T) {
+	graphs := map[string]*graph.MemGraph{
+		"ba":           gen.BarabasiAlbert(800, 5, 101),
+		"community":    gen.CommunityPowerLaw(1200, 20, 6, 0.2, 102),
+		"web":          gen.WebGraph(12, 30, 4, 0.05, 103),
+		"star":         gen.Star(200),
+		"disconnected": gen.DisconnectedComponents(4, 100, 3, 105),
+		"tiny":         graph.NewMemGraph(4, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}}),
+	}
+	for name, g := range graphs {
+		for _, k := range []int{2, 5, 16} {
+			if _, err := parttest.RunAndCheck(&smallBatchHDRF{}, g, k, 0, 0); err != nil {
+				t.Errorf("%s k=%d: %v", name, k, err)
+			}
+		}
+	}
+}
+
+// smallBatchHDRF is exact-degree HDRF placed by four workers in 64-edge
+// batches.
+type smallBatchHDRF struct{ part.SinkHolder }
+
+func (*smallBatchHDRF) Name() string { return "HDRF-W4-batch64" }
+
+func (h *smallBatchHDRF) Partition(src graph.EdgeStream, k int) (*part.Result, error) {
+	deg, m, err := graph.Degrees(src)
+	if err != nil {
+		return nil, err
+	}
+	res := part.NewResult(src.NumVertices(), k)
+	res.Sink = h.Sink
+	if err := RunHDRFParallel(src, res, deg, DefaultLambda, 1.05, m, shard.Options{Workers: 4, BatchEdges: 64}); err != nil {
+		return nil, err
+	}
+	return res, nil
 }

@@ -144,7 +144,7 @@ func TestObsOverheadSmoke(t *testing.T) {
 			for i := 0; i < b.N; i++ {
 				res := part.NewResult(n, k)
 				err := stream.RunHDRFParallel(g, res, deg, stream.DefaultLambda, 1.05, m,
-					shard.Options{Workers: workers, Obs: o.Counters(), Hub: o})
+					shard.Options{Workers: workers, Obs: o})
 				if err != nil {
 					b.Fatal(err)
 				}
