@@ -2,7 +2,9 @@ package hep
 
 // Benchmark harness: one testing.B benchmark per table and figure of the
 // paper's evaluation (regenerating its rows via internal/expt) plus
-// ablation benchmarks for the design decisions DESIGN.md calls out.
+// ablation benchmarks that isolate one design decision each: lazy edge
+// removal, sequential seeding, informed streaming, the τ pre-computation
+// and HDRF's degree source.
 //
 // Benchmarks run the experiments at a reduced dataset scale so the whole
 // suite finishes on a laptop; `go run ./cmd/hep-bench -scale 1` prints the
@@ -146,7 +148,7 @@ func benchPartition(b *testing.B, cfg Config) {
 	}
 }
 
-// --- Ablation benchmarks (DESIGN.md "Design decisions") ---
+// --- Ablation benchmarks ---
 
 // BenchmarkAblationLazyVsEager compares NE++ (lazy edge removal, pruned
 // CSR) against the reference NE (eager invalidation, edge array) on the

@@ -283,7 +283,7 @@ func vertexRange(u, v graph.V, n int) error {
 	if int(u) < n && int(v) < n {
 		return nil
 	}
-	return fmt.Errorf("%w: edge (%d,%d) with n=%d", graph.ErrVertexRange, u, v, n)
+	return graph.VertexRangeError(u, v, n)
 }
 
 // Edges implements graph.EdgeStream.

@@ -4,7 +4,6 @@
 package core
 
 import (
-	"hep/internal/bitset"
 	"hep/internal/graph"
 	"hep/internal/part"
 	"hep/internal/vheap"
@@ -31,7 +30,7 @@ type Stats struct {
 	// algorithm (Figure 7 reports CleanupRemoved / ColEntries).
 	CleanupRemoved int64
 	// CleanupAssigned counts low↔high edges whose assignment was deferred
-	// to clean-up (see DESIGN.md).
+	// to clean-up (invariant 1 on NEPP).
 	CleanupAssigned int64
 	// AssignRemoved counts entries swap-removed at assignment time (the
 	// low↔high rule); these are not clean-up removals.
@@ -49,26 +48,62 @@ type Stats struct {
 	InMemBound int64
 }
 
+// Bits of NEPP's per-vertex state byte.
+const (
+	stHigh uint8 = 1 << iota // high-degree: owns no lists (copied from the CSR)
+	stCore                   // in the global core set C
+	stSA                     // secondary-set bit A
+	stSB                     // secondary-set bit B
+)
+
 // NEPP runs the NE++ expansion over a pruned CSR, assigning every in-memory
 // edge (all edges except E_h2h) to one of k partitions. The CSR is consumed:
 // its size fields shrink as edges are removed.
+//
+// Vertex state is one byte per vertex: the high-degree bit, the core bit,
+// and two secondary-set bits, so each adjacency entry NE++ reads costs one
+// load and its membership tests run on a register. One secondary-set bit
+// stands for S_i, the partition currently expanding; the other for
+// S_{i+1}, which spilled edges pre-seed. At a partition boundary the S_i
+// bit is cleared on S_i's members and the two bits swap roles, so no set
+// is ever copied or cleared in full.
+//
+// Three invariants make the pruned-graph adaptation of §3.2.3 exact:
+//
+//  1. Low↔high edges live only in the low endpoint's lists, and a valid
+//     entry pointing at a high-degree vertex is always an unassigned edge:
+//     the edge is assigned and its entry swap-removed in one step. That
+//     step runs when the low side joins C, which pulls the high side into
+//     S_i, or joins S_i after the high side. When the high side joins S_i
+//     after the low side, no scan of the low side's lists follows, so
+//     unless the low side later moves to C the edge is deferred to
+//     clean-up, which assigns it to p_i (Stats.CleanupAssigned).
+//  2. At a partition boundary, the valid degree of a vertex outside C is
+//     exactly its number of unassigned edges: clean-up removed every entry
+//     of an S_i member pointing into C ∪ S_i, and a vertex outside C ∪ S_i
+//     has no assigned edge.
+//  3. No valid entry points inside a pre-seeded S_{i+1}: every spilled edge
+//     joined two members of C ∪ S_i, so an edge between two pre-seeded
+//     members was assigned in the spilling partition and removed by
+//     clean-up. A pre-seeded member's external degree is therefore its
+//     valid degree.
 type NEPP struct {
 	csr   *graph.CSR
 	k     int
 	res   *part.Result
 	bound int64
 
-	core    *bitset.Set // C: global core set
-	curS    *bitset.Set // S_i of the partition currently expanding
-	members []graph.V   // insertion-ordered S_i members (for clean-up/reset)
-	heap    *vheap.Heap // low-degree S_i members keyed by external degree
+	state       []uint8     // per-vertex stHigh|stCore|stSA|stSB bits
+	sCur, sNext uint8       // the secondary-set bits standing for S_i, S_{i+1}
+	members     []graph.V   // insertion-ordered S_i members (for clean-up/reset)
+	nextMembers []graph.V   // S_{i+1} members pre-seeded by spill-over
+	heap        *vheap.Heap // low-degree S_i members keyed by external degree
 
-	// Spill-over warm start (Algorithm 1, line 28): endpoints of edges
-	// spilled to p_{i+1} pre-seed S_{i+1}, so the next expansion resumes
-	// at the spill boundary instead of a cold seed.
-	nextS       *bitset.Set
-	nextMembers []graph.V
-	cur         int // index of the partition currently expanding
+	// cur is the index of the partition currently expanding. Endpoints of
+	// edges spilled to p_{cur+1} pre-seed S_{cur+1} (Algorithm 1, line
+	// 28), so the next expansion resumes at the spill boundary instead of
+	// a cold seed.
+	cur int
 
 	seedCursor int // sequential initialization (§3.2.3)
 
@@ -81,14 +116,19 @@ type NEPP struct {
 func NewNEPP(csr *graph.CSR, k int, res *part.Result, tracer Tracer) *NEPP {
 	n := csr.N()
 	bound := (csr.InMemEdges() + int64(k) - 1) / int64(k)
+	state := make([]uint8, n)
+	csr.HighSet().Range(func(v uint32) bool {
+		state[v] = stHigh
+		return true
+	})
 	return &NEPP{
 		csr:    csr,
 		k:      k,
 		res:    res,
 		bound:  bound,
-		core:   bitset.New(n),
-		curS:   bitset.New(n),
-		nextS:  bitset.New(n),
+		state:  state,
+		sCur:   stSA,
+		sNext:  stSB,
 		heap:   vheap.New(n),
 		tracer: tracer,
 		stats: Stats{
@@ -102,8 +142,8 @@ func NewNEPP(csr *graph.CSR, k int, res *part.Result, tracer Tracer) *NEPP {
 // Stats returns the run statistics (valid after Run).
 func (p *NEPP) Stats() Stats { return p.stats }
 
-// Core exposes the global core bitset (for tests and ablations).
-func (p *NEPP) Core() *bitset.Set { return p.core }
+// InCore reports whether v is in the global core set C.
+func (p *NEPP) InCore(v graph.V) bool { return p.state[v]&stCore != 0 }
 
 // Run executes the full NE++ partitioning: expansion + clean-up for
 // partitions 0..k-2 (Algorithm 1 + Algorithm 2) and the remaining-edge scan
@@ -149,7 +189,7 @@ func (p *NEPP) nextSeed() (graph.V, bool) {
 	n := p.csr.N()
 	for p.seedCursor < n {
 		v := graph.V(p.seedCursor)
-		if !p.core.Has(v) && !p.csr.IsHigh(v) && p.csr.ValidDegree(v) > 0 {
+		if p.state[v]&(stCore|stHigh) == 0 && p.csr.ValidDegree(v) > 0 {
 			return v, true
 		}
 		p.seedCursor++
@@ -160,9 +200,9 @@ func (p *NEPP) nextSeed() (graph.V, bool) {
 // moveToCore implements Algorithm 1, lines 12–15, adapted to the pruned
 // graph: high-degree neighbors are pulled into S_i without scanning their
 // (nonexistent) adjacency lists, and the connecting edge is assigned here,
-// from the low side, with immediate removal (see DESIGN.md).
+// from the low side, with immediate removal (invariant 1 on NEPP).
 func (p *NEPP) moveToCore(v graph.V, i int) {
-	p.core.Set(v)
+	p.state[v] |= stCore
 	p.heap.Remove(v) // no-op unless v was pre-seeded and chosen as seed
 	p.stats.CoreDegSum += int64(p.csr.Degree(v))
 	p.stats.CoreCount++
@@ -175,20 +215,21 @@ func (p *NEPP) moveToCore(v graph.V, i int) {
 	}
 
 	// Out-list: entries are edges (v,u) in input orientation.
+	cur := p.sCur
 	out := p.csr.Out(v)
 	for idx := int32(0); idx < int32(len(out)); {
 		u := out[idx]
-		switch {
-		case p.csr.IsHigh(u):
-			if !p.curS.Has(u) {
-				p.curS.Set(u)
+		switch s := p.state[u]; {
+		case s&stHigh != 0:
+			if s&cur == 0 {
+				p.state[u] = s | cur
 				p.members = append(p.members, u)
 			}
 			p.assign(v, u, i)
 			p.csr.RemoveOutAt(v, idx)
 			p.stats.AssignRemoved++
 			out = p.csr.Out(v)
-		case p.core.Has(u) || p.curS.Has(u):
+		case s&(stCore|cur) != 0:
 			idx++ // edge already assigned when u joined C ∪ S_i
 		default:
 			p.moveToSecondary(u, i)
@@ -198,17 +239,17 @@ func (p *NEPP) moveToCore(v graph.V, i int) {
 	in := p.csr.In(v)
 	for idx := int32(0); idx < int32(len(in)); {
 		u := in[idx]
-		switch {
-		case p.csr.IsHigh(u):
-			if !p.curS.Has(u) {
-				p.curS.Set(u)
+		switch s := p.state[u]; {
+		case s&stHigh != 0:
+			if s&cur == 0 {
+				p.state[u] = s | cur
 				p.members = append(p.members, u)
 			}
 			p.assign(u, v, i)
 			p.csr.RemoveInAt(v, idx)
 			p.stats.AssignRemoved++
 			in = p.csr.In(v)
-		case p.core.Has(u) || p.curS.Has(u):
+		case s&(stCore|cur) != 0:
 			idx++
 		default:
 			p.moveToSecondary(u, i)
@@ -224,7 +265,8 @@ func (p *NEPP) moveToCore(v graph.V, i int) {
 // swap-removed immediately to keep "entry present ⇒ unassigned" for high
 // neighbors.
 func (p *NEPP) moveToSecondary(v graph.V, i int) {
-	p.curS.Set(v)
+	cur := p.sCur
+	p.state[v] |= cur
 	p.members = append(p.members, v)
 
 	if p.tracer != nil {
@@ -238,9 +280,9 @@ func (p *NEPP) moveToSecondary(v graph.V, i int) {
 	out := p.csr.Out(v)
 	for idx := int32(0); idx < int32(len(out)); {
 		u := out[idx]
-		switch {
-		case p.csr.IsHigh(u):
-			if p.curS.Has(u) {
+		switch s := p.state[u]; {
+		case s&stHigh != 0:
+			if s&cur != 0 {
 				p.assign(v, u, i)
 				p.csr.RemoveOutAt(v, idx)
 				p.stats.AssignRemoved++
@@ -249,10 +291,10 @@ func (p *NEPP) moveToSecondary(v graph.V, i int) {
 				dext++
 				idx++
 			}
-		case p.core.Has(u):
+		case s&stCore != 0:
 			p.assign(v, u, i)
 			idx++
-		case p.curS.Has(u):
+		case s&cur != 0:
 			p.assign(v, u, i)
 			if p.heap.Contains(u) {
 				p.heap.Add(u, -1)
@@ -266,9 +308,9 @@ func (p *NEPP) moveToSecondary(v graph.V, i int) {
 	in := p.csr.In(v)
 	for idx := int32(0); idx < int32(len(in)); {
 		u := in[idx]
-		switch {
-		case p.csr.IsHigh(u):
-			if p.curS.Has(u) {
+		switch s := p.state[u]; {
+		case s&stHigh != 0:
+			if s&cur != 0 {
 				p.assign(u, v, i)
 				p.csr.RemoveInAt(v, idx)
 				p.stats.AssignRemoved++
@@ -277,10 +319,10 @@ func (p *NEPP) moveToSecondary(v graph.V, i int) {
 				dext++
 				idx++
 			}
-		case p.core.Has(u):
+		case s&stCore != 0:
 			p.assign(u, v, i)
 			idx++
-		case p.curS.Has(u):
+		case s&cur != 0:
 			p.assign(u, v, i)
 			if p.heap.Contains(u) {
 				p.heap.Add(u, -1)
@@ -317,8 +359,8 @@ func (p *NEPP) assign(u, v graph.V, i int) {
 
 // preseed adds a spilled-edge endpoint to S_{cur+1} (Algorithm 1, line 28).
 func (p *NEPP) preseed(v graph.V) {
-	if !p.nextS.Has(v) {
-		p.nextS.Set(v)
+	if s := p.state[v]; s&p.sNext == 0 {
+		p.state[v] = s | p.sNext
 		p.nextMembers = append(p.nextMembers, v)
 	}
 }
@@ -329,14 +371,16 @@ func (p *NEPP) preseed(v graph.V) {
 // joined); low↔high entries still present are *not* assigned yet — they are
 // assigned to p_i now, completing the pruned-graph adaptation.
 func (p *NEPP) cleanup(i int) {
+	cur := p.sCur
 	for _, v := range p.members {
-		if p.csr.IsHigh(v) {
+		s := p.state[v]
+		if s&stHigh != 0 {
 			// High-degree vertices always remain in S_i and own no lists.
 			p.stats.SecDegSum += int64(p.csr.Degree(v))
 			p.stats.SecCount++
 			continue
 		}
-		if p.core.Has(v) {
+		if s&stCore != 0 {
 			// Core lists are never read again (Theorem 3.1); the vertex
 			// was counted as a core move already.
 			continue
@@ -354,9 +398,9 @@ func (p *NEPP) cleanup(i int) {
 		out := p.csr.Out(v)
 		for idx := int32(0); idx < int32(len(out)); {
 			u := out[idx]
-			switch {
-			case p.csr.IsHigh(u):
-				if p.curS.Has(u) {
+			switch s := p.state[u]; {
+			case s&stHigh != 0:
+				if s&cur != 0 {
 					p.assign(v, u, i)
 					p.csr.RemoveOutAt(v, idx)
 					p.stats.CleanupAssigned++
@@ -365,7 +409,7 @@ func (p *NEPP) cleanup(i int) {
 				} else {
 					idx++
 				}
-			case p.core.Has(u) || p.curS.Has(u):
+			case s&(stCore|cur) != 0:
 				p.csr.RemoveOutAt(v, idx)
 				p.stats.CleanupRemoved++
 				out = p.csr.Out(v)
@@ -376,9 +420,9 @@ func (p *NEPP) cleanup(i int) {
 		in := p.csr.In(v)
 		for idx := int32(0); idx < int32(len(in)); {
 			u := in[idx]
-			switch {
-			case p.csr.IsHigh(u):
-				if p.curS.Has(u) {
+			switch s := p.state[u]; {
+			case s&stHigh != 0:
+				if s&cur != 0 {
 					p.assign(u, v, i)
 					p.csr.RemoveInAt(v, idx)
 					p.stats.CleanupAssigned++
@@ -387,7 +431,7 @@ func (p *NEPP) cleanup(i int) {
 				} else {
 					idx++
 				}
-			case p.core.Has(u) || p.curS.Has(u):
+			case s&(stCore|cur) != 0:
 				p.csr.RemoveInAt(v, idx)
 				p.stats.CleanupRemoved++
 				in = p.csr.In(v)
@@ -398,23 +442,22 @@ func (p *NEPP) cleanup(i int) {
 	}
 }
 
-// advanceSecondary clears S_i state and installs the pre-seeded S_{i+1}.
-// Pre-seeded low-degree members enter the heap with external degree equal
-// to their remaining valid degree: at a partition boundary every valid
-// entry of a non-core vertex is an unassigned edge, and edges between two
-// pre-seeded members were all assigned in the spilling partition, so no
-// valid entry points inside S_{i+1} (see DESIGN.md).
+// advanceSecondary clears the S_i bit on S_i's members, swaps the roles of
+// the two secondary-set bits so the pre-seeded S_{i+1} becomes current, and
+// seeds the heap from it. Pre-seeded low-degree members enter the heap with
+// external degree equal to their remaining valid degree (invariants 2 and 3
+// on NEPP).
 func (p *NEPP) advanceSecondary() {
 	for _, v := range p.members {
-		p.curS.Clear(v)
+		p.state[v] &^= p.sCur
 	}
 	p.members = p.members[:0]
 	p.heap.Reset()
 
-	p.curS, p.nextS = p.nextS, p.curS
+	p.sCur, p.sNext = p.sNext, p.sCur
 	p.members, p.nextMembers = p.nextMembers, p.members
 	for _, v := range p.members {
-		if p.core.Has(v) || p.csr.IsHigh(v) {
+		if p.state[v]&(stCore|stHigh) != 0 {
 			continue
 		}
 		if d := p.csr.ValidDegree(v); d > 0 {
@@ -430,12 +473,11 @@ func (p *NEPP) advanceSecondary() {
 // (low↔low edges are covered exactly once by their left endpoint's
 // out-list).
 func (p *NEPP) assignRemaining(last int) {
-	n := p.csr.N()
-	for vi := 0; vi < n; vi++ {
-		v := graph.V(vi)
-		if p.core.Has(v) || p.csr.IsHigh(v) {
+	for vi, s := range p.state {
+		if s&(stCore|stHigh) != 0 {
 			continue
 		}
+		v := graph.V(vi)
 		if p.tracer != nil {
 			off, cnt := p.csr.OutSpan(v)
 			p.tracer.Touch(off, cnt)
@@ -446,7 +488,7 @@ func (p *NEPP) assignRemaining(last int) {
 			p.res.Assign(v, u, last)
 		}
 		for _, u := range p.csr.In(v) {
-			if p.csr.IsHigh(u) {
+			if p.state[u]&stHigh != 0 {
 				p.res.Assign(u, v, last)
 			}
 		}

@@ -9,6 +9,7 @@ import (
 
 	"hep/internal/gen"
 	"hep/internal/graph"
+	"hep/internal/memmodel"
 	"hep/internal/part"
 )
 
@@ -196,18 +197,92 @@ func TestCleanupSeparatesCore(t *testing.T) {
 	ne := NewNEPP(csr, 8, res, nil)
 	ne.Run()
 	for v := 0; v < csr.N(); v++ {
-		if ne.Core().Has(graph.V(v)) || csr.IsHigh(graph.V(v)) {
+		if ne.InCore(graph.V(v)) || csr.IsHigh(graph.V(v)) {
 			continue
 		}
 		for _, u := range csr.Out(graph.V(v)) {
-			if ne.Core().Has(u) {
+			if ne.InCore(u) {
 				t.Fatalf("vertex %d outside core keeps a valid out-entry to core vertex %d", v, u)
 			}
 		}
 		for _, u := range csr.In(graph.V(v)) {
-			if ne.Core().Has(u) {
+			if ne.InCore(u) {
 				t.Fatalf("vertex %d outside core keeps a valid in-entry to core vertex %d", v, u)
 			}
 		}
+	}
+}
+
+// TestAdvanceSecondaryRetiresSBit steps through Run's partition loop and
+// checks, after every advanceSecondary, that no vertex carries the retired
+// secondary-set bit: the bit that stood for S_i now stands for S_{i+1}, which
+// nothing has pre-seeded yet. The stepped run must also match Run edge for
+// edge, and spill-over must pre-seed some S_{i+1}, so the two bits really
+// swap roles over members.
+func TestAdvanceSecondaryRetiresSBit(t *testing.T) {
+	const k = 16
+	g := gen.MustDataset("TW").Build(0.1)
+	run := func(step bool) []part.TaggedEdge {
+		csr, err := graph.BuildCSR(g, 5, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		col := &part.Collect{}
+		res := part.NewResult(csr.N(), k)
+		res.Sink = col
+		ne := NewNEPP(csr, k, res, nil)
+		if !step {
+			ne.Run()
+			return col.Edges
+		}
+		preseeded := 0
+		for i := 0; i < k-1; i++ {
+			ne.cur = i
+			exhausted := ne.expand(i)
+			ne.cleanup(i)
+			preseeded += len(ne.nextMembers)
+			ne.advanceSecondary()
+			for v, s := range ne.state {
+				if s&ne.sNext != 0 {
+					t.Fatalf("after partition %d: vertex %d keeps the retired S bit", i, v)
+				}
+			}
+			if exhausted {
+				break
+			}
+		}
+		ne.cur = k - 1
+		ne.assignRemaining(k - 1)
+		if preseeded == 0 {
+			t.Fatal("no spill-over pre-seeded a secondary set")
+		}
+		return col.Edges
+	}
+	want, got := run(false), run(true)
+	if len(got) != len(want) {
+		t.Fatalf("stepped run assigned %d edges, Run %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("edge %d: stepped run %v, Run %v", i, got[i], want[i])
+		}
+	}
+}
+
+// TestVertexStateMatchesModel pins the §4.2 model's vertex-state term to the
+// bytes NewNEPP allocates for its per-vertex state.
+func TestVertexStateMatchesModel(t *testing.T) {
+	g := gen.MustDataset("OK").Build(0.1)
+	deg, m, err := graph.Degrees(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	csr, err := graph.BuildCSR(g, 5, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ne := NewNEPP(csr, 32, part.NewResult(csr.N(), 32), nil)
+	if got, want := int64(cap(ne.state)), memmodel.Estimate(deg, m, 32, 5).VertexState; got != want {
+		t.Fatalf("NewNEPP allocates %d state bytes, the model charges %d", got, want)
 	}
 }

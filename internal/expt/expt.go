@@ -1,7 +1,6 @@
 // Package expt is the experiment harness: one runner per table and figure
 // of the paper's evaluation (§5), producing the same rows/series as text
-// tables. DESIGN.md's per-experiment index maps every paper artifact to its
-// runner here; cmd/hep-bench and bench_test.go drive them.
+// tables. cmd/hep-bench (-exp) and bench_test.go drive them.
 package expt
 
 import (

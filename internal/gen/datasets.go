@@ -11,7 +11,7 @@ import (
 // graphs (Table 3). Build is deterministic; scale multiplies the vertex
 // count (scale 1.0 is the default CI-friendly size — the paper's graphs are
 // orders of magnitude larger, which a 2-core test box cannot hold, so the
-// experiments reproduce relative behavior at reduced scale; see DESIGN.md).
+// experiments reproduce relative behavior at reduced scale).
 type Dataset struct {
 	Name  string // paper short name, e.g. "OK"
 	Kind  string // Social, Web, Biological

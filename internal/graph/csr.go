@@ -61,10 +61,8 @@ func (s *MemH2H) Close() error { return nil }
 // size field are dead but still allocated; the capacity of a segment is
 // fixed at build time.
 type CSR struct {
-	n    int
-	m    int64 // total edges including H2H
-	tau  float64
-	mean float64
+	n int
+	m int64 // total edges including H2H
 
 	outIdx  []int64 // len n+1: start of v's block (out segment)
 	inIdx   []int64 // len n: start of v's in segment; block ends at outIdx[v+1]
@@ -103,7 +101,7 @@ func BuildCSR(src EdgeStream, tau float64, store H2HStore) (*CSR, error) {
 	var loopErr error
 	err := src.Edges(func(u, v V) bool {
 		if int(u) >= n || int(v) >= n {
-			loopErr = fmt.Errorf("%w: edge (%d,%d) with n=%d", ErrVertexRange, u, v, n)
+			loopErr = VertexRangeError(u, v, n)
 			return false
 		}
 		if u == v {
@@ -111,7 +109,7 @@ func BuildCSR(src EdgeStream, tau float64, store H2HStore) (*CSR, error) {
 			return false
 		}
 		if deg[u] >= maxDegree || deg[v] >= maxDegree {
-			loopErr = degreeOverflow(deg, u, v)
+			loopErr = DegreeOverflowError(deg, u, v)
 			return false
 		}
 		outDeg[u]++
@@ -178,7 +176,7 @@ func assembleCSR(n int, m int64, tau float64, outDeg, inDeg, deg []int32, store 
 	}
 
 	c := &CSR{
-		n: n, m: m, tau: tau, mean: mean,
+		n: n, m: m,
 		outIdx:  make([]int64, n+1),
 		inIdx:   make([]int64, n),
 		outSize: make([]int32, n),
@@ -222,12 +220,6 @@ func (c *CSR) InMemEdges() int64 { return c.m - c.h2hLen }
 // vertices, to be partitioned by the streaming phase.
 func (c *CSR) H2H() H2HStore { return c.h2h }
 
-// Tau returns the threshold factor the CSR was built with.
-func (c *CSR) Tau() float64 { return c.tau }
-
-// MeanDegree returns the mean vertex degree 2|E|/|V| of the input graph.
-func (c *CSR) MeanDegree() float64 { return c.mean }
-
 // Degree returns the original total degree of v in the input graph.
 func (c *CSR) Degree(v V) int32 { return c.deg[v] }
 
@@ -237,7 +229,8 @@ func (c *CSR) Degrees() []int32 { return c.deg }
 // IsHigh reports whether v is a high-degree vertex (d(v) > τ·d̄).
 func (c *CSR) IsHigh(v V) bool { return c.high.Has(v) }
 
-// HighSet exposes the high-degree bitset (shared, do not mutate).
+// HighSet exposes the high-degree bitset (shared, do not mutate); NE++
+// copies it into its per-vertex state bytes.
 func (c *CSR) HighSet() *bitset.Set { return c.high }
 
 // Out returns the valid out-list of v as a mutable slice view. Entry i is
@@ -256,7 +249,7 @@ func (c *CSR) In(v V) []V {
 
 // ValidDegree returns the number of valid (not yet removed) entries in v's
 // lists. For a vertex outside the core set at a partition boundary this is
-// exactly its number of unassigned edges (see DESIGN.md).
+// exactly its number of unassigned edges (invariant 2 on core.NEPP).
 func (c *CSR) ValidDegree(v V) int32 { return c.outSize[v] + c.inSize[v] }
 
 // RemoveOutAt removes entry i of v's out-list by swapping in the last valid

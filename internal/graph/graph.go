@@ -161,9 +161,16 @@ var ErrDegreeOverflow = errors.New("graph: vertex degree overflows int32")
 // lower it and exercise the overflow guard without streaming 2^31 edges.
 var maxDegree int32 = math.MaxInt32
 
-// degreeOverflow reports the endpoint of (u,v) whose count reached the
-// bound.
-func degreeOverflow(deg []int32, u, v V) error {
+// VertexRangeError is ErrVertexRange for an edge (u,v) naming an id ≥ n,
+// with the one wording every reader of edge streams uses.
+func VertexRangeError(u, v V, n int) error {
+	return fmt.Errorf("%w: edge (%d,%d) with n=%d", ErrVertexRange, u, v, n)
+}
+
+// DegreeOverflowError is ErrDegreeOverflow for an edge (u,v) whose endpoint
+// count cannot grow: it names the endpoint with the larger count, u on a
+// tie.
+func DegreeOverflowError(deg []int32, u, v V) error {
 	if deg[v] > deg[u] {
 		u = v
 	}
@@ -182,11 +189,11 @@ func Degrees(src EdgeStream) ([]int32, int64, error) {
 	var loopErr error
 	err := src.Edges(func(u, v V) bool {
 		if int(u) >= n || int(v) >= n {
-			loopErr = fmt.Errorf("%w: edge (%d,%d) with n=%d", ErrVertexRange, u, v, n)
+			loopErr = VertexRangeError(u, v, n)
 			return false
 		}
 		if deg[u] >= maxDegree || deg[v] >= maxDegree || (u == v && deg[u] >= maxDegree-1) {
-			loopErr = degreeOverflow(deg, u, v)
+			loopErr = DegreeOverflowError(deg, u, v)
 			return false
 		}
 		deg[u]++

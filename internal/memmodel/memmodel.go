@@ -30,18 +30,18 @@ type Footprint struct {
 	// τ chosen under a budget can never overshoot it, even though
 	// power-law runs typically stay near the 8·|V| dense words.
 	ReplicaTable int64
-	// AuxBitsets is 3·|V|/8: NE++'s core set C plus the current and
-	// pre-seeded next secondary sets (the per-partition secondary bitsets
-	// of the partition-major layout are gone).
-	AuxBitsets int64
+	// VertexState is |V| bytes: NE++'s one state byte per vertex, which
+	// holds the high-degree bit, the core set C and the two secondary-set
+	// bits for S_i and the pre-seeded S_{i+1}.
+	VertexState int64
 	// Heap is 2·|V|·b_id (min-heap + position lookup).
 	Heap int64
 }
 
 // Total returns the §4.2 sum:
-// Σ_{v∈V_l} d(v)·b_id + 6·|V|·b_id + 8·|V|·⌈k/64⌉ + 8·k + 3·|V|/8 bytes.
+// Σ_{v∈V_l} d(v)·b_id + 6·|V|·b_id + 8·|V|·⌈k/64⌉ + 8·k + |V| bytes.
 func (f Footprint) Total() int64 {
-	return f.ColumnArray + f.IndexArrays + f.SizeFields + f.ReplicaTable + f.AuxBitsets + f.Heap
+	return f.ColumnArray + f.IndexArrays + f.SizeFields + f.ReplicaTable + f.VertexState + f.Heap
 }
 
 // Estimate evaluates the model for one τ given the degree array and k. The
@@ -61,7 +61,7 @@ func Estimate(deg []int32, m int64, k int, tau float64) Footprint {
 	f.IndexArrays = 2 * int64(n) * BytesPerID
 	f.SizeFields = 2 * int64(n) * BytesPerID
 	f.ReplicaTable = pstate.MaxTableBytes(n, k)
-	f.AuxBitsets = 3 * int64(n) / 8
+	f.VertexState = int64(n)
 	f.Heap = 2 * int64(n) * BytesPerID
 	return f
 }

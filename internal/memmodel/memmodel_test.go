@@ -22,10 +22,10 @@ func TestEstimateComponents(t *testing.T) {
 	if f.ReplicaTable != pstate.MaxTableBytes(4, 4) {
 		t.Fatalf("replica table = %d", f.ReplicaTable)
 	}
-	if f.AuxBitsets != int64(3*4/8) {
-		t.Fatalf("aux bitsets = %d", f.AuxBitsets)
+	if f.VertexState != 4 {
+		t.Fatalf("vertex state = %d", f.VertexState)
 	}
-	want := f.ColumnArray + f.IndexArrays + f.SizeFields + f.ReplicaTable + f.AuxBitsets + f.Heap
+	want := f.ColumnArray + f.IndexArrays + f.SizeFields + f.ReplicaTable + f.VertexState + f.Heap
 	if f.Total() != want {
 		t.Fatal("total mismatch")
 	}

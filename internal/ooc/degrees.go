@@ -1,7 +1,6 @@
 package ooc
 
 import (
-	"fmt"
 	"math"
 
 	"hep/internal/graph"
@@ -25,8 +24,7 @@ var maxDegree int32 = math.MaxInt32
 // undirected edge contributes 1 to both endpoints; self-loops contribute 2.
 func DegreePass(src graph.EdgeStream) (deg []int32, m int64, err error) {
 	deg = make([]int32, src.NumVertices())
-	var overflow graph.V
-	overflowed := false
+	var loopErr error
 	err = src.Edges(func(u, v graph.V) bool {
 		hi := u
 		if v > hi {
@@ -37,10 +35,8 @@ func DegreePass(src graph.EdgeStream) (deg []int32, m int64, err error) {
 		}
 		if deg[u] >= maxDegree || deg[v] >= maxDegree ||
 			(u == v && deg[u] >= maxDegree-1) {
-			overflow, overflowed = u, true
-			if deg[v] >= maxDegree {
-				overflow = v
-			}
+			// v first: when both counts sit at the bound, the pass names v.
+			loopErr = graph.DegreeOverflowError(deg, v, u)
 			return false
 		}
 		deg[u]++
@@ -51,8 +47,8 @@ func DegreePass(src graph.EdgeStream) (deg []int32, m int64, err error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	if overflowed {
-		return nil, 0, fmt.Errorf("%w: vertex %d", ErrDegreeOverflow, overflow)
+	if loopErr != nil {
+		return nil, 0, loopErr
 	}
 	return deg, m, nil
 }

@@ -1,6 +1,6 @@
 // Package procsim simulates distributed graph processing over an edge
 // partitioning, standing in for the 32-machine Spark/GraphX cluster of
-// paper §5.3 (see DESIGN.md, substitution 2).
+// paper §5.3.
 //
 // The simulator executes the *real* algorithms (PageRank, BFS, Connected
 // Components) over the per-partition subgraphs with PowerGraph-style

@@ -1,6 +1,10 @@
 package pstate
 
-import "hep/internal/graph"
+import (
+	"math/bits"
+
+	"hep/internal/graph"
+)
 
 // Buckets groups a set of vertices by hosting partition: Build iterates each
 // vertex's replica mask a constant number of times and appends the vertex's
@@ -50,35 +54,31 @@ func (b *Buckets) K() int { return b.k }
 // Build indexes verts against t: after the call, Bucket(p) lists the indices
 // i (ascending) with t.Has(verts[i], p) for every admitted vertex, and
 // Overflow lists the indices whose replica sets did not fit the pool. Any
-// previous index is discarded. t must have at least k partitions.
+// previous index is discarded. t must have at least k partitions. Each of
+// the two passes walks every mask word once.
 func (b *Buckets) Build(t *Table, verts []graph.V) {
 	for p := range b.heads {
 		b.heads[p] = 0
 	}
 	b.overflow = b.overflow[:0]
 	poolCap := cap(b.pool)
+	words := t.Words()
 
-	// Pass 1: per-partition counts over the admitted vertices. Admission is
-	// by running total against the pool cap, recomputed identically in pass
-	// 2, so the two passes agree without a per-vertex marker.
+	// Pass 1: per-partition counts over the admitted vertices, kept one
+	// slot ahead in heads[p+1]. A vertex is admitted while the running
+	// total fits the pool; a spilled vertex's counts are taken back.
 	tot := 0
-	for i := range verts {
-		c := t.Count(verts[i])
-		if c == 0 {
+	for i, v := range verts {
+		c := b.tally(t, v, words, 1)
+		if tot+c <= poolCap {
+			tot += c
 			continue
 		}
-		if tot+c > poolCap {
-			if len(b.overflow) == cap(b.overflow) {
-				panic("pstate: Buckets overflow capacity exhausted; size ovCap for the full vertex slice")
-			}
-			b.overflow = append(b.overflow, int32(i))
-			continue
+		b.tally(t, v, words, -1)
+		if len(b.overflow) == cap(b.overflow) {
+			panic("pstate: Buckets overflow capacity exhausted; size ovCap for the full vertex slice")
 		}
-		tot += c
-		t.RangeVertex(verts[i], func(p int) bool {
-			b.heads[p+1]++
-			return true
-		})
+		b.overflow = append(b.overflow, int32(i))
 	}
 	for p := 0; p < b.k; p++ {
 		b.heads[p+1] += b.heads[p]
@@ -87,22 +87,40 @@ func (b *Buckets) Build(t *Table, verts []graph.V) {
 
 	// Pass 2: fill, advancing per-partition cursors kept in heads; after the
 	// fill heads[p] has advanced to the end of bucket p, i.e. the start of
-	// bucket p+1, so one backward shift restores the offsets.
-	tot = 0
-	for i := range verts {
-		c := t.Count(verts[i])
-		if c == 0 || tot+c > poolCap {
+	// bucket p+1, so one backward shift restores the offsets. Spilled
+	// vertices are skipped with a cursor over the ascending overflow list.
+	spilled := b.overflow
+	for i, v := range verts {
+		if len(spilled) > 0 && spilled[0] == int32(i) {
+			spilled = spilled[1:]
 			continue
 		}
-		tot += c
-		t.RangeVertex(verts[i], func(p int) bool {
-			b.pool[b.heads[p]] = int32(i)
-			b.heads[p]++
-			return true
-		})
+		for wi := 0; wi < words; wi++ {
+			base := wi << 6
+			for w := t.Word(v, wi); w != 0; w &= w - 1 {
+				p := base + bits.TrailingZeros64(w)
+				b.pool[b.heads[p]] = int32(i)
+				b.heads[p]++
+			}
+		}
 	}
 	copy(b.heads[1:], b.heads[:b.k])
 	b.heads[0] = 0
+}
+
+// tally adds d to heads[p+1] for every partition p hosting v and returns
+// the number of such partitions.
+func (b *Buckets) tally(t *Table, v graph.V, words int, d int32) int {
+	c := 0
+	for wi := 0; wi < words; wi++ {
+		w := t.Word(v, wi)
+		c += bits.OnesCount64(w)
+		base := wi<<6 + 1
+		for ; w != 0; w &= w - 1 {
+			b.heads[base+bits.TrailingZeros64(w)] += d
+		}
+	}
+	return c
 }
 
 // Bucket returns the admitted vertex tags replicated on partition p, in

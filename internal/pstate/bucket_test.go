@@ -8,24 +8,67 @@ import (
 )
 
 // naiveBuckets recomputes the index with one Has probe per (vertex,
-// partition) pair — the retired k-probe discipline, kept as the oracle.
-func naiveBuckets(t *Table, verts []graph.V, k int) [][]int32 {
-	out := make([][]int32, k)
+// partition) pair — the retired k-probe discipline, kept as the oracle. It
+// replays the pool admission with Count: vertices are admitted in input
+// order while their replica counts fit poolCap, and the rest overflow.
+func naiveBuckets(t *Table, verts []graph.V, k, poolCap int) (buckets [][]int32, overflow []int32) {
+	admitted := make([]bool, len(verts))
+	tot := 0
+	for i, v := range verts {
+		c := t.Count(v)
+		if c == 0 {
+			continue
+		}
+		if tot+c > poolCap {
+			overflow = append(overflow, int32(i))
+			continue
+		}
+		tot += c
+		admitted[i] = true
+	}
+	buckets = make([][]int32, k)
 	for p := 0; p < k; p++ {
 		for i, v := range verts {
-			if t.Has(v, p) {
-				out[p] = append(out[p], int32(i))
+			if admitted[i] && t.Has(v, p) {
+				buckets[p] = append(buckets[p], int32(i))
 			}
 		}
 	}
-	return out
+	return buckets, overflow
+}
+
+// checkAgainstOracle compares b, just built over verts, with naiveBuckets.
+func checkAgainstOracle(t *testing.T, b *Buckets, tab *Table, verts []graph.V, k, poolCap int) {
+	t.Helper()
+	want, wantOv := naiveBuckets(tab, verts, k, poolCap)
+	if ov := b.Overflow(); !equalTags(ov, wantOv) {
+		t.Fatalf("k=%d pool=%d: overflow %v, oracle %v", k, poolCap, ov, wantOv)
+	}
+	for p := 0; p < k; p++ {
+		if got := b.Bucket(p); !equalTags(got, want[p]) {
+			t.Fatalf("k=%d pool=%d p=%d: bucket %v, oracle %v", k, poolCap, p, got, want[p])
+		}
+	}
+}
+
+func equalTags(a, b []int32) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // TestBucketsMatchProbeOracle pins Build against the probe oracle across k
-// spanning the dense word and the paged overflow, with an ample pool (no
-// overflow spill).
+// on both sides of every mask-word boundary (the dense word and the paged
+// overflow words), with an ample pool and with a pool of half the replicas,
+// where later vertices spill to the overflow list.
 func TestBucketsMatchProbeOracle(t *testing.T) {
-	for _, k := range []int{8, 64, 200} {
+	for _, k := range []int{1, 8, 63, 64, 65, 128, 200} {
 		rng := rand.New(rand.NewSource(int64(k)))
 		const n = 500
 		tab := NewTable(n, k)
@@ -35,25 +78,18 @@ func TestBucketsMatchProbeOracle(t *testing.T) {
 			}
 		}
 		verts := make([]graph.V, 0, 256)
+		replicas := 0
 		for v := 0; v < n; v += 2 {
 			verts = append(verts, graph.V(v))
+			replicas += tab.Count(graph.V(v))
 		}
-		b := NewBuckets(k, len(verts)*k, len(verts))
-		b.Build(tab, verts)
-		if len(b.Overflow()) != 0 {
-			t.Fatalf("k=%d: unexpected overflow %v", k, b.Overflow())
-		}
-		want := naiveBuckets(tab, verts, k)
-		for p := 0; p < k; p++ {
-			got := b.Bucket(p)
-			if len(got) != len(want[p]) {
-				t.Fatalf("k=%d p=%d: bucket size %d, oracle %d", k, p, len(got), len(want[p]))
+		for _, poolCap := range []int{len(verts) * k, replicas / 2} {
+			b := NewBuckets(k, poolCap, len(verts))
+			b.Build(tab, verts)
+			if spill := len(b.Overflow()) > 0; spill != (poolCap < replicas) {
+				t.Fatalf("k=%d pool=%d of %d replicas: overflow %v", k, poolCap, replicas, b.Overflow())
 			}
-			for i := range got {
-				if got[i] != want[p][i] {
-					t.Fatalf("k=%d p=%d: bucket[%d]=%d, oracle %d", k, p, i, got[i], want[p][i])
-				}
-			}
+			checkAgainstOracle(t, b, tab, verts, k, poolCap)
 		}
 	}
 }
@@ -61,7 +97,8 @@ func TestBucketsMatchProbeOracle(t *testing.T) {
 // TestBucketsOverflowSpill pins the bounded-pool contract: vertices admitted
 // in input order while their replica sets fit, the rest spilled to the
 // overflow list deterministically, and bucket-plus-overflow together still
-// covering exactly the oracle.
+// covering exactly the oracle, first on a hand-checked case at k = 4, then
+// across k.
 func TestBucketsOverflowSpill(t *testing.T) {
 	const k = 4
 	tab := NewTable(6, k)
@@ -79,25 +116,13 @@ func TestBucketsOverflowSpill(t *testing.T) {
 	b.Build(tab, verts)
 
 	wantOv := []int32{2, 4, 5}
-	ov := b.Overflow()
-	if len(ov) != len(wantOv) {
+	if ov := b.Overflow(); !equalTags(ov, wantOv) {
 		t.Fatalf("overflow %v, want %v", ov, wantOv)
-	}
-	for i := range ov {
-		if ov[i] != wantOv[i] {
-			t.Fatalf("overflow %v, want %v", ov, wantOv)
-		}
 	}
 	// Admitted buckets: p0 ← {0}, p1 ← {0,1}, p2 ← {1,3}, p3 ← {}.
 	check := func(p int, want ...int32) {
-		got := b.Bucket(p)
-		if len(got) != len(want) {
+		if got := b.Bucket(p); !equalTags(got, want) {
 			t.Fatalf("bucket %d = %v, want %v", p, got, want)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("bucket %d = %v, want %v", p, got, want)
-			}
 		}
 	}
 	check(0, 0)
@@ -114,6 +139,32 @@ func TestBucketsOverflowSpill(t *testing.T) {
 	check(1, 0, 1)
 	check(2, 1)
 	check(3)
+
+	// The same contract at k on both sides of the mask-word boundaries:
+	// replica sets span the dense and the paged words, admitted and spilled
+	// vertices interleave, and each index is rebuilt over a shorter slice.
+	for _, k := range []int{1, 63, 64, 65, 128} {
+		const n = 300
+		tab := NewTable(n, k)
+		for v := 0; v < n; v++ {
+			for j := 0; j < v%5; j++ {
+				tab.Add(graph.V(v), (v*7+j*61)%k)
+			}
+		}
+		verts := make([]graph.V, n)
+		replicas := 0
+		for v := range verts {
+			verts[v] = graph.V(v)
+			replicas += tab.Count(graph.V(v))
+		}
+		for _, poolCap := range []int{replicas, replicas / 2, replicas / 7, 1, 0} {
+			b := NewBuckets(k, poolCap, n)
+			for _, m := range []int{n, n / 3} {
+				b.Build(tab, verts[:m])
+				checkAgainstOracle(t, b, tab, verts[:m], k, poolCap)
+			}
+		}
+	}
 }
 
 // TestBucketsBytesStable pins that Build never allocates past the caps the

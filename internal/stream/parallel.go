@@ -1,7 +1,6 @@
 package stream
 
 import (
-	"fmt"
 	"math"
 	"sync/atomic"
 
@@ -72,20 +71,6 @@ func (f *passFault) set(err error) {
 	f.stop.Store(true)
 }
 
-// vertexRangeError is graph.Degrees' error for an edge naming an id ≥ n.
-func vertexRangeError(u, v graph.V, n int) error {
-	return fmt.Errorf("%w: edge (%d,%d) with n=%d", graph.ErrVertexRange, u, v, n)
-}
-
-// degreeOverflowError is graph.Degrees' error for an edge whose endpoint
-// count cannot grow: it names the endpoint with the larger count.
-func degreeOverflowError(deg []int32, u, v graph.V) error {
-	if deg[v] > deg[u] {
-		u = v
-	}
-	return fmt.Errorf("%w: vertex %d", graph.ErrDegreeOverflow, u)
-}
-
 // PlaceBatch implements shard.BatchPlacer: reload the local load view from
 // the folded global state, place every edge of the batch against it, fold
 // the local deltas back.
@@ -105,13 +90,13 @@ func (w *hdrfWorker) PlaceBatch(edges []graph.Edge, parts []int32) {
 			// The check stands in for the bounds checks of the two
 			// increments, which the compiler then drops.
 			if int(u) >= len(deg) || int(v) >= len(deg) {
-				w.fault.set(vertexRangeError(u, v, len(deg)))
+				w.fault.set(graph.VertexRangeError(u, v, len(deg)))
 				return
 			}
 			// A count at the int32 maximum cannot grow; a self-loop
 			// adds 2 to one count.
 			if deg[u] == math.MaxInt32 || deg[v] == math.MaxInt32 || (u == v && deg[u] == math.MaxInt32-1) {
-				w.fault.set(degreeOverflowError(deg, u, v))
+				w.fault.set(graph.DegreeOverflowError(deg, u, v))
 				return
 			}
 			deg[u]++
