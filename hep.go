@@ -26,12 +26,12 @@
 //
 // For graphs larger than RAM, AlgoBuffered runs the out-of-core engine
 // (internal/ooc): the chunked reader of the binary edge file feeds a
-// bounded B-edge buffer that is partitioned batch-wise by neighborhood
-// expansion seeded with the global replica state, with an informed HDRF
-// fallback — resident memory is O(|V|) vertex state plus the
-// configured buffer, never the edge list. PartitionFile composes the whole
-// recipe (open, discover, pick τ or buffer from Config.MemBudget, spill
-// E_h2h to a compressed run file, partition) in one call:
+// bounded B-edge buffer, and each batch is placed whole by neighborhood
+// expansion seeded with the global replica state — resident memory is
+// O(|V|) vertex state plus the configured buffer, never the edge list.
+// PartitionFile composes the whole recipe (open, discover, pick τ or buffer
+// from Config.MemBudget, spill E_h2h to a compressed run file, partition)
+// in one call:
 //
 //	res, err := hep.PartitionFile("graph.bin", hep.Config{
 //		Algorithm: hep.AlgoBuffered, K: 32, MemBudget: 512 << 20,
@@ -154,17 +154,17 @@ type Config struct {
 	Seed int64
 	// Workers is the multi-core parallelism of the placement passes of the
 	// algorithms that have a parallel path: the sharded streaming engine
-	// behind AlgoHEP's informed phase, AlgoHDRF and AlgoRestream,
-	// AlgoBuffered's per-edge fallback, and DNE's own concurrent
-	// expanders. The pre-passes — exact degree counting, HEP's CSR build,
-	// Buffered's mini-CSR fill — and Buffered's region expansion run
-	// sequentially at every worker count. 0 resolves to GOMAXPROCS (DNE
-	// keeps its own default); 1 forces one worker, whose output is the
-	// exact sequential algorithm's, which is the determinism guarantee —
-	// parallel placement depends on worker interleaving. Algorithms with no
-	// parallel path (order-sensitive streaming like ADWISE, the in-memory
-	// partitioners) reject Workers > 1 instead of silently running
-	// sequentially.
+	// behind AlgoHEP's informed phase, AlgoHDRF and AlgoRestream, and DNE's
+	// own concurrent expanders. The pre-passes — exact degree counting,
+	// HEP's CSR build — run sequentially at every worker count. 0 resolves
+	// to GOMAXPROCS (DNE keeps its own default); 1 forces one worker, whose
+	// output is the exact sequential algorithm's, which is the determinism
+	// guarantee — parallel placement depends on worker interleaving.
+	// AlgoNEPP and AlgoBuffered accept any Workers and run their one
+	// sequential path, so their output does not depend on it. Algorithms
+	// with no parallel path (order-sensitive streaming like ADWISE, the
+	// in-memory partitioners) reject Workers > 1 instead of silently
+	// running sequentially.
 	Workers int
 	// Window sizes ADWISE's edge buffer.
 	Window int
@@ -204,7 +204,8 @@ type Config struct {
 
 // ParallelAlgorithms lists the Config.Algorithm values that accept
 // Workers > 1: the algorithms wired to the parallel sharded streaming
-// engine (internal/shard) plus DNE's concurrent expanders.
+// engine (internal/shard), DNE's concurrent expanders, and NE++ and
+// Buffered, which accept it and run their one sequential path.
 func ParallelAlgorithms() []string {
 	return []string{AlgoHEP, AlgoNEPP, AlgoHDRF, AlgoRestream, AlgoBuffered, AlgoDNE}
 }
@@ -260,7 +261,8 @@ func shardWorkers(cfg Config) int {
 // idChecked wraps an algorithm that has no guarded degree pass and runs it
 // over idCheckStream, so a vertex id ≥ n is an error, not an index panic.
 // HEP, NE++, HDRF, DBH, simple-hybrid and re-HDRF check ids in their
-// degree pass; Buffered grows its id domain by design.
+// degree pass; Buffered takes its id domain from its own discovery scan and
+// checks the partition pass against it.
 type idChecked struct{ sinkAlgorithm }
 
 type sinkAlgorithm interface {
@@ -374,8 +376,7 @@ func New(cfg Config) (Algorithm, error) {
 		a = &restream.Restream{Passes: cfg.Passes, Lambda: cfg.Lambda, Alpha: cfg.Alpha,
 			Workers: shardWorkers(cfg), Obs: cfg.Obs}
 	case AlgoBuffered:
-		a = &ooc.Buffered{BufferEdges: cfg.Buffer, Lambda: cfg.Lambda, Alpha: cfg.Alpha,
-			Workers: shardWorkers(cfg), Obs: cfg.Obs}
+		a = &ooc.Buffered{BufferEdges: cfg.Buffer, Alpha: cfg.Alpha, Obs: cfg.Obs}
 	default:
 		return nil, fmt.Errorf("hep: unknown algorithm %q", name)
 	}
@@ -541,8 +542,8 @@ func FitBudget(src EdgeStream, cfg Config) (Config, error) {
 		}
 		cfg.Tau = tau
 	case AlgoBuffered:
-		// Region expansion is sequential at every worker count, so the
-		// same budget buys the same buffer whatever Workers is.
+		// Buffered runs one sequential path, so the same budget buys the
+		// same buffer whatever Workers is.
 		fit := ooc.BufferForBudget(cfg.MemBudget)
 		if fit < 1 {
 			return cfg, fmt.Errorf("hep: budget %d bytes below one buffered edge (%d bytes)",
@@ -575,8 +576,8 @@ func PartitionFile(path string, cfg Config) (*Result, error) {
 	if name == "" {
 		name = AlgoHEP
 	}
-	// Buffered discovers vertex ids during its degree pass; only the other
-	// algorithms need the up-front discovery scan for the vertex count.
+	// Buffered runs its own discovery scan for |V| and |E|; only the other
+	// algorithms need the up-front scan for the vertex count.
 	discoverN := 0
 	if name == AlgoBuffered {
 		discoverN = -1

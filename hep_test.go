@@ -243,6 +243,45 @@ func TestSinkThroughConfigBuffered(t *testing.T) {
 	}
 }
 
+// TestBufferedWorkersMatchOneWorker pins Buffered's one path through the
+// facade: it accepts any Workers and runs the same sequential placement, so
+// Workers 2 and 4 deliver exactly the Workers 1 sink sequence.
+func TestBufferedWorkersMatchOneWorker(t *testing.T) {
+	type assignment struct {
+		u, v uint32
+		p    int
+	}
+	for _, name := range []string{"OK", "TW", "LJ"} {
+		g := Dataset(name, 0.1)
+		for _, k := range []int{32, 128} {
+			run := func(workers int) []assignment {
+				var seq []assignment
+				sink := sinkFunc(func(u, v uint32, p int) { seq = append(seq, assignment{u, v, p}) })
+				cfg := Config{Algorithm: AlgoBuffered, K: k, Buffer: 1 << 14, Workers: workers, Sink: sink}
+				if _, err := Partition(g, cfg); err != nil {
+					t.Fatalf("%s k=%d W=%d: %v", name, k, workers, err)
+				}
+				return seq
+			}
+			want := run(1)
+			if int64(len(want)) != g.NumEdges() {
+				t.Fatalf("%s k=%d: sink saw %d of %d edges", name, k, len(want), g.NumEdges())
+			}
+			for _, workers := range []int{2, 4} {
+				got := run(workers)
+				if len(got) != len(want) {
+					t.Fatalf("%s k=%d W=%d: %d assignments, W=1 %d", name, k, workers, len(got), len(want))
+				}
+				for i := range got {
+					if got[i] != want[i] {
+						t.Fatalf("%s k=%d W=%d: assignment %d is %v, W=1 %v", name, k, workers, i, got[i], want[i])
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestPartitionFile(t *testing.T) {
 	g := Dataset("OK", 0.1)
 	path := filepath.Join(t.TempDir(), "g.bin")
@@ -395,7 +434,8 @@ func TestHDRFVertexRangeError(t *testing.T) {
 // TestEveryAlgorithmRejectsVertexRange runs every algorithm over an edge to
 // vertex 9 on a 5-vertex graph: each must return an error wrapping
 // graph.ErrVertexRange, never panic, at W=1 and at W=2 where the algorithm
-// has a parallel path. Buffered is exempt: it grows its id domain by design.
+// has a parallel path. Buffered is exempt: it takes its id domain from its
+// own discovery scan.
 func TestEveryAlgorithmRejectsVertexRange(t *testing.T) {
 	edges := []Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 9}, {U: 3, V: 4}}
 	parallel := map[string]bool{}

@@ -34,9 +34,11 @@ const (
 	// CtrSpillBytes counts bytes written to the delta-varint spill runs
 	// (E_h2h and other out-of-core intermediates).
 	CtrSpillBytes
-	// CtrFallbackEdges counts edges placed by the out-of-core per-edge
-	// informed-HDRF fallback instead of region expansion.
-	CtrFallbackEdges
+	// retiredFallbackEdges counted edges placed by the out-of-core per-edge
+	// informed-HDRF fallback, which Buffered no longer has; nothing writes
+	// it. The slot keeps "fallback_edges" registered so ValidateReport still
+	// accepts hep-trace/v1 traces that carry it.
+	retiredFallbackEdges
 	// CtrExpansionEdges counts edges placed by region expansion.
 	CtrExpansionEdges
 	// CtrRegions counts expansion regions grown.
@@ -97,7 +99,7 @@ var counterNames = [NumCounters]string{
 	CtrFolds:                "fold_windows",
 	CtrWarmSpills:           "warm_bucket_spills",
 	CtrSpillBytes:           "varint_spill_bytes",
-	CtrFallbackEdges:        "fallback_edges",
+	retiredFallbackEdges:    "fallback_edges",
 	CtrExpansionEdges:       "expansion_edges",
 	CtrRegions:              "regions",
 	CtrWarmMaskPasses:       "warm_mask_passes",

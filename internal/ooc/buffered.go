@@ -9,31 +9,29 @@ import (
 	"hep/internal/part"
 	"hep/internal/pstate"
 	"hep/internal/shard"
-	"hep/internal/stream"
 )
 
-// DefaultBufferEdges is the default batch size B (1Mi edges ≈ 148 MiB of
+// DefaultBufferEdges is the default batch size B (1Mi edges ≈ 140 MiB of
 // batch-local state, see BytesPerBufferedEdge).
 const DefaultBufferEdges = 1 << 20
 
 // BytesPerBufferedEdge is the worst-case batch-local allocation per buffered
-// edge, the same at every worker count. Per edge: the edge itself (8) + two
-// adjacency entries (adjV+adjE, 2×8) + an assigned flag (1) + the
-// fallback's gather buffer (8, allocated on the first fallback but charged
-// always) = 33 bytes. Per batch vertex, of which an edge introduces at most
-// two: verts (4) + off (4) + udeg (4) + activePos (4) + active (4) + warm
-// bucket pool (warmPoolPerVertex×4 = 12) + overflow (4) = 36, plus the
-// expander state (member 1 + touched 4 + heap pos/ids/keys 12 + candidate
-// buffer 4 + candidate position mark ⅛ = 21.125) = 57.125 bytes. Total
-// 33 + 2·57.125 = 147.25, rounded up to 148 for slack; the mark rounds up
-// to whole bytes, ⌈2B/8⌉ ≤ B, so 148·B holds at every B ≥ 1.
-// batchState.bytes() tracks the real allocation against this bound.
-// State that does not scale with the buffer — the O(|V|) vertex arrays
-// (degree array, local-id map, vertex-major replica table) and the O(k)
+// edge. Per edge: the edge itself (8) + two adjacency entries (adjV+adjE,
+// 2×8) + an assigned flag (1) = 25 bytes. Per batch vertex, of which an edge
+// introduces at most two: verts (4) + off (4) + udeg (4) + activePos (4) +
+// active (4) + warm bucket pool (warmPoolPerVertex×4 = 12) + overflow (4) =
+// 36, plus the expander state (member 1 + touched 4 + heap pos/ids/keys 12 +
+// candidate buffer 4 + candidate position mark ⅛ = 21.125) = 57.125 bytes.
+// Total 25 + 2·57.125 = 139.25, rounded up to 140. The mark is
+// byte-granular, ⌈2B/8⌉ bytes, so at B = 1 it takes one whole byte and uses
+// all 0.75 B of slack; at every larger B it takes less, so 140·B holds at
+// every B ≥ 1. batchState.bytes() tracks the real allocation against this
+// bound. State that does not scale with the buffer — the O(|V|) vertex
+// arrays (local-id map, vertex-major replica table) and the O(k)
 // per-partition arrays (bucket heads, region flags, like the result's own
 // counts) — is the fixed resident baseline of the out-of-core model, not
 // part of the buffer budget.
-const BytesPerBufferedEdge = 148
+const BytesPerBufferedEdge = 140
 
 // BufferForBudget returns the largest buffer size B whose worst-case
 // batch-local allocation fits budgetBytes (capped so the batch-local int32
@@ -48,21 +46,20 @@ type BufferedStats struct {
 	Batches int
 	// Regions is the number of expansion regions grown.
 	Regions int64
-	// ExpansionEdges counts edges placed by neighborhood expansion.
+	// ExpansionEdges counts edges placed by neighborhood expansion: every
+	// edge of the run.
 	ExpansionEdges int64
-	// FallbackEdges counts edges placed by the per-edge informed-HDRF
-	// fallback (cross-region edges the expansion left behind).
-	FallbackEdges int64
 	// PeakBufferBytes is the high-water mark of buffer-scaled batch-local
 	// allocations (edge buffer, mini-CSR, per-batch vertex state, bucket
-	// pool, expander state and fallback gather buffer; the O(k) fixed
-	// baseline is excluded). Guaranteed to stay ≤ BytesPerBufferedEdge per
-	// buffered edge at every worker count.
+	// pool and expander state; the O(k) fixed baseline is excluded).
+	// Guaranteed to stay ≤ BytesPerBufferedEdge per buffered edge.
 	PeakBufferBytes int64
 
-	// ParallelBatches is always 0: regions are grown sequentially at every
-	// worker count. It counted batches grown by concurrent expanders, and
-	// stays only because the repository benchmark (bench/staged.go) reads it.
+	// ParallelBatches is always 0. It counted batches grown by concurrent
+	// expanders.
+	//
+	// Deprecated: nothing writes it; it stays only because the repository
+	// benchmark (bench/staged.go) reads it.
 	ParallelBatches int
 
 	// WarmMaskPasses counts batch vertices indexed by the warm-start bucket
@@ -89,13 +86,13 @@ type BufferedStats struct {
 // is seeded by a vertex with replica affinity to the target partition
 // (stitching the batch onto the global state left by earlier batches),
 // expands by moving the minimum-external-degree member to the core, and
-// assigns exactly the edges internal to the region. Edges the expansion
-// leaves behind (cross-region edges, capacity overflow) fall back to
-// per-edge informed HDRF over the global replica state.
+// assigns exactly the edges internal to the region. Regions are grown one
+// after another until the batch is placed, so every edge is placed by
+// expansion, with no per-edge escape (see expand for why that ends).
 //
 // Resident state is O(|V|) vertex arrays plus O(B) batch-local buffers; the
-// edge list is streamed twice (degree pass + partition pass) and never
-// materialized.
+// edge list is streamed twice (a discovery scan for |V| and |E|, then the
+// partition pass) and never materialized. The output is deterministic.
 //
 // Quality scales with the buffer: at B ≈ |E|/4 the partitioner clearly
 // beats plain HDRF on power-law graphs, while for B below a few percent of
@@ -106,21 +103,22 @@ type Buffered struct {
 	part.SinkHolder
 
 	// BufferEdges is the buffer size B in edges (default DefaultBufferEdges).
-	// Derive it from a byte budget with BufferForBudget; the same budget
-	// buys the same buffer at every worker count.
+	// Derive it from a byte budget with BufferForBudget.
 	BufferEdges int
-	// Lambda is the HDRF fallback balance weight (default 1.1).
+	// Lambda was the balance weight of the retired per-edge HDRF fallback.
+	//
+	// Deprecated: ignored; it stays only because the repository benchmark
+	// (bench/staged.go) sets it.
 	Lambda float64
 	// Alpha is the balance bound α ≥ 1 (default 1.05).
 	Alpha float64
-	// Workers > 1 fans the per-edge informed-HDRF fallback out over that
-	// many batch-engine workers once a batch leaves at least
-	// parallelFallbackMin (2048) edges to it. The degree pass, the mini-CSR
-	// fill and region expansion run sequentially at every worker count, so
-	// a run whose fallbacks stay below that floor places every edge exactly
-	// as Workers ≤ 1 does. Workers ≤ 1 is the determinism guarantee.
+	// Workers was the worker count of the retired per-edge HDRF fallback.
+	// Buffered runs one path at every worker count.
+	//
+	// Deprecated: ignored; it stays only because the repository benchmark
+	// (bench/staged.go) sets it.
 	Workers int
-	// Obs is the observability hook (nil = disabled): the degree pass and
+	// Obs is the observability hook (nil = disabled): the discovery scan and
 	// the buffered streaming loop record phase spans, and every LastStats
 	// event additionally folds into the obs counter lanes at batch
 	// boundaries — the single observability surface LastStats is the
@@ -152,7 +150,7 @@ const maxBufferEdges = math.MaxInt32 / (2 * warmPoolPerVertex)
 // so overflow probes — counted by WarmScanProbes — stay near zero).
 const warmPoolPerVertex = 3
 
-func (b *Buffered) params() (bufEdges int, lambda, alpha float64) {
+func (b *Buffered) params() (bufEdges int, alpha float64) {
 	bufEdges = b.BufferEdges
 	if bufEdges <= 0 {
 		bufEdges = DefaultBufferEdges
@@ -160,15 +158,11 @@ func (b *Buffered) params() (bufEdges int, lambda, alpha float64) {
 	if bufEdges > maxBufferEdges {
 		bufEdges = maxBufferEdges
 	}
-	lambda = b.Lambda
-	if lambda == 0 {
-		lambda = stream.DefaultLambda
-	}
 	alpha = b.Alpha
-	if alpha < 1 {
+	if !(alpha >= 1) {
 		alpha = 1.05
 	}
-	return bufEdges, lambda, alpha
+	return bufEdges, alpha
 }
 
 // batchState holds the reusable batch-local arrays. Everything here is
@@ -194,16 +188,6 @@ type batchState struct {
 
 	// ex is the region-growing state, counted against the buffer budget.
 	ex *expanderState
-
-	// fbEdges gathers the leftover edges for the fallback (allocated
-	// lazily on the first fallback, charged always).
-	fbEdges []graph.Edge
-
-	// fbEngineEdges counts the edges of the current batch the fallback
-	// routed through the batch engine, which folds them into
-	// CtrEdgesStreamed itself — the batch-boundary fold subtracts them so
-	// the progress signal counts every edge exactly once.
-	fbEngineEdges int64
 }
 
 func newBatchState(bufEdges, k int) *batchState {
@@ -233,42 +217,39 @@ func (st *batchState) bytes() int64 {
 		int64(cap(st.verts))*4 + int64(cap(st.off))*4 + int64(cap(st.udeg))*4 +
 		int64(cap(st.activePos))*4 + int64(cap(st.active))*4 +
 		int64(cap(st.adjV))*4 + int64(cap(st.adjE))*4 +
-		st.buckets.Bytes() - int64(st.buckets.K()+1)*4 +
-		int64(cap(st.fbEdges))*8 + st.ex.bytes()
+		st.buckets.Bytes() - int64(st.buckets.K()+1)*4 + st.ex.bytes()
 }
 
-// Partition implements part.Algorithm: an exact chunked degree pass, then
-// buffer-fill / expand / flush over the stream.
+// Partition implements part.Algorithm: one discovery scan for |V| and |E|,
+// then buffer-fill / expand / flush over the stream.
 func (b *Buffered) Partition(src graph.EdgeStream, k int) (*part.Result, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("ooc: k must be ≥ 1, got %d", k)
 	}
-	bufEdges, lambda, alpha := b.params()
+	bufEdges, alpha := b.params()
 	b.LastStats = BufferedStats{}
 
-	// Exact chunked degree pass.
-	sp := b.Obs.Span("degree-pass")
-	deg, m, err := DegreePass(src)
+	sp := b.Obs.Span("discover")
+	n, m, err := discover(src)
 	if err != nil {
 		return nil, err
 	}
 	sp.Edges(m).End()
 	// Per-pass denominator: the progress reporter scopes percentages to the
-	// current root phase, so the degree pass and the partition pass each run
-	// 0→100% over m edges.
+	// current root phase, so the discovery scan and the partition pass each
+	// run 0→100% over m edges.
 	b.Obs.SetTotalEdges(m)
 	if m > 0 && int64(bufEdges) > m {
 		bufEdges = int(m) // no point sizing the buffer past the graph
 	}
-	n := src.NumVertices()
-	if len(deg) > n {
-		n = len(deg)
-	}
+	n = max(n, src.NumVertices())
 	res := part.NewResult(n, k)
 	res.Sink = b.Sink
-	capacity := int64(math.Ceil(alpha * float64(m) / float64(k)))
+	// ⌈α·m/k⌉ with α capped at k: no partition can hold more than m edges,
+	// and the cap keeps a huge α from overflowing the conversion.
+	capacity := int64(math.Ceil(min(alpha, float64(k)) * float64(m) / float64(k)))
 
-	// O(|V|) resident baseline: global degrees (deg) and the local-id map.
+	// O(|V|) resident baseline: the local-id map.
 	localID := make([]int32, n)
 	for i := range localID {
 		localID[i] = -1
@@ -278,7 +259,7 @@ func (b *Buffered) Partition(src graph.EdgeStream, k int) (*part.Result, error) 
 	b.LastStats.PeakBufferBytes = st.bytes()
 
 	run := func() error {
-		if err := b.processBatch(st, localID, res, deg, lambda, capacity); err != nil {
+		if err := b.processBatch(st, localID, res, capacity); err != nil {
 			return err
 		}
 		if by := st.bytes(); by > b.LastStats.PeakBufferBytes {
@@ -328,10 +309,9 @@ func (b *Buffered) Partition(src graph.EdgeStream, k int) (*part.Result, error) 
 }
 
 // processBatch builds the mini-CSR over st.batch and places every batch edge.
-func (b *Buffered) processBatch(st *batchState, localID []int32, res *part.Result, deg []int32, lambda float64, capacity int64) error {
+func (b *Buffered) processBatch(st *batchState, localID []int32, res *part.Result, capacity int64) error {
 	b.LastStats.Batches++
 	pre := b.LastStats
-	st.fbEngineEdges = 0
 	batch := st.batch
 
 	// Local vertex ids and batch degrees (udeg doubles as the degree
@@ -348,8 +328,15 @@ func (b *Buffered) processBatch(st *batchState, localID []int32, res *part.Resul
 		st.udeg[lid]++
 	}
 	for i := range batch {
-		local(batch[i].U)
-		local(batch[i].V)
+		u, v := batch[i].U, batch[i].V
+		// A stream whose second pass names an id its discovery scan did not
+		// see is an error. The compare stands in for the bounds checks of
+		// localID, which the compiler then drops.
+		if int(u) >= len(localID) || int(v) >= len(localID) {
+			return graph.VertexRangeError(u, v, len(localID))
+		}
+		local(u)
+		local(v)
 	}
 	nv := len(st.verts)
 
@@ -388,10 +375,8 @@ func (b *Buffered) processBatch(st *batchState, localID []int32, res *part.Resul
 		st.active = append(st.active, int32(v))
 		st.ex.member[v] = false
 	}
-	if remaining := b.expand(st, res, capacity); remaining > 0 {
-		if err := b.fallback(st, res, deg, lambda, capacity); err != nil {
-			return err
-		}
+	if err := b.expand(st, res, capacity); err != nil {
+		return err
 	}
 
 	// Reset the shared local-id map for the next batch.
@@ -401,14 +386,12 @@ func (b *Buffered) processBatch(st *batchState, localID []int32, res *part.Resul
 
 	// Batch-boundary fold: every LastStats delta this batch produced goes
 	// into the obs counter lanes in one pass, keeping the hot loops above
-	// counter-free. Edges the fallback already streamed through the engine
-	// (which folds its own totals) are subtracted from the progress signal.
+	// counter-free.
 	c := b.Obs.Counters()
 	c.Add(0, obs.CtrBatches, 1)
-	c.Add(0, obs.CtrEdgesStreamed, int64(len(batch))-st.fbEngineEdges)
+	c.Add(0, obs.CtrEdgesStreamed, int64(len(batch)))
 	c.Add(0, obs.CtrRegions, b.LastStats.Regions-pre.Regions)
 	c.Add(0, obs.CtrExpansionEdges, b.LastStats.ExpansionEdges-pre.ExpansionEdges)
-	c.Add(0, obs.CtrFallbackEdges, b.LastStats.FallbackEdges-pre.FallbackEdges)
 	c.Add(0, obs.CtrWarmMaskPasses, b.LastStats.WarmMaskPasses-pre.WarmMaskPasses)
 	c.Add(0, obs.CtrWarmScanProbes, b.LastStats.WarmScanProbes-pre.WarmScanProbes)
 	c.Add(0, obs.CtrWarmRescans, b.LastStats.WarmRescans-pre.WarmRescans)
@@ -426,45 +409,6 @@ func (st *batchState) start(v int32) int32 {
 		return 0
 	}
 	return st.off[v-1]
-}
-
-// parallelFallbackMin is the leftover-edge count below which one fallback
-// worker beats fanning out over several; a variable so tests can lower it
-// and fan small batches out.
-var parallelFallbackMin = 2048
-
-// fallback places every still-unassigned batch edge with per-edge informed
-// HDRF (exact global degrees, global replica state) — the escape hatch for
-// cross-region edges and capacity overflow. The leftovers are gathered in
-// batch order and streamed through the HDRF runner: with Workers > 1 and at
-// least parallelFallbackMin of them they fan out over that many workers,
-// otherwise one worker places them in order. Sink delivery stays in batch
-// order.
-func (b *Buffered) fallback(st *batchState, res *part.Result, deg []int32, lambda float64, capacity int64) error {
-	if st.fbEdges == nil {
-		// Preallocate at full buffer capacity so incremental append growth
-		// can never push the gather buffer past the 8 bytes/edge charged in
-		// BytesPerBufferedEdge.
-		st.fbEdges = make([]graph.Edge, 0, cap(st.batch))
-	}
-	st.fbEdges = st.fbEdges[:0]
-	for i := range st.batch {
-		if !st.assigned[i] {
-			st.fbEdges = append(st.fbEdges, st.batch[i])
-			st.assigned[i] = true
-		}
-	}
-	workers := max(b.Workers, 1)
-	if len(st.fbEdges) < parallelFallbackMin {
-		workers = 1
-	}
-	left := int64(len(st.fbEdges))
-	b.LastStats.FallbackEdges += left
-	st.fbEngineEdges = left
-	// A MemGraph lends its slice as one slab: batches alias fbEdges and
-	// nothing is copied.
-	return stream.PlaceHDRF(graph.NewMemGraph(res.N, st.fbEdges), res, nil, deg, lambda, capacity, left,
-		shard.Options{Workers: workers, Obs: b.Obs})
 }
 
 // pickPartition returns the least-loaded partition below capacity, or -1.

@@ -1,11 +1,12 @@
 package ooc
 
 import (
+	"errors"
+	"math"
 	"testing"
 
 	"hep/internal/gen"
 	"hep/internal/graph"
-	"hep/internal/part"
 	"hep/internal/parttest"
 	"hep/internal/stream"
 )
@@ -52,89 +53,14 @@ func TestBufferedBeatsHDRFOnPowerLawGraphs(t *testing.T) {
 			t.Fatalf("%s hdrf: %v", name, err)
 		}
 		brf, hrf := bres.ReplicationFactor(), hres.ReplicationFactor()
-		t.Logf("%s k=%d: buffered RF %.3f vs HDRF RF %.3f (batches=%d expansion=%d fallback=%d)",
-			name, k, brf, hrf, buffered.LastStats.Batches,
-			buffered.LastStats.ExpansionEdges, buffered.LastStats.FallbackEdges)
+		t.Logf("%s k=%d: buffered RF %.3f vs HDRF RF %.3f (batches=%d regions=%d)",
+			name, k, brf, hrf, buffered.LastStats.Batches, buffered.LastStats.Regions)
 		if buffered.LastStats.Batches < 2 {
 			t.Fatalf("%s: want multiple batches, got %d", name, buffered.LastStats.Batches)
 		}
 		if brf >= hrf {
 			t.Errorf("%s k=%d: buffered RF %.3f not better than HDRF %.3f", name, k, brf, hrf)
 		}
-	}
-}
-
-// TestBufferedParallelFallback drives the concurrent per-edge fallback path
-// directly at the batch-state level (in natural runs the expansion's region
-// quotas cover whole batches, so the fallback is an escape hatch): a full
-// batch of leftovers is gathered and placed through the sharded engine, and
-// must satisfy the same contracts as one worker — every edge exactly once,
-// sink delivery in batch order, valid result state, stats counted — with
-// replication factor within 2% of the one-worker fallback, which itself
-// matches the partition-major reference edge for edge.
-func TestBufferedParallelFallback(t *testing.T) {
-	g := gen.MustDataset("OK").Build(0.05)
-	deg, m, err := graph.Degrees(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const k = 32
-	capacity := int64(1.05*float64(m)/float64(k)) + 1
-
-	fanOutAlways(t)
-	run := func(workers int) (*part.Result, *part.Collect, *Buffered) {
-		b := &Buffered{Workers: workers}
-		st := newBatchState(len(g.E), k)
-		st.batch = append(st.batch[:0], g.E...)
-		res := part.NewResult(g.NumVertices(), k)
-		col := &part.Collect{}
-		res.Sink = col
-		if err := b.fallback(st, res, deg, stream.DefaultLambda, capacity); err != nil {
-			t.Fatal(err)
-		}
-		for i := range st.batch {
-			if !st.assigned[i] {
-				t.Fatalf("W=%d: batch edge %d left unassigned", workers, i)
-			}
-		}
-		return res, col, b
-	}
-
-	seqRes, seqCol, _ := run(1)
-	// One worker places the leftovers exactly like the per-edge informed
-	// HDRF loop: pin it to the partition-major reference, edge by edge.
-	ref := parttest.NewRefState(g.NumVertices(), k)
-	for i, e := range g.E {
-		p := parttest.RefHDRFArgmax(ref, ref, e.U, e.V, deg[e.U], deg[e.V], stream.DefaultLambda, capacity)
-		if p < 0 {
-			p = parttest.RefArgmin(ref.Counts)
-		}
-		ref.Assign(e.U, e.V, p)
-		if got := seqCol.Edges[i]; got.E != e || got.P != p {
-			t.Fatalf("W=1 fallback assignment %d = %v→%d, reference %v→%d", i, got.E, got.P, e, p)
-		}
-	}
-	parRes, col, b := run(4)
-	if b.LastStats.FallbackEdges != m {
-		t.Fatalf("fallback stats counted %d of %d edges", b.LastStats.FallbackEdges, m)
-	}
-	if err := parRes.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if err := parttest.CheckExactlyOnce(g, parRes, col); err != nil {
-		t.Fatal(err)
-	}
-	if err := parttest.CheckReplicas(parRes, col); err != nil {
-		t.Fatal(err)
-	}
-	// Sink delivery follows batch order even under concurrency.
-	for i := range col.Edges {
-		if col.Edges[i].E != g.E[i] {
-			t.Fatalf("sink delivery %d = %v, batch had %v", i, col.Edges[i].E, g.E[i])
-		}
-	}
-	if rf, srf := parRes.ReplicationFactor(), seqRes.ReplicationFactor(); rf > srf*1.02 {
-		t.Errorf("parallel-fallback RF %.4f > sequential %.4f + 2%%", rf, srf)
 	}
 }
 
@@ -177,7 +103,8 @@ func TestBufferedBudget(t *testing.T) {
 }
 
 // TestBufferedFromFileDiscoversVertexCount exercises the full on-disk path:
-// vertex count discovery at open, chunked degree pass, batched partitioning.
+// vertex count discovery at open, Buffered's chunked discovery scan, batched
+// partitioning.
 func TestBufferedFromFileDiscoversVertexCount(t *testing.T) {
 	g := gen.CommunityPowerLaw(3000, 30, 8, 0.2, 55)
 	src, err := Open(writeGraphFile(t, g), 0, 512)
@@ -210,10 +137,77 @@ func TestBufferForBudget(t *testing.T) {
 	}
 }
 
-// fanOutAlways lowers the fallback's fan-out floor to one edge for the rest
-// of the test, so runs at W > 1 place every leftover through the engine.
-func fanOutAlways(t *testing.T) {
-	old := parallelFallbackMin
-	parallelFallbackMin = 1
-	t.Cleanup(func() { parallelFallbackMin = old })
+// TestBufferedAlphaOutOfRange pins the α values no caller validates: +Inf
+// caps the capacity at m, so one partition may hold every edge, and NaN
+// takes the default 1.05 like any α below 1. Both must place every edge
+// exactly once.
+func TestBufferedAlphaOutOfRange(t *testing.T) {
+	g := gen.BarabasiAlbert(600, 4, 7)
+	const k = 5
+	for _, alpha := range []float64{math.Inf(1), math.NaN()} {
+		res, col := runCollected(t, &Buffered{BufferEdges: 64, Alpha: alpha}, g, k)
+		if err := parttest.CheckExactlyOnce(g, res, col); err != nil {
+			t.Fatalf("α=%v: %v", alpha, err)
+		}
+		if c := int64(math.Ceil(1.05 * float64(g.NumEdges()) / k)); math.IsNaN(alpha) && res.MaxLoad() > c {
+			t.Errorf("α=NaN: max load %d above the default capacity %d", res.MaxLoad(), c)
+		}
+	}
+}
+
+// passStream is a user stream whose passes disagree: the first pass yields
+// first and every later pass yields later.
+type passStream struct {
+	first, later []graph.Edge
+	passes       int
+}
+
+func (s *passStream) NumVertices() int { return 0 }
+func (s *passStream) NumEdges() int64  { return 0 }
+
+func (s *passStream) Edges(yield func(u, v graph.V) bool) error {
+	edges := s.later
+	if s.passes == 0 {
+		edges = s.first
+	}
+	s.passes++
+	for _, e := range edges {
+		if !yield(e.U, e.V) {
+			return nil
+		}
+	}
+	return nil
+}
+
+// TestBufferedPassesDisagree pins that a partition pass which disagrees
+// with the discovery scan is an error, never a panic or an overfull
+// partition. The discovery scan sees ids up to 3 and four edges. A later
+// pass that names id 9 must fail with graph.ErrVertexRange instead of
+// indexing past the local-id map. A later pass that yields eight edges must
+// fail once every partition reaches its capacity, ⌈1.05·4/2⌉ = 3, instead
+// of loading both partitions with 4.
+func TestBufferedPassesDisagree(t *testing.T) {
+	first := []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}, {U: 3, V: 0}}
+	cases := []struct {
+		name  string
+		later []graph.Edge
+		want  error // nil: any error
+	}{
+		{"unseen id", []graph.Edge{{U: 0, V: 1}, {U: 1, V: 9}, {U: 2, V: 3}, {U: 3, V: 0}}, graph.ErrVertexRange},
+		{"more edges", append(append([]graph.Edge(nil), first...), first...), nil},
+	}
+	for _, tc := range cases {
+		src := &passStream{first: first, later: tc.later}
+		res, err := (&Buffered{BufferEdges: 4}).Partition(src, 2)
+		if err == nil {
+			t.Errorf("%s: no error; loads %v", tc.name, res.Counts)
+			continue
+		}
+		if tc.want != nil && !errors.Is(err, tc.want) {
+			t.Errorf("%s: error %v, want %v", tc.name, err, tc.want)
+		}
+		if src.passes != 2 {
+			t.Errorf("%s: %d passes over the stream, want 2", tc.name, src.passes)
+		}
+	}
 }

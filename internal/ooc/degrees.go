@@ -18,10 +18,12 @@ var maxDegree int32 = math.MaxInt32
 
 // DegreePass computes exact vertex degrees in one pass over src, holding
 // only the degree array plus whatever src keeps in flight (one chunk for a
-// Stream) — the external-memory degree pass of the out-of-core pipeline.
-// The degree array grows on demand, so the pass also discovers the vertex
-// count: len(deg) is max id + 1 (or src.NumVertices() if larger). Each
-// undirected edge contributes 1 to both endpoints; self-loops contribute 2.
+// Stream). The degree array grows on demand, so the pass also discovers the
+// vertex count: len(deg) is max id + 1 (or src.NumVertices() if larger).
+// Each undirected edge contributes 1 to both endpoints; self-loops
+// contribute 2. No partitioner calls it any more: Buffered needs only |V|
+// and |E|, which discover counts. It is reached through DegreePassParallel,
+// which the benchmark's staged Buffered chain times.
 func DegreePass(src graph.EdgeStream) (deg []int32, m int64, err error) {
 	deg = make([]int32, src.NumVertices())
 	var loopErr error
@@ -54,7 +56,8 @@ func DegreePass(src graph.EdgeStream) (deg []int32, m int64, err error) {
 }
 
 // DegreePassParallel is DegreePass at every worker count; opts is unused.
-// It is kept, with its signature, for the benchmark's staged chains (bench/).
+// It is kept, with its signature, for the benchmark's staged chains
+// (bench/), where it stands in for Buffered's discovery scan.
 func DegreePassParallel(src graph.EdgeStream, opts shard.Options) (deg []int32, m int64, err error) {
 	return DegreePass(src)
 }

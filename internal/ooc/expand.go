@@ -2,8 +2,10 @@ package ooc
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math/bits"
 
+	"hep/internal/check"
 	"hep/internal/obs"
 	"hep/internal/part"
 	"hep/internal/vheap"
@@ -12,8 +14,8 @@ import (
 // Region expansion: one region at a time, exact unassigned-degree
 // bookkeeping (udeg, the active list and heap keys stay in lockstep with
 // every assignment), and the candidate-iteration warm start over the batch
-// bucket index. This is the only expansion path at every worker count, so
-// its output is deterministic; Workers > 1 only fans out the fallback.
+// bucket index. It is the only way Buffered places an edge, and its output
+// is deterministic.
 
 // expanderState is the region-growing scratch: the membership of the region
 // currently being grown, the undo list that clears it, the
@@ -56,35 +58,43 @@ func (ex *expanderState) clearRegion() {
 	ex.touched = ex.touched[:0]
 }
 
-// expand runs the region sweep of one batch: one region per partition
-// normally covers the batch exactly (k regions × ⌈batch/k⌉ quota); the cap
-// only binds when capacity clamps quotas, in which case the leftovers take
-// the informed fallback. Returns the number of edges the expansion left
-// unassigned.
-func (b *Buffered) expand(st *batchState, res *part.Result, capacity int64) int {
-	remaining := len(st.batch)
-	quotaBase := (len(st.batch) + res.K - 1) / res.K
-	if quotaBase < 1 {
-		quotaBase = 1
-	}
-	for regions := 0; remaining > 0 && regions < res.K; regions++ {
+// expand runs the region sweep of one batch: it grows regions, each into
+// the least-loaded partition with room and with a quota of
+// min(⌈B/k⌉, room) edges, until every batch edge is placed. One region per
+// partition usually covers the batch; when capacity clamps quotas, further
+// regions place the rest.
+//
+// The loop ends within len(batch) regions:
+//   - capacity is ⌈α·m/k⌉ with 1 ≤ α ≤ k, so k·capacity ≥ m. While an edge
+//     is unplaced and the stream has yielded at most the m edges the
+//     discovery scan counted, some partition has room, so pickPartition
+//     finds one. A stream that yields more is an error.
+//   - every quota is at least 1, and a region with quota ≥ 1 over a
+//     non-empty active list places at least one edge. Its heap holds the
+//     members with unassigned edges; when it is empty every active vertex
+//     is a non-member, so there is a seed. The first core move of a heap
+//     member joins a neighbour and places their edge.
+//
+// Under check.Enabled an empty region is an assertion failure, so a change
+// that breaks this argument fails the hepcheck build instead of hanging.
+func (b *Buffered) expand(st *batchState, res *part.Result, capacity int64) error {
+	quotaBase := max((len(st.batch)+res.K-1)/res.K, 1)
+	for remaining := len(st.batch); remaining > 0; {
 		p := pickPartition(res, capacity)
 		if p < 0 {
-			break // all partitions at capacity: informed fallback
+			return fmt.Errorf("ooc: every partition is at capacity %d with %d batch edges unplaced: the stream yielded more edges than its discovery scan counted",
+				capacity, remaining)
 		}
-		quota := int64(quotaBase)
-		if room := capacity - res.Counts[p]; quota > room {
-			quota = room
-		}
+		quota := min(int64(quotaBase), capacity-res.Counts[p])
 		b.LastStats.Regions++
 		placed := b.growRegion(st, res, p, int(quota))
 		b.Obs.Counters().Observe(0, obs.HistRegionEdges, int64(placed))
-		remaining -= placed
-		if placed == 0 {
-			break // no admissible seed left for this batch
+		if check.Enabled {
+			check.Assertf(placed > 0, "expansion region into partition %d (quota %d) placed no edge", p, quota)
 		}
+		remaining -= placed
 	}
-	return remaining
+	return nil
 }
 
 // warmCandidates assembles the warm-start set for partition p in the exact

@@ -10,7 +10,6 @@ import (
 	"hep/internal/part"
 	"hep/internal/parttest"
 	"hep/internal/pstate"
-	"hep/internal/stream"
 )
 
 // runCollected runs a Buffered configuration with a collecting sink.
@@ -114,12 +113,8 @@ func TestWarmStartProbeRegression(t *testing.T) {
 func TestRepeatRegionWarmRescan(t *testing.T) {
 	g := gen.MustDataset("OK").Build(0.05)
 	n := g.NumVertices()
-	deg, m, err := graph.Degrees(g)
-	if err != nil {
-		t.Fatal(err)
-	}
 	const k = 4
-	capacity := m // loose bound: the two live partitions never clamp a quota
+	capacity := g.NumEdges() // loose bound: the two live partitions never clamp a quota
 	// Two synthetic vertices outside the batch saturate partitions 2 and 3
 	// before the batch runs, leaving 0 and 1 as the only admissible targets.
 	preload := make([]part.TaggedEdge, 0, 2*capacity)
@@ -142,7 +137,7 @@ func TestRepeatRegionWarmRescan(t *testing.T) {
 		for i := range localID {
 			localID[i] = -1
 		}
-		if err := b.processBatch(st, localID, res, deg, 1.1, capacity); err != nil {
+		if err := b.processBatch(st, localID, res, capacity); err != nil {
 			t.Fatal(err)
 		}
 		return res, col, b.LastStats
@@ -178,12 +173,8 @@ func TestRepeatRegionWarmRescan(t *testing.T) {
 func TestWarmStartOverflowMatchesLegacyScan(t *testing.T) {
 	g := gen.MustDataset("OK").Build(0.05)
 	n := g.NumVertices()
-	deg, m, err := graph.Degrees(g)
-	if err != nil {
-		t.Fatal(err)
-	}
 	const k, bufEdges = 32, 1 << 11
-	capacity := int64(math.Ceil(1.05 * float64(m) / k))
+	capacity := int64(math.Ceil(1.05 * float64(g.NumEdges()) / k))
 
 	run := func(legacy bool) (*part.Collect, BufferedStats) {
 		b := &Buffered{legacyWarmScan: legacy}
@@ -200,7 +191,7 @@ func TestWarmStartOverflowMatchesLegacyScan(t *testing.T) {
 		spilled := false
 		for lo := 0; lo < len(g.E); lo += bufEdges {
 			st.batch = append(st.batch[:0], g.E[lo:min(lo+bufEdges, len(g.E))]...)
-			if err := b.processBatch(st, localID, res, deg, stream.DefaultLambda, capacity); err != nil {
+			if err := b.processBatch(st, localID, res, capacity); err != nil {
 				t.Fatal(err)
 			}
 			spilled = spilled || len(st.buckets.Overflow()) > 0
@@ -228,34 +219,15 @@ func TestWarmStartOverflowMatchesLegacyScan(t *testing.T) {
 	sameSequence(t, "overflow candidates vs legacy scan", col, colScan)
 }
 
-// TestBufferedWorkersMatchOneWorker pins the single expansion path: regions
-// grow sequentially at every worker count and only the fallback fans out,
-// and only past its floor. A run whose fallback stays under that floor must
-// therefore deliver exactly the W=1 sink sequence at W ∈ {2, 4}.
-func TestBufferedWorkersMatchOneWorker(t *testing.T) {
-	for _, name := range []string{"OK", "TW", "LJ"} {
-		g := gen.MustDataset(name).Build(0.1)
-		for _, k := range []int{32, 128} {
-			one := &Buffered{BufferEdges: 1 << 14}
-			_, want := runCollected(t, one, g, k)
-			if fb := one.LastStats.FallbackEdges; fb >= int64(parallelFallbackMin) {
-				t.Fatalf("%s k=%d: %d fallback edges reach the fan-out floor %d", name, k, fb, parallelFallbackMin)
-			}
-			for _, workers := range []int{2, 4} {
-				_, got := runCollected(t, &Buffered{BufferEdges: 1 << 14, Workers: workers}, g, k)
-				sameSequence(t, fmt.Sprintf("%s k=%d W=%d vs W=1", name, k, workers), got, want)
-			}
-		}
-	}
-}
-
-// TestParallelExpansionExactlyOnce runs Buffered at W ∈ {2, 4, 8} on the OK
-// and TW stand-ins: every edge must be assigned exactly once, replica state
-// must stay consistent with the sink, and expansion, sequential at every W,
-// must place edges. (Expansion is not concurrent; the name predates that.)
+// TestParallelExpansionExactlyOnce pins that Buffered ignores its
+// deprecated Workers field: at W ∈ {2, 4, 8} on the OK and TW stand-ins the
+// run delivers exactly the W=1 sink sequence, every edge exactly once, with
+// replica state consistent with the sink and every edge placed by
+// expansion. It goes with the field.
 func TestParallelExpansionExactlyOnce(t *testing.T) {
 	for _, name := range []string{"OK", "TW"} {
 		g := gen.MustDataset(name).Build(0.1)
+		_, want := runCollected(t, &Buffered{BufferEdges: 1 << 14}, g, 32)
 		for _, workers := range []int{2, 4, 8} {
 			t.Run(fmt.Sprintf("%s/W=%d", name, workers), func(t *testing.T) {
 				b := &Buffered{BufferEdges: 1 << 14, Workers: workers}
@@ -269,20 +241,19 @@ func TestParallelExpansionExactlyOnce(t *testing.T) {
 				if err := parttest.CheckReplicas(res, col); err != nil {
 					t.Fatal(err)
 				}
-				if b.LastStats.ExpansionEdges == 0 {
-					t.Fatal("no edges placed by expansion")
+				if b.LastStats.ExpansionEdges != g.NumEdges() {
+					t.Fatalf("expansion placed %d of %d edges", b.LastStats.ExpansionEdges, g.NumEdges())
 				}
+				sameSequence(t, fmt.Sprintf("W=%d vs W=1", workers), col, want)
 			})
 		}
 	}
 }
 
-// TestBufferedTinyBatches drives W=4 runs, with the fallback allowed to fan
-// out at any size, through degenerate shapes — batches smaller than the
-// worker count, k exceeding the batch, single-edge buffers — where the
+// TestBufferedTinyBatches drives runs through degenerate shapes — batches
+// smaller than k, k exceeding the batch, single-edge buffers — where the
 // region sweep's edge cases trigger, and checks the balance bound.
 func TestBufferedTinyBatches(t *testing.T) {
-	fanOutAlways(t)
 	graphs := map[string]*graph.MemGraph{
 		"ba":   gen.BarabasiAlbert(600, 4, 7),
 		"star": gen.Star(64),
@@ -291,7 +262,7 @@ func TestBufferedTinyBatches(t *testing.T) {
 	for gname, g := range graphs {
 		for _, buf := range []int{1, 7, 128} {
 			for _, k := range []int{2, 5, 16} {
-				b := &Buffered{BufferEdges: buf, Workers: 4}
+				b := &Buffered{BufferEdges: buf}
 				if _, err := parttest.RunAndCheck(b, g, k, 1.05, 2); err != nil {
 					t.Errorf("%s buf=%d k=%d: %v", gname, buf, k, err)
 				}
@@ -300,43 +271,15 @@ func TestBufferedTinyBatches(t *testing.T) {
 	}
 }
 
-// TestBufferedWorkersBudget pins the memory contract at W > 1: with the
-// buffer sized by BufferForBudget — the same buffer W=1 gets — and the
-// fallback allowed to fan out over four workers at any size, the tracked
-// peak batch-local allocation stays within the byte budget.
-func TestBufferedWorkersBudget(t *testing.T) {
-	fanOutAlways(t)
-	g := gen.MustDataset("OK").Build(0.25)
-	const budget = 1 << 21
-	bufEdges := BufferForBudget(budget)
-	if bufEdges <= 0 || int64(bufEdges) >= g.NumEdges() {
-		t.Fatalf("bad test sizing: buffer %d of %d edges", bufEdges, g.NumEdges())
-	}
-	b := &Buffered{BufferEdges: bufEdges, Workers: 4}
-	res, err := b.Partition(g, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.M != g.NumEdges() {
-		t.Fatalf("assigned %d of %d edges", res.M, g.NumEdges())
-	}
-	if b.LastStats.Batches < 2 {
-		t.Fatalf("want multiple batches, got %d", b.LastStats.Batches)
-	}
-	if b.LastStats.PeakBufferBytes > budget {
-		t.Fatalf("peak buffer %d exceeds budget %d", b.LastStats.PeakBufferBytes, budget)
-	}
-}
-
 // TestBudgetBoundSmallBufferLargeK pins the documented PeakBufferBytes
 // bound where the per-edge slack is thinnest: buffers of 1 to 64 edges, k up
-// to 256 and a tight α = 1.0 that sends leftovers to the fallback, whose
-// gather buffer is then allocated. Every run, and the full batch state of
-// every buffer size with that gather buffer allocated (no run below eight
-// edges reaches the fallback), must stay within BytesPerBufferedEdge per
-// buffered edge: the bucket heads and region flags are fixed resident
-// baseline, not buffer-scaled state, and the byte-granular position mark,
-// ⌈2B/8⌉ bytes, fits the one byte of slack per edge.
+// to 256 and a tight α = 1.0, where capacity clamps region quotas and extra
+// regions place the rest of a batch. The full batch state of every buffer
+// size, and every run, must stay within BytesPerBufferedEdge per buffered
+// edge: the bucket heads and region flags are fixed resident baseline, not
+// buffer-scaled state, and the byte-granular position mark, ⌈2B/8⌉ bytes,
+// fits the 0.75 B of slack per edge. Every run must place each edge exactly
+// once, with no partition above ⌈α·m/k⌉.
 func TestBudgetBoundSmallBufferLargeK(t *testing.T) {
 	graphs := map[string]*graph.MemGraph{
 		"ba":   gen.BarabasiAlbert(600, 4, 7),
@@ -348,37 +291,71 @@ func TestBudgetBoundSmallBufferLargeK(t *testing.T) {
 	}
 	for _, buf := range bufs {
 		st := newBatchState(buf, 256)
-		st.fbEdges = make([]graph.Edge, 0, cap(st.batch)) // as the first fallback allocates it
 		if bound := int64(buf) * BytesPerBufferedEdge; st.bytes() > bound {
 			t.Errorf("buf=%d: worst-case batch state %d B exceeds documented bound %d", buf, st.bytes(), bound)
 		}
 	}
-	fellBack := false
 	for gname, g := range graphs {
 		for _, buf := range bufs {
 			for _, k := range []int{1, 2, 5, 16, 256} {
 				for _, alpha := range []float64{1.0, 1.05} {
 					b := &Buffered{BufferEdges: buf, Alpha: alpha}
-					res, err := b.Partition(g, k)
-					if err != nil {
-						t.Fatal(err)
+					res, col := runCollected(t, b, g, k)
+					what := fmt.Sprintf("%s buf=%d k=%d α=%.2f", gname, buf, k, alpha)
+					if err := parttest.CheckExactlyOnce(g, res, col); err != nil {
+						t.Fatalf("%s: %v", what, err)
 					}
-					if res.M != g.NumEdges() {
-						t.Fatalf("%s buf=%d k=%d α=%.2f: assigned %d of %d edges", gname, buf, k, alpha, res.M, g.NumEdges())
+					if c := int64(math.Ceil(alpha * float64(g.NumEdges()) / float64(k))); res.MaxLoad() > c {
+						t.Errorf("%s: max load %d above capacity %d", what, res.MaxLoad(), c)
 					}
 					if bound := int64(buf) * BytesPerBufferedEdge; b.LastStats.PeakBufferBytes > bound {
-						t.Errorf("%s buf=%d k=%d α=%.2f: peak buffer %d exceeds documented bound %d",
-							gname, buf, k, alpha, b.LastStats.PeakBufferBytes, bound)
-					}
-					if buf <= 16 && b.LastStats.FallbackEdges > 0 {
-						fellBack = true
+						t.Errorf("%s: peak buffer %d exceeds documented bound %d", what, b.LastStats.PeakBufferBytes, bound)
 					}
 				}
 			}
 		}
 	}
-	if !fellBack {
-		t.Fatal("no case with a buffer of at most 16 edges ran the fallback, so its gather buffer was never charged")
+}
+
+// TestBufferedExtraRegionsPlaceBatch pins the path that replaced the
+// per-edge fallback. At α = 1.0 and k = 5, capacity clamps region quotas
+// late in these runs, so k regions no longer cover a batch and further
+// regions place the rest. These are the stand-in configurations where the
+// retired fallback placed edges. Every run must place each edge exactly
+// once, keep replicas consistent with the sink, stay within capacity and
+// grow more than k regions per batch.
+func TestBufferedExtraRegionsPlaceBatch(t *testing.T) {
+	cases := []struct {
+		graph string
+		buf   int
+	}{
+		{"LJ", 512}, {"WDC", 512}, {"BR", 512}, {"OK", 512}, {"TW", 512}, {"grid", 512},
+		{"LJ", 4096}, {"WDC", 4096}, {"BR", 4096}, {"OK", 4096}, {"IT", 4096}, {"WI", 4096}, {"FR", 4096},
+		{"WDC", 32768},
+	}
+	const k, alpha = 5, 1.0
+	graphs := map[string]*graph.MemGraph{"grid": gen.Grid2D(30, 30)}
+	for _, tc := range cases {
+		g := graphs[tc.graph]
+		if g == nil {
+			g = gen.MustDataset(tc.graph).Build(0.1)
+			graphs[tc.graph] = g
+		}
+		what := fmt.Sprintf("%s buf=%d", tc.graph, tc.buf)
+		b := &Buffered{BufferEdges: tc.buf, Alpha: alpha}
+		res, col := runCollected(t, b, g, k)
+		if err := parttest.CheckExactlyOnce(g, res, col); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if err := parttest.CheckReplicas(res, col); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if c := int64(math.Ceil(alpha * float64(g.NumEdges()) / k)); res.MaxLoad() > c {
+			t.Errorf("%s: max load %d above capacity %d", what, res.MaxLoad(), c)
+		}
+		if st := b.LastStats; st.Regions <= int64(k*st.Batches) {
+			t.Errorf("%s: %d regions over %d batches: no batch needed more than k", what, st.Regions, st.Batches)
+		}
 	}
 }
 
@@ -396,7 +373,7 @@ func TestBufferedLowDegreeBatch(t *testing.T) {
 		edges[i] = graph.Edge{U: graph.V(2 * i), V: graph.V(2*i + 1)}
 	}
 	g := graph.NewMemGraph(2*m, edges)
-	b := &Buffered{BufferEdges: m, Workers: 2}
+	b := &Buffered{BufferEdges: m}
 	res, err := b.Partition(g, 32)
 	if err != nil {
 		t.Fatal(err)

@@ -3,18 +3,16 @@
 // binary edge-list files (Stream: a read-ahead goroutine reads the file
 // straight into lent []graph.Edge slabs, and every per-edge pass walks those
 // slabs; MmapStream lends the mapping instead where it can; ReadFile loads a
-// whole file), an external-memory degree pass, delta-varint-encoded on-disk
-// edge runs (also usable as the H2H spill store of paper §3.2.1), and a
-// buffered streaming partitioner (Buffered) in the spirit of buffered
-// streaming edge partitioning (Chhabra et al., 2024): fill a bounded edge
-// buffer, partition the batch with neighborhood expansion seeded by the
-// global replica state, flush, repeat. Regions grow sequentially at every
-// worker count; Workers > 1 fans out only the per-edge fallback through the
-// batch engine (internal/shard), so the buffer a byte budget buys does not
-// depend on it.
+// whole file), delta-varint-encoded on-disk edge runs (also usable as the
+// H2H spill store of paper §3.2.1), and a buffered streaming partitioner
+// (Buffered) in the spirit of buffered streaming edge partitioning (Chhabra
+// et al., 2024): fill a bounded edge buffer, partition the whole batch with
+// neighborhood expansion seeded by the global replica state, flush, repeat.
+// Buffered runs one sequential path, so its output and the buffer a byte
+// budget buys do not depend on a worker count.
 //
 // The resident set of every component is bounded by O(|V|) vertex state
-// (degree array, replica bitsets) plus a configurable buffer; the edge list
+// (local-id map, replica bitsets) plus a configurable buffer; the edge list
 // itself is never materialized.
 package ooc
 
@@ -113,17 +111,26 @@ func ReadFile(path string) ([]graph.Edge, error) {
 	return edges, nil
 }
 
+// discover scans src once for the vertex count, the largest id plus one,
+// and the exact edge count. It is the discovery scan of Open and OpenMmap
+// and Buffered's first pass.
+func discover(src graph.EdgeStream) (n int, m int64, err error) {
+	err = src.Edges(func(u, v graph.V) bool {
+		n = max(n, int(u)+1, int(v)+1)
+		m++
+		return true
+	})
+	return n, m, err
+}
+
 // vertexCount resolves the n of Open and OpenMmap: n > 0 is kept as
-// declared, n < 0 skips discovery (0), and n == 0 scans src once for the
-// largest id plus one.
+// declared, n < 0 skips discovery (0), and n == 0 scans src once (discover)
+// for the largest id plus one.
 func vertexCount(src graph.EdgeStream, n int) (int, error) {
 	if n != 0 {
 		return max(n, 0), nil
 	}
-	err := src.Edges(func(u, v graph.V) bool {
-		n = max(n, int(u)+1, int(v)+1)
-		return true
-	})
+	n, _, err := discover(src)
 	return n, err
 }
 
@@ -157,9 +164,9 @@ type Stream struct {
 // Open stats a binary edge-list file and returns a chunked stream over it.
 // n > 0 declares the vertex count; n == 0 discovers it with one chunked
 // scan for the maximum id; n < 0 skips discovery entirely (NumVertices
-// reports 0) for consumers that discover ids on the fly, like Buffered's
-// degree pass. chunkEdges <= 0 selects DefaultChunkEdges; a slab never
-// holds more edges than the file.
+// reports 0) for consumers that run their own discovery scan, like
+// Buffered. chunkEdges <= 0 selects DefaultChunkEdges; a slab never holds
+// more edges than the file.
 func Open(path string, n, chunkEdges int) (*Stream, error) {
 	fi, err := os.Stat(path)
 	if err != nil {

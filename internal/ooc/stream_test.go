@@ -102,7 +102,7 @@ func TestStreamEmptyFile(t *testing.T) {
 }
 
 // TestStreamSkipDiscovery pins n < 0: no discovery scan, NumVertices 0,
-// edges still stream (Buffered's degree pass discovers ids itself).
+// edges still stream (Buffered runs its own discovery scan).
 func TestStreamSkipDiscovery(t *testing.T) {
 	g := gen.BarabasiAlbert(100, 3, 5)
 	s, err := Open(writeGraphFile(t, g), -1, 32)
@@ -112,12 +112,12 @@ func TestStreamSkipDiscovery(t *testing.T) {
 	if s.NumVertices() != 0 {
 		t.Fatalf("n = %d, want 0 (undiscovered)", s.NumVertices())
 	}
-	deg, m, err := DegreePass(s)
+	n, m, err := discover(s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m != g.NumEdges() || len(deg) != g.NumVertices() {
-		t.Fatalf("degree pass saw m=%d len(deg)=%d", m, len(deg))
+	if m != g.NumEdges() || n != g.NumVertices() {
+		t.Fatalf("discovery scan saw m=%d n=%d", m, n)
 	}
 }
 

@@ -48,12 +48,10 @@ func allAlgorithms() []algoCase {
 		// Parallel sharded streaming paths (internal/shard). No balance
 		// guarantee is asserted because the bounded-staleness load view may
 		// overshoot α by up to a batch on inputs this small. HDRF over
-		// 64-edge batches and Buffered's fallback fanned out at any size are
-		// pinned in their own packages' tests.
+		// 64-edge batches is pinned in its own package's tests.
 		{&stream.HDRF{Workers: 4}, 0, 0},
 		{&core.HEP{Tau: 10, Workers: 4}, 0, 0},
 		{&restream.Restream{Passes: 2, Workers: 4}, 0, 0},
-		{&ooc.Buffered{BufferEdges: 512, Workers: 4}, 0, 0},
 	}
 }
 

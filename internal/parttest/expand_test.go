@@ -8,13 +8,12 @@ import (
 	"hep/internal/ooc"
 )
 
-// TestParallelExpansionQualityPin pins Buffered at W ∈ {2, 4, 8} to its
-// W=1 quality on the OK, TW and LJ stand-ins at k ∈ {32, 128}: the same
-// number of edges assigned, and replication factor and balance within 2%.
-// Regions grow sequentially at every worker count and W only fans out the
-// fallback, so more workers must never cost quality. (The name is older
-// than that design; TestBufferedWorkersMatchOneWorker in internal/ooc pins
-// the stronger property that the assignment sequence is identical.)
+// TestParallelExpansionQualityPin pins that Buffered ignores its deprecated
+// Workers field: at W ∈ {2, 4, 8} on the OK, TW and LJ stand-ins at
+// k ∈ {32, 128} it assigns the same number of edges with exactly the W=1
+// replication factor and balance. It goes with the field;
+// TestParallelExpansionExactlyOnce in internal/ooc pins the stronger
+// property that the assignment sequence is identical.
 func TestParallelExpansionQualityPin(t *testing.T) {
 	for _, name := range []string{"OK", "TW", "LJ"} {
 		g := gen.MustDataset(name).Build(0.1)
@@ -32,11 +31,11 @@ func TestParallelExpansionQualityPin(t *testing.T) {
 					if par.M != seq.M {
 						t.Fatalf("W=%d assigned %d edges, W=1 %d", workers, par.M, seq.M)
 					}
-					if prf, srf := par.ReplicationFactor(), seq.ReplicationFactor(); prf > srf*1.02 {
-						t.Errorf("RF %.4f > W=1 %.4f + 2%%", prf, srf)
+					if prf, srf := par.ReplicationFactor(), seq.ReplicationFactor(); prf != srf {
+						t.Errorf("RF %.4f, W=1 %.4f", prf, srf)
 					}
-					if pb, sb := par.Balance(), seq.Balance(); pb > sb*1.02 {
-						t.Errorf("balance %.4f > W=1 %.4f + 2%%", pb, sb)
+					if pb, sb := par.Balance(), seq.Balance(); pb != sb {
+						t.Errorf("balance %.4f, W=1 %.4f", pb, sb)
 					}
 				})
 			}

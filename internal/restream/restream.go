@@ -76,7 +76,6 @@ func (r *Restream) Partition(src graph.EdgeStream, k int) (*part.Result, error) 
 	// over the same m edges instead of sharing one cumulative total.
 	r.Obs.SetTotalEdges(m)
 	n := src.NumVertices()
-	capacity := stream.Capacity(alpha, m, k)
 
 	// Pass 1 is plain streamed HDRF with exact degrees; passes 2..P re-place
 	// each edge scoring affinity against the frozen previous pass.
@@ -92,7 +91,7 @@ func (r *Restream) Partition(src graph.EdgeStream, k int) (*part.Result, error) 
 			res.Sink = r.Sink // only the final pass emits assignments
 		}
 		sp = r.Obs.Span(name)
-		if err := stream.PlaceHDRF(src, res, prior, deg, lambda, capacity, m, opts); err != nil {
+		if err := stream.PlaceHDRF(src, res, prior, deg, lambda, alpha, m, opts); err != nil {
 			return nil, err
 		}
 		sp.Edges(m).End()

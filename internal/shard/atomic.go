@@ -26,11 +26,11 @@
 // are Run's one input: batches are slices of them, and a source that does
 // not lend is copied into recycled slabs once, at entry (Lend).
 //
-// Run drives placement passes only: HDRF, re-streaming, HEP's informed h2h
-// phase and Buffered's fallback. The pre-passes — exact degree counts, HEP's
-// CSR build, Buffered's mini-CSR fill — run sequentially at every worker
-// count, as in the paper: on a 2-core host their batch-parallel forms were
-// slower than the sequential passes at two workers.
+// Run drives placement passes only: HDRF, re-streaming and HEP's informed
+// h2h phase. The pre-passes — exact degree counts, HEP's CSR build — run
+// sequentially at every worker count, as in the paper: on a 2-core host
+// their batch-parallel forms were slower than the sequential passes at two
+// workers.
 package shard
 
 import (

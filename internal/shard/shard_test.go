@@ -211,7 +211,7 @@ func (o *orderPlacer) PlaceBatch(edges []graph.Edge, parts []int32) {
 // TestEngineOrderedDelivery checks the deterministic replay guarantee: for
 // W ∈ {1,2,4,8} and batch sizes that force heavy reordering, delivery is in
 // exact stream order, every edge exactly once. The MemGraph source lends its
-// slice as one slab, so batches alias it — the out-of-core fallback's path.
+// slice as one slab, so batches alias it.
 func TestEngineOrderedDelivery(t *testing.T) {
 	const m, k = 50000, 13
 	edges := make([]graph.Edge, m)
@@ -374,8 +374,7 @@ func TestParallelInformedAndRestream(t *testing.T) {
 	next := part.NewResult(n, k)
 	col2 := &part.Collect{}
 	next.Sink = col2
-	capacity := stream.Capacity(1.05, m, k)
-	if err := stream.PlaceHDRF(g, next, prior.Reps, deg, stream.DefaultLambda, capacity, m, opts); err != nil {
+	if err := stream.PlaceHDRF(g, next, prior.Reps, deg, stream.DefaultLambda, 1.05, m, opts); err != nil {
 		t.Fatal(err)
 	}
 	if err := next.Validate(); err != nil {

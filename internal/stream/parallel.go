@@ -259,16 +259,13 @@ func sampleShared(o *obs.Obs, res *part.Result, t *shard.AtomicTable, loads *sha
 // the balance capacity ⌈α·|E|/k⌉ (and sizes batches). One worker gives the
 // exact sequential pass.
 func RunHDRFParallel(src graph.EdgeStream, res *part.Result, deg []int32, lambda, alpha float64, totalM int64, opts shard.Options) error {
-	return PlaceHDRF(src, res, nil, deg, lambda, Capacity(alpha, totalM, res.K), totalM, opts)
+	return PlaceHDRF(src, res, nil, deg, lambda, alpha, totalM, opts)
 }
 
-// PlaceHDRF is RunHDRFParallel for the callers that need more control.
-// Replica affinity is scored against prior, a frozen earlier result's table
-// (re-streaming: later passes re-place every edge with full knowledge of
-// the previous pass), or against the table being built when prior is nil.
-// capacity is the explicit per-partition bound, and totalM the edge count
-// batch sizes scale with — the out-of-core fallback places only a batch's
-// leftovers under the whole graph's bound. Loads always come from res.
-func PlaceHDRF(src graph.EdgeStream, res *part.Result, prior *pstate.Table, deg []int32, lambda float64, capacity, totalM int64, opts shard.Options) error {
-	return hdrfPass{prior: prior, deg: deg, lambda: lambda, capacity: capacity, totalM: totalM}.run(src, res, opts)
+// PlaceHDRF is RunHDRFParallel scoring replica affinity against prior, a
+// frozen earlier result's table (re-streaming: later passes re-place every
+// edge with full knowledge of the previous pass), or against the table
+// being built when prior is nil. Loads always come from res.
+func PlaceHDRF(src graph.EdgeStream, res *part.Result, prior *pstate.Table, deg []int32, lambda, alpha float64, totalM int64, opts shard.Options) error {
+	return hdrfPass{prior: prior, deg: deg, lambda: lambda, capacity: Capacity(alpha, totalM, res.K), totalM: totalM}.run(src, res, opts)
 }
