@@ -24,7 +24,6 @@ import (
 	"hep/internal/ooc"
 	"hep/internal/part"
 	"hep/internal/parttest"
-	"hep/internal/shard"
 	"hep/internal/stream"
 )
 
@@ -309,7 +308,7 @@ func BenchmarkHDRFPlacement(b *testing.B) {
 			b.SetBytes(m * 8)
 			for i := 0; i < b.N; i++ {
 				res := part.NewResult(n, k)
-				err := stream.RunHDRFParallel(g, res, deg, lambda, 1.05, m, shard.Options{Workers: 1})
+				err := stream.PlaceHDRF(g, res, nil, deg, lambda, 1.05, m, nil)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -337,42 +336,6 @@ func BenchmarkHDRFPlacement(b *testing.B) {
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*m), "ns/edge")
 		})
-	}
-}
-
-// BenchmarkParallelHDRF measures the parallel sharded streaming engine
-// against one worker (sequential HDRF) on the TW power-law stand-in at
-// k=32: ns/edge and replication factor per worker count. Speedup tracks the
-// cores actually available (GOMAXPROCS) — on a multi-core host W=8
-// approaches linear scaling; on a single core the W > 1 rows price the
-// engine's batching overhead. `hep-bench -exp shard` prints the same table
-// across datasets and k.
-func BenchmarkParallelHDRF(b *testing.B) {
-	g := gen.MustDataset("TW").Build(benchScale)
-	deg, m, err := graph.Degrees(g)
-	if err != nil {
-		b.Fatal(err)
-	}
-	n := g.NumVertices()
-	const k = 32
-	run := func(b *testing.B, workers int) {
-		b.SetBytes(m * 8)
-		var rf float64
-		for i := 0; i < b.N; i++ {
-			res := part.NewResult(n, k)
-			err = stream.RunHDRFParallel(g, res, deg, stream.DefaultLambda, 1.05, m,
-				shard.Options{Workers: workers})
-			if err != nil {
-				b.Fatal(err)
-			}
-			rf = res.ReplicationFactor()
-		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*m), "ns/edge")
-		b.ReportMetric(rf, "rf")
-	}
-	b.Run("seq", func(b *testing.B) { run(b, 1) })
-	for _, w := range []int{2, 4, 8} {
-		b.Run(fmt.Sprintf("W=%d", w), func(b *testing.B) { run(b, w) })
 	}
 }
 

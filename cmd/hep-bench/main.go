@@ -22,11 +22,10 @@ import (
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment: fig2|fig5|fig7|fig8|fig9|table2|table3|table4|table5|table6|ooc|state|shard|ingest|refine|all")
+		exp      = flag.String("exp", "all", "experiment: fig2|fig5|fig7|fig8|fig9|table2|table3|table4|table5|table6|ooc|state|ingest|refine|all")
 		scale    = flag.Float64("scale", 0.25, "dataset scale factor")
 		datasets = flag.String("datasets", "", "comma-separated dataset names (default per experiment)")
 		ks       = flag.String("k", "", "comma-separated partition counts (default per experiment)")
-		workers  = flag.String("workers", "", "comma-separated worker counts for -exp shard (default 1,2,4,8) and ingest (default 1,4)")
 		skipSlow = flag.Bool("skipslow", true, "skip partitioners the paper marks OOT on large graphs")
 		jsonOut  = flag.String("json", "", "additionally write every table's rows as machine-readable JSON (hep-bench/v1) to this file")
 	)
@@ -56,9 +55,6 @@ func main() {
 	if *ks != "" {
 		intList("-k", *ks, &cfg.Ks)
 	}
-	if *workers != "" {
-		intList("-workers", *workers, &cfg.Workers)
-	}
 
 	runners := map[string]func(expt.Config) error{
 		"fig2":   func(c expt.Config) error { _, err := expt.Figure2(c); return err },
@@ -73,11 +69,10 @@ func main() {
 		"table6": func(c expt.Config) error { _, err := expt.Table6(c); return err },
 		"ooc":    func(c expt.Config) error { _, err := expt.TableBuffered(c); return err },
 		"state":  func(c expt.Config) error { _, err := expt.TableState(c); return err },
-		"shard":  func(c expt.Config) error { _, err := expt.TableShard(c); return err },
 		"ingest": func(c expt.Config) error { _, err := expt.TableIngest(c); return err },
 		"refine": expt.TableRefine,
 	}
-	order := []string{"table3", "fig2", "fig5", "fig7", "fig8", "fig9", "table2", "table4", "table5", "table6", "ooc", "state", "shard", "ingest", "refine"}
+	order := []string{"table3", "fig2", "fig5", "fig7", "fig8", "fig9", "table2", "table4", "table5", "table6", "ooc", "state", "ingest", "refine"}
 
 	if *exp == "all" {
 		for _, name := range order {

@@ -143,25 +143,22 @@ type Config struct {
 	// Tau is HEP's degree threshold factor τ; 0 or +Inf disables pruning
 	// (pure NE++). The paper evaluates τ ∈ {100, 10, 1}.
 	Tau float64
-	// Alpha is the edge balance bound α ≥ 1 where applicable.
+	// Alpha is the edge balance bound α ≥ 1 where applicable; values below
+	// 1 count as 1, and NaN is rejected.
 	Alpha float64
 	// Lambda is the HDRF balance weight, ≥ 0 (0 = default 1.1).
 	Lambda float64
-	// Seed makes randomized algorithms deterministic. Note that full
-	// run-to-run determinism also requires Workers: 1 for the parallel
-	// algorithms — with Workers 0 (all cores) or > 1, placement depends
-	// on worker interleaving.
+	// Seed makes randomized algorithms deterministic. The two parallel
+	// passes, DNE at Workers 0 or > 1 and refinement at RefineWorkers 0 or
+	// > 1, also depend on worker interleaving; every other run is the same
+	// at every worker count.
 	Seed int64
-	// Workers is the multi-core parallelism of the placement passes of the
-	// algorithms that have a parallel path: the sharded streaming engine
-	// behind AlgoHEP's informed phase, AlgoHDRF and AlgoRestream, and DNE's
-	// own concurrent expanders. The pre-passes — exact degree counting,
-	// HEP's CSR build — run sequentially at every worker count. 0 resolves
-	// to GOMAXPROCS (DNE keeps its own default); 1 forces one worker, whose
-	// output is the exact sequential algorithm's, which is the determinism
-	// guarantee — parallel placement depends on worker interleaving.
-	// AlgoNEPP and AlgoBuffered accept any Workers and run their one
-	// sequential path, so their output does not depend on it. Algorithms
+	// Workers is DNE's number of concurrent expanders (0 = DNE's own
+	// default). Every other placement pass runs one worker, so its output
+	// does not depend on Workers, with one exception: AlgoHDRF takes the
+	// exact-degree pre-pass instead of streamed partial degrees when
+	// Workers resolves above one (0 resolves to GOMAXPROCS). AlgoHEP,
+	// AlgoNEPP, AlgoRestream and AlgoBuffered accept any Workers. Algorithms
 	// with no parallel path (order-sensitive streaming like ADWISE, the
 	// in-memory partitioners) reject Workers > 1 instead of silently
 	// running sequentially.
@@ -203,9 +200,9 @@ type Config struct {
 }
 
 // ParallelAlgorithms lists the Config.Algorithm values that accept
-// Workers > 1: the algorithms wired to the parallel sharded streaming
-// engine (internal/shard), DNE's concurrent expanders, and NE++ and
-// Buffered, which accept it and run their one sequential path.
+// Workers > 1. DNE runs that many concurrent expanders; HDRF takes its
+// exact-degree pre-pass and places with one worker; HEP, NE++, re-HDRF and
+// Buffered run their one sequential path.
 func ParallelAlgorithms() []string {
 	return []string{AlgoHEP, AlgoNEPP, AlgoHDRF, AlgoRestream, AlgoBuffered, AlgoDNE}
 }
@@ -249,13 +246,6 @@ func checkRefine(name string, cfg Config) error {
 	}
 	return fmt.Errorf("hep: algorithm %q is not covered by the refinement post-pass; Refine must be empty — refinable algorithms: %v",
 		name, RefinableAlgorithms())
-}
-
-// shardWorkers resolves Config.Workers for the shard-capable algorithms:
-// 0 means all cores (GOMAXPROCS), anything else is taken literally
-// (1 = one worker, the exact sequential output).
-func shardWorkers(cfg Config) int {
-	return shard.Options{Workers: cfg.Workers}.Resolve()
 }
 
 // idChecked wraps an algorithm that has no guarded degree pass and runs it
@@ -334,6 +324,9 @@ func New(cfg Config) (Algorithm, error) {
 	if !(cfg.Lambda >= 0) {
 		return nil, fmt.Errorf("hep: Lambda must be ≥ 0, got %v", cfg.Lambda)
 	}
+	if math.IsNaN(cfg.Alpha) {
+		return nil, errors.New("hep: Alpha must not be NaN")
+	}
 	name := cfg.Algorithm
 	if name == "" {
 		name = AlgoHEP
@@ -341,11 +334,9 @@ func New(cfg Config) (Algorithm, error) {
 	var a Algorithm
 	switch name {
 	case AlgoHEP:
-		a = &core.HEP{Tau: cfg.Tau, Alpha: cfg.Alpha, Lambda: cfg.Lambda, Seed: cfg.Seed,
-			Workers: shardWorkers(cfg), Obs: cfg.Obs}
+		a = &core.HEP{Tau: cfg.Tau, Alpha: cfg.Alpha, Lambda: cfg.Lambda, Seed: cfg.Seed, Obs: cfg.Obs}
 	case AlgoNEPP:
-		a = &core.HEP{Tau: math.Inf(1), Alpha: cfg.Alpha, Lambda: cfg.Lambda,
-			Workers: shardWorkers(cfg), Obs: cfg.Obs}
+		a = &core.HEP{Tau: math.Inf(1), Alpha: cfg.Alpha, Lambda: cfg.Lambda, Obs: cfg.Obs}
 	case AlgoNE:
 		a = idChecked{&ne.NE{Seed: cfg.Seed}}
 	case AlgoSNE:
@@ -355,7 +346,8 @@ func New(cfg Config) (Algorithm, error) {
 	case AlgoMETIS:
 		a = idChecked{&mlp.MLP{Seed: cfg.Seed}}
 	case AlgoHDRF:
-		a = &stream.HDRF{Lambda: cfg.Lambda, Alpha: cfg.Alpha, Workers: shardWorkers(cfg), Obs: cfg.Obs}
+		a = &stream.HDRF{Lambda: cfg.Lambda, Alpha: cfg.Alpha, Obs: cfg.Obs,
+			ExactDegrees: shard.Options{Workers: cfg.Workers}.Resolve() > 1}
 	case AlgoDBH:
 		a = &stream.DBH{}
 	case AlgoGreedy:
@@ -373,8 +365,7 @@ func New(cfg Config) (Algorithm, error) {
 		}
 		a = &hybrid.Simple{Tau: tau, Seed: cfg.Seed}
 	case AlgoRestream:
-		a = &restream.Restream{Passes: cfg.Passes, Lambda: cfg.Lambda, Alpha: cfg.Alpha,
-			Workers: shardWorkers(cfg), Obs: cfg.Obs}
+		a = &restream.Restream{Passes: cfg.Passes, Lambda: cfg.Lambda, Alpha: cfg.Alpha, Obs: cfg.Obs}
 	case AlgoBuffered:
 		a = &ooc.Buffered{BufferEdges: cfg.Buffer, Alpha: cfg.Alpha, Obs: cfg.Obs}
 	default:

@@ -8,6 +8,7 @@ import (
 
 	"hep/internal/graph"
 	"hep/internal/ooc"
+	"hep/internal/stream"
 )
 
 func TestPartitionEveryAlgorithm(t *testing.T) {
@@ -104,6 +105,43 @@ func TestWorkersValidation(t *testing.T) {
 		if res.M != g.NumEdges() {
 			t.Errorf("%s Workers=3: assigned %d of %d edges", name, res.M, g.NumEdges())
 		}
+	}
+}
+
+// TestAlphaInfMatchesK pins the capacity of an out-of-range α: at α = +Inf
+// the capacity-bounded streaming passes (HDRF, re-HDRF, HEP's h2h phase,
+// Greedy, Random and ADWISE) place every edge exactly as at α = k, where
+// ⌈α·m/k⌉ = m already bounds nothing. A NaN α is rejected.
+func TestAlphaInfMatchesK(t *testing.T) {
+	g := Dataset("OK", 0.1)
+	const k = 8
+	type assignment struct {
+		u, v uint32
+		p    int
+	}
+	for _, name := range []string{AlgoHDRF, AlgoRestream, AlgoHEP, AlgoGreedy, AlgoRandom, AlgoADWISE} {
+		run := func(alpha float64) []assignment {
+			var seq []assignment
+			sink := sinkFunc(func(u, v uint32, p int) { seq = append(seq, assignment{u, v, p}) })
+			// τ = 1 leaves HEP's h2h phase edges to place.
+			cfg := Config{Algorithm: name, K: k, Alpha: alpha, Tau: 1, Seed: 3, Window: 16, Sink: sink}
+			if _, err := Partition(g, cfg); err != nil {
+				t.Fatalf("%s α=%v: %v", name, alpha, err)
+			}
+			return seq
+		}
+		want, got := run(k), run(math.Inf(1))
+		if int64(len(got)) != g.NumEdges() || len(want) != len(got) {
+			t.Fatalf("%s: α=+Inf placed %d edges, α=k %d, of %d", name, len(got), len(want), g.NumEdges())
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("%s: assignment %d is %v at α=+Inf, %v at α=k", name, i, got[i], want[i])
+			}
+		}
+	}
+	if _, err := New(Config{Algorithm: AlgoHDRF, K: k, Alpha: math.NaN()}); err == nil {
+		t.Error("New accepted Alpha=NaN")
 	}
 }
 
@@ -243,38 +281,66 @@ func TestSinkThroughConfigBuffered(t *testing.T) {
 	}
 }
 
-// TestBufferedWorkersMatchOneWorker pins Buffered's one path through the
-// facade: it accepts any Workers and runs the same sequential placement, so
-// Workers 2 and 4 deliver exactly the Workers 1 sink sequence.
-func TestBufferedWorkersMatchOneWorker(t *testing.T) {
+// TestWorkersMatchOneWorker pins one placement path per algorithm through
+// the facade: HEP (τ 1 and 5, so the h2h phase places edges), NE++,
+// re-HDRF and Buffered accept any Workers and deliver at Workers 2 and 4
+// exactly the Workers 1 sink sequence; HDRF at Workers 2 and 4 delivers
+// exactly the sequence of one-worker HDRF with the exact-degree pre-pass.
+func TestWorkersMatchOneWorker(t *testing.T) {
 	type assignment struct {
 		u, v uint32
 		p    int
 	}
+	rows := []struct {
+		name string
+		cfg  Config
+		// ref is the algorithm the row must match; nil = cfg at Workers 1.
+		ref sinkAlgorithm
+	}{
+		{"hep-tau1", Config{Algorithm: AlgoHEP, Tau: 1}, nil},
+		{"hep-tau5", Config{Algorithm: AlgoHEP, Tau: 5}, nil},
+		{"ne++", Config{Algorithm: AlgoNEPP}, nil},
+		{"rehdrf", Config{Algorithm: AlgoRestream}, nil},
+		{"buffered", Config{Algorithm: AlgoBuffered, Buffer: 1 << 14}, nil},
+		{"hdrf", Config{Algorithm: AlgoHDRF}, &stream.HDRF{ExactDegrees: true}},
+	}
 	for _, name := range []string{"OK", "TW", "LJ"} {
 		g := Dataset(name, 0.1)
 		for _, k := range []int{32, 128} {
-			run := func(workers int) []assignment {
+			for _, row := range rows {
 				var seq []assignment
 				sink := sinkFunc(func(u, v uint32, p int) { seq = append(seq, assignment{u, v, p}) })
-				cfg := Config{Algorithm: AlgoBuffered, K: k, Buffer: 1 << 14, Workers: workers, Sink: sink}
-				if _, err := Partition(g, cfg); err != nil {
-					t.Fatalf("%s k=%d W=%d: %v", name, k, workers, err)
+				run := func(workers int) []assignment {
+					seq = nil
+					cfg := row.cfg
+					cfg.K, cfg.Workers, cfg.Sink = k, workers, sink
+					if _, err := Partition(g, cfg); err != nil {
+						t.Fatalf("%s %s k=%d W=%d: %v", row.name, name, k, workers, err)
+					}
+					return seq
 				}
-				return seq
-			}
-			want := run(1)
-			if int64(len(want)) != g.NumEdges() {
-				t.Fatalf("%s k=%d: sink saw %d of %d edges", name, k, len(want), g.NumEdges())
-			}
-			for _, workers := range []int{2, 4} {
-				got := run(workers)
-				if len(got) != len(want) {
-					t.Fatalf("%s k=%d W=%d: %d assignments, W=1 %d", name, k, workers, len(got), len(want))
+				var want []assignment
+				if row.ref == nil {
+					want = run(1)
+				} else {
+					row.ref.SetSink(sink)
+					if _, err := row.ref.Partition(g, k); err != nil {
+						t.Fatalf("%s %s k=%d reference: %v", row.name, name, k, err)
+					}
+					want = seq
 				}
-				for i := range got {
-					if got[i] != want[i] {
-						t.Fatalf("%s k=%d W=%d: assignment %d is %v, W=1 %v", name, k, workers, i, got[i], want[i])
+				if int64(len(want)) != g.NumEdges() {
+					t.Fatalf("%s %s k=%d: sink saw %d of %d edges", row.name, name, k, len(want), g.NumEdges())
+				}
+				for _, workers := range []int{2, 4} {
+					got := run(workers)
+					if len(got) != len(want) {
+						t.Fatalf("%s %s k=%d W=%d: %d assignments, reference %d", row.name, name, k, workers, len(got), len(want))
+					}
+					for i := range got {
+						if got[i] != want[i] {
+							t.Fatalf("%s %s k=%d W=%d: assignment %d is %v, reference %v", row.name, name, k, workers, i, got[i], want[i])
+						}
 					}
 				}
 			}

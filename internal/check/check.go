@@ -1,5 +1,5 @@
 // Package check is the hepcheck invariant shim: runtime assertions for the
-// lock-free core that compile out of release builds entirely.
+// partitioning core that compile out of release builds entirely.
 //
 // Build without tags and Enabled is the untyped constant false — every
 // `if check.Enabled { ... }` assertion block is dead code the compiler
@@ -9,12 +9,12 @@
 // the point of corruption instead of downstream misbehavior:
 //
 //	if check.Enabled {
-//		check.Assertf(refs >= 0, "slab refcount %d went negative", refs)
+//		check.Assertf(placed > 0, "region into partition %d placed no edge", p)
 //	}
 //
-// The invariants wired through this shim: slab refcounts never go negative,
-// ShardedLoads fold totals are conserved across a fold window, the reorder
-// buffer delivers every batch exactly once, and a mask transplant conserves
-// the covered count. CI runs `go test -tags=hepcheck` (with -race on the
-// shard and ooc packages) so every assertion executes on every merge.
+// The invariants wired through this shim: every Buffered expansion region
+// places at least one edge, and a consumer of shard.Lend's copy slab
+// releases it before the next fill. CI runs `go test -tags=hepcheck` (with
+// -race on the shard and ooc packages) so every assertion executes on
+// every merge.
 package check

@@ -44,7 +44,7 @@ func TestNEPPOutputFingerprint(t *testing.T) {
 		g := gen.MustDataset(tc.ds).Build(0.1)
 		h := fnv.New64a()
 		var rec [12]byte
-		hp := &HEP{Tau: tc.tau, Workers: 1}
+		hp := &HEP{Tau: tc.tau}
 		hp.SetSink(part.SinkFunc(func(u, v graph.V, p int) {
 			binary.LittleEndian.PutUint32(rec[0:], u)
 			binary.LittleEndian.PutUint32(rec[4:], v)

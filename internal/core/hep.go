@@ -7,7 +7,6 @@ import (
 	"hep/internal/graph"
 	"hep/internal/obs"
 	"hep/internal/part"
-	"hep/internal/shard"
 	"hep/internal/stream"
 )
 
@@ -30,7 +29,7 @@ type HEP struct {
 	Lambda float64
 	// H2HStore overrides the spill store for E_h2h (default in-memory;
 	// use ooc.NewVarintH2H for out-of-core spilling). Stores replay edge by
-	// edge; the streaming phase's engine copies them into slabs
+	// edge; the streaming phase's batch loop copies them into a slab
 	// (shard.Lend).
 	H2HStore graph.H2HStore
 	// RandomStream replaces the informed HDRF streaming phase with random
@@ -40,16 +39,10 @@ type HEP struct {
 	Seed int64
 	// Tracer observes NE++ column-array accesses (paging simulation).
 	Tracer Tracer
-	// Workers is the number of batch-engine workers (internal/shard; 0 =
-	// one) that place E_h2h in the informed streaming phase (§3.3),
-	// against the replica state NE++ left behind. One worker gives the
-	// exact sequential informed-HDRF pass. The CSR build and NE++ run
-	// sequentially at every worker count.
-	Workers int
 
 	// Obs is the observability hook (nil = disabled): the CSR build, NE++
 	// and the h2h streaming phase record spans; the streaming phase folds
-	// engine counters into it.
+	// its batch counters into it.
 	Obs *obs.Obs
 
 	// LastStats holds the NE++ statistics of the most recent run.
@@ -124,8 +117,7 @@ func (h *HEP) PartitionCSR(csr *graph.CSR, k int) (*part.Result, error) {
 		if h.RandomStream {
 			err = stream.RunRandom(h2h, res, h.Seed, alpha, csr.M())
 		} else {
-			err = stream.RunHDRFParallel(h2h, res, csr.Degrees(), lambda, alpha, csr.M(),
-				shard.Options{Workers: max(h.Workers, 1), Obs: h.Obs})
+			err = stream.PlaceHDRF(h2h, res, nil, csr.Degrees(), lambda, alpha, csr.M(), h.Obs)
 		}
 		if err != nil {
 			return nil, err

@@ -29,9 +29,6 @@ type Config struct {
 	// Ks overrides the partition counts (nil = experiment defaults,
 	// usually the paper's {4, 32, 128, 256}).
 	Ks []int
-	// Workers overrides the worker counts of the parallel scaling
-	// experiments (nil = experiment defaults, usually {1, 2, 4, 8}).
-	Workers []int
 	// SkipSlow skips the partitioners the paper marks OOT on large inputs
 	// (METIS, ADWISE, SNE beyond a size threshold).
 	SkipSlow bool
@@ -72,13 +69,6 @@ func (c Config) datasets(def ...string) []string {
 func (c Config) ks(def ...int) []int {
 	if len(c.Ks) > 0 {
 		return c.Ks
-	}
-	return def
-}
-
-func (c Config) workers(def ...int) []int {
-	if len(c.Workers) > 0 {
-		return c.Workers
 	}
 	return def
 }

@@ -13,25 +13,25 @@ import (
 	"hep/internal/shard"
 )
 
-// edgesOnly hides a stream's Chunks method, so the engine copies its edges.
+// edgesOnly hides a stream's Chunks method, so the batch loop copies its
+// edges.
 type edgesOnly struct{ graph.EdgeStream }
 
-// dispatchOnly is a placement-free engine worker: a pass through it prices
-// the engine's dispatch and ordered delivery alone.
+// dispatchOnly is a placement-free placer: a pass through it prices the
+// batch loop's ingest and delivery alone.
 type dispatchOnly struct{}
 
 func (dispatchOnly) PlaceBatch(edges []graph.Edge, parts []int32) {}
 
-// TableIngestRow is one (dataset, mode, W) point of the zero-copy ingest
-// comparison: a full engine pass over the on-disk edge file through
-// placement-free workers, so the dispatch path dominates, under one of
-// three ingest modes.
+// TableIngestRow is one (dataset, mode) point of the zero-copy ingest
+// comparison: a full batch-loop pass over the on-disk edge file through a
+// placement-free placer, so ingest dominates, under one of three ingest
+// modes.
 type TableIngestRow struct {
 	Dataset string
 	Mode    string // copy | lend | mmap
-	Workers int
 	NsEdge  float64
-	// ChunksLent and BytesCopied are the run's dispatch counters: lending
+	// ChunksLent and BytesCopied are the run's ingest counters: lending
 	// modes show chunks with zero copied bytes, the copy mode the reverse.
 	ChunksLent  int64
 	BytesCopied int64
@@ -41,12 +41,12 @@ type TableIngestRow struct {
 }
 
 // TableIngest compares the three ingest paths over the binary edge format —
-// per-edge copy into engine slabs (the baseline: the chunked reader behind
-// edgesOnly, which shard.Lend adapts), chunk-lending dispatch from the
-// prefetching chunked reader, and the memory-mapped reader (zero-copy on
-// little-endian hosts) — by timing a full engine pass through
-// placement-free workers over each dataset written to a temp file. README's
-// "Zero-copy ingest" numbers come from here (`hep-bench -exp ingest`).
+// per-edge copy into a batch slab (the baseline: the chunked reader behind
+// edgesOnly, which shard.Lend adapts), lending from the prefetching chunked
+// reader, and the memory-mapped reader (zero-copy on little-endian hosts) —
+// by timing a full shard.Run pass through a placement-free placer over each
+// dataset written to a temp file. README's "Zero-copy ingest" numbers come
+// from here (`hep-bench -exp ingest`).
 func TableIngest(cfg Config) ([]TableIngestRow, error) {
 	dir, err := os.MkdirTemp("", "hep-ingest-")
 	if err != nil {
@@ -62,65 +62,56 @@ func TableIngest(cfg Config) ([]TableIngestRow, error) {
 			return nil, err
 		}
 		n, m := g.NumVertices(), g.NumEdges()
-		for _, w := range cfg.workers(1, 4) {
-			for _, mode := range []string{"copy", "lend", "mmap"} {
-				o := obs.New(w)
-				c := o.Counters()
-				opts := shard.Options{Workers: w, Obs: o}
-				ws := make([]shard.BatchPlacer, w)
-				for i := range ws {
-					ws[i] = dispatchOnly{}
-				}
-				var ms *ooc.MmapStream
-				var src graph.EdgeStream
-				if mode == "mmap" {
-					ms, err = ooc.OpenMmap(path, n)
-					if err != nil {
-						return nil, err
-					}
-					src = ms
-				} else {
-					src, err = ooc.Open(path, n, 0)
-					if err != nil {
-						return nil, err
-					}
-					if mode == "copy" {
-						src = edgesOnly{src}
-					}
-				}
-				var gotM int64
-				start := time.Now()
-				err := shard.Run(src, ws, opts, func(edges []graph.Edge, parts []int32) {
-					gotM += int64(len(edges))
-				})
-				elapsed := time.Since(start)
-				zero := false
-				if ms != nil {
-					zero = ms.Mapped()
-					ms.Close()
-				}
+		for _, mode := range []string{"copy", "lend", "mmap"} {
+			c := obs.NewCounters(1)
+			var ms *ooc.MmapStream
+			var src graph.EdgeStream
+			if mode == "mmap" {
+				ms, err = ooc.OpenMmap(path, n)
 				if err != nil {
 					return nil, err
 				}
-				if gotM != m {
-					return nil, fmt.Errorf("expt: ingest %s/%s: %d edges delivered, want %d", name, mode, gotM, m)
+				src = ms
+			} else {
+				src, err = ooc.Open(path, n, 0)
+				if err != nil {
+					return nil, err
 				}
-				rows = append(rows, TableIngestRow{
-					Dataset:     name,
-					Mode:        mode,
-					Workers:     w,
-					NsEdge:      float64(elapsed.Nanoseconds()) / float64(m),
-					ChunksLent:  c.Total(obs.CtrChunksLent),
-					BytesCopied: c.Total(obs.CtrBytesCopiedDispatch),
-					ZeroCopy:    zero,
-				})
+				if mode == "copy" {
+					src = edgesOnly{src}
+				}
 			}
+			var gotM int64
+			start := time.Now()
+			err := shard.Run(src, dispatchOnly{}, c, func(edges []graph.Edge, parts []int32) {
+				gotM += int64(len(edges))
+			})
+			elapsed := time.Since(start)
+			zero := false
+			if ms != nil {
+				zero = ms.Mapped()
+				ms.Close()
+			}
+			if err != nil {
+				return nil, err
+			}
+			if gotM != m {
+				return nil, fmt.Errorf("expt: ingest %s/%s: %d edges delivered, want %d", name, mode, gotM, m)
+			}
+			rows = append(rows, TableIngestRow{
+				Dataset:     name,
+				Mode:        mode,
+				NsEdge:      float64(elapsed.Nanoseconds()) / float64(m),
+				ChunksLent:  c.Total(obs.CtrChunksLent),
+				BytesCopied: c.Total(obs.CtrBytesCopiedDispatch),
+				ZeroCopy:    zero,
+			})
 		}
 	}
-	t := newTable(cfg.out(), "Zero-copy ingest (placement-free engine pass over the binary edge file)")
-	t.row("graph", "mode", "W", "ns/edge", "chunks_lent", "bytes_copied", "zero-copy")
+	t := newTable(cfg.out(), "Zero-copy ingest (placement-free batch-loop pass over the binary edge file)")
+	t.row("graph", "mode", "ns/edge", "chunks_lent", "bytes_copied", "zero-copy")
 	for _, r := range rows {
-		t.row(r.Dataset, r.Mode, r.Workers, r.NsEdge, r.ChunksLent, r.BytesCopied, r.ZeroCopy)
+		t.row(r.Dataset, r.Mode, r.NsEdge, r.ChunksLent, r.BytesCopied, r.ZeroCopy)
 	}
 	t.flush()
 	return rows, cfg.report("ingest", rows)

@@ -6,7 +6,6 @@ import (
 	"hep/internal/graph"
 	"hep/internal/part"
 	"hep/internal/pstate"
-	"hep/internal/shard"
 	"hep/internal/stream"
 )
 
@@ -40,7 +39,7 @@ func TableState(cfg Config) ([]TableStateRow, error) {
 		for _, k := range cfg.ks(32, 128, 256) {
 			res := part.NewResult(n, k)
 			start := time.Now()
-			err := stream.RunHDRFParallel(g, res, deg, stream.DefaultLambda, 1.05, m, shard.Options{Workers: 1})
+			err := stream.PlaceHDRF(g, res, nil, deg, stream.DefaultLambda, 1.05, m, nil)
 			if err != nil {
 				return nil, err
 			}

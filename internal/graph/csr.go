@@ -11,8 +11,8 @@ import (
 // construction (the "external edge file" of paper §3.2.1) and replays them
 // to the streaming phase. The default store is in memory (MemH2H);
 // ooc.VarintH2H spills to disk as a delta-varint run. Stores do not lend
-// chunks: the batch engine copies their edges into its own slabs
-// (shard.Lend), which are few — E_h2h is a small share of E.
+// chunks: the placement batch loop copies their edges into its own slab
+// (shard.Lend), which is cheap — E_h2h is a small share of E.
 type H2HStore interface {
 	Append(u, v V) error
 	Len() int64

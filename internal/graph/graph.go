@@ -37,9 +37,9 @@ func (e Edge) Canonical() Edge {
 // in-memory edge lists (MemGraph), binary edge-list files (ooc.Stream,
 // ooc.MmapStream) and the H2H spill stores. Edges must be yielded in a
 // deterministic order and the stream must be restartable: every call to
-// Edges iterates the full stream from the beginning. The batch engine
-// consumes lent slabs only (ChunkStream); a stream that does not lend is
-// copied into slabs at the engine's entry (shard.Lend).
+// Edges iterates the full stream from the beginning. The placement batch
+// loop (shard.Run) consumes lent slabs only (ChunkStream); a stream that
+// does not lend is copied into a slab at its entry (shard.Lend).
 type EdgeStream interface {
 	// NumVertices returns |V|; vertex ids are in [0, NumVertices).
 	NumVertices() int
@@ -55,9 +55,9 @@ type EdgeStream interface {
 }
 
 // ChunkStream is an EdgeStream that can additionally *lend* its edges as
-// decoded contiguous slabs, so a consumer (the sharded batch engine,
+// decoded contiguous slabs, so a consumer (the placement batch loop,
 // Buffered's buffer fill) can slice batches out of the producer's own
-// buffers instead of re-copying every edge on the dispatch thread.
+// buffers instead of re-copying every edge.
 //
 // Chunks calls yield with consecutive slabs covering exactly the edges
 // Edges would yield, in the same order. The slab is lent: the consumer may
@@ -74,8 +74,8 @@ type ChunkStream interface {
 }
 
 // AsChunks returns the chunk-lending form of src, if it has one. Wrappers
-// that implement ChunkStream only when their inner stream does (e.g. the
-// sharded engine's abort wrapper) signal availability through an optional
+// that implement ChunkStream only when their inner stream does (e.g.
+// shard.AbortStream) signal availability through an optional
 // LendsChunks method.
 func AsChunks(src EdgeStream) (ChunkStream, bool) {
 	cs, ok := src.(ChunkStream)

@@ -11,8 +11,8 @@ import (
 // line) of a function that sits on a per-edge or per-batch hot path — the
 // obs nil-hub hooks, the HDRF class-min scorer (bestHDRF, whose finalist
 // tables are fixed-size arrays on the stack) and the one per-edge HDRF
-// loop (hdrfWorker.PlaceBatch), the engine's runOne and the per-edge slab
-// fill of shard.Lend's copy adapter — and the analyzer then
+// loop (hdrfPlacer.PlaceBatch), the batch loop of shard.Run and the
+// per-edge slab fill of shard.Lend's copy adapter — and the analyzer then
 // rejects, anywhere in the function body:
 //
 //   - make, new, append (append may grow; pre-sized scratch belongs to the

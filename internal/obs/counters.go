@@ -11,23 +11,29 @@ type CounterID uint8
 // pipeline folds into the same set, so one snapshot answers "where did the
 // run spend its synchronization budget".
 const (
-	// CtrEdgesStreamed counts edges delivered by the batch engine (and the
-	// out-of-core batch loop) — the live progress signal.
+	// CtrEdgesStreamed counts edges delivered by the placement batch loop
+	// (and the out-of-core batch loop) — the live progress signal.
 	CtrEdgesStreamed CounterID = iota
-	// CtrBatches counts batches dispatched through the engine (including the
-	// single-worker degenerate path and out-of-core buffer fills).
+	// CtrBatches counts batches placed by the placement batch loop and
+	// out-of-core buffer fills.
 	CtrBatches
-	// CtrCASRetries counts failed compare-and-swap attempts on the concurrent
-	// replica table (shard.AtomicTable) — the direct price of mask-word
-	// contention between placement workers.
+	// CtrCASRetries counted failed compare-and-swap attempts on the
+	// concurrent replica table of multi-worker placement. It reads 0.
+	//
+	// Deprecated: placement runs one worker; kept for the benchmark's
+	// ledger (bench/).
 	CtrCASRetries
-	// CtrReorderStalls counts batches that arrived at the ordered collector
-	// out of sequence and had to wait in the reorder buffer — worker skew
-	// made visible.
+	// CtrReorderStalls counted batches that waited in the multi-worker
+	// ordered collector's reorder buffer. It reads 0.
+	//
+	// Deprecated: placement runs one worker; kept for the benchmark's
+	// ledger (bench/).
 	CtrReorderStalls
-	// CtrFolds counts load-delta fold windows (per-worker load lanes merged
-	// into the global load tracker at batch boundaries).
-	CtrFolds
+	// retiredFolds counted per-worker load-lane folds, which placement no
+	// longer has; nothing writes it. The slot keeps "fold_windows"
+	// registered so ValidateReport still accepts hep-trace/v1 traces that
+	// carry it.
+	retiredFolds
 	// CtrWarmSpills counts batch vertices that overflowed the warm-start
 	// bucket pool and fell back to per-region probing.
 	CtrWarmSpills
@@ -58,7 +64,7 @@ const (
 	// accepts hep-trace/v1 traces that carry it.
 	retiredParallelBatches
 	// CtrChunksLent counts decoded edge slabs a source lent zero-copy to the
-	// batch engine or Buffered's buffer fill (graph.ChunkStream — batches
+	// placement batch loop or Buffered's buffer fill (graph.ChunkStream — batches
 	// alias the producer's buffers instead of being re-copied on the
 	// dispatch thread).
 	CtrChunksLent
@@ -69,8 +75,10 @@ const (
 	// CtrBytesCopiedDispatch counts bytes of edge data copied into those
 	// slabs on the dispatch thread — exactly 0 for a lending source.
 	CtrBytesCopiedDispatch
-	// CtrBatchResizes counts dispatch batches whose adaptive size differed
-	// from the previous batch's (capacity-aware batch sizing at work).
+	// CtrBatchResizes counted batches whose adaptive size differed from
+	// the previous batch's. Batches have one size now, so it reads 0.
+	//
+	// Deprecated: kept for the benchmark's ledger (bench/).
 	CtrBatchResizes
 	// CtrRefineRounds counts local-search refinement rounds executed by the
 	// post-pass (internal/refine), including a round that was reverted.
@@ -96,7 +104,7 @@ var counterNames = [NumCounters]string{
 	CtrBatches:              "batches",
 	CtrCASRetries:           "cas_retries",
 	CtrReorderStalls:        "reorder_stalls",
-	CtrFolds:                "fold_windows",
+	retiredFolds:            "fold_windows",
 	CtrWarmSpills:           "warm_bucket_spills",
 	CtrSpillBytes:           "varint_spill_bytes",
 	retiredFallbackEdges:    "fallback_edges",
@@ -156,7 +164,7 @@ func (g GaugeID) String() string {
 }
 
 // cacheLine is the assumed coherence granule; lanes are padded to it so two
-// workers' counters never share a line (the shard.ShardedLoads discipline).
+// workers' counters never share a line.
 const cacheLine = 64
 
 // lane is one worker's padded counter block. Within a lane the slots share
@@ -173,10 +181,10 @@ type lane struct {
 // endpoint, the progress reporter — sum the lanes with atomic loads, so
 // counters are safe to scrape while a run is in flight.
 //
-// The intended discipline is the batch-boundary fold of the sharded engine:
-// hot loops accumulate into plain locals and Add the aggregate once per
-// batch/region, so the per-edge cost of observability is a handful of adds
-// per thousands of edges. A nil *Counters is the disabled form: Add, SetMax
+// The intended discipline is the batch-boundary fold: hot loops accumulate
+// into plain locals and Add the aggregate once per batch/region, so the
+// per-edge cost of observability is a handful of adds per thousands of
+// edges. A nil *Counters is the disabled form: Add, SetMax
 // and the readers are no-ops, so call sites need no enabled-check branches.
 type Counters struct {
 	lanes  []lane

@@ -11,13 +11,16 @@ import (
 type HistID uint8
 
 const (
-	// HistBatchNs is the wall time one placement worker spent on one batch
-	// (PlaceBatch call, including the lane fold).
+	// HistBatchNs is the wall time placement spent on one batch (one
+	// PlaceBatch call).
 	HistBatchNs HistID = iota
 	// HistRegionEdges is the number of edges one expansion region placed.
 	HistRegionEdges
-	// HistStallNs is how long an out-of-sequence batch waited in the
-	// ordered collector's reorder buffer before delivery.
+	// HistStallNs was how long a batch waited in the multi-worker ordered
+	// collector's reorder buffer. It records nothing.
+	//
+	// Deprecated: placement runs one worker; kept for the benchmark's
+	// ledger (bench/).
 	HistStallNs
 
 	// NumHists is the number of histogram slots.

@@ -11,9 +11,8 @@
 // hot path allocates nothing (pinned by testing.AllocsPerRun). Algorithms
 // therefore thread the hook unconditionally and never branch on "is
 // observability on". Second, observation must stay off the per-edge path:
-// counters are added at batch/region boundaries (the shard.ShardedLoads fold
-// discipline), spans bracket whole pipeline stages, and memory snapshots
-// happen only at span ends.
+// counters are added at batch/region boundaries, spans bracket whole
+// pipeline stages, and memory snapshots happen only at span ends.
 //
 // Everything here is stdlib-only so every internal package can depend on it
 // without cycles.

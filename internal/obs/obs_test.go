@@ -263,9 +263,9 @@ func TestCountersConcurrentFold(t *testing.T) {
 // ids clamp to lane 0.
 func TestCountersLaneClamp(t *testing.T) {
 	c := NewCounters(2)
-	c.Add(99, CtrFolds, 5)
-	c.Add(-3, CtrFolds, 7)
-	if got := c.Total(CtrFolds); got != 12 {
+	c.Add(99, CtrBatches, 5)
+	c.Add(-3, CtrBatches, 7)
+	if got := c.Total(CtrBatches); got != 12 {
 		t.Fatalf("total %d, want 12", got)
 	}
 	if c0 := NewCounters(0); c0.Lanes() != 1 {

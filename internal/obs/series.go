@@ -1,7 +1,7 @@
 package obs
 
 // QualitySample is one point of the live partition-quality time series: the
-// running replication factor, edge balance and load spread at a shard-fold /
+// running replication factor, edge balance and load spread at a batch /
 // region boundary. Samples are pushed by the runners that own live quality
 // state (internal/stream's deliver closures, internal/ooc's batch loop,
 // internal/restream's pass boundaries) — never from the per-edge path.

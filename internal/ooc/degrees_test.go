@@ -24,7 +24,7 @@ func TestDegreePassParallelBitIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, w := range []int{2, 4, 8} {
-			got, m, err := DegreePassParallel(g, shard.Options{Workers: w, BatchEdges: 512})
+			got, m, err := DegreePassParallel(g, shard.Options{Workers: w})
 			if err != nil {
 				t.Fatalf("%s W=%d: %v", name, w, err)
 			}
@@ -60,7 +60,7 @@ func TestDegreePassParallelDiscoversFromFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, m, err := DegreePassParallel(open(), shard.Options{Workers: 4, BatchEdges: 256})
+	got, m, err := DegreePassParallel(open(), shard.Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

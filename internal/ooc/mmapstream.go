@@ -11,7 +11,7 @@ import (
 
 // mapChunkEdges is the length of the mapping slices MmapStream lends. They
 // alias the mapping, so the size costs no memory; it only sets where the
-// batch engine's batches are cut.
+// placement batch loop's batches are cut.
 const mapChunkEdges = 1 << 16
 
 // MmapStream is a binary edge-list reader in the spirit of the exemplar HEP

@@ -45,13 +45,7 @@ func allAlgorithms() []algoCase {
 		{&hybrid.Simple{Tau: 10, Seed: 13}, 1.0, 2},
 		{&ooc.Buffered{BufferEdges: 512}, 1.05, 2},
 		{&ooc.Buffered{BufferEdges: 8192}, 1.05, 2}, // conformance graphs fit one batch
-		// Parallel sharded streaming paths (internal/shard). No balance
-		// guarantee is asserted because the bounded-staleness load view may
-		// overshoot α by up to a batch on inputs this small. HDRF over
-		// 64-edge batches is pinned in its own package's tests.
-		{&stream.HDRF{Workers: 4}, 0, 0},
-		{&core.HEP{Tau: 10, Workers: 4}, 0, 0},
-		{&restream.Restream{Passes: 2, Workers: 4}, 0, 0},
+		{&restream.Restream{Passes: 2}, 1.05, 2},
 	}
 }
 

@@ -18,11 +18,9 @@ import "math/bits"
 //
 // The zero value is unusable; use NewLoads. Not safe for concurrent use.
 //
-// Most increments write the counts, max and nAtMin and the atMin mask, and
-// the parallel HDRF workers each increment a tracker of their own. So the
+// Most increments write the counts, max and nAtMin and the atMin mask. The
 // struct is padded to two cache lines and each backing array is allocated
-// in whole lines: trackers allocated back to back never share a line, which
-// otherwise made two workers' increments contend for it.
+// in whole lines, so trackers allocated back to back never share a line.
 type Loads struct {
 	counts   []int64
 	max, min int64
@@ -133,8 +131,7 @@ func (l *Loads) Bulk(p int, delta int64) {
 	}
 }
 
-// Merge folds a dense per-partition delta vector (len k) into the tracker —
-// the shard layer's batch-boundary fold of one worker's local load deltas.
+// Merge folds a dense per-partition delta vector (len k) into the tracker.
 // With non-negative deltas the cost is O(changed partitions) plus at most
 // one O(k) minimum rescan (only when the at-minimum set empties); any
 // negative entry falls back to a full recompute.
@@ -178,12 +175,6 @@ func (l *Loads) advanceMin() {
 	l.min = min
 	l.rebuildMin()
 }
-
-// Recompute rebuilds max, min and the at-minimum mask from the counts —
-// the repair step for callers that wrote the backing Counts slice directly
-// (a shard worker reloading its bounded-staleness local view from a global
-// snapshot at each batch boundary).
-func (l *Loads) Recompute() { l.recompute() }
 
 // recompute rebuilds max, min and the at-minimum mask from scratch.
 func (l *Loads) recompute() {

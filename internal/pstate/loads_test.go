@@ -5,14 +5,12 @@ import (
 	"unsafe"
 )
 
-// trackers keeps the trackers under test on the heap, where the parallel
-// workers' trackers live.
+// trackers keeps the trackers under test on the heap.
 var trackers []*Loads
 
 // TestLoadsOwnCacheLines pins the padding of Loads: trackers allocated back
-// to back, as the parallel HDRF workers' local views are, must not share a
-// 64-byte cache line between any of the parts an increment writes — the
-// struct and the backing arrays of counts and atMin.
+// to back must not share a 64-byte cache line between any of the parts an
+// increment writes — the struct and the backing arrays of counts and atMin.
 func TestLoadsOwnCacheLines(t *testing.T) {
 	if size := unsafe.Sizeof(Loads{}); size%64 != 0 {
 		t.Fatalf("Loads is %d B, not a whole number of cache lines", size)

@@ -29,7 +29,6 @@ package pstate
 import (
 	"math/bits"
 
-	"hep/internal/check"
 	"hep/internal/graph"
 )
 
@@ -42,9 +41,9 @@ const pageShift = 12
 // partitions. The zero value is unusable; use NewTable.
 //
 // Reads (Has, Word, Count, RangeVertex) are safe for concurrent use while
-// no goroutine mutates the table — the re-streaming workers share one
-// frozen prior table this way. Add and Remove are not; every partitioner
-// in the repository mutates its Table from a single goroutine.
+// no goroutine mutates the table — refinement's scan workers share one
+// table this way. Add and Remove are not; every partitioner in the
+// repository mutates its Table from a single goroutine.
 type Table struct {
 	n, k  int
 	extra int      // overflow words per vertex: ⌈k/64⌉ − 1
@@ -331,55 +330,6 @@ func (t *Table) PagesAllocated() int {
 		}
 	}
 	return n
-}
-
-// Release hands over the table's backing arrays — dense words, overflow
-// pages (nil when k ≤ 64), per-partition vertex counts — plus the running
-// covered-vertex count, and resets t to the unusable zero value. The shard
-// layer transplants the arrays into its concurrent AtomicTable and Adopt()s
-// them back after the parallel run, so the conversion never copies a mask
-// word.
-func (t *Table) Release() (dense []uint64, pages [][]uint64, vcount []int64, covered int64) {
-	dense, pages, vcount, covered = t.dense, t.pages, t.vcount, t.covered
-	*t = Table{}
-	return dense, pages, vcount, covered
-}
-
-// Adopt wraps externally built vertex-major state in a Table — the inverse
-// of Release, used by the shard layer to hand a frozen concurrent table back
-// to the sequential world. dense must hold n words, vcount k counts; pages
-// may be nil when every overflow page is unallocated (or k ≤ 64); covered is
-// the running covered-vertex count carried across the transplant, or -1 to
-// count it from the masks.
-func Adopt(n, k int, dense []uint64, pages [][]uint64, vcount []int64, covered int64) *Table {
-	if len(dense) != n || len(vcount) != k {
-		panic("pstate: Adopt state does not match n, k")
-	}
-	words := (k + 63) / 64
-	if words < 1 {
-		words = 1
-	}
-	t := &Table{
-		n:       n,
-		k:       k,
-		extra:   words - 1,
-		dense:   dense,
-		pages:   pages,
-		vcount:  vcount,
-		covered: covered,
-	}
-	if t.extra > 0 && t.pages == nil {
-		t.pages = make([][]uint64, (n+PageVertices-1)/PageVertices)
-	}
-	if covered < 0 {
-		_, c := t.TotalAndCovered()
-		t.covered = int64(c)
-	}
-	if check.Enabled {
-		_, exact := t.TotalAndCovered()
-		check.Assertf(t.covered == int64(exact), "mask transplant: covered %d != %d vertices with replica bits", t.covered, exact)
-	}
-	return t
 }
 
 // MaxTableBytes is the worst-case resident footprint of a Table over n

@@ -296,50 +296,6 @@ func TestLoadsMerge(t *testing.T) {
 	}
 }
 
-// TestReleaseAdoptRoundTrip transplants a table's backing state out and
-// back, checking bits, counts and the covered count survive and the
-// released table is reset.
-func TestReleaseAdoptRoundTrip(t *testing.T) {
-	for _, k := range []int{5, 200} {
-		rng := rand.New(rand.NewSource(int64(400 + k)))
-		tab := NewTable(800, k)
-		type bit struct {
-			v graph.V
-			p int
-		}
-		var bits []bit
-		for i := 0; i < 3000; i++ {
-			b := bit{graph.V(rng.Intn(800)), rng.Intn(k)}
-			tab.Add(b.v, b.p)
-			bits = append(bits, b)
-		}
-		wantCounts := tab.VertexCounts()
-		wantCovered := tab.Covered()
-		dense, pages, vcount, covered := tab.Release()
-		if tab.N() != 0 {
-			t.Fatalf("released table not reset: n=%d", tab.N())
-		}
-		back := Adopt(800, k, dense, pages, vcount, covered)
-		if back.Covered() != wantCovered {
-			t.Fatalf("k=%d: covered = %d after round trip, want %d", k, back.Covered(), wantCovered)
-		}
-		for _, b := range bits {
-			if !back.Has(b.v, b.p) {
-				t.Fatalf("k=%d: bit (%d,%d) lost in round trip", k, b.v, b.p)
-			}
-		}
-		for p, c := range back.VertexCounts() {
-			if c != wantCounts[p] {
-				t.Fatalf("k=%d: vcount[%d] = %d, want %d", k, p, c, wantCounts[p])
-			}
-		}
-		// Adopted tables keep working as mutable tables.
-		if !back.Has(0, 0) && !back.Add(0, 0) {
-			t.Fatal("adopted table rejected a fresh Add")
-		}
-	}
-}
-
 // TestRunningCoveredMatchesScan pins the incremental Covered/TotalReplicas
 // counters against the exact TotalAndCovered scan, across the dense-only and
 // paged-overflow layouts.

@@ -78,7 +78,7 @@ const (
 const maxEvacuate = 1 << 10
 
 // ErrNoTable reports a Result whose vertex-major replica table is nil or
-// dead (released for a shard transplant and not frozen back). Refinement
+// smaller than the result's n or k (a zero-value Table). Refinement
 // reads the table on every gain probe, so such a result is rejected up
 // front instead of panicking inside the scan.
 var ErrNoTable = errors.New("refine: result has no live replica table")
@@ -230,9 +230,8 @@ func (c *Capture) Replay(sink part.Sink) {
 	}
 }
 
-// checkLive rejects results the pass cannot read: nil or transplanted
-// (Release'd) replica tables, and an assignment array that does not match
-// the result.
+// checkLive rejects results the pass cannot read: nil or undersized
+// replica tables, and an assignment array that does not match the result.
 func checkLive(res *part.Result, edges []graph.Edge, parts []int32) error {
 	if res == nil {
 		return errors.New("refine: nil result")

@@ -8,6 +8,7 @@ import (
 	"hep/internal/gen"
 	"hep/internal/graph"
 	"hep/internal/part"
+	"hep/internal/pstate"
 	"hep/internal/stream"
 )
 
@@ -37,8 +38,8 @@ func capture(t *testing.T, algo part.Algorithm, g graph.EdgeStream, k int) (*par
 }
 
 // TestRunRejectsDeadTable is the regression for the dead-table panic class:
-// a Result whose replica table is nil (hand-built) or was Release'd for a
-// shard transplant must be rejected with ErrNoTable, never reach the scan.
+// a Result whose replica table is nil (hand-built) or the zero-value Table
+// must be rejected with ErrNoTable, never reach the scan.
 func TestRunRejectsDeadTable(t *testing.T) {
 	edges := []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}}
 	parts := []int32{0, 1}
@@ -51,10 +52,10 @@ func TestRunRejectsDeadTable(t *testing.T) {
 		t.Errorf("nil-table merge: got %v, want ErrNoTable", err)
 	}
 
-	released := buildState(3, 2, edges, parts)
-	released.Reps.Release()
-	if _, err := Run(released, edges, parts, Options{}); !errors.Is(err, ErrNoTable) {
-		t.Errorf("released-table result: got %v, want ErrNoTable", err)
+	zero := buildState(3, 2, edges, parts)
+	zero.Reps = &pstate.Table{}
+	if _, err := Run(zero, edges, parts, Options{}); !errors.Is(err, ErrNoTable) {
+		t.Errorf("zero-table result: got %v, want ErrNoTable", err)
 	}
 
 	if _, err := Run(nil, edges, parts, Options{}); err == nil {

@@ -14,7 +14,6 @@ import (
 	"hep/internal/obs"
 	"hep/internal/part"
 	"hep/internal/pstate"
-	"hep/internal/shard"
 	"hep/internal/stream"
 )
 
@@ -29,16 +28,9 @@ type Restream struct {
 	Lambda float64
 	// Alpha is the balance bound α ≥ 1 (default 1.05).
 	Alpha float64
-	// Workers is the number of batch-engine workers every streaming pass
-	// places edges with (internal/shard; 0 = one); the exact-degree
-	// pre-pass is sequential. Re-streaming parallelizes naturally, since
-	// later passes score affinity against a frozen prior state that every
-	// worker can read without coordination. One worker gives the exact
-	// sequential passes.
-	Workers int
 	// Obs is the observability hook (nil = disabled): the degree pass and
-	// every streaming pass record phase spans, and the engine folds hot-path
-	// counters and per-batch quality samples into it.
+	// every streaming pass record phase spans, and the batch loop folds
+	// hot-path counters and per-batch quality samples into it.
 	Obs *obs.Obs
 }
 
@@ -62,9 +54,8 @@ func (r *Restream) Partition(src graph.EdgeStream, k int) (*part.Result, error) 
 	if alpha == 0 {
 		alpha = 1.05
 	}
-	opts := shard.Options{Workers: max(r.Workers, 1), Obs: r.Obs}
 
-	// Exact-degree pre-pass, sequential at every worker count.
+	// Exact-degree pre-pass.
 	sp := r.Obs.Span("degree-pass")
 	deg, m, err := graph.Degrees(src)
 	if err != nil {
@@ -91,7 +82,7 @@ func (r *Restream) Partition(src graph.EdgeStream, k int) (*part.Result, error) 
 			res.Sink = r.Sink // only the final pass emits assignments
 		}
 		sp = r.Obs.Span(name)
-		if err := stream.PlaceHDRF(src, res, prior, deg, lambda, alpha, m, opts); err != nil {
+		if err := stream.PlaceHDRF(src, res, prior, deg, lambda, alpha, m, r.Obs); err != nil {
 			return nil, err
 		}
 		sp.Edges(m).End()

@@ -7,13 +7,12 @@ import (
 	"hep/internal/graph"
 )
 
-// AbortStream wraps a stream so a placement worker that hit a validation
-// error — HDRF's one-worker partial-degree pass on an out-of-range id — can
-// stop the dispatcher's scan early: once Stop is set, Edges yields no
-// further edges instead of scanning the rest of a possibly multi-gigabyte
-// stream. The engine then drains its in-flight batches normally and the
-// recorded error surfaces, matching the prompt-failure behavior of the
-// counting passes (whose yield returns false at the first bad edge).
+// AbortStream wraps a stream so a placer that hit a validation error —
+// HDRF's partial-degree pass on an out-of-range id — can stop the scan
+// early: once Stop is set, Edges yields no further edges instead of
+// scanning the rest of a possibly multi-gigabyte stream, and the recorded
+// error surfaces, matching the prompt-failure behavior of the counting
+// passes (whose yield returns false at the first bad edge).
 type AbortStream struct {
 	graph.EdgeStream
 	Stop *atomic.Bool
@@ -27,9 +26,9 @@ func (s AbortStream) Edges(yield func(u, v graph.V) bool) error {
 }
 
 // Chunks implements graph.ChunkStream by delegation when the wrapped stream
-// lends chunks; the abort flag is checked at slab boundaries (a batch-sized
-// lag at worst, same as the engine's own drain behavior). A slab refused
-// because of the abort is released immediately.
+// lends chunks; the abort flag is checked at slab boundaries (the rest of
+// the slab in hand at worst). A slab refused because of the abort is
+// released immediately.
 func (s AbortStream) Chunks(yield func(edges []graph.Edge, release func()) bool) error {
 	cs, ok := graph.AsChunks(s.EdgeStream)
 	if !ok {
@@ -50,10 +49,4 @@ func (s AbortStream) Chunks(yield func(edges []graph.Edge, release func()) bool)
 func (s AbortStream) LendsChunks() bool {
 	_, ok := graph.AsChunks(s.EdgeStream)
 	return ok
-}
-
-// Degrees is graph.Degrees at every worker count; opts is unused. It is
-// kept, with its signature, for the benchmark's staged chains (bench/).
-func Degrees(src graph.EdgeStream, opts Options) ([]int32, int64, error) {
-	return graph.Degrees(src)
 }

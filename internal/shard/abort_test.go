@@ -1,9 +1,8 @@
 package shard_test
 
-// Scan-abort suite: HDRF's one-worker partial-degree pass must stop the
-// dispatcher's scan at its first out-of-range id (AbortStream), and the
-// degree forward kept for the benchmark's staged chains must stay the
-// sequential pass.
+// Scan-abort suite: HDRF's partial-degree pass must stop the scan at its
+// first out-of-range id (AbortStream), and the degree forward kept for the
+// benchmark's staged chains must stay the sequential pass.
 
 import (
 	"errors"
@@ -23,7 +22,7 @@ func TestParallelDegreesBitIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, w := range []int{2, 4, 8} {
-			got, m, err := shard.Degrees(g, shard.Options{Workers: w, BatchEdges: 512})
+			got, m, err := shard.Degrees(g, shard.Options{Workers: w})
 			if err != nil {
 				t.Fatalf("%s W=%d: %v", name, w, err)
 			}
@@ -50,8 +49,8 @@ func TestParallelDegreesRangeError(t *testing.T) {
 }
 
 // countingStream counts how many edges the consumer actually pulled. It
-// embeds the EdgeStream interface, so it never lends chunks: the engine
-// copies its edges into slabs edge by edge.
+// embeds the EdgeStream interface, so it never lends chunks: Run copies
+// its edges into a slab edge by edge.
 type countingStream struct {
 	graph.EdgeStream
 	yielded int64
@@ -65,9 +64,9 @@ func (s *countingStream) Edges(yield func(u, v graph.V) bool) error {
 }
 
 // TestPartialDegreeHDRFAbortsScanOnError: an out-of-range id seen by HDRF's
-// one-worker partial-degree pass must stop the dispatcher's scan promptly
-// (AbortStream), not after streaming the whole input — the prompt-failure
-// behavior of the counting passes.
+// partial-degree pass must stop the scan promptly (AbortStream), not after
+// streaming the whole input — the prompt-failure behavior of the counting
+// passes.
 func TestPartialDegreeHDRFAbortsScanOnError(t *testing.T) {
 	const total = 200_000
 	edges := make([]graph.Edge, total)
@@ -76,11 +75,11 @@ func TestPartialDegreeHDRFAbortsScanOnError(t *testing.T) {
 		edges[i] = graph.Edge{U: graph.V(i % 64), V: graph.V((i + 1) % 64)}
 	}
 	src := &countingStream{EdgeStream: graph.NewMemGraph(64, edges)}
-	h := &stream.HDRF{Workers: 1}
+	h := &stream.HDRF{}
 	if _, err := h.Partition(src, 4); !errors.Is(err, graph.ErrVertexRange) {
 		t.Fatalf("got %v, want ErrVertexRange", err)
 	}
 	if src.yielded > total/2 {
-		t.Fatalf("dispatcher scanned %d of %d edges after the error; abort did not propagate", src.yielded, total)
+		t.Fatalf("scanned %d of %d edges after the error; abort did not propagate", src.yielded, total)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"hep/internal/graph"
 	"hep/internal/obs"
 	"hep/internal/part"
-	"hep/internal/shard"
 )
 
 // HDRF is the High-Degree Replicated First streaming partitioner (Petroni
@@ -14,7 +13,7 @@ import (
 // The standalone algorithm observes degrees incrementally ("partial
 // degrees") as the stream goes by, exactly like the reference
 // implementation; set ExactDegrees to give it a free first pass over the
-// stream (used in ablations).
+// stream (used in ablations, and by the facade at Workers > 1).
 type HDRF struct {
 	part.SinkHolder
 
@@ -25,15 +24,14 @@ type HDRF struct {
 	// ExactDegrees switches from streamed partial degrees to a pre-pass
 	// computing exact degrees.
 	ExactDegrees bool
-	// Workers is the number of placement workers of the batch engine
-	// (internal/shard; 0 = one). One worker gives the exact sequential
-	// HDRF pass. More workers cannot observe partial degrees in stream
-	// order, so they always take the exact-degree pre-pass, which runs
-	// sequentially.
+	// Workers is ignored: HDRF places every edge with one worker.
+	//
+	// Deprecated: kept only for the benchmark's staged chains (bench/). Set
+	// ExactDegrees for the pre-pass that Workers > 1 used to imply.
 	Workers int
 	// Obs is the observability hook (nil = disabled): the degree pass and
-	// the streaming pass record phase spans, and the engine folds hot-path
-	// counters and per-batch quality samples into it.
+	// the streaming pass record phase spans, and the batch loop folds
+	// hot-path counters and per-batch quality samples into it.
 	Obs *obs.Obs
 }
 
@@ -56,10 +54,9 @@ func (h *HDRF) Partition(src graph.EdgeStream, k int) (*part.Result, error) {
 	lambda, alpha := h.params()
 	res := part.NewResult(src.NumVertices(), k)
 	res.Sink = h.Sink
-	opts := shard.Options{Workers: max(h.Workers, 1), Obs: h.Obs}
 	pass := hdrfPass{lambda: lambda}
 	m := src.NumEdges()
-	if h.ExactDegrees || opts.Workers > 1 {
+	if h.ExactDegrees {
 		// The exact pre-pass counts the real m, so a count-less stream
 		// (NumEdges() == 0) still gets the α·m/k bound.
 		sp := h.Obs.Span("degree-pass")
@@ -77,10 +74,10 @@ func (h *HDRF) Partition(src graph.EdgeStream, k int) (*part.Result, error) {
 		// the current root phase, so each pass runs 0→100% over m edges.
 		h.Obs.SetTotalEdges(m)
 	}
-	pass.capacity, pass.totalM = Capacity(alpha, m, k), m
+	pass.capacity = Capacity(alpha, m, k)
 
 	sp := h.Obs.Span("stream")
-	if err := pass.run(src, res, opts); err != nil {
+	if err := pass.run(src, res, h.Obs); err != nil {
 		return nil, err
 	}
 	sp.Edges(res.M).End()

@@ -21,6 +21,7 @@ import (
 	"math/bits"
 
 	"hep/internal/graph"
+	"hep/internal/pstate"
 )
 
 // hdrfEpsilon avoids division by zero in the balance term (Petroni et al.).
@@ -31,8 +32,9 @@ const hdrfEpsilon = 1e-9
 const DefaultLambda = 1.1
 
 // Capacity returns the per-partition capacity bound ⌈α·m/k⌉ used by the
-// balance constraint of §2. α below 1 is raised to 1, the smallest feasible
-// bound.
+// balance constraint of §2. α below 1 (or NaN) is raised to 1, the smallest
+// feasible bound, and α above k is capped at k: no partition can hold more
+// than m edges, and the cap keeps a huge α from overflowing the conversion.
 //
 // m ≤ 0 means the edge count is unknown (graph.EdgeStream's NumEdges() == 0
 // contract — e.g. a discovery-skipped out-of-core stream) and the capacity
@@ -45,19 +47,10 @@ func Capacity(alpha float64, m int64, k int) int64 {
 	if m <= 0 {
 		return math.MaxInt64
 	}
-	if alpha < 1 {
+	if !(alpha >= 1) {
 		alpha = 1
 	}
-	return int64(math.Ceil(alpha * float64(m) / float64(k)))
-}
-
-// RepView is the read surface of a replica table the scorer needs: mask
-// word wi (partitions 64·wi .. 64·wi+63) of a vertex. *pstate.Table (the
-// live table one worker scores and writes, or a frozen prior table the
-// re-streaming workers share) and *shard.AtomicTable (the concurrent table
-// W > 1 workers share) implement it.
-type RepView interface {
-	Word(v graph.V, wi int) uint64
+	return int64(math.Ceil(min(alpha, float64(k)) * float64(m) / float64(k)))
 }
 
 // bestHDRF returns the admissible partition with the highest HDRF score for
@@ -68,10 +61,10 @@ type RepView interface {
 //	C_REP  = g(u,p) + g(v,p)
 //	C_BAL  = λ · (maxLoad − load_p) / (ε + maxLoad − minLoad)
 //
-// Replica affinity comes from reps; loads come from an explicit view (a
-// worker's load snapshot plus its own in-batch increments): counts, their
-// bounds, and argmin, the lowest-index partition at minLoad, or < 0 when no
-// admissible fallback partition exists. Ties break toward the lower load,
+// Replica affinity comes from reps (the table being written, or a frozen
+// prior table when re-streaming); loads come from an explicit view: counts,
+// their bounds, and argmin, the lowest-index partition at minLoad, or < 0
+// when no admissible fallback partition exists. Ties break toward the lower load,
 // then the lower index, matching a full ascending scan and keeping runs
 // deterministic.
 //
@@ -81,7 +74,7 @@ type RepView interface {
 // non-increasing in the load).
 //
 //hep:noalloc
-func bestHDRF(reps RepView, counts []int64, maxLoad, minLoad int64, argmin int, u, v graph.V, du, dv int32, lambda float64, capacity int64) int {
+func bestHDRF(reps *pstate.Table, counts []int64, maxLoad, minLoad int64, argmin int, u, v graph.V, du, dv int32, lambda float64, capacity int64) int {
 	// fin[c] is the finalist of replica class c (1 = u only, 2 = v only,
 	// 3 = both) and lo[c] its load; fin[0] is argmin, scored with no
 	// replica term. Were argmin in class c, it would also be fin[c], scored

@@ -7,14 +7,12 @@ import (
 
 	"hep/internal/gen"
 	"hep/internal/graph"
-	"hep/internal/obs"
 	"hep/internal/part"
 	"hep/internal/parttest"
-	"hep/internal/pstate"
 	"hep/internal/shard"
 )
 
-// bestFor scores (u,v) against res's live state, as one worker does.
+// bestFor scores (u,v) against res's live state, as the placement pass does.
 func bestFor(res *part.Result, u, v graph.V, du, dv int32, lambda float64, capacity int64) int {
 	am := -1
 	if res.Loads.Min() < capacity {
@@ -327,43 +325,10 @@ func TestHDRFCountlessMatchesCounted(t *testing.T) {
 	}
 }
 
-// TestSizeBatchesPolicy pins the batch-policy resolution: explicit
-// BatchEdges is literal and fixed (no sizer); BatchEdges 0 takes the
-// shard.FixedBatch ceiling with the adaptive sizer installed; a genuinely
-// unknown total keeps the DefaultBatchEdges ceiling rather than collapsing
-// to the floor.
-func TestSizeBatchesPolicy(t *testing.T) {
-	loads := shard.NewShardedLoads(pstate.NewLoads(8), 8)
-	mk := func(batch int) shard.Options {
-		return shard.Options{Workers: 8, BatchEdges: batch}
-	}
-
-	o := mk(0)
-	sizeBatches(&o, loads, 1<<60, 1<<20, 8)
-	if o.BatchEdges != (1<<20)/(50*8) {
-		t.Fatalf("ceiling = %d, want FixedBatch %d", o.BatchEdges, (1<<20)/(50*8))
-	}
-	if o.Sizer == nil {
-		t.Fatal("adaptive sizing not on by default")
-	}
-
-	o = mk(0)
-	sizeBatches(&o, loads, 1<<60, 0, 8)
-	if o.BatchEdges != shard.DefaultBatchEdges {
-		t.Fatalf("count-less ceiling = %d, want DefaultBatchEdges (no floor collapse)", o.BatchEdges)
-	}
-
-	o = mk(123)
-	sizeBatches(&o, loads, 1<<60, 1<<30, 8)
-	if o.BatchEdges != 123 || o.Sizer != nil {
-		t.Fatalf("explicit batch not pinned fixed: %+v", o)
-	}
-}
-
-// TestRunHDRFParallelCountlessStream runs the parallel engine over a
-// count-less stream with the trusted total passed explicitly: every edge is
-// delivered exactly once in stream order and quality stays within the
-// engine's tolerance of the counted sequential run.
+// TestRunHDRFParallelCountlessStream runs placement over a count-less
+// stream with the trusted total passed explicitly, at Workers 4, which
+// placement ignores: every edge is delivered exactly once in stream order
+// and the sink sequence equals the counted one-worker run's.
 func TestRunHDRFParallelCountlessStream(t *testing.T) {
 	g := gen.MustDataset("OK").Build(0.05)
 	deg, m, err := graph.Degrees(g)
@@ -373,6 +338,8 @@ func TestRunHDRFParallelCountlessStream(t *testing.T) {
 	const k = 8
 
 	seq := part.NewResult(g.NumVertices(), k)
+	want := &part.Collect{}
+	seq.Sink = want
 	if err := RunHDRFParallel(g, seq, deg, DefaultLambda, 1.05, m, shard.Options{Workers: 1}); err != nil {
 		t.Fatal(err)
 	}
@@ -395,95 +362,14 @@ func TestRunHDRFParallelCountlessStream(t *testing.T) {
 		if col.Edges[i].E != g.E[i] {
 			t.Fatalf("sink delivery %d = %v, stream had %v", i, col.Edges[i].E, g.E[i])
 		}
-	}
-	if rf, srf := res.ReplicationFactor(), seq.ReplicationFactor(); rf > srf*1.02 {
-		t.Errorf("count-less parallel RF %.4f > sequential %.4f + 2%%", rf, srf)
-	}
-}
-
-// TestAdaptiveBatchAlphaNearOne pins the adaptive policy where it matters:
-// with α barely above 1.0 the capacity bound bites, batches must shrink as
-// partitions fill (batch_resizes fold), and quality must stay no worse than
-// the fixed-size policy at k ∈ {32, 128}.
-func TestAdaptiveBatchAlphaNearOne(t *testing.T) {
-	g := gen.MustDataset("OK").Build(0.1)
-	deg, m, err := graph.Degrees(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const workers = 4
-	const alpha = 1.01
-	var resizes int64
-	for _, k := range []int{32, 128} {
-		fixed := part.NewResult(g.NumVertices(), k)
-		err := RunHDRFParallel(g, fixed, deg, DefaultLambda, alpha, m,
-			shard.Options{Workers: workers, BatchEdges: shard.FixedBatch(m, workers)})
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		o := obs.New(workers)
-		adapt := part.NewResult(g.NumVertices(), k)
-		err = RunHDRFParallel(g, adapt, deg, DefaultLambda, alpha, m,
-			shard.Options{Workers: workers, Obs: o})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if adapt.M != m {
-			t.Fatalf("k=%d: adaptive assigned %d of %d edges", k, adapt.M, m)
-		}
-		resizes += o.Counters().Total(obs.CtrBatchResizes)
-		frf, arf := fixed.ReplicationFactor(), adapt.ReplicationFactor()
-		if arf > frf*1.02 {
-			t.Errorf("k=%d: adaptive RF %.4f > fixed %.4f + 2%%", k, arf, frf)
-		}
-		fb, ab := fixed.Balance(), adapt.Balance()
-		if ab > fb*1.02 {
-			t.Errorf("k=%d: adaptive balance %.4f > fixed %.4f + 2%%", k, ab, fb)
-		}
-	}
-	// At k=32 the capacity bound (≈2152) starts above the floor regime, so
-	// batches must have shrunk at least once as partitions filled. (k=128's
-	// capacity ≈539 pins head/(2W) below the floor — no resizes there.)
-	if resizes == 0 {
-		t.Errorf("α=%.2f folded no batch_resizes across k sweeps — batches never shrank", alpha)
-	}
-}
-
-// TestAdaptiveBatchTinyGraph covers the m < W·floor corner: a stream far
-// smaller than one floor-sized batch per worker must still deliver every
-// edge exactly once and validate.
-func TestAdaptiveBatchTinyGraph(t *testing.T) {
-	edges := make([]graph.Edge, 100)
-	for i := range edges {
-		edges[i] = graph.Edge{U: graph.V(i % 17), V: graph.V((i + 5) % 19)}
-	}
-	g := graph.NewMemGraph(19, edges)
-	deg, m, err := graph.Degrees(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := part.NewResult(g.NumVertices(), 4)
-	col := &part.Collect{}
-	res.Sink = col
-	if err := RunHDRFParallel(g, res, deg, DefaultLambda, 1.0, m, shard.Options{Workers: 4}); err != nil {
-		t.Fatal(err)
-	}
-	if res.M != m {
-		t.Fatalf("assigned %d of %d edges", res.M, m)
-	}
-	if err := res.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	for i := range col.Edges {
-		if col.Edges[i].E != edges[i] {
-			t.Fatalf("delivery %d = %v, want %v", i, col.Edges[i].E, edges[i])
+		if col.Edges[i] != want.Edges[i] {
+			t.Fatalf("count-less delivery %d = %v, counted one-worker run %v", i, col.Edges[i], want.Edges[i])
 		}
 	}
 }
 
-// TestPartialDegreeOverflow pins the int32 guard of the one-worker
-// partial-degree pass: an edge whose endpoint count cannot grow stops the
+// TestPartialDegreeOverflow pins the int32 guard of the partial-degree
+// pass: an edge whose endpoint count cannot grow stops the
 // pass with graph.ErrDegreeOverflow, as the exact degree passes do. A
 // self-loop adds 2 to one count, so it stops one count earlier. Nothing of
 // the batch holding the edge is delivered, and no count wraps negative.
@@ -504,8 +390,8 @@ func TestPartialDegreeOverflow(t *testing.T) {
 		res := part.NewResult(4, 2)
 		col := &part.Collect{}
 		res.Sink = col
-		pass := hdrfPass{deg: deg, partial: true, lambda: DefaultLambda, capacity: Capacity(1.05, 4, 2), totalM: 4}
-		err := pass.run(g, res, shard.Options{Workers: 1})
+		pass := hdrfPass{deg: deg, partial: true, lambda: DefaultLambda, capacity: Capacity(1.05, 4, 2)}
+		err := pass.run(g, res, nil)
 		if !errors.Is(err, graph.ErrDegreeOverflow) {
 			t.Fatalf("%s: err = %v, want ErrDegreeOverflow", tc.name, err)
 		}
@@ -521,46 +407,4 @@ func TestPartialDegreeOverflow(t *testing.T) {
 			t.Errorf("%s: degree of %d moved from %d to %d", tc.name, tc.full, tc.at, deg[tc.full])
 		}
 	}
-}
-
-// TestHDRFSmallBatchesConformance keeps W=4 HDRF over 64-edge batches under
-// the shared validity contract on several graph families: batches that
-// small force real cross-batch interleaving even on small graphs. No
-// balance bound is asserted, because the bounded-staleness load view may
-// overshoot α by up to a batch on inputs this small.
-func TestHDRFSmallBatchesConformance(t *testing.T) {
-	graphs := map[string]*graph.MemGraph{
-		"ba":           gen.BarabasiAlbert(800, 5, 101),
-		"community":    gen.CommunityPowerLaw(1200, 20, 6, 0.2, 102),
-		"web":          gen.WebGraph(12, 30, 4, 0.05, 103),
-		"star":         gen.Star(200),
-		"disconnected": gen.DisconnectedComponents(4, 100, 3, 105),
-		"tiny":         graph.NewMemGraph(4, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}}),
-	}
-	for name, g := range graphs {
-		for _, k := range []int{2, 5, 16} {
-			if _, err := parttest.RunAndCheck(&smallBatchHDRF{}, g, k, 0, 0); err != nil {
-				t.Errorf("%s k=%d: %v", name, k, err)
-			}
-		}
-	}
-}
-
-// smallBatchHDRF is exact-degree HDRF placed by four workers in 64-edge
-// batches.
-type smallBatchHDRF struct{ part.SinkHolder }
-
-func (*smallBatchHDRF) Name() string { return "HDRF-W4-batch64" }
-
-func (h *smallBatchHDRF) Partition(src graph.EdgeStream, k int) (*part.Result, error) {
-	deg, m, err := graph.Degrees(src)
-	if err != nil {
-		return nil, err
-	}
-	res := part.NewResult(src.NumVertices(), k)
-	res.Sink = h.Sink
-	if err := RunHDRFParallel(src, res, deg, DefaultLambda, 1.05, m, shard.Options{Workers: 4, BatchEdges: 64}); err != nil {
-		return nil, err
-	}
-	return res, nil
 }
