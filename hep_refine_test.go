@@ -2,6 +2,9 @@ package hep
 
 import (
 	"testing"
+
+	"hep/internal/part"
+	"hep/internal/parttest"
 )
 
 // TestRefineEveryAlgorithm drives Config.Refine across the whole algorithm
@@ -102,5 +105,30 @@ func TestRefineImprovesThroughFacade(t *testing.T) {
 	}
 	if r1 > base.ReplicationFactor() {
 		t.Errorf("refined RF %.4f worse than bare RF %.4f", r1, base.ReplicationFactor())
+	}
+}
+
+// TestRefineReportedEdgeCount runs refined HDRF over streams whose reported
+// edge count is 0 ("count unknown"), negative, half or twice the real one.
+// The wrapper sizes its capture from a positive count only, so each run
+// must still capture every edge: no error, every edge assigned exactly
+// once, and a replica table that matches the assignment.
+func TestRefineReportedEdgeCount(t *testing.T) {
+	g := Dataset("OK", 0.05)
+	m := g.NumEdges()
+	for _, reported := range []int64{0, -1, m / 2, 2 * m} {
+		src := reportedCount{g: g, m: reported}
+		col := &part.Collect{}
+		res, err := Partition(src, Config{Algorithm: AlgoHDRF, K: 16, Workers: 1,
+			Refine: RefineMoves, RefineWorkers: 1, Sink: col})
+		if err != nil {
+			t.Fatalf("%d edges reported: %v", reported, err)
+		}
+		if err := parttest.CheckExactlyOnce(src, res, col); err != nil {
+			t.Errorf("%d edges reported: %v", reported, err)
+		}
+		if err := parttest.CheckReplicas(res, col); err != nil {
+			t.Errorf("%d edges reported: %v", reported, err)
+		}
 	}
 }

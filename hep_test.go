@@ -183,6 +183,51 @@ type sinkFunc func(u, v uint32, p int)
 
 func (f sinkFunc) Assign(u, v uint32, p int) { f(u, v, p) }
 
+// reportedCount streams g's edges but reports m as its edge count. It is a
+// plain EdgeStream: no slab lending, no slice access.
+type reportedCount struct {
+	g *MemGraph
+	m int64
+}
+
+func (s reportedCount) NumVertices() int                          { return s.g.NumVertices() }
+func (s reportedCount) NumEdges() int64                           { return s.m }
+func (s reportedCount) Edges(yield func(u, v graph.V) bool) error { return s.g.Edges(yield) }
+
+// TestNEIgnoresReportedEdgeCount pins NE and SNE through the facade to the
+// edges they read: a stream reporting a negative count or 0 ("count
+// unknown") delivers the MemGraph's own sink sequence. A negative count
+// used to panic in NE's edge-list allocation.
+func TestNEIgnoresReportedEdgeCount(t *testing.T) {
+	g := Dataset("OK", 0.05)
+	type assignment struct {
+		u, v uint32
+		p    int
+	}
+	for _, name := range []string{AlgoNE, AlgoSNE} {
+		run := func(src EdgeStream) []assignment {
+			var seq []assignment
+			sink := sinkFunc(func(u, v uint32, p int) { seq = append(seq, assignment{u, v, p}) })
+			if _, err := Partition(src, Config{Algorithm: name, K: 8, Seed: 1, Workers: 1, Sink: sink}); err != nil {
+				t.Fatalf("%s, %d edges reported: %v", name, src.NumEdges(), err)
+			}
+			return seq
+		}
+		want := run(g)
+		for _, reported := range []int64{-1, 0} {
+			got := run(reportedCount{g: g, m: reported})
+			if len(got) != len(want) {
+				t.Fatalf("%s, %d edges reported: sink saw %d edges, honest count %d", name, reported, len(got), len(want))
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("%s, %d edges reported: assignment %d is %v, honest count %v", name, reported, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
 func TestBinaryFileRoundTripThroughFacade(t *testing.T) {
 	g := Dataset("LJ", 0.03)
 	path := filepath.Join(t.TempDir(), "g.bin")

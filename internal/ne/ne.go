@@ -87,7 +87,10 @@ func Run(src graph.EdgeStream, k int, res *part.Result, seed int64, sequential b
 
 func load(src graph.EdgeStream, k int, res *part.Result) (*state, error) {
 	n := src.NumVertices()
-	edges := make([]graph.Edge, 0, src.NumEdges())
+	var edges []graph.Edge
+	if m := src.NumEdges(); m > 0 {
+		edges = make([]graph.Edge, 0, m)
+	}
 	deg := make([]int64, n+1)
 	err := src.Edges(func(u, v graph.V) bool {
 		edges = append(edges, graph.Edge{U: u, V: v})

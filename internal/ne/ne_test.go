@@ -122,3 +122,57 @@ func TestRunComposesIntoExistingResult(t *testing.T) {
 		t.Fatalf("M = %d", res.M)
 	}
 }
+
+// reportedCount streams g's edges but reports m as its edge count. It is a
+// plain EdgeStream: no slab lending, no slice access.
+type reportedCount struct {
+	g *graph.MemGraph
+	m int64
+}
+
+func (s reportedCount) NumVertices() int                          { return s.g.NumVertices() }
+func (s reportedCount) NumEdges() int64                           { return s.m }
+func (s reportedCount) Edges(yield func(u, v graph.V) bool) error { return s.g.Edges(yield) }
+
+// TestReportedEdgeCountIgnored pins NE and SNE to the edges they read: a
+// stream reporting 0 ("count unknown"), a negative count, half or twice its
+// real count must deliver the sink sequence the MemGraph itself delivers.
+// SNE used to size its balance bound from the report (0 put every edge on
+// one partition) and NE to pre-size from it (a negative count panicked).
+func TestReportedEdgeCountIgnored(t *testing.T) {
+	g := gen.MustDataset("OK").Build(0.05)
+	m := g.NumEdges()
+	const k = 8
+	for _, algo := range []struct {
+		name string
+		new  func() part.Algorithm
+	}{
+		{"NE", func() part.Algorithm { return &NE{Seed: 1} }},
+		{"SNE", func() part.Algorithm { return &SNE{} }},
+	} {
+		run := func(src graph.EdgeStream) []part.TaggedEdge {
+			a := algo.new()
+			col := &part.Collect{}
+			a.(part.SinkSetter).SetSink(col)
+			if _, err := a.Partition(src, k); err != nil {
+				t.Fatalf("%s, %d edges reported: %v", algo.name, src.NumEdges(), err)
+			}
+			return col.Edges
+		}
+		want := run(g)
+		if int64(len(want)) != m {
+			t.Fatalf("%s: sink saw %d of %d edges", algo.name, len(want), m)
+		}
+		for _, reported := range []int64{0, -1, m / 2, 2 * m} {
+			got := run(reportedCount{g: g, m: reported})
+			if len(got) != len(want) {
+				t.Fatalf("%s, %d edges reported: sink saw %d edges, honest count %d", algo.name, reported, len(got), len(want))
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("%s, %d edges reported: assignment %d is %v, honest count %v", algo.name, reported, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}

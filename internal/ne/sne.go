@@ -34,25 +34,8 @@ func (s *SNE) Partition(src graph.EdgeStream, k int) (*part.Result, error) {
 		factor = 2
 	}
 	n := src.NumVertices()
-	m := src.NumEdges()
 	res := part.NewResult(n, k)
 	res.Sink = s.Sink
-	bound := (m + int64(k) - 1) / int64(k)
-	capEdges := int(bound) * factor
-	if capEdges < 16 {
-		capEdges = 16
-	}
-
-	run := &sneRun{
-		n:     n,
-		k:     k,
-		res:   res,
-		bound: bound,
-		cap:   capEdges,
-		core:  bitset.New(n),
-		curS:  bitset.New(n),
-		heap:  vheap.New(n),
-	}
 
 	// Buffer the stream edge by edge; the channel-free pull model uses a
 	// materialized cursor over the stream (streams are restartable but we
@@ -65,7 +48,26 @@ func (s *SNE) Partition(src graph.EdgeStream, k int) (*part.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	run.stream = pending
+	// The balance bound and the sample size come from the edges read, not
+	// from NumEdges, which may be 0 ("count unknown") or wrong.
+	m := int64(len(pending))
+	bound := (m + int64(k) - 1) / int64(k)
+	capEdges := int(bound) * factor
+	if capEdges < 16 {
+		capEdges = 16
+	}
+
+	run := &sneRun{
+		n:      n,
+		k:      k,
+		res:    res,
+		bound:  bound,
+		cap:    capEdges,
+		stream: pending,
+		core:   bitset.New(n),
+		curS:   bitset.New(n),
+		heap:   vheap.New(n),
+	}
 	run.run()
 	return res, nil
 }

@@ -228,16 +228,44 @@ func oracleInteractions(moves []move, inc incidence, edges []graph.Edge, parts [
 	return n
 }
 
+// withLoopsAndParallels returns g with every 50th edge also added reversed
+// (a parallel edge) and a self loop on the first endpoint of every 97th
+// edge: the two shapes where an incidence entry's neighbour is not simply
+// the far end of a distinct edge.
+func withLoopsAndParallels(g *graph.MemGraph) *graph.MemGraph {
+	edges := make([]graph.Edge, 0, len(g.E)+len(g.E)/50+len(g.E)/97+2)
+	for i, e := range g.E {
+		edges = append(edges, e)
+		if i%50 == 0 {
+			edges = append(edges, graph.Edge{U: e.V, V: e.U})
+		}
+		if i%97 == 0 {
+			edges = append(edges, graph.Edge{U: e.U, V: e.U})
+		}
+	}
+	return graph.NewMemGraph(g.N, edges)
+}
+
 // TestRunMatchesOracle is the reference pin: at Workers: 1, Run and the
 // reference round produce identical assignments, identical replica-table
 // words, running counts and Stats on the OK/TW/LJ stand-ins at k ∈ {8, 32,
-// 128}. One page of isolated vertices pads every input, so k = 128 reads
+// 128}, and on the OK stand-in with self loops and parallel edges added.
+// One page of isolated vertices pads every input, so k = 128 reads
 // overflow words on allocated and unallocated pages alike.
 func TestRunMatchesOracle(t *testing.T) {
+	type input struct {
+		name string
+		g    *graph.MemGraph
+	}
+	var inputs []input
 	for _, name := range []string{"OK", "TW", "LJ"} {
-		g := gen.MustDataset(name).Build(0.1)
+		inputs = append(inputs, input{name, gen.MustDataset(name).Build(0.1)})
+	}
+	inputs = append(inputs, input{"OK+loops+parallel", withLoopsAndParallels(gen.MustDataset("OK").Build(0.1))})
+	for _, in := range inputs {
+		g := in.g
 		for _, k := range []int{8, 32, 128} {
-			t.Run(fmt.Sprintf("%s/k=%d", name, k), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s/k=%d", in.name, k), func(t *testing.T) {
 				_, rec := capture(t, &stream.HDRF{}, g, k)
 				n := int(g.NumVertices()) + pstate.PageVertices
 				gotParts := append([]int32(nil), rec.Parts...)
@@ -255,6 +283,18 @@ func TestRunMatchesOracle(t *testing.T) {
 				}
 				if gotSt.Applied == 0 {
 					t.Fatal("no move applied; the pin compares nothing")
+				}
+				loops, loopsMoved := 0, 0
+				for i, e := range rec.Edges {
+					if e.U == e.V {
+						loops++
+						if gotParts[i] != rec.Parts[i] {
+							loopsMoved++
+						}
+					}
+				}
+				if loops > 0 && loopsMoved == 0 {
+					t.Fatal("no self loop moved; the pin never claims a loop entry")
 				}
 				for i := range gotParts {
 					if gotParts[i] != wantParts[i] {

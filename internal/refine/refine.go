@@ -256,11 +256,14 @@ type move struct {
 	cnt      int32
 }
 
-// incidence is the per-vertex CSR over edge ids, built once per pass. A
-// self loop contributes a single entry.
+// incidence is the per-vertex CSR over edge ids, built once per pass. Entry
+// j of v holds the edge id ids[j] and the edge's other endpoint nbr[j], so
+// a scan reads neighbours in order instead of loading the edge. A self loop
+// contributes a single entry whose neighbour is v itself.
 type incidence struct {
 	off []int64
 	ids []int32
+	nbr []graph.V
 }
 
 func buildIncidence(n int, edges []graph.Edge) incidence {
@@ -275,21 +278,27 @@ func buildIncidence(n int, edges []graph.Edge) incidence {
 		off[v+1] += off[v]
 	}
 	ids := make([]int32, off[n])
+	nbr := make([]graph.V, off[n])
 	cur := make([]int64, n)
 	copy(cur, off[:n])
 	for i, e := range edges {
-		ids[cur[e.U]] = int32(i)
+		ids[cur[e.U]], nbr[cur[e.U]] = int32(i), e.V
 		cur[e.U]++
 		if e.V != e.U {
-			ids[cur[e.V]] = int32(i)
+			ids[cur[e.V]], nbr[cur[e.V]] = int32(i), e.U
 			cur[e.V]++
 		}
 	}
-	return incidence{off: off, ids: ids}
+	return incidence{off: off, ids: ids, nbr: nbr}
 }
 
 func (in incidence) edgesOf(v graph.V) []int32 {
 	return in.ids[in.off[v]:in.off[v+1]]
+}
+
+// nbrsOf is v's neighbour column, entry for entry beside edgesOf(v).
+func (in incidence) nbrsOf(v graph.V) []graph.V {
+	return in.nbr[in.off[v]:in.off[v+1]]
 }
 
 // Run executes the boundary-move rounds in place: res, edges and parts must
@@ -343,7 +352,7 @@ func Run(res *part.Result, edges []graph.Edge, parts []int32, o Options) (Stats,
 		}
 
 		rsp := o.Obs.Span("refine-round")
-		moves := scanMoves(t, inc, edges, parts, boundary, loads, st.Bound, workers, c, &st)
+		moves := scanMoves(t, inc, parts, boundary, loads, st.Bound, workers, c, &st)
 		c.Add(0, obs.CtrRefineRounds, 1)
 		st.Rounds++
 		if len(moves) == 0 {
@@ -356,7 +365,7 @@ func Run(res *part.Result, edges []graph.Edge, parts []int32, o Options) (Stats,
 			break
 		}
 		st.EstimatedGain += int64(len(moves))
-		st.Interactions += countInteractions(moves, inc, edges, parts, first)
+		st.Interactions += countInteractions(moves, inc, parts, first)
 
 		copy(snapshot, parts)
 		for p := 0; p < k; p++ {
@@ -418,7 +427,7 @@ func collectBoundary(t *pstate.Table, n int) []graph.V {
 // the lowest-loaded target wins, ties to the lowest partition id. The
 // merged move list is sorted by (v, from), so every worker count yields the
 // same list.
-func scanMoves(t *pstate.Table, inc incidence, edges []graph.Edge, parts []int32,
+func scanMoves(t *pstate.Table, inc incidence, parts []int32,
 	boundary []graph.V, loads []atomic.Int64,
 	bound int64, workers int, c *obs.Counters, st *Stats) []move {
 
@@ -449,12 +458,9 @@ func scanMoves(t *pstate.Table, inc incidence, edges []graph.Edge, parts []int32
 					mask[wi] = t.Word(v, wi)
 					hosts += bits.OnesCount64(mask[wi])
 				}
-				for _, eid := range inc.edgesOf(v) {
-					p := parts[eid]
-					u := edges[eid].U
-					if u == v {
-						u = edges[eid].V
-					}
+				nbrs := inc.nbrsOf(v)
+				for j, eid := range inc.edgesOf(v) {
+					p, u := parts[eid], nbrs[j]
 					if words == 1 { // k ≤ 64: skip the slice arithmetic
 						if cnt[p] == 0 {
 							seen = append(seen, p)
@@ -545,19 +551,16 @@ func scanMoves(t *pstate.Table, inc incidence, edges []graph.Edge, parts []int32
 // first is a per-vertex scratch index, all -1 on entry and on return: while
 // counting, first[z] is the position of z's first move in the (v, from)-
 // sorted list, whose moves of z are contiguous from there.
-func countInteractions(moves []move, inc incidence, edges []graph.Edge, parts []int32, first []int32) int64 {
+func countInteractions(moves []move, inc incidence, parts []int32, first []int32) int64 {
 	for i := len(moves) - 1; i >= 0; i-- {
 		first[moves[i].v] = int32(i)
 	}
 	var n int64
 	for i, mv := range moves {
+		nbrs := inc.nbrsOf(mv.v)
 	nextMove:
-		for _, eid := range inc.edgesOf(mv.v) {
-			p := parts[eid]
-			z := edges[eid].U
-			if z == mv.v {
-				z = edges[eid].V
-			}
+		for ei, eid := range inc.edgesOf(mv.v) {
+			p, z := parts[eid], nbrs[ei]
 			for j := int(first[z]); j >= 0 && j < len(moves) && moves[j].v == z; j++ {
 				o := moves[j]
 				if j != i && ((p == mv.from && z != mv.v && o.from == mv.from) ||
@@ -621,7 +624,11 @@ func applyMoves(moves []move, inc incidence, parts []int32, loads []atomic.Int64
 					if claimed == int64(mv.cnt) {
 						break
 					}
-					if atomic.CompareAndSwapInt32(&parts[eid], mv.from, mv.to) {
+					// Most of v's edges are not on from: a plain load skips
+					// them without a locked instruction, exactly as a CAS
+					// failing at that instant would.
+					if atomic.LoadInt32(&parts[eid]) == mv.from &&
+						atomic.CompareAndSwapInt32(&parts[eid], mv.from, mv.to) {
 						claimed++
 						log = append(log, eid)
 					}

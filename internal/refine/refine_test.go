@@ -241,6 +241,27 @@ func TestSplitMergeFolds(t *testing.T) {
 	}
 }
 
+// TestWrapSizesCaptureOnce pins the capture's single allocation: a stream
+// that reports its edge count m hands the pass a capture of capacity
+// exactly m, with no append growth past it.
+func TestWrapSizesCaptureOnce(t *testing.T) {
+	g := gen.MustDataset("OK").Build(0.05)
+	m := int(g.NumEdges())
+	edgesCap, partsCap := -1, -1
+	hook := func(round int, _ *part.Result, edges []graph.Edge, parts []int32) error {
+		if round == 0 {
+			edgesCap, partsCap = cap(edges), cap(parts)
+		}
+		return nil
+	}
+	if _, err := Wrap(&stream.HDRF{}, Options{Workers: 1, RoundHook: hook}).Partition(g, 16); err != nil {
+		t.Fatal(err)
+	}
+	if edgesCap != m || partsCap != m {
+		t.Errorf("capture capacity %d edges, %d parts; the stream reports m = %d", edgesCap, partsCap, m)
+	}
+}
+
 // TestWrapRejectsBadInputs pins the wrapper's fail-fast surface: invalid
 // modes and sink-less algorithms error before the inner run.
 func TestWrapRejectsBadInputs(t *testing.T) {

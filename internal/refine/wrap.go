@@ -62,7 +62,13 @@ func (r *Refined) Partition(src graph.EdgeStream, k int) (*part.Result, error) {
 	if r.Opts.mode() == ModeSplitMerge {
 		runK = r.Opts.splitFactor() * k
 	}
+	// Size the capture once from a positive count; 0 ("count unknown") or
+	// a negative count grows by append. A count that is off only costs
+	// room: checkLive compares what was captured with res.M.
 	rec := &Capture{}
+	if m := src.NumEdges(); m > 0 {
+		rec.Edges, rec.Parts = make([]graph.Edge, 0, m), make([]int32, 0, m)
+	}
 	ss.SetSink(rec)
 	res, err := r.Inner.Partition(src, runK)
 	ss.SetSink(nil)
