@@ -23,7 +23,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strings"
 	"time"
 
@@ -43,9 +42,10 @@ func main() {
 		seed    = flag.Int64("seed", 42, "seed for randomized algorithms")
 		assign  = flag.String("assign", "", "write 'u v partition' lines to this file")
 		buffer  = flag.Int("buffer", 0, "buffered algorithm: edges per batch (0 = default or derived from -budget)")
-		workers = flag.Int("workers", 0, "DNE's concurrent expanders; hdrf above 1 takes the exact-degree "+
-			"pre-pass; hep, nepp, rehdrf and buffered accept any value and run one sequential path "+
-			"(0 = all cores; algorithms with no parallel path reject > 1)")
+		workers = flag.Int("workers", 0, "DNE's concurrent expanders; hdrf streams partial degrees at 1 "+
+			"and takes the exact-degree pre-pass at any other value; hep, nepp, rehdrf and buffered "+
+			"accept any value and run one sequential path (0 = all cores; algorithms with no "+
+			"parallel path reject > 1)")
 		budget = flag.Int64("budget", 0, "if > 0, fit the partitioner to this many bytes: "+
 			"picks τ for -algo hep (§4.4), sizes the edge buffer for -algo buffered")
 		refineMode = flag.String("refine", "", "run the local-search refinement post-pass on the "+
@@ -88,12 +88,7 @@ func main() {
 	// debug listener and the progress reporter. With none requested, cfg.Obs
 	// stays nil and every instrumentation point in the pipeline is free.
 	if *traceJSON != "" || *metricsAddr != "" || *verbose {
-		lanes := *workers
-		if lanes < 1 {
-			lanes = runtime.GOMAXPROCS(0)
-		}
 		o := hep.NewObsWithOptions(hep.ObsOptions{
-			Workers:     lanes,
 			MaxSpans:    *obsMaxSpans,
 			SeriesCap:   *obsSeriesCap,
 			SampleEvery: *obsSampleEvery,

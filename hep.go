@@ -87,15 +87,16 @@ type (
 	// machine-readable trace reports. A nil *Obs disables every
 	// instrumentation point at zero cost.
 	Obs = obs.Obs
-	// ObsOptions parameterizes NewObsWithOptions: worker lane count, span
-	// cap, quality-series ring capacity and sampling stride.
+	// ObsOptions parameterizes NewObsWithOptions: span cap, quality-series
+	// ring capacity and sampling stride.
 	ObsOptions = obs.Options
 )
 
-// NewObs returns an observability hook sized for the given worker count
-// (one padded counter lane per worker; workers ≤ 0 gets one lane). Pass it
-// via Config.Obs, then read the trace with Obs.Report or Obs.WriteJSONFile.
-func NewObs(workers int) *Obs { return obs.New(workers) }
+// NewObs returns an observability hook with default caps. Pass it via
+// Config.Obs, then read the trace with Obs.Report or Obs.WriteJSONFile.
+// The argument is ignored: every run adds to one block of counters. It is
+// kept because the benchmark (bench/) passes a worker count.
+func NewObs(workers int) *Obs { return obs.New() }
 
 // NewObsWithOptions is NewObs with the sampling and capacity knobs exposed:
 // MaxSpans bounds the span list (excess spans are dropped and counted),
@@ -155,13 +156,13 @@ type Config struct {
 	Seed int64
 	// Workers is DNE's number of concurrent expanders (0 = DNE's own
 	// default). Every other placement pass runs one worker, so its output
-	// does not depend on Workers, with one exception: AlgoHDRF takes the
-	// exact-degree pre-pass instead of streamed partial degrees when
-	// Workers resolves above one (0 resolves to GOMAXPROCS). AlgoHEP,
-	// AlgoNEPP, AlgoRestream and AlgoBuffered accept any Workers. Algorithms
-	// with no parallel path (order-sensitive streaming like ADWISE, the
-	// in-memory partitioners) reject Workers > 1 instead of silently
-	// running sequentially.
+	// does not depend on Workers, with one exception: AlgoHDRF streams
+	// partial degrees at Workers 1 and takes the exact-degree pre-pass at
+	// every other value, 0 included, on any host. AlgoHEP, AlgoNEPP,
+	// AlgoRestream and AlgoBuffered accept any Workers. Algorithms with no
+	// parallel path (order-sensitive streaming like ADWISE, the in-memory
+	// partitioners) reject Workers > 1 instead of silently running
+	// sequentially.
 	Workers int
 	// Window sizes ADWISE's edge buffer.
 	Window int
@@ -201,8 +202,8 @@ type Config struct {
 
 // ParallelAlgorithms lists the Config.Algorithm values that accept
 // Workers > 1. DNE runs that many concurrent expanders; HDRF takes its
-// exact-degree pre-pass and places with one worker; HEP, NE++, re-HDRF and
-// Buffered run their one sequential path.
+// exact-degree pre-pass, as it does at Workers 0, and places with one
+// worker; HEP, NE++, re-HDRF and Buffered run their one sequential path.
 func ParallelAlgorithms() []string {
 	return []string{AlgoHEP, AlgoNEPP, AlgoHDRF, AlgoRestream, AlgoBuffered, AlgoDNE}
 }
@@ -266,9 +267,9 @@ func (a idChecked) Partition(src EdgeStream, k int) (*Result, error) {
 }
 
 // idCheckStream stops the wrapped stream's scan at the first edge naming a
-// vertex id ≥ NumVertices and returns graph.ErrVertexRange. Like
-// shard.AbortStream it lends chunks when the wrapped stream does; each slab
-// is checked before it is handed on.
+// vertex id ≥ NumVertices and returns graph.ErrVertexRange. It lends
+// chunks when the wrapped stream does; each slab is checked before it is
+// handed on.
 type idCheckStream struct{ graph.EdgeStream }
 
 func vertexRange(u, v graph.V, n int) error {
@@ -347,7 +348,7 @@ func New(cfg Config) (Algorithm, error) {
 		a = idChecked{&mlp.MLP{Seed: cfg.Seed}}
 	case AlgoHDRF:
 		a = &stream.HDRF{Lambda: cfg.Lambda, Alpha: cfg.Alpha, Obs: cfg.Obs,
-			ExactDegrees: shard.Options{Workers: cfg.Workers}.Resolve() > 1}
+			ExactDegrees: cfg.Workers != 1}
 	case AlgoDBH:
 		a = &stream.DBH{}
 	case AlgoGreedy:
@@ -614,7 +615,7 @@ func PartitionStream(src EdgeStream, cfg Config) (*Result, error) {
 		res, err := a.Partition(src, cfg.K)
 		// The spill store's compressed size is only known once the build has
 		// written it; fold it after the run so the trace reports spill I/O.
-		cfg.Obs.Counters().Add(0, obs.CtrSpillBytes, store.Bytes())
+		cfg.Obs.Counters().Add(obs.CtrSpillBytes, store.Bytes())
 		return res, err
 	}
 	return a.Partition(src, cfg.K)

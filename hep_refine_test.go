@@ -84,8 +84,7 @@ func TestRefineValidation(t *testing.T) {
 // TestRefineImprovesThroughFacade pins the public-API quality contract on
 // the LJ stand-in: the refined run's RF is never worse than the bare run's,
 // and the deterministic sequential path (RefineWorkers=1) reproduces. Both
-// HDRF runs pin Workers: 1 — Workers: 0 resolves to GOMAXPROCS, and a
-// parallel HDRF hands refinement a different input on every run.
+// HDRF runs pin Workers: 1, HDRF with streamed partial degrees.
 func TestRefineImprovesThroughFacade(t *testing.T) {
 	g := Dataset("LJ", 0.1)
 	base, err := Partition(g, Config{Algorithm: AlgoHDRF, K: 16, Workers: 1})

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"hep/internal/graph"
@@ -329,8 +330,10 @@ func TestSinkThroughConfigBuffered(t *testing.T) {
 // TestWorkersMatchOneWorker pins one placement path per algorithm through
 // the facade: HEP (τ 1 and 5, so the h2h phase places edges), NE++,
 // re-HDRF and Buffered accept any Workers and deliver at Workers 2 and 4
-// exactly the Workers 1 sink sequence; HDRF at Workers 2 and 4 delivers
-// exactly the sequence of one-worker HDRF with the exact-degree pre-pass.
+// exactly the Workers 1 sink sequence; HDRF at Workers 2 and 4, and at
+// Workers 0 on one core, delivers exactly the sequence of one-worker HDRF
+// with the exact-degree pre-pass, so its default output does not depend on
+// the host's core count.
 func TestWorkersMatchOneWorker(t *testing.T) {
 	type assignment struct {
 		u, v uint32
@@ -377,8 +380,18 @@ func TestWorkersMatchOneWorker(t *testing.T) {
 				if int64(len(want)) != g.NumEdges() {
 					t.Fatalf("%s %s k=%d: sink saw %d of %d edges", row.name, name, k, len(want), g.NumEdges())
 				}
-				for _, workers := range []int{2, 4} {
-					got := run(workers)
+				counts := []int{2, 4}
+				if row.cfg.Algorithm == AlgoHDRF {
+					counts = append(counts, 0) // run on one core below
+				}
+				for _, workers := range counts {
+					var got []assignment
+					func() {
+						if workers == 0 {
+							defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+						}
+						got = run(workers)
+					}()
 					if len(got) != len(want) {
 						t.Fatalf("%s %s k=%d W=%d: %d assignments, reference %d", row.name, name, k, workers, len(got), len(want))
 					}
@@ -578,8 +591,13 @@ func TestEveryAlgorithmRejectsVertexRange(t *testing.T) {
 
 // TestIDCheckStreamLends pins the facade's range check to the chunk-lending
 // contract: over a lending stream it lends, hands clean slabs on, and
-// releases a slab holding an out-of-range id without yielding it.
+// releases a slab holding an out-of-range id without yielding it; over a
+// stream that does not lend, it does not lend either.
 func TestIDCheckStreamLends(t *testing.T) {
+	plain := struct{ EdgeStream }{NewGraph(5, nil)}
+	if _, ok := graph.AsChunks(idCheckStream{plain}); ok {
+		t.Fatal("idCheckStream over a non-lending stream claims to lend")
+	}
 	for _, tc := range []struct {
 		edges []Edge
 		bad   bool

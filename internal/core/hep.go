@@ -104,7 +104,7 @@ func (h *HEP) PartitionCSR(csr *graph.CSR, k int) (*part.Result, error) {
 	ne := NewNEPP(csr, k, res, h.Tracer)
 	ne.Run()
 	h.LastStats = ne.Stats()
-	h.Obs.Counters().Add(0, obs.CtrEdgesStreamed, res.M)
+	h.Obs.Counters().Add(obs.CtrEdgesStreamed, res.M)
 	res.SampleQuality(h.Obs)
 	sp.Edges(res.M).End()
 

@@ -21,7 +21,7 @@ type edgesOnly struct{ graph.EdgeStream }
 // batch loop's ingest and delivery alone.
 type dispatchOnly struct{}
 
-func (dispatchOnly) PlaceBatch(edges []graph.Edge, parts []int32) {}
+func (dispatchOnly) PlaceBatch(edges []graph.Edge, parts []int32) error { return nil }
 
 // TableIngestRow is one (dataset, mode) point of the zero-copy ingest
 // comparison: a full batch-loop pass over the on-disk edge file through a
@@ -63,7 +63,7 @@ func TableIngest(cfg Config) ([]TableIngestRow, error) {
 		}
 		n, m := g.NumVertices(), g.NumEdges()
 		for _, mode := range []string{"copy", "lend", "mmap"} {
-			c := obs.NewCounters(1)
+			c := obs.NewCounters()
 			var ms *ooc.MmapStream
 			var src graph.EdgeStream
 			if mode == "mmap" {

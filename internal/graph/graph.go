@@ -74,8 +74,8 @@ type ChunkStream interface {
 }
 
 // AsChunks returns the chunk-lending form of src, if it has one. Wrappers
-// that implement ChunkStream only when their inner stream does (e.g.
-// shard.AbortStream) signal availability through an optional
+// that implement ChunkStream only when their inner stream does (e.g. the
+// hep facade's vertex-id check) signal availability through an optional
 // LendsChunks method.
 func AsChunks(src EdgeStream) (ChunkStream, bool) {
 	cs, ok := src.(ChunkStream)

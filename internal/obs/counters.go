@@ -3,8 +3,7 @@ package obs
 import "sync/atomic"
 
 // CounterID names one hot-path event counter. Counters are monotonic event
-// totals; the per-worker lane layout (Counters) keeps incrementing them off
-// the coherence-traffic hot path.
+// totals, added once per batch or region, never per edge.
 type CounterID uint8
 
 // The hot-path events that explain parallel behavior. Every layer of the
@@ -132,8 +131,8 @@ func (id CounterID) String() string {
 	return "unknown"
 }
 
-// GaugeID names one high-water-mark gauge. Gauges keep a maximum, not a sum,
-// so they live outside the summed lanes.
+// GaugeID names one high-water-mark gauge. Gauges keep a maximum, not a
+// sum.
 type GaugeID uint8
 
 const (
@@ -163,22 +162,9 @@ func (g GaugeID) String() string {
 	return "unknown"
 }
 
-// cacheLine is the assumed coherence granule; lanes are padded to it so two
-// workers' counters never share a line.
-const cacheLine = 64
-
-// lane is one worker's padded counter block. Within a lane the slots share
-// cache lines — harmless, the lane has a single writer; the padding keeps
-// *different* workers' lanes apart.
-type lane struct {
-	v [NumCounters]atomic.Int64
-	_ [(cacheLine - (int(NumCounters)*8)%cacheLine) % cacheLine]byte
-}
-
-// Counters is the hot-path counter surface: one padded lane per worker,
-// summed on read. Writers call Add on their own lane (an uncontended atomic
-// add on a private cache line); readers — the JSON encoder, the expvar
-// endpoint, the progress reporter — sum the lanes with atomic loads, so
+// Counters is the hot-path counter surface: one block of atomics. Writers
+// Add at batch and region boundaries; readers — the JSON encoder, the
+// expvar endpoint, the progress reporter — load the same atomics, so
 // counters are safe to scrape while a run is in flight.
 //
 // The intended discipline is the batch-boundary fold: hot loops accumulate
@@ -187,49 +173,32 @@ type lane struct {
 // edges. A nil *Counters is the disabled form: Add, SetMax
 // and the readers are no-ops, so call sites need no enabled-check branches.
 type Counters struct {
-	lanes  []lane
-	hists  []histLane // log2-bucket histogram lanes, same per-worker layout
+	v      [NumCounters]atomic.Int64
+	hists  [NumHists]hist // log2-bucket histograms
 	gauges [NumGauges]atomic.Int64
 }
 
-// NewCounters returns counters with one lane per worker (minimum one).
-// Worker ids at or beyond w clamp to the last lane, so a caller that resolves
-// its worker count later can never index out of range.
-func NewCounters(w int) *Counters {
-	if w < 1 {
-		w = 1
-	}
-	return &Counters{lanes: make([]lane, w), hists: make([]histLane, w)}
-}
+// NewCounters returns zeroed counters.
+func NewCounters() *Counters { return &Counters{} }
 
-// Add accumulates d into worker w's lane. Nil-safe.
+// Add accumulates d into counter id. Nil-safe.
 //
 //hep:noalloc
-func (c *Counters) Add(w int, id CounterID, d int64) {
+func (c *Counters) Add(id CounterID, d int64) {
 	if c == nil || d == 0 {
 		return
 	}
-	if w < 0 {
-		w = 0
-	}
-	if w >= len(c.lanes) {
-		w = len(c.lanes) - 1
-	}
-	c.lanes[w].v[id].Add(d)
+	c.v[id].Add(d)
 }
 
-// Total sums the lanes of one counter. Nil-safe (returns 0).
+// Total returns the current value of one counter. Nil-safe (returns 0).
 //
 //hep:noalloc
 func (c *Counters) Total(id CounterID) int64 {
 	if c == nil {
 		return 0
 	}
-	var t int64
-	for i := range c.lanes {
-		t += c.lanes[i].v[id].Load()
-	}
-	return t
+	return c.v[id].Load()
 }
 
 // SetMax raises gauge g to v if v is larger (atomic max; cold path). Nil-safe.
@@ -255,14 +224,6 @@ func (c *Counters) Gauge(g GaugeID) int64 {
 		return 0
 	}
 	return c.gauges[g].Load()
-}
-
-// Lanes returns the number of worker lanes (0 for nil).
-func (c *Counters) Lanes() int {
-	if c == nil {
-		return 0
-	}
-	return len(c.lanes)
 }
 
 // CounterSnapshot returns every counter total keyed by its stable name.

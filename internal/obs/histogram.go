@@ -6,8 +6,8 @@ import (
 )
 
 // HistID names one log-bucketed latency/size histogram. Like counters,
-// histograms live in per-worker cache-line-padded lanes and are observed at
-// batch/region boundaries only — one Observe per batch, never per edge.
+// histograms are observed at batch/region boundaries only — one Observe per
+// batch, never per edge.
 type HistID uint8
 
 const (
@@ -56,33 +56,25 @@ func histBucket(v int64) int {
 	return bits.Len64(uint64(v))
 }
 
-// histLane is one worker's padded histogram block, same single-writer
-// discipline as lane: slots within a lane may share cache lines, different
-// workers' lanes never do.
-type histLane struct {
-	v   [NumHists][HistBuckets]atomic.Int64
-	sum [NumHists]atomic.Int64
-	_   [(cacheLine - (int(NumHists)*(HistBuckets+1)*8)%cacheLine) % cacheLine]byte
+// hist is one histogram: per-bucket observation counts and the sum of the
+// positive observations.
+type hist struct {
+	v   [HistBuckets]atomic.Int64
+	sum atomic.Int64
 }
 
-// Observe adds v to histogram id in worker w's lane. Nil-safe; negative
-// values clamp into bucket 0 with no sum contribution.
+// Observe adds v to histogram id. Nil-safe; negative values count in
+// bucket 0 with no sum contribution.
 //
 //hep:noalloc
-func (c *Counters) Observe(w int, id HistID, v int64) {
+func (c *Counters) Observe(id HistID, v int64) {
 	if c == nil {
 		return
 	}
-	if w < 0 {
-		w = 0
-	}
-	if w >= len(c.hists) {
-		w = len(c.hists) - 1
-	}
-	l := &c.hists[w]
-	l.v[id][histBucket(v)].Add(1)
+	h := &c.hists[id]
+	h.v[histBucket(v)].Add(1)
 	if v > 0 {
-		l.sum[id].Add(v)
+		h.sum.Add(v)
 	}
 }
 
@@ -93,34 +85,31 @@ type HistogramRecord struct {
 	Sum    int64   `json:"sum"`
 }
 
-// HistCount returns the total number of observations in histogram id,
-// summed over lanes. Nil-safe (returns 0).
+// HistCount returns the total number of observations in histogram id.
+// Nil-safe (returns 0).
 func (c *Counters) HistCount(id HistID) int64 {
 	if c == nil {
 		return 0
 	}
 	var n int64
-	for i := range c.hists {
-		for b := 0; b < HistBuckets; b++ {
-			n += c.hists[i].v[id][b].Load()
-		}
+	for b := range c.hists[id].v {
+		n += c.hists[id].v[b].Load()
 	}
 	return n
 }
 
-// HistRecord folds histogram id across lanes into a HistogramRecord.
-// Nil-safe (returns a zero-count record).
+// HistRecord returns histogram id as a HistogramRecord. Nil-safe (returns
+// a zero-count record).
 func (c *Counters) HistRecord(id HistID) HistogramRecord {
 	rec := HistogramRecord{Counts: make([]int64, HistBuckets)}
 	if c == nil {
 		return rec
 	}
-	for i := range c.hists {
-		for b := 0; b < HistBuckets; b++ {
-			rec.Counts[b] += c.hists[i].v[id][b].Load()
-		}
-		rec.Sum += c.hists[i].sum[id].Load()
+	h := &c.hists[id]
+	for b := range h.v {
+		rec.Counts[b] = h.v[b].Load()
 	}
+	rec.Sum = h.sum.Load()
 	return rec
 }
 

@@ -13,11 +13,11 @@ import (
 var update = flag.Bool("update", false, "rewrite golden files")
 
 // goldenReport builds the deterministic trace the golden file pins: two
-// phases (one nested batch span), two counter lanes, one gauge, run meta,
-// pinned repro metadata, two quality samples and three histogram lanes —
+// phases (one nested batch span), eight counters, one gauge, run meta,
+// pinned repro metadata, two quality samples and three histograms —
 // every field class of the hep-trace/v1 schema exercised once.
 func goldenReport() *Obs {
-	o := fakeObs(2)
+	o := fakeObs()
 	o.SetMeta("algorithm", "hep")
 	o.SetMeta("k", 32)
 	o.SetTotalEdges(2000)
@@ -37,21 +37,21 @@ func goldenReport() *Obs {
 	rsp.End()
 
 	c := o.Counters()
-	c.Add(0, CtrEdgesStreamed, 1000)
-	c.Add(1, CtrEdgesStreamed, 500)
-	c.Add(0, CtrBatches, 2)
-	c.Add(1, CtrCASRetries, 3)
-	c.Add(0, CtrSpillBytes, 1<<16)
-	c.Add(0, CtrRefineRounds, 1)
-	c.Add(0, CtrMovesApplied, 12)
-	c.Add(1, CtrMovesRejectedBalance, 2)
-	c.Add(1, CtrGainRecomputes, 64)
+	c.Add(CtrEdgesStreamed, 1000)
+	c.Add(CtrEdgesStreamed, 500)
+	c.Add(CtrBatches, 2)
+	c.Add(CtrCASRetries, 3)
+	c.Add(CtrSpillBytes, 1<<16)
+	c.Add(CtrRefineRounds, 1)
+	c.Add(CtrMovesApplied, 12)
+	c.Add(CtrMovesRejectedBalance, 2)
+	c.Add(CtrGainRecomputes, 64)
 	c.SetMax(GaugePeakBufferBytes, 2)
 
-	c.Observe(0, HistBatchNs, 1_500_000)
-	c.Observe(1, HistBatchNs, 900_000)
-	c.Observe(0, HistRegionEdges, 48)
-	c.Observe(1, HistStallNs, 200_000)
+	c.Observe(HistBatchNs, 1_500_000)
+	c.Observe(HistBatchNs, 900_000)
+	c.Observe(HistRegionEdges, 48)
+	c.Observe(HistStallNs, 200_000)
 
 	o.RecordSample(500, 700, 450, 160, 140, 32)
 	o.RecordSample(1000, 1250, 800, 320, 290, 32)

@@ -1,7 +1,7 @@
 // Package obs is the runtime observability layer of the partitioning
 // pipeline: phase spans (a lightweight tracer recording wall time, work
-// volume and memory snapshots per pipeline stage), hot-path counters (padded
-// per-worker atomic lanes folded at batch boundaries), a machine-readable
+// volume and memory snapshots per pipeline stage), hot-path counters (one
+// block of atomics added at batch boundaries), a machine-readable
 // trace-JSON encoder, a human progress reporter, and an expvar/pprof debug
 // listener.
 //
@@ -38,11 +38,9 @@ const DefaultMaxSpans = 8192
 // samples are evicted FIFO past the cap and counted in series_evicted.
 const DefaultSeriesCap = 1024
 
-// Options configures an observability hub beyond the worker count.
-// The zero value of every field selects the default.
+// Options configures an observability hub's caps. The zero value of every
+// field selects the default.
 type Options struct {
-	// Workers is the number of counter/histogram lanes (min 1).
-	Workers int
 	// MaxSpans caps the stored span list (0 = DefaultMaxSpans).
 	MaxSpans int
 	// SeriesCap caps the quality-sample ring (0 = DefaultSeriesCap,
@@ -81,7 +79,7 @@ type SpanRecord struct {
 }
 
 // Obs is the per-run observability hub: the span tracer plus the hot-path
-// counter lanes, with optional progress notification. The zero value is not
+// counters, with optional progress notification. The zero value is not
 // used; construct with New. A nil *Obs is the disabled form — every method
 // no-ops and Counters() returns a nil *Counters whose methods also no-op.
 type Obs struct {
@@ -130,16 +128,15 @@ type SpanEvent struct {
 	Edges int64
 }
 
-// New returns an enabled observability hub with counter lanes for w workers
-// and default caps.
-func New(w int) *Obs {
-	return NewWithOptions(Options{Workers: w})
+// New returns an enabled observability hub with default caps.
+func New() *Obs {
+	return NewWithOptions(Options{})
 }
 
 // NewWithOptions returns an enabled observability hub with explicit caps.
 func NewWithOptions(opts Options) *Obs {
 	o := &Obs{
-		c:     NewCounters(opts.Workers),
+		c:     NewCounters(),
 		meta:  make(map[string]any),
 		repro: ReproMeta(),
 		now:   time.Now,
@@ -173,7 +170,7 @@ func NewWithOptions(opts Options) *Obs {
 	return o
 }
 
-// Counters returns the hot-path counter lanes (nil for a nil Obs — still
+// Counters returns the hot-path counters (nil for a nil Obs — still
 // safe to use, every Counters method is nil-safe).
 func (o *Obs) Counters() *Counters {
 	if o == nil {

@@ -11,8 +11,8 @@ import (
 // clock advances 1ms per observation, cumulative allocation grows 1MiB per
 // memory snapshot, live heap and peak RSS are constants. The repro metadata
 // is pinned too, so golden wire-format tests don't depend on the machine.
-func fakeObs(w int) *Obs {
-	return fakeObsWith(Options{Workers: w})
+func fakeObs() *Obs {
+	return fakeObsWith(Options{})
 }
 
 func fakeObsWith(opts Options) *Obs {
@@ -43,7 +43,7 @@ func fakeObsWith(opts Options) *Obs {
 // children, depths follow the stack, siblings share a parent, and start
 // times are monotone in open order.
 func TestSpanNesting(t *testing.T) {
-	o := fakeObs(1)
+	o := fakeObs()
 	root := o.Span("root")
 	child := o.Span("child")
 	grand := o.Span("grand")
@@ -93,7 +93,7 @@ func TestSpanNesting(t *testing.T) {
 // outer span closes every span still open inside it, with a shared end
 // stamp, so an early return cannot corrupt the nesting for later phases.
 func TestSpanEndForceClosesChildren(t *testing.T) {
-	o := fakeObs(1)
+	o := fakeObs()
 	root := o.Span("root")
 	o.Span("leaked-child")
 	o.Span("leaked-grand")
@@ -125,7 +125,7 @@ func TestSpanEndForceClosesChildren(t *testing.T) {
 // scrape.
 func TestSpanCap(t *testing.T) {
 	const cap, extra = 16, 7
-	o := fakeObsWith(Options{Workers: 1, MaxSpans: cap})
+	o := fakeObsWith(Options{MaxSpans: cap})
 	for i := 0; i < cap+extra; i++ {
 		o.Span(fmt.Sprintf("s%d", i)).End()
 	}
@@ -138,7 +138,7 @@ func TestSpanCap(t *testing.T) {
 	if got := o.DroppedSpans(); got != extra {
 		t.Fatalf("DroppedSpans() = %d, want %d", got, extra)
 	}
-	if def := New(1); def.maxSpans != DefaultMaxSpans {
+	if def := New(); def.maxSpans != DefaultMaxSpans {
 		t.Fatalf("default span cap = %d, want %d", def.maxSpans, DefaultMaxSpans)
 	}
 }
@@ -146,7 +146,7 @@ func TestSpanCap(t *testing.T) {
 // TestSpanNotify pins the progress-notifier event stream: one start and one
 // end event per span, in transition order, with duration and edges on ends.
 func TestSpanNotify(t *testing.T) {
-	o := fakeObs(1)
+	o := fakeObs()
 	var events []SpanEvent
 	o.SetNotify(func(ev SpanEvent) { events = append(events, ev) })
 	sp := o.Span("stream")
@@ -173,9 +173,9 @@ func TestDisabledHotPathAllocates0(t *testing.T) {
 		sp.Edges(1).Bytes(2)
 		sp.End()
 		c := o.Counters()
-		c.Add(0, CtrEdgesStreamed, 512)
+		c.Add(CtrEdgesStreamed, 512)
 		c.SetMax(GaugePeakBufferBytes, 4)
-		c.Observe(0, HistBatchNs, 12345)
+		c.Observe(HistBatchNs, 12345)
 		if c.Total(CtrEdgesStreamed) != 0 || c.Gauge(GaugePeakBufferBytes) != 0 {
 			t.Fatal("nil counters returned nonzero")
 		}
@@ -194,26 +194,25 @@ func TestDisabledHotPathAllocates0(t *testing.T) {
 // TestEnabledCounterAddAllocates0 pins that the enabled fold path is also
 // allocation-free: an Add at a batch boundary is one atomic add.
 func TestEnabledCounterAddAllocates0(t *testing.T) {
-	c := NewCounters(4)
+	c := NewCounters()
 	allocs := testing.AllocsPerRun(1000, func() {
-		c.Add(2, CtrEdgesStreamed, 4096)
-		c.Add(2, CtrBatches, 1)
+		c.Add(CtrEdgesStreamed, 4096)
+		c.Add(CtrBatches, 1)
 		c.SetMax(GaugePeakBufferBytes, 1<<20)
-		c.Observe(2, HistBatchNs, 1<<17)
+		c.Observe(HistBatchNs, 1<<17)
 	})
 	if allocs != 0 {
 		t.Fatalf("enabled fold path allocates %.1f per run, want 0", allocs)
 	}
 }
 
-// TestCountersConcurrentFold drives W writer goroutines against their own
-// lanes while a reader scrapes totals — the engine's fold discipline under
-// the race detector. Totals must come out exact and the gauge must keep the
-// maximum.
+// TestCountersConcurrentFold drives W writer goroutines against the one
+// counter block while a reader scrapes totals, under the race detector.
+// Totals must come out exact and the gauge must keep the maximum.
 func TestCountersConcurrentFold(t *testing.T) {
 	for _, workers := range []int{2, 4, 8} {
 		t.Run(fmt.Sprintf("W=%d", workers), func(t *testing.T) {
-			c := NewCounters(workers)
+			c := NewCounters()
 			const folds = 2000
 			var writers, scraper sync.WaitGroup
 			stop := make(chan struct{})
@@ -235,8 +234,8 @@ func TestCountersConcurrentFold(t *testing.T) {
 				go func(w int) {
 					defer writers.Done()
 					for i := 0; i < folds; i++ {
-						c.Add(w, CtrEdgesStreamed, 3)
-						c.Add(w, CtrBatches, 1)
+						c.Add(CtrEdgesStreamed, 3)
+						c.Add(CtrBatches, 1)
 						c.SetMax(GaugePeakBufferBytes, int64(w+1))
 					}
 				}(w)
@@ -255,21 +254,6 @@ func TestCountersConcurrentFold(t *testing.T) {
 				t.Errorf("gauge %d, want %d", got, workers)
 			}
 		})
-	}
-}
-
-// TestCountersLaneClamp pins the out-of-range discipline: worker ids beyond
-// the lane count clamp to the last lane instead of panicking, and negative
-// ids clamp to lane 0.
-func TestCountersLaneClamp(t *testing.T) {
-	c := NewCounters(2)
-	c.Add(99, CtrBatches, 5)
-	c.Add(-3, CtrBatches, 7)
-	if got := c.Total(CtrBatches); got != 12 {
-		t.Fatalf("total %d, want 12", got)
-	}
-	if c0 := NewCounters(0); c0.Lanes() != 1 {
-		t.Fatalf("zero-worker counters got %d lanes, want 1", c0.Lanes())
 	}
 }
 
@@ -302,33 +286,31 @@ func TestCounterNamesStable(t *testing.T) {
 }
 
 // TestHistogramBuckets pins the log2 bucketing: v ≤ 0 lands in bucket 0,
-// positive values in the bucket of their bit length, sums and lane folds are
-// exact, and out-of-range worker ids clamp like counters do.
+// positive values in the bucket of their bit length, and sums are exact.
 func TestHistogramBuckets(t *testing.T) {
-	c := NewCounters(2)
-	c.Observe(0, HistRegionEdges, 0)      // bucket 0
-	c.Observe(0, HistRegionEdges, -5)     // bucket 0, no sum
-	c.Observe(0, HistRegionEdges, 1)      // bucket 1
-	c.Observe(1, HistRegionEdges, 7)      // bucket 3
-	c.Observe(1, HistRegionEdges, 8)      // bucket 4
-	c.Observe(99, HistRegionEdges, 8)     // clamps to lane 1, bucket 4
-	c.Observe(-1, HistRegionEdges, 1<<40) // clamps to lane 0, bucket 41
+	c := NewCounters()
+	c.Observe(HistRegionEdges, 0)     // bucket 0
+	c.Observe(HistRegionEdges, -5)    // bucket 0, no sum
+	c.Observe(HistRegionEdges, 1)     // bucket 1
+	c.Observe(HistRegionEdges, 7)     // bucket 3
+	c.Observe(HistRegionEdges, 8)     // bucket 4
+	c.Observe(HistRegionEdges, 1<<40) // bucket 41
 
 	rec := c.HistRecord(HistRegionEdges)
 	if len(rec.Counts) != HistBuckets {
 		t.Fatalf("record has %d buckets, want %d", len(rec.Counts), HistBuckets)
 	}
-	wantBuckets := map[int]int64{0: 2, 1: 1, 3: 1, 4: 2, 41: 1}
+	wantBuckets := map[int]int64{0: 2, 1: 1, 3: 1, 4: 1, 41: 1}
 	for b, cnt := range rec.Counts {
 		if cnt != wantBuckets[b] {
 			t.Errorf("bucket %d = %d, want %d", b, cnt, wantBuckets[b])
 		}
 	}
-	if want := int64(1 + 7 + 8 + 8 + 1<<40); rec.Sum != want {
+	if want := int64(1 + 7 + 8 + 1<<40); rec.Sum != want {
 		t.Errorf("sum = %d, want %d", rec.Sum, want)
 	}
-	if got := c.HistCount(HistRegionEdges); got != 7 {
-		t.Errorf("count = %d, want 7", got)
+	if got := c.HistCount(HistRegionEdges); got != 6 {
+		t.Errorf("count = %d, want 6", got)
 	}
 	snap := c.HistSnapshot()
 	if _, ok := snap["region_edges"]; !ok || len(snap) != 1 {
@@ -340,7 +322,7 @@ func TestHistogramBuckets(t *testing.T) {
 // FIFO ring eviction with chronological Series order, the SampleEvery
 // thinning, and the disabled forms.
 func TestQualitySeries(t *testing.T) {
-	o := fakeObsWith(Options{Workers: 1, SeriesCap: 4})
+	o := fakeObsWith(Options{SeriesCap: 4})
 	if !o.SampleTick() {
 		t.Fatal("enabled hub refused a sample tick")
 	}
@@ -380,7 +362,7 @@ func TestQualitySeries(t *testing.T) {
 	}
 
 	// Thinning: SampleEvery=3 says yes on every third tick.
-	th := fakeObsWith(Options{Workers: 1, SampleEvery: 3})
+	th := fakeObsWith(Options{SampleEvery: 3})
 	yes := 0
 	for i := 0; i < 9; i++ {
 		if th.SampleTick() {
@@ -393,8 +375,8 @@ func TestQualitySeries(t *testing.T) {
 
 	// Disabled: negative cap or cadence refuses ticks and records nothing.
 	for _, off := range []*Obs{
-		fakeObsWith(Options{Workers: 1, SeriesCap: -1}),
-		fakeObsWith(Options{Workers: 1, SampleEvery: -1}),
+		fakeObsWith(Options{SeriesCap: -1}),
+		fakeObsWith(Options{SampleEvery: -1}),
 	} {
 		if off.SampleTick() {
 			t.Error("disabled sampler accepted a tick")

@@ -12,13 +12,13 @@ import (
 // edge total: it must print the phase transitions and at least one periodic
 // line with percentage and throughput.
 func TestProgressReporter(t *testing.T) {
-	o := New(1)
+	o := New()
 	var buf bytes.Buffer
 	p := StartProgress(o, &buf, 2*time.Millisecond)
 	o.SetTotalEdges(2000)
 
 	sp := o.Span("stream")
-	o.Counters().Add(0, CtrEdgesStreamed, 1000)
+	o.Counters().Add(CtrEdgesStreamed, 1000)
 	time.Sleep(30 * time.Millisecond) // several ticks
 	sp.Edges(1000).End()
 	p.Stop()
@@ -37,7 +37,7 @@ func TestProgressReporter(t *testing.T) {
 // line may ever read above 100% — the pre-fix reporter printed 200% on pass
 // two and a negative ETA.
 func TestProgressMultiPassNoOverrun(t *testing.T) {
-	o := New(1)
+	o := New()
 	var buf bytes.Buffer
 	p := StartProgress(o, &buf, time.Hour) // ticks driven manually via report
 	defer p.Stop()
@@ -46,14 +46,14 @@ func TestProgressMultiPassNoOverrun(t *testing.T) {
 
 	// Pass 1: the full m edges fold, then the pass ends.
 	sp := o.Span("stream-pass-1")
-	o.Counters().Add(0, CtrEdgesStreamed, m)
+	o.Counters().Add(CtrEdgesStreamed, m)
 	p.report(time.Second)
 	sp.Edges(m).End()
 
 	// Pass 2: the root-span start rebases the phase; half of the pass folds.
 	// Cumulative streamed is now 1.5·m — the pre-fix pct read 150%.
 	sp = o.Span("restream-pass-2")
-	o.Counters().Add(0, CtrEdgesStreamed, m/2)
+	o.Counters().Add(CtrEdgesStreamed, m/2)
 	p.report(2 * time.Second)
 	sp.Edges(m).End()
 
@@ -113,8 +113,8 @@ func TestFmtHelpers(t *testing.T) {
 // the schema, and a second listener (a second run in one process) must not
 // panic on duplicate expvar publication and must serve the newer hub's state.
 func TestServeDebug(t *testing.T) {
-	o := New(2)
-	o.Counters().Add(0, CtrBatches, 7)
+	o := New()
+	o.Counters().Add(CtrBatches, 7)
 	srv, addr, err := ServeDebug(o, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -148,7 +148,7 @@ func TestServeDebug(t *testing.T) {
 	if idx := get("/debug/pprof/"); !bytes.Contains(idx, []byte("goroutine")) {
 		t.Error("/debug/pprof/ index missing profiles")
 	}
-	o.Counters().Observe(0, HistBatchNs, 1_000_000)
+	o.Counters().Observe(HistBatchNs, 1_000_000)
 	o.RecordSample(100, 150, 90, 20, 10, 8)
 	prom := get("/metrics")
 	for _, want := range []string{
@@ -165,8 +165,8 @@ func TestServeDebug(t *testing.T) {
 	}
 
 	// Second run in the same process: swap the hub, don't re-publish.
-	o2 := New(1)
-	o2.Counters().Add(0, CtrBatches, 99)
+	o2 := New()
+	o2.Counters().Add(CtrBatches, 99)
 	srv2, addr2, err := ServeDebug(o2, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

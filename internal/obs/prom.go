@@ -11,7 +11,7 @@ import (
 // promHandler serves the Prometheus text exposition format (version 0.0.4,
 // stdlib-only) for whatever hub the atomically-swapped pointer currently
 // holds: counters as prometheus counters, gauges and the latest quality
-// sample as prometheus gauges, and the log2 histogram lanes as cumulative
+// sample as prometheus gauges, and the log2 histograms as cumulative
 // le-bucket histograms. Mounted on the ServeDebug listener at /metrics.
 func promHandler(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")

@@ -120,9 +120,8 @@ type Buffered struct {
 	Workers int
 	// Obs is the observability hook (nil = disabled): the discovery scan and
 	// the buffered streaming loop record phase spans, and every LastStats
-	// event additionally folds into the obs counter lanes at batch
-	// boundaries — the single observability surface LastStats is the
-	// per-run view of.
+	// event additionally folds into the obs counters at batch boundaries —
+	// the single observability surface LastStats is the per-run view of.
 	Obs *obs.Obs
 
 	// LastStats holds the statistics of the most recent run.
@@ -279,7 +278,7 @@ func (b *Buffered) Partition(src graph.EdgeStream, k int) (*part.Result, error) 
 	err = cs.Chunks(func(edges []graph.Edge, release func()) bool {
 		defer release()
 		if lends {
-			b.Obs.Counters().Add(0, obs.CtrChunksLent, 1)
+			b.Obs.Counters().Add(obs.CtrChunksLent, 1)
 		}
 		for len(edges) > 0 {
 			take := min(bufEdges-len(st.batch), len(edges))
@@ -385,17 +384,17 @@ func (b *Buffered) processBatch(st *batchState, localID []int32, res *part.Resul
 	}
 
 	// Batch-boundary fold: every LastStats delta this batch produced goes
-	// into the obs counter lanes in one pass, keeping the hot loops above
+	// into the obs counters in one pass, keeping the hot loops above
 	// counter-free.
 	c := b.Obs.Counters()
-	c.Add(0, obs.CtrBatches, 1)
-	c.Add(0, obs.CtrEdgesStreamed, int64(len(batch)))
-	c.Add(0, obs.CtrRegions, b.LastStats.Regions-pre.Regions)
-	c.Add(0, obs.CtrExpansionEdges, b.LastStats.ExpansionEdges-pre.ExpansionEdges)
-	c.Add(0, obs.CtrWarmMaskPasses, b.LastStats.WarmMaskPasses-pre.WarmMaskPasses)
-	c.Add(0, obs.CtrWarmScanProbes, b.LastStats.WarmScanProbes-pre.WarmScanProbes)
-	c.Add(0, obs.CtrWarmRescans, b.LastStats.WarmRescans-pre.WarmRescans)
-	c.Add(0, obs.CtrWarmSpills, int64(len(st.buckets.Overflow())))
+	c.Add(obs.CtrBatches, 1)
+	c.Add(obs.CtrEdgesStreamed, int64(len(batch)))
+	c.Add(obs.CtrRegions, b.LastStats.Regions-pre.Regions)
+	c.Add(obs.CtrExpansionEdges, b.LastStats.ExpansionEdges-pre.ExpansionEdges)
+	c.Add(obs.CtrWarmMaskPasses, b.LastStats.WarmMaskPasses-pre.WarmMaskPasses)
+	c.Add(obs.CtrWarmScanProbes, b.LastStats.WarmScanProbes-pre.WarmScanProbes)
+	c.Add(obs.CtrWarmRescans, b.LastStats.WarmRescans-pre.WarmRescans)
+	c.Add(obs.CtrWarmSpills, int64(len(st.buckets.Overflow())))
 	// One quality sample per buffered batch: running RF, balance and load
 	// spread land in the series ring right after the counter fold, on the
 	// same batch boundary — never per edge or per region.

@@ -88,7 +88,7 @@ func (b *Buffered) expand(st *batchState, res *part.Result, capacity int64) erro
 		quota := min(int64(quotaBase), capacity-res.Counts[p])
 		b.LastStats.Regions++
 		placed := b.growRegion(st, res, p, int(quota))
-		b.Obs.Counters().Observe(0, obs.HistRegionEdges, int64(placed))
+		b.Obs.Counters().Observe(obs.HistRegionEdges, int64(placed))
 		if check.Enabled {
 			check.Assertf(placed > 0, "expansion region into partition %d (quota %d) placed no edge", p, quota)
 		}

@@ -318,7 +318,7 @@ func TestParallelHDRFOverChunkedFile(t *testing.T) {
 	}
 
 	for _, workers := range []int{2, 4} {
-		o := obs.New(workers)
+		o := obs.New()
 		c := o.Counters()
 		res := part.NewResult(s.NumVertices(), k)
 		err := stream.RunHDRFParallel(s, res, deg, stream.DefaultLambda, 1.05, m,

@@ -17,27 +17,18 @@ import "math/bits"
 // total — O(1) per edge.
 //
 // The zero value is unusable; use NewLoads. Not safe for concurrent use.
-//
-// Most increments write the counts, max and nAtMin and the atMin mask. The
-// struct is padded to two cache lines and each backing array is allocated
-// in whole lines, so trackers allocated back to back never share a line.
 type Loads struct {
 	counts   []int64
 	max, min int64
 	atMin    []uint64 // partitions with counts[p] == min
 	nAtMin   int
-	_        [56]byte // pads the struct to 128 B
 }
-
-// lineWords rounds n 8-byte words up to whole 64-byte cache lines.
-func lineWords(n int) int { return (n + 7) &^ 7 }
 
 // NewLoads returns a tracker for k partitions, all at load zero.
 func NewLoads(k int) *Loads {
-	words := (k + 63) / 64
 	l := &Loads{
-		counts: make([]int64, k, lineWords(k)),
-		atMin:  make([]uint64, words, lineWords(words)),
+		counts: make([]int64, k),
+		atMin:  make([]uint64, (k+63)/64),
 		nAtMin: k,
 	}
 	for p := 0; p < k; p++ {
@@ -105,10 +96,9 @@ func (l *Loads) ArgMin() int {
 
 // Bulk adds delta edges to partition p. For delta ≥ 0 the bounds are
 // maintained in O(1) — max trivially, min by clearing p from the at-minimum
-// mask and rescanning only when the mask empties — so warm-start folding of
-// per-shard deltas costs O(changed partitions), not O(k) per call. A
-// negative delta breaks the grow-only invariant and falls back to a full
-// recompute (cold path; tests).
+// mask and rescanning only when the mask empties. A negative delta (a
+// refinement move out of p) breaks the grow-only invariant and falls back
+// to a full recompute.
 func (l *Loads) Bulk(p int, delta int64) {
 	if delta == 0 {
 		return
@@ -131,40 +121,9 @@ func (l *Loads) Bulk(p int, delta int64) {
 	}
 }
 
-// Merge folds a dense per-partition delta vector (len k) into the tracker.
-// With non-negative deltas the cost is O(changed partitions) plus at most
-// one O(k) minimum rescan (only when the at-minimum set empties); any
-// negative entry falls back to a full recompute.
-func (l *Loads) Merge(deltas []int64) {
-	for p, d := range deltas {
-		if d == 0 {
-			continue
-		}
-		if d < 0 {
-			for q := p; q < len(deltas); q++ {
-				l.counts[q] += deltas[q]
-			}
-			l.recompute()
-			return
-		}
-		c := l.counts[p] + d
-		l.counts[p] = c
-		if c > l.max {
-			l.max = c
-		}
-		if c-d == l.min && l.nAtMin > 0 {
-			l.atMin[p>>6] &^= 1 << (uint(p) & 63)
-			l.nAtMin--
-		}
-	}
-	if l.nAtMin == 0 {
-		l.advanceMin()
-	}
-}
-
 // advanceMin rescans the counts for the new minimum after the at-minimum
-// set emptied under a bulk update (unlike Inc's unit steps, a bulk delta
-// can jump the minimum by more than one).
+// set emptied under Bulk (unlike Inc's unit steps, a bulk delta can jump
+// the minimum by more than one).
 func (l *Loads) advanceMin() {
 	min := l.counts[0]
 	for _, c := range l.counts[1:] {

@@ -245,57 +245,6 @@ func TestLoadsBulkMatchesRecompute(t *testing.T) {
 	}
 }
 
-// TestLoadsMerge folds random dense delta vectors — including merges that
-// empty the at-minimum set in one call and deltas on several minimum
-// partitions at once — and checks the tracked bounds after each fold.
-func TestLoadsMerge(t *testing.T) {
-	for _, k := range []int{2, 7, 64, 130} {
-		rng := rand.New(rand.NewSource(int64(200 + k)))
-		l := NewLoads(k)
-		ref := make([]int64, k)
-		deltas := make([]int64, k)
-		for round := 0; round < 500; round++ {
-			for p := range deltas {
-				deltas[p] = 0
-			}
-			switch round % 3 {
-			case 0: // sparse
-				for i := 0; i < 3; i++ {
-					deltas[rng.Intn(k)] += int64(rng.Intn(10))
-				}
-			case 1: // dense, hits every minimum partition
-				for p := range deltas {
-					deltas[p] = int64(rng.Intn(4))
-				}
-			case 2: // targeted at the current minimum set
-				deltas[l.ArgMin()] = int64(1 + rng.Intn(5))
-			}
-			l.Merge(deltas)
-			for p := range deltas {
-				ref[p] += deltas[p]
-			}
-			max, min, argmin := ref[0], ref[0], 0
-			for q, c := range ref {
-				if c > max {
-					max = c
-				}
-				if c < min {
-					min, argmin = c, q
-				}
-			}
-			if l.Max() != max || l.Min() != min || l.ArgMin() != argmin {
-				t.Fatalf("k=%d round %d: got (%d,%d,%d), want (%d,%d,%d)",
-					k, round, l.Max(), l.Min(), l.ArgMin(), max, min, argmin)
-			}
-			for p := range ref {
-				if l.Counts()[p] != ref[p] {
-					t.Fatalf("k=%d round %d: counts[%d] = %d, want %d", k, round, p, l.Counts()[p], ref[p])
-				}
-			}
-		}
-	}
-}
-
 // TestRunningCoveredMatchesScan pins the incremental Covered/TotalReplicas
 // counters against the exact TotalAndCovered scan, across the dense-only and
 // paged-overflow layouts.

@@ -353,7 +353,7 @@ func Run(res *part.Result, edges []graph.Edge, parts []int32, o Options) (Stats,
 
 		rsp := o.Obs.Span("refine-round")
 		moves := scanMoves(t, inc, parts, boundary, loads, st.Bound, workers, c, &st)
-		c.Add(0, obs.CtrRefineRounds, 1)
+		c.Add(obs.CtrRefineRounds, 1)
 		st.Rounds++
 		if len(moves) == 0 {
 			rsp.End()
@@ -520,10 +520,10 @@ func scanMoves(t *pstate.Table, inc incidence, parts []int32,
 	wg.Wait()
 
 	var total int64
-	for w := 0; w < workers; w++ {
-		c.Add(w, obs.CtrGainRecomputes, recomputes[w])
-		total += recomputes[w]
+	for _, n := range recomputes {
+		total += n
 	}
+	c.Add(obs.CtrGainRecomputes, total)
 	st.GainRecomputes += total
 
 	var moves []move
@@ -652,10 +652,9 @@ func applyMoves(moves []move, inc incidence, parts []int32, loads []atomic.Int64
 	}
 	wg.Wait()
 
+	applied, rejBalance := st.Applied, st.RejectedBalance
 	var moved int64
-	for w, r := range results {
-		c.Add(w, obs.CtrMovesApplied, r.applied)
-		c.Add(w, obs.CtrMovesRejectedBalance, r.rejBalance)
+	for _, r := range results {
 		st.Applied += r.applied
 		st.RejectedBalance += r.rejBalance
 		st.RejectedConflict += r.rejConflict
@@ -663,6 +662,8 @@ func applyMoves(moves []move, inc incidence, parts []int32, loads []atomic.Int64
 		st.MovedEdges += r.moved
 		moved += r.moved
 	}
+	c.Add(obs.CtrMovesApplied, st.Applied-applied)
+	c.Add(obs.CtrMovesRejectedBalance, st.RejectedBalance-rejBalance)
 	return moved
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"hep/internal/gen"
 	"hep/internal/graph"
+	"hep/internal/obs"
 	"hep/internal/part"
 	"hep/internal/pstate"
 	"hep/internal/stream"
@@ -153,6 +154,35 @@ func TestRunDeterministicSequential(t *testing.T) {
 	}
 	if s1.Applied == 0 {
 		t.Error("sequential refinement applied no moves on the OK stand-in")
+	}
+}
+
+// TestRunCountersMatchStats pins the counter fold of a two-worker pass:
+// the workers' tallies, added once after each join, equal the pass's Stats.
+func TestRunCountersMatchStats(t *testing.T) {
+	g := gen.MustDataset("OK").Build(0.05)
+	res, rec := capture(t, &stream.HDRF{}, g, 16)
+	o := obs.New()
+	st, err := Run(res, rec.Edges, rec.Parts, Options{Workers: 2, Obs: o})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := o.Counters()
+	for _, tc := range []struct {
+		id   obs.CounterID
+		want int64
+	}{
+		{obs.CtrRefineRounds, int64(st.Rounds)},
+		{obs.CtrMovesApplied, st.Applied},
+		{obs.CtrMovesRejectedBalance, st.RejectedBalance},
+		{obs.CtrGainRecomputes, st.GainRecomputes},
+	} {
+		if got := c.Total(tc.id); got != tc.want {
+			t.Errorf("%s = %d, Stats say %d", tc.id, got, tc.want)
+		}
+	}
+	if st.Applied == 0 {
+		t.Error("refinement applied no moves on the OK stand-in")
 	}
 }
 

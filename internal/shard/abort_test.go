@@ -1,8 +1,9 @@
 package shard_test
 
 // Scan-abort suite: HDRF's partial-degree pass must stop the scan at its
-// first out-of-range id (AbortStream), and the degree forward kept for the
-// benchmark's staged chains must stay the sequential pass.
+// first out-of-range id (Run stops at the placer's first error), and the
+// degree forward kept for the benchmark's staged chains must stay the
+// sequential pass.
 
 import (
 	"errors"

@@ -12,10 +12,11 @@ import (
 // the benchmark's per-edge time is Run's own overhead, not HDRF scoring.
 type nopPlacer struct{}
 
-func (nopPlacer) PlaceBatch(edges []graph.Edge, parts []int32) {
+func (nopPlacer) PlaceBatch(edges []graph.Edge, parts []int32) error {
 	for i := range parts {
 		parts[i] = 0
 	}
+	return nil
 }
 
 // BenchmarkZeroCopyDispatch compares the two ingest modes of the batch loop
@@ -34,7 +35,7 @@ func BenchmarkZeroCopyDispatch(b *testing.B) {
 			if mode == "copy" {
 				src = edgesOnly{s: slabs}
 			}
-			c := obs.NewCounters(1)
+			c := obs.NewCounters()
 			deliver := func(edges []graph.Edge, parts []int32) {}
 			b.SetBytes(m * 8)
 			b.ResetTimer()

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"cmp"
 	"time"
 
 	"hep/internal/check"
@@ -15,11 +16,12 @@ import (
 const DefaultBatchEdges = 4096
 
 // BatchPlacer places one batch: PlaceBatch decides a partition for every
-// edge, writing parts[i] for edges[i]. Batch edge slices may alias a lent
-// producer slab (graph.ChunkStream), so a placer must treat edges as
-// read-only and must not retain the slice past the call.
+// edge, writing parts[i] for edges[i], or returns the error that ends the
+// pass. Batch edge slices may alias a lent producer slab
+// (graph.ChunkStream), so a placer must treat edges as read-only and must
+// not retain the slice past the call.
 type BatchPlacer interface {
-	PlaceBatch(edges []graph.Edge, parts []int32)
+	PlaceBatch(edges []graph.Edge, parts []int32) error
 }
 
 // Run streams src through w in batches of at most DefaultBatchEdges and
@@ -30,38 +32,48 @@ type BatchPlacer interface {
 // bytes_copied_dispatch). Each slab is placed, delivered and released
 // before the next is asked for. With counters c (nil = disabled) every
 // PlaceBatch is timed into the batch latency histogram, and batch and edge
-// totals fold once per batch. Run returns the stream's error, if any.
+// totals fold once per batch.
+//
+// The first PlaceBatch error ends the pass: the failed batch is not
+// delivered, the slab in hand is released, the scan stops and Run returns
+// that error. Otherwise Run returns the stream's error, if any.
 func Run(src graph.EdgeStream, w BatchPlacer, c *obs.Counters, deliver func(edges []graph.Edge, parts []int32)) error {
 	cs, lends := Lend(src, DefaultBatchEdges, c)
 	parts := make([]int32, DefaultBatchEdges)
+	var placeErr error
 	//hep:noalloc
-	return cs.Chunks(func(slab []graph.Edge, release func()) bool {
+	err := cs.Chunks(func(slab []graph.Edge, release func()) bool {
 		for off := 0; off < len(slab); {
 			end := min(off+DefaultBatchEdges, len(slab))
 			edges, ps := slab[off:end:end], parts[:end-off]
 			if c != nil {
 				t0 := time.Now()
-				w.PlaceBatch(edges, ps)
-				c.Observe(0, obs.HistBatchNs, time.Since(t0).Nanoseconds())
+				placeErr = w.PlaceBatch(edges, ps)
+				c.Observe(obs.HistBatchNs, time.Since(t0).Nanoseconds())
 			} else {
-				w.PlaceBatch(edges, ps)
+				placeErr = w.PlaceBatch(edges, ps)
+			}
+			if placeErr != nil {
+				release()
+				return false
 			}
 			deliver(edges, ps)
-			c.Add(0, obs.CtrBatches, 1)
-			c.Add(0, obs.CtrEdgesStreamed, int64(len(edges)))
+			c.Add(obs.CtrBatches, 1)
+			c.Add(obs.CtrEdgesStreamed, int64(len(edges)))
 			off = end
 		}
 		if lends {
-			c.Add(0, obs.CtrChunksLent, 1)
+			c.Add(obs.CtrChunksLent, 1)
 		}
 		release()
 		return true
 	})
+	return cmp.Or(placeErr, err)
 }
 
 // Lend returns src as a slab-lending stream, and whether src lends its own
 // slabs. A source that does not (graph.AsChunks false: the H2H spill
-// stores, an AbortStream over them, plain user streams) is adapted: its
+// stores, plain user streams) is adapted: its
 // edges are copied into one slab of slabEdges (≥ 1) edges, lent each time
 // it fills and once more for the tail, and every lent copy folds one
 // chunk_copy_fallbacks and its bytes into bytes_copied_dispatch on c. The
@@ -93,8 +105,8 @@ func (s *copyChunks) Chunks(yield func(edges []graph.Edge, release func()) bool)
 	lend := func() bool {
 		edges := slab[:n:n]
 		n = 0
-		s.c.Add(0, obs.CtrChunkCopyFallbacks, 1)
-		s.c.Add(0, obs.CtrBytesCopiedDispatch, int64(len(edges))*8)
+		s.c.Add(obs.CtrChunkCopyFallbacks, 1)
+		s.c.Add(obs.CtrBytesCopiedDispatch, int64(len(edges))*8)
 		held = true
 		ok := yield(edges, release)
 		if check.Enabled {

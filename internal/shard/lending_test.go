@@ -1,6 +1,7 @@
 package shard_test
 
 import (
+	"errors"
 	"sync/atomic"
 	"testing"
 
@@ -10,11 +11,13 @@ import (
 	"hep/internal/shard"
 )
 
-// slabSource is a chunk-lending stream over pre-cut slabs with a per-slab
-// release counter, so tests can pin the release-exactly-once discipline.
+// slabSource is a chunk-lending stream over pre-cut slabs with a count of
+// the slabs lent and a per-slab release counter, so tests can pin the
+// release-exactly-once discipline.
 type slabSource struct {
 	slabs    [][]graph.Edge
 	n        int
+	lent     int
 	released []atomic.Int32
 }
 
@@ -64,6 +67,7 @@ func (s *slabSource) Edges(yield func(u, v graph.V) bool) error {
 func (s *slabSource) Chunks(yield func(edges []graph.Edge, release func()) bool) error {
 	for i, sl := range s.slabs {
 		rc := &s.released[i]
+		s.lent++
 		if !yield(sl, func() { rc.Add(1) }) {
 			return nil
 		}
@@ -86,7 +90,7 @@ func TestLendingOrderedDeliveryAndRelease(t *testing.T) {
 	const k = 13
 	src := newSlabSource(997, 1000, 9)
 	want := src.all()
-	c := obs.NewCounters(1)
+	c := obs.NewCounters()
 	var got []part.TaggedEdge
 	err := shard.Run(src, &orderPlacer{k: k}, c, func(edges []graph.Edge, parts []int32) {
 		for i := range edges {
@@ -131,7 +135,7 @@ func TestNonLendingSourceCopiedIntoSlabs(t *testing.T) {
 	slabs := newSlabSource(997, 1000, 9)
 	want := slabs.all()
 	m := int64(len(want))
-	c := obs.NewCounters(1)
+	c := obs.NewCounters()
 	var got []part.TaggedEdge
 	err := shard.Run(edgesOnly{s: slabs}, &orderPlacer{k: k}, c, func(edges []graph.Edge, parts []int32) {
 		if len(edges) > shard.DefaultBatchEdges {
@@ -169,51 +173,63 @@ func TestNonLendingSourceCopiedIntoSlabs(t *testing.T) {
 	}
 }
 
-// TestAbortStreamReleasesSlabs pins the abort discipline of the lending
-// path: once Stop is set, AbortStream.Chunks refuses further slabs and
-// releases the refused slab itself.
-func TestAbortStreamReleasesSlabs(t *testing.T) {
-	src := newSlabSource(101, 50, 4)
-	var stop atomic.Bool
-	as := shard.AbortStream{EdgeStream: src, Stop: &stop}
-	if !as.LendsChunks() {
-		t.Fatal("AbortStream over a lending source must lend")
+// failPlacer fails on batch failAt (0-based) and places every earlier
+// batch on partition 0.
+type failPlacer struct {
+	failAt, calls int
+}
+
+var errPlace = errors.New("placement failed")
+
+func (f *failPlacer) PlaceBatch(edges []graph.Edge, parts []int32) error {
+	f.calls++
+	if f.calls > f.failAt {
+		return errPlace
 	}
-	cs, ok := graph.AsChunks(as)
-	if !ok {
-		t.Fatal("AsChunks(AbortStream over lending source) = false")
+	for i := range parts {
+		parts[i] = 0
 	}
-	yields := 0
-	if err := cs.Chunks(func(edges []graph.Edge, release func()) bool {
-		yields++
-		stop.Store(true)
-		release()
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if yields != 1 {
-		t.Fatalf("yielded %d slabs after Stop, want 1", yields)
-	}
-	if n := src.released[0].Load(); n != 1 {
-		t.Fatalf("consumed slab released %d times, want 1", n)
-	}
-	if n := src.released[1].Load(); n != 1 {
-		t.Fatalf("refused slab released %d times, want 1 (AbortStream must release it)", n)
-	}
-	for i := 2; i < 4; i++ {
-		if n := src.released[i].Load(); n != 0 {
-			t.Fatalf("never-lent slab %d released %d times", i, n)
+	return nil
+}
+
+// TestRunStopsOnPlacerError pins how Run ends a pass on a placer error.
+// Over a lending source Run returns the error, releases the slab in hand
+// exactly once, asks for no further slab and delivers no batch from the
+// failed one on. Over a non-lending source the scan stops within the one
+// copy slab.
+func TestRunStopsOnPlacerError(t *testing.T) {
+	for _, failAt := range []int{0, 1} {
+		src := newSlabSource(101, 3*shard.DefaultBatchEdges, 4)
+		p := &failPlacer{failAt: failAt}
+		delivered := 0
+		err := shard.Run(src, p, obs.NewCounters(), func(edges []graph.Edge, parts []int32) {
+			delivered++
+		})
+		if !errors.Is(err, errPlace) {
+			t.Fatalf("failAt=%d: Run returned %v, want the placer's error", failAt, err)
+		}
+		if p.calls != failAt+1 || delivered != failAt {
+			t.Fatalf("failAt=%d: %d PlaceBatch calls and %d deliveries, want %d and %d",
+				failAt, p.calls, delivered, failAt+1, failAt)
+		}
+		if src.lent != 1 {
+			t.Fatalf("failAt=%d: source lent %d slabs, want 1", failAt, src.lent)
+		}
+		if n := src.released[0].Load(); n != 1 {
+			t.Fatalf("failAt=%d: slab in hand released %d times, want exactly 1", failAt, n)
 		}
 	}
 
-	// A non-lending source wrapped in AbortStream must not advertise chunks.
-	plain := edgesOnly{s: src}
-	if (shard.AbortStream{EdgeStream: plain, Stop: &stop}).LendsChunks() {
-		t.Fatal("AbortStream over a plain source claims to lend")
+	slabs := newSlabSource(101, 1000, 20)
+	plain := &countingStream{EdgeStream: slabs}
+	if err := shard.Run(plain, &failPlacer{}, nil, func([]graph.Edge, []int32) {
+		t.Fatal("delivered a failed batch")
+	}); !errors.Is(err, errPlace) {
+		t.Fatalf("non-lending source: Run returned %v, want the placer's error", err)
 	}
-	if _, ok := graph.AsChunks(shard.AbortStream{EdgeStream: plain, Stop: &stop}); ok {
-		t.Fatal("AsChunks(AbortStream over plain source) = true")
+	if plain.yielded > shard.DefaultBatchEdges {
+		t.Fatalf("non-lending source: scanned %d edges, want at most one copy slab (%d)",
+			plain.yielded, shard.DefaultBatchEdges)
 	}
 }
 

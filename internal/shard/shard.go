@@ -2,8 +2,8 @@
 // internal/stream: standalone HDRF, re-streaming and HEP's informed h2h
 // phase. Run cuts an edge stream into batches of DefaultBatchEdges, has one
 // placer place each batch in the caller's goroutine and delivers it in
-// stream order. Counters fold, and the batch latency is observed, once per
-// batch. Lent slabs are Run's one input: batches are slices of them, and a
+// stream order; the placer's first error stops the scan. Counters fold, and
+// the batch latency is observed, once per batch. Lent slabs are Run's one input: batches are slices of them, and a
 // source that does not lend is copied into one recycled slab at entry
 // (Lend).
 //
@@ -28,9 +28,8 @@ import (
 // chains pass to the placement and pre-pass entry points.
 type Options struct {
 	// Workers is a worker count (0 = GOMAXPROCS). Placement and the
-	// pre-passes run one worker whatever it says; the facade resolves it
-	// (Resolve) to pick HDRF's exact-degree pre-pass and refinement's
-	// workers.
+	// pre-passes run one worker whatever it says; the facade resolves
+	// refinement's worker count with Resolve.
 	Workers int
 	// Obs is the observability hub (nil = disabled). The batch loop folds
 	// batch and edge totals and latency histograms into its counters, and

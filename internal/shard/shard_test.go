@@ -21,10 +21,11 @@ import (
 // delivery can be verified against the stream.
 type orderPlacer struct{ k int }
 
-func (o *orderPlacer) PlaceBatch(edges []graph.Edge, parts []int32) {
+func (o *orderPlacer) PlaceBatch(edges []graph.Edge, parts []int32) error {
 	for i := range edges {
 		parts[i] = int32((edges[i].U + 3*edges[i].V) % graph.V(o.k))
 	}
+	return nil
 }
 
 // TestEngineOrderedDelivery checks Run's batching and delivery: the

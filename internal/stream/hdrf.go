@@ -13,7 +13,8 @@ import (
 // The standalone algorithm observes degrees incrementally ("partial
 // degrees") as the stream goes by, exactly like the reference
 // implementation; set ExactDegrees to give it a free first pass over the
-// stream (used in ablations, and by the facade at Workers > 1).
+// stream (used in ablations, and by the facade at every Workers value
+// but 1).
 type HDRF struct {
 	part.SinkHolder
 

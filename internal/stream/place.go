@@ -2,7 +2,6 @@ package stream
 
 import (
 	"math"
-	"sync/atomic"
 
 	"hep/internal/graph"
 	"hep/internal/obs"
@@ -22,8 +21,8 @@ import (
 // frozen prior table for re-streaming. partial makes the placer stream
 // partial degrees into deg before scoring each edge (standalone HDRF); it
 // is the one pass whose ids and degree counts no earlier pass has checked,
-// so it records an out-of-range id or a degree past the int32 range in
-// fault.
+// so PlaceBatch returns the error for an out-of-range id or a degree past
+// the int32 range, which ends the pass (shard.Run).
 type hdrfPlacer struct {
 	res      *part.Result
 	reps     *pstate.Table
@@ -31,28 +30,12 @@ type hdrfPlacer struct {
 	partial  bool
 	lambda   float64
 	capacity int64
-	fault    *passFault
-}
-
-// passFault is a pass's record of the error that stopped its scan, and the
-// flag that stops the scan (shard.AbortStream) and delivery.
-type passFault struct {
-	stop atomic.Bool
-	err  error
-}
-
-func (f *passFault) set(err error) {
-	f.err = err
-	f.stop.Store(true)
 }
 
 // PlaceBatch implements shard.BatchPlacer.
 //
 //hep:noalloc
-func (w *hdrfPlacer) PlaceBatch(edges []graph.Edge, parts []int32) {
-	if w.fault.stop.Load() {
-		return
-	}
+func (w *hdrfPlacer) PlaceBatch(edges []graph.Edge, parts []int32) error {
 	loads, table := w.res.Loads, w.res.Reps
 	counts := loads.Counts()
 	deg := w.deg
@@ -62,14 +45,12 @@ func (w *hdrfPlacer) PlaceBatch(edges []graph.Edge, parts []int32) {
 			// The check stands in for the bounds checks of the two
 			// increments, which the compiler then drops.
 			if int(u) >= len(deg) || int(v) >= len(deg) {
-				w.fault.set(graph.VertexRangeError(u, v, len(deg)))
-				return
+				return graph.VertexRangeError(u, v, len(deg))
 			}
 			// A count at the int32 maximum cannot grow; a self-loop
 			// adds 2 to one count.
 			if deg[u] == math.MaxInt32 || deg[v] == math.MaxInt32 || (u == v && deg[u] == math.MaxInt32-1) {
-				w.fault.set(graph.DegreeOverflowError(deg, u, v))
-				return
+				return graph.DegreeOverflowError(deg, u, v)
 			}
 			deg[u]++
 			deg[v]++
@@ -89,6 +70,7 @@ func (w *hdrfPlacer) PlaceBatch(edges []graph.Edge, parts []int32) {
 		loads.Inc(p)
 		parts[i] = int32(p)
 	}
+	return nil
 }
 
 // hdrfPass is one HDRF placement pass over a stream.
@@ -106,10 +88,6 @@ type hdrfPass struct {
 // res's n or degree past the int32 range, delivers nothing from that batch
 // on, and returns graph.ErrVertexRange or graph.ErrDegreeOverflow.
 func (h hdrfPass) run(src graph.EdgeStream, res *part.Result, o *obs.Obs) error {
-	var fault passFault
-	if h.partial {
-		src = shard.AbortStream{EdgeStream: src, Stop: &fault.stop}
-	}
 	w := &hdrfPlacer{
 		res:      res,
 		reps:     res.Reps,
@@ -117,15 +95,11 @@ func (h hdrfPass) run(src graph.EdgeStream, res *part.Result, o *obs.Obs) error 
 		partial:  h.partial,
 		lambda:   h.lambda,
 		capacity: h.capacity,
-		fault:    &fault,
 	}
 	if h.prior != nil {
 		w.reps = h.prior
 	}
 	deliver := func(edges []graph.Edge, parts []int32) {
-		if fault.stop.Load() {
-			return
-		}
 		for i := range edges {
 			res.M++
 			if res.Sink != nil {
@@ -134,10 +108,7 @@ func (h hdrfPass) run(src graph.EdgeStream, res *part.Result, o *obs.Obs) error 
 		}
 		res.SampleQuality(o)
 	}
-	if err := shard.Run(src, w, o.Counters(), deliver); err != nil {
-		return err
-	}
-	return fault.err
+	return shard.Run(src, w, o.Counters(), deliver)
 }
 
 // RunHDRFParallel is PlaceHDRF with no prior table and the hub in
