@@ -59,7 +59,6 @@ import (
 	"hep/internal/part"
 	"hep/internal/refine"
 	"hep/internal/restream"
-	"hep/internal/shard"
 	"hep/internal/stream"
 )
 
@@ -392,7 +391,7 @@ func New(cfg Config) (Algorithm, error) {
 		a = refine.Wrap(a, refine.Options{
 			Mode:    cfg.Refine,
 			Rounds:  cfg.RefineRounds,
-			Workers: shard.Options{Workers: cfg.RefineWorkers}.Resolve(),
+			Workers: cfg.RefineWorkers,
 			Obs:     cfg.Obs,
 		})
 	}

@@ -10,6 +10,10 @@
 // The paper runs DNE across MPI processes; this reproduction runs the
 // expanders as goroutines inside one process, which preserves the causal
 // structure (concurrent greedy claiming with stale views) on one machine.
+//
+// Vertex ids must be below the stream's NumVertices: DNE indexes
+// per-vertex arrays with them unchecked, so a larger id panics. The hep
+// facade checks every id first and returns graph.ErrVertexRange instead.
 package dne
 
 import (

@@ -5,7 +5,6 @@ import (
 
 	"hep/internal/graph"
 	"hep/internal/part"
-	"hep/internal/pstate"
 	"hep/internal/stream"
 )
 
@@ -16,10 +15,8 @@ type TableStateRow struct {
 	Dataset      string
 	K            int
 	NsEdge       float64 // per-edge placement cost (full informed-HDRF pass)
-	TableMiB     float64 // resident replica-table bytes (dense + allocated pages)
+	TableMiB     float64 // resident replica-table bytes: n·⌈k/64⌉ words + k counts
 	PartMajorMiB float64 // k bitsets of n bits, the replaced layout
-	WorstMiB     float64 // pstate.MaxTableBytes: every overflow page allocated
-	Pages        int     // overflow pages actually materialized (0 for k ≤ 64)
 	RF           float64
 }
 
@@ -50,16 +47,14 @@ func TableState(cfg Config) ([]TableStateRow, error) {
 				NsEdge:       float64(elapsed.Nanoseconds()) / float64(m),
 				TableMiB:     float64(res.Reps.Bytes()) / (1 << 20),
 				PartMajorMiB: float64(int64(k)*int64((n+63)/64)*8) / (1 << 20),
-				WorstMiB:     float64(pstate.MaxTableBytes(n, k)) / (1 << 20),
-				Pages:        res.Reps.PagesAllocated(),
 				RF:           res.ReplicationFactor(),
 			})
 		}
 	}
 	t := newTable(cfg.out(), "State layer: vertex-major replica table (HDRF placement, exact degrees)")
-	t.row("graph", "k", "ns/edge", "table(MiB)", "part-major(MiB)", "worst(MiB)", "pages", "RF")
+	t.row("graph", "k", "ns/edge", "table(MiB)", "part-major(MiB)", "RF")
 	for _, r := range rows {
-		t.row(r.Dataset, r.K, r.NsEdge, r.TableMiB, r.PartMajorMiB, r.WorstMiB, r.Pages, r.RF)
+		t.row(r.Dataset, r.K, r.NsEdge, r.TableMiB, r.PartMajorMiB, r.RF)
 	}
 	t.flush()
 	return rows, cfg.report("state", rows)

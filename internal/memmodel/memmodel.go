@@ -25,10 +25,8 @@ type Footprint struct {
 	// SizeFields is 2·|V|·b_id (valid-entry counts per in/out list).
 	SizeFields int64
 	// ReplicaTable is the vertex-major replica table: 8·|V|·⌈k/64⌉ mask
-	// bytes plus 8·k of per-partition counts (pstate.MaxTableBytes). The
-	// model charges the worst case — every overflow page allocated — so a
-	// τ chosen under a budget can never overshoot it, even though
-	// power-law runs typically stay near the 8·|V| dense words.
+	// bytes plus 8·k of per-partition counts (pstate.TableBytes), exactly
+	// the bytes pstate.NewTable allocates.
 	ReplicaTable int64
 	// VertexState is |V| bytes: NE++'s one state byte per vertex, which
 	// holds the high-degree bit, the core set C and the two secondary-set
@@ -60,7 +58,7 @@ func Estimate(deg []int32, m int64, k int, tau float64) Footprint {
 	f.ColumnArray = colEntries * BytesPerID
 	f.IndexArrays = 2 * int64(n) * BytesPerID
 	f.SizeFields = 2 * int64(n) * BytesPerID
-	f.ReplicaTable = pstate.MaxTableBytes(n, k)
+	f.ReplicaTable = pstate.TableBytes(n, k)
 	f.VertexState = int64(n)
 	f.Heap = 2 * int64(n) * BytesPerID
 	return f

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"hep/internal/core"
 	"hep/internal/gen"
 	"hep/internal/graph"
 	"hep/internal/pstate"
@@ -19,7 +20,7 @@ func TestEstimateComponents(t *testing.T) {
 	if f.IndexArrays != 2*4*BytesPerID || f.SizeFields != 2*4*BytesPerID || f.Heap != 2*4*BytesPerID {
 		t.Fatal("fixed components wrong")
 	}
-	if f.ReplicaTable != pstate.MaxTableBytes(4, 4) {
+	if f.ReplicaTable != pstate.TableBytes(4, 4) {
 		t.Fatalf("replica table = %d", f.ReplicaTable)
 	}
 	if f.VertexState != 4 {
@@ -32,7 +33,7 @@ func TestEstimateComponents(t *testing.T) {
 }
 
 // TestReplicaTableScalesWithMaskWords pins the k-dependence of the new
-// accounting: one dense word per vertex up to k=64, one extra word per
+// accounting: one mask word per vertex up to k=64, one extra word per
 // additional 64 partitions.
 func TestReplicaTableScalesWithMaskWords(t *testing.T) {
 	deg := []int32{1, 2, 2, 1}
@@ -44,6 +45,27 @@ func TestReplicaTableScalesWithMaskWords(t *testing.T) {
 	}
 	if f256.ReplicaTable-256*8 != 4*(f64.ReplicaTable-64*8) {
 		t.Fatalf("k=256 mask bytes %d not 4x the k=64 word", f256.ReplicaTable)
+	}
+}
+
+// TestReplicaTableMatchesHEPRun pins the model's replica-table charge to the
+// bytes the table of a real HEP run holds, for k within one mask word and
+// past it.
+func TestReplicaTableMatchesHEPRun(t *testing.T) {
+	g := gen.MustDataset("TW").Build(0.1)
+	deg, m, err := graph.Degrees(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const tau = 10
+	for _, k := range []int{32, 128, 256} {
+		res, err := (&core.HEP{Tau: tau}).Partition(g, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := Estimate(deg, m, k, tau).ReplicaTable, res.Reps.Bytes(); got != want {
+			t.Fatalf("k=%d: model charges %d B, the run's table holds %d B", k, got, want)
+		}
 	}
 }
 

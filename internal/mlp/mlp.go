@@ -9,6 +9,10 @@
 // (paper §5.2 and §6), which this reproduction preserves structurally: the
 // full graph (plus every coarsened level) is resident, and the coarsening /
 // refinement pipeline costs several passes per level.
+//
+// Vertex ids must be below the stream's NumVertices: MLP indexes
+// per-vertex arrays with them unchecked, so a larger id panics. The hep
+// facade checks every id first and returns graph.ErrVertexRange instead.
 package mlp
 
 import (

@@ -9,6 +9,10 @@
 // invalidation), and initialization picks seed vertices at random. These
 // choices cost memory and cache locality — exactly the overheads NE++
 // removes — while producing the same partitioning quality.
+//
+// Vertex ids must be below the stream's NumVertices: NE and SNE index
+// per-vertex arrays with them unchecked, so a larger id panics. The hep
+// facade checks every id first and returns graph.ErrVertexRange instead.
 package ne
 
 import (

@@ -45,7 +45,8 @@ func equivGraphs() map[string]*graph.MemGraph {
 	}
 }
 
-// equivKs crosses the dense/paged boundary of the vertex-major masks.
+// equivKs crosses the one-word/multi-word boundary of the vertex-major
+// masks: k = 100 and 256 keep two and four mask words per vertex.
 func equivKs() []int { return []int{2, 7, 32, 100, 256} }
 
 // TestHDRFAssignmentsMatchPartitionMajor replays the old streamed-HDRF loop

@@ -64,9 +64,9 @@ func equalTags(a, b []int32) bool {
 }
 
 // TestBucketsMatchProbeOracle pins Build against the probe oracle across k
-// on both sides of every mask-word boundary (the dense word and the paged
-// overflow words), with an ample pool and with a pool of half the replicas,
-// where later vertices spill to the overflow list.
+// on both sides of every mask-word boundary (one mask word and several),
+// with an ample pool and with a pool of half the replicas, where later
+// vertices spill to the overflow list.
 func TestBucketsMatchProbeOracle(t *testing.T) {
 	for _, k := range []int{1, 8, 63, 64, 65, 128, 200} {
 		rng := rand.New(rand.NewSource(int64(k)))
@@ -141,7 +141,7 @@ func TestBucketsOverflowSpill(t *testing.T) {
 	check(3)
 
 	// The same contract at k on both sides of the mask-word boundaries:
-	// replica sets span the dense and the paged words, admitted and spilled
+	// replica sets span the first and the later words, admitted and spilled
 	// vertices interleave, and each index is rebuilt over a shorter slice.
 	for _, k := range []int{1, 63, 64, 65, 128} {
 		const n = 300

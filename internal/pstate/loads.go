@@ -94,45 +94,16 @@ func (l *Loads) ArgMin() int {
 	return 0 // unreachable: nAtMin ≥ 1 by construction
 }
 
-// Bulk adds delta edges to partition p. For delta ≥ 0 the bounds are
-// maintained in O(1) — max trivially, min by clearing p from the at-minimum
-// mask and rescanning only when the mask empties. A negative delta (a
-// refinement move out of p) breaks the grow-only invariant and falls back
-// to a full recompute.
+// Bulk adds delta edges to partition p, which may be negative (a
+// refinement move out of p), and recomputes max, min and the at-minimum
+// mask in O(k). Its callers are cold: refinement's end-of-round fold and
+// split–merge's load setup.
 func (l *Loads) Bulk(p int, delta int64) {
 	if delta == 0 {
 		return
 	}
-	c := l.counts[p] + delta
-	l.counts[p] = c
-	if delta < 0 {
-		l.recompute()
-		return
-	}
-	if c > l.max {
-		l.max = c
-	}
-	if c-delta == l.min {
-		l.atMin[p>>6] &^= 1 << (uint(p) & 63)
-		l.nAtMin--
-		if l.nAtMin == 0 {
-			l.advanceMin()
-		}
-	}
-}
-
-// advanceMin rescans the counts for the new minimum after the at-minimum
-// set emptied under Bulk (unlike Inc's unit steps, a bulk delta can jump
-// the minimum by more than one).
-func (l *Loads) advanceMin() {
-	min := l.counts[0]
-	for _, c := range l.counts[1:] {
-		if c < min {
-			min = c
-		}
-	}
-	l.min = min
-	l.rebuildMin()
+	l.counts[p] += delta
+	l.recompute()
 }
 
 // recompute rebuilds max, min and the at-minimum mask from scratch.

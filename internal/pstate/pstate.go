@@ -15,15 +15,11 @@
 // "Buffered Streaming Edge Partitioning"; "Partitioning Trillion Edge
 // Graphs on Edge Devices").
 //
-// Layout and the memory trade: partitions 0..63 of every vertex live in one
-// dense uint64 word — 8·n bytes regardless of k, so for k < 64 the dense
-// word costs MORE than the partition-major k·n/8 (2× at k=32); the win
-// there is purely the per-edge mask-word iteration. For k > 64 the
-// remaining partitions live in overflow pages — fixed ranges of
-// PageVertices vertices, each page allocated lazily on the first write of
-// an overflow bit in its range — so the worst case matches partition-major
-// at word granularity while the resident overflow grows only with the
-// vertex ranges that actually replicate past partition 63.
+// Layout and the memory trade: the masks are one flat slice of
+// n·⌈k/64⌉ words, allocated in full by NewTable, so the table holds
+// TableBytes(n, k) from the start — the partition-major k·n/8 at word
+// granularity. For k < 64 a mask word costs MORE than partition-major
+// (2× at k=32); the win there is purely the per-edge mask-word iteration.
 package pstate
 
 import (
@@ -31,11 +27,6 @@ import (
 
 	"hep/internal/graph"
 )
-
-// PageVertices is the number of vertices covered by one overflow page.
-const PageVertices = 1 << pageShift
-
-const pageShift = 12
 
 // Table is the vertex-major replica table for a graph with n vertices and k
 // partitions. The zero value is unusable; use NewTable.
@@ -46,13 +37,8 @@ const pageShift = 12
 // repository mutates its Table from a single goroutine.
 type Table struct {
 	n, k  int
-	extra int      // overflow words per vertex: ⌈k/64⌉ − 1
-	dense []uint64 // mask word 0 (partitions 0..63) per vertex
-
-	// pages[v/PageVertices] holds the overflow words (partitions 64..k-1)
-	// of vertices [v̄·PageVertices, (v̄+1)·PageVertices), extra words per
-	// vertex, allocated on first overflow write in the range.
-	pages [][]uint64
+	w     int      // mask words per vertex: ⌈k/64⌉, at least 1
+	words []uint64 // vertex v's mask is words[v·w : (v+1)·w]
 
 	vcount  []int64 // |V(p_i)|: vertices with bit p set, per partition
 	covered int64   // vertices with ≥1 bit set, maintained in Add/Remove
@@ -63,21 +49,19 @@ func NewTable(n, k int) *Table {
 	if n < 0 {
 		n = 0
 	}
-	words := (k + 63) / 64
-	if words < 1 {
-		words = 1
-	}
-	t := &Table{
+	w := maskWords(k)
+	return &Table{
 		n:      n,
 		k:      k,
-		extra:  words - 1,
-		dense:  make([]uint64, n),
+		w:      w,
+		words:  make([]uint64, n*w),
 		vcount: make([]int64, k),
 	}
-	if t.extra > 0 {
-		t.pages = make([][]uint64, (n+PageVertices-1)/PageVertices)
-	}
-	return t
+}
+
+// maskWords is ⌈k/64⌉, at least 1.
+func maskWords(k int) int {
+	return max((k+63)/64, 1)
 }
 
 // N returns the vertex-domain size.
@@ -87,59 +71,23 @@ func (t *Table) N() int { return t.n }
 func (t *Table) K() int { return t.k }
 
 // Words returns ⌈k/64⌉, the number of mask words per vertex.
-func (t *Table) Words() int { return t.extra + 1 }
+func (t *Table) Words() int { return t.w }
 
-// page returns the overflow words of v, or nil when its page is unallocated.
-func (t *Table) page(v graph.V) []uint64 {
-	pg := t.pages[int(v)>>pageShift]
-	if pg == nil {
-		return nil
-	}
-	base := (int(v) & (PageVertices - 1)) * t.extra
-	return pg[base : base+t.extra]
-}
-
-// ensurePage returns the overflow words of v, allocating the page on demand.
-func (t *Table) ensurePage(v graph.V) []uint64 {
-	pi := int(v) >> pageShift
-	pg := t.pages[pi]
-	if pg == nil {
-		span := PageVertices
-		if lo := pi * PageVertices; t.n-lo < span {
-			span = t.n - lo
-		}
-		pg = make([]uint64, span*t.extra)
-		t.pages[pi] = pg
-	}
-	base := (int(v) & (PageVertices - 1)) * t.extra
-	return pg[base : base+t.extra]
+// mask returns the mask words of v.
+func (t *Table) mask(v graph.V) []uint64 {
+	i := int(v) * t.w
+	return t.words[i : i+t.w]
 }
 
 // Has reports whether vertex v is replicated on partition p.
 func (t *Table) Has(v graph.V, p int) bool {
-	if p < 64 {
-		return t.dense[v]>>(uint(p)&63)&1 != 0
-	}
-	ov := t.page(v)
-	if ov == nil {
-		return false
-	}
-	q := p - 64
-	return ov[q>>6]>>(uint(q)&63)&1 != 0
+	return t.words[int(v)*t.w+p>>6]>>(uint(p)&63)&1 != 0
 }
 
 // Add marks vertex v replicated on partition p, reporting whether the bit
 // was newly set. Per-partition vertex counts are maintained here.
 func (t *Table) Add(v graph.V, p int) bool {
-	var w *uint64
-	var b uint64
-	if p < 64 {
-		w, b = &t.dense[v], 1<<(uint(p)&63)
-	} else {
-		ov := t.ensurePage(v)
-		q := p - 64
-		w, b = &ov[q>>6], 1<<(uint(q)&63)
-	}
+	w, b := &t.words[int(v)*t.w+p>>6], uint64(1)<<(uint(p)&63)
 	if *w&b != 0 {
 		return false
 	}
@@ -153,21 +101,9 @@ func (t *Table) Add(v graph.V, p int) bool {
 
 // Remove clears vertex v's replica bit on partition p, reporting whether the
 // bit was set — the inverse of Add. The per-partition vertex count and the
-// covered count drop only on a real clear; a bit on an unallocated overflow
-// page is absent, and the page stays unallocated.
+// covered count drop only on a real clear.
 func (t *Table) Remove(v graph.V, p int) bool {
-	var w *uint64
-	var b uint64
-	if p < 64 {
-		w, b = &t.dense[v], 1<<(uint(p)&63)
-	} else {
-		ov := t.page(v)
-		if ov == nil {
-			return false
-		}
-		q := p - 64
-		w, b = &ov[q>>6], 1<<(uint(q)&63)
-	}
+	w, b := &t.words[int(v)*t.w+p>>6], uint64(1)<<(uint(p)&63)
 	if *w&b == 0 {
 		return false
 	}
@@ -181,14 +117,9 @@ func (t *Table) Remove(v graph.V, p int) bool {
 
 // empty reports whether vertex v has no replica bit in any mask word.
 func (t *Table) empty(v graph.V) bool {
-	if t.dense[v] != 0 {
-		return false
-	}
-	if t.extra > 0 {
-		for _, w := range t.page(v) {
-			if w != 0 {
-				return false
-			}
+	for _, w := range t.mask(v) {
+		if w != 0 {
+			return false
 		}
 	}
 	return true
@@ -196,23 +127,14 @@ func (t *Table) empty(v graph.V) bool {
 
 // Word returns mask word wi (partitions 64·wi .. 64·wi+63) of vertex v.
 func (t *Table) Word(v graph.V, wi int) uint64 {
-	if wi == 0 {
-		return t.dense[v]
-	}
-	ov := t.page(v)
-	if ov == nil {
-		return 0
-	}
-	return ov[wi-1]
+	return t.words[int(v)*t.w+wi]
 }
 
 // Count returns the number of partitions vertex v is replicated on.
 func (t *Table) Count(v graph.V) int {
-	c := bits.OnesCount64(t.dense[v])
-	if t.extra > 0 {
-		for _, w := range t.page(v) {
-			c += bits.OnesCount64(w)
-		}
+	c := 0
+	for _, w := range t.mask(v) {
+		c += bits.OnesCount64(w)
 	}
 	return c
 }
@@ -220,24 +142,12 @@ func (t *Table) Count(v graph.V) int {
 // RangeVertex calls fn for every partition hosting v, in ascending order,
 // stopping early if fn returns false.
 func (t *Table) RangeVertex(v graph.V, fn func(p int) bool) {
-	w := t.dense[v]
-	for w != 0 {
-		p := bits.TrailingZeros64(w)
-		if !fn(p) {
-			return
-		}
-		w &= w - 1
-	}
-	if t.extra == 0 {
-		return
-	}
-	for wi, ow := range t.page(v) {
-		for ow != 0 {
-			p := 64 + wi<<6 + bits.TrailingZeros64(ow)
-			if !fn(p) {
+	for wi, w := range t.mask(v) {
+		for w != 0 {
+			if !fn(wi<<6 + bits.TrailingZeros64(w)) {
 				return
 			}
-			ow &= ow - 1
+			w &= w - 1
 		}
 	}
 }
@@ -266,39 +176,16 @@ func (t *Table) TotalReplicas() int64 {
 }
 
 // Covered returns the running number of vertices replicated on at least one
-// partition, maintained incrementally in Add and Remove. Together with TotalReplicas it
-// gives an O(k) running replication factor; the exact end-of-run metrics
-// still use the TotalAndCovered scan.
+// partition, maintained incrementally in Add and Remove. Together with
+// TotalReplicas it gives an O(k) replication factor.
 func (t *Table) Covered() int64 { return t.covered }
 
 // TotalAndCovered returns Σ_v |mask(v)| (total replicas) and the number of
 // vertices replicated on at least one partition — the two quantities the
-// replication factor derives from. One O(n·⌈k/64⌉) scan; a cold-path call.
+// replication factor derives from: TotalReplicas and Covered, which Add and
+// Remove keep exact.
 func (t *Table) TotalAndCovered() (total int64, covered int) {
-	for _, c := range t.vcount {
-		total += c
-	}
-	if t.extra == 0 {
-		for _, w := range t.dense {
-			if w != 0 {
-				covered++
-			}
-		}
-		return total, covered
-	}
-	for v := range t.dense {
-		if t.dense[v] != 0 {
-			covered++
-			continue
-		}
-		for _, w := range t.page(graph.V(v)) {
-			if w != 0 {
-				covered++
-				break
-			}
-		}
-	}
-	return total, covered
+	return t.TotalReplicas(), int(t.covered)
 }
 
 // ReplicaCounts returns, per vertex, the number of partitions covering it.
@@ -310,37 +197,15 @@ func (t *Table) ReplicaCounts() []int32 {
 	return out
 }
 
-// Bytes returns the resident footprint of the table's payload: the dense
-// words, every allocated overflow page, and the per-partition counts.
+// Bytes returns the resident footprint of the table's payload: the mask
+// words and the per-partition counts. It always equals TableBytes(N(), K()).
 func (t *Table) Bytes() int64 {
-	b := int64(len(t.dense))*8 + int64(len(t.vcount))*8
-	for _, pg := range t.pages {
-		b += int64(len(pg)) * 8
-	}
-	return b
+	return int64(len(t.words))*8 + int64(len(t.vcount))*8
 }
 
-// PagesAllocated returns how many overflow pages have been materialized
-// (diagnostics for the k > 64 paged layout).
-func (t *Table) PagesAllocated() int {
-	n := 0
-	for _, pg := range t.pages {
-		if pg != nil {
-			n++
-		}
-	}
-	return n
-}
-
-// MaxTableBytes is the worst-case resident footprint of a Table over n
-// vertices and k partitions — every overflow page allocated: n·8·⌈k/64⌉
-// bytes of mask words plus 8·k of per-partition counts. The §4.2 memory
-// model charges this bound so a budget-fit configuration can never
-// overshoot, even though power-law runs typically stay near n·8.
-func MaxTableBytes(n, k int) int64 {
-	words := int64((k + 63) / 64)
-	if words < 1 {
-		words = 1
-	}
-	return int64(n)*8*words + int64(k)*8
+// TableBytes is the resident footprint of a Table over n vertices and k
+// partitions: n·8·⌈k/64⌉ bytes of mask words plus 8·k of per-partition
+// counts. The §4.2 memory model charges exactly these bytes.
+func TableBytes(n, k int) int64 {
+	return int64(n)*8*int64(maskWords(k)) + int64(k)*8
 }

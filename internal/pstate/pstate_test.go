@@ -41,33 +41,21 @@ func TestTableDenseSmallK(t *testing.T) {
 	}
 }
 
-func TestTableOverflowPaged(t *testing.T) {
-	n, k := 3*PageVertices/2, 200
+// TestTableOverflowWords sets bits in the first and the later mask words
+// of k = 200 (four words per vertex) and reads them back.
+func TestTableOverflowWords(t *testing.T) {
+	n, k := 6000, 200
 	tab := NewTable(n, k)
 	if tab.Words() != 4 {
 		t.Fatalf("words = %d", tab.Words())
 	}
-	if tab.PagesAllocated() != 0 {
-		t.Fatal("pages allocated up front")
-	}
-	base := tab.Bytes()
-
 	tab.Add(0, 63)
-	if tab.PagesAllocated() != 0 {
-		t.Fatal("dense write allocated a page")
-	}
 	tab.Add(0, 64)
 	tab.Add(0, 199)
-	if tab.PagesAllocated() != 1 {
-		t.Fatalf("pages = %d, want 1", tab.PagesAllocated())
-	}
-	if tab.Bytes() <= base {
-		t.Fatal("Bytes did not grow with the page")
-	}
-	v := graph.V(PageVertices + 7) // second page, short tail range
+	v := graph.V(n - 1) // the last vertex's words end the slice
 	tab.Add(v, 130)
-	if tab.PagesAllocated() != 2 {
-		t.Fatalf("pages = %d, want 2", tab.PagesAllocated())
+	if tab.Bytes() != TableBytes(n, k) {
+		t.Fatalf("Bytes = %d, want %d", tab.Bytes(), TableBytes(n, k))
 	}
 	for _, p := range []int{63, 64, 199} {
 		if !tab.Has(0, p) {
@@ -92,7 +80,7 @@ func TestTableOverflowPaged(t *testing.T) {
 }
 
 // TestTableWords reads the partitions hosting either endpoint from the two
-// vertices' mask words, across the dense word and an overflow page.
+// vertices' mask words, across the first and the later words.
 func TestTableWords(t *testing.T) {
 	tab := NewTable(50, 130)
 	tab.Add(1, 0)
@@ -114,18 +102,18 @@ func TestTableWords(t *testing.T) {
 			t.Fatalf("partitions = %v, want %v", got, want)
 		}
 	}
-	// A vertex with no overflow page reads zero there.
+	// A vertex with no bit past partition 63 reads zero there.
 	if tab.Word(3, 1) != 0 || tab.Word(1, 1)>>6&1 != 1 { // partition 70
 		t.Fatal("overflow word misread")
 	}
 }
 
-// TestTableMatchesReference drives random Add/Has against a map reference
-// across the dense and paged regimes.
+// TestTableMatchesReference drives random Add/Has against a map reference,
+// for k within one mask word and across several.
 func TestTableMatchesReference(t *testing.T) {
 	for _, k := range []int{1, 17, 64, 65, 256} {
 		rng := rand.New(rand.NewSource(int64(k)))
-		n := PageVertices + 100
+		n := 4000
 		tab := NewTable(n, k)
 		ref := map[[2]int]bool{}
 		for i := 0; i < 5000; i++ {
@@ -245,20 +233,39 @@ func TestLoadsBulkMatchesRecompute(t *testing.T) {
 	}
 }
 
+// scanTotalAndCovered is the O(n·⌈k/64⌉) reference for the running counts:
+// Σ_v |mask(v)| and the vertices with any mask bit, read word by word.
+func scanTotalAndCovered(tab *Table) (total int64, covered int) {
+	for v := range tab.N() {
+		c := 0
+		for wi := range tab.Words() {
+			c += bits.OnesCount64(tab.Word(graph.V(v), wi))
+		}
+		total += int64(c)
+		if c > 0 {
+			covered++
+		}
+	}
+	return total, covered
+}
+
 // TestRunningCoveredMatchesScan pins the incremental Covered/TotalReplicas
-// counters against the exact TotalAndCovered scan, across the dense-only and
-// paged-overflow layouts.
+// counters, and TotalAndCovered that returns them, against a scan of every
+// mask word, for k within one mask word and across several.
 func TestRunningCoveredMatchesScan(t *testing.T) {
 	for _, k := range []int{3, 64, 200} {
 		rng := rand.New(rand.NewSource(int64(500 + k)))
 		tab := NewTable(600, k)
 		check := func(at string) {
-			total, covered := tab.TotalAndCovered()
+			total, covered := scanTotalAndCovered(tab)
 			if tab.Covered() != int64(covered) {
 				t.Fatalf("k=%d %s: running covered = %d, scan says %d", k, at, tab.Covered(), covered)
 			}
 			if tab.TotalReplicas() != total {
 				t.Fatalf("k=%d %s: running total = %d, scan says %d", k, at, tab.TotalReplicas(), total)
+			}
+			if gotTotal, gotCovered := tab.TotalAndCovered(); gotTotal != total || gotCovered != covered {
+				t.Fatalf("k=%d %s: TotalAndCovered = %d/%d, scan says %d/%d", k, at, gotTotal, gotCovered, total, covered)
 			}
 		}
 		check("empty")
@@ -274,10 +281,9 @@ func TestRunningCoveredMatchesScan(t *testing.T) {
 
 // TestTableRemove pins Remove as Add's inverse: the bit clears, the
 // per-partition and covered counts drop only on a real clear, removing a
-// vertex's last bit uncovers it, and absent bits — including bits on an
-// unallocated overflow page — are no-ops that allocate nothing.
+// vertex's last bit uncovers it, and absent bits are no-ops.
 func TestTableRemove(t *testing.T) {
-	n, k := 2*PageVertices, 130
+	n, k := 200, 130
 	tab := NewTable(n, k)
 	tab.Add(3, 5)
 	tab.Add(3, 70)
@@ -304,20 +310,16 @@ func TestTableRemove(t *testing.T) {
 		t.Fatal("vertex 3 still replicated after its last Remove")
 	}
 
-	// Vertex PageVertices+1 lives on the second overflow page, never written.
-	v := graph.V(PageVertices + 1)
-	pages := tab.PagesAllocated()
+	// Vertex 150 is never written.
+	v := graph.V(150)
 	if tab.Remove(v, 100) || tab.Remove(v, 0) {
 		t.Fatal("Remove on an untouched vertex reported a clear")
-	}
-	if tab.PagesAllocated() != pages {
-		t.Fatal("Remove allocated an overflow page")
 	}
 	if tab.Covered() != 1 || tab.TotalReplicas() != 1 {
 		t.Fatalf("no-op Removes moved covered/total to %d/%d", tab.Covered(), tab.TotalReplicas())
 	}
 
-	// Add then Remove round-trips in the dense word and on an overflow page.
+	// Add then Remove round-trips in the first and in a later mask word.
 	for _, p := range []int{0, 63, 64, 129} {
 		before := append([]uint64(nil), tab.Word(v, 0), tab.Word(v, 1), tab.Word(v, 2))
 		tab.Add(v, p)
@@ -336,11 +338,11 @@ func TestTableRemove(t *testing.T) {
 }
 
 // TestRemoveMatchesReference drives random Add/Remove against a map reference
-// and pins the running counts against the exact scan throughout.
+// and pins the running counts against a scan of every mask word.
 func TestRemoveMatchesReference(t *testing.T) {
 	for _, k := range []int{3, 64, 200} {
 		rng := rand.New(rand.NewSource(int64(900 + k)))
-		n := PageVertices + 50
+		n := 4000
 		tab := NewTable(n, k)
 		ref := map[[2]int]bool{}
 		for i := 0; i < 6000; i++ {
@@ -358,7 +360,7 @@ func TestRemoveMatchesReference(t *testing.T) {
 				ref[key] = true
 			}
 		}
-		total, covered := tab.TotalAndCovered()
+		total, covered := scanTotalAndCovered(tab)
 		if total != int64(len(ref)) || tab.TotalReplicas() != total {
 			t.Fatalf("k=%d: total %d (running %d), reference %d", k, total, tab.TotalReplicas(), len(ref))
 		}
@@ -377,11 +379,20 @@ func TestRemoveMatchesReference(t *testing.T) {
 	}
 }
 
-func TestMaxTableBytes(t *testing.T) {
-	if got := MaxTableBytes(1000, 32); got != 1000*8+32*8 {
+// TestTableBytes pins the footprint formula and that a new table holds
+// exactly that many bytes.
+func TestTableBytes(t *testing.T) {
+	if got := TableBytes(1000, 32); got != 1000*8+32*8 {
 		t.Fatalf("k=32: %d", got)
 	}
-	if got := MaxTableBytes(1000, 256); got != 1000*8*4+256*8 {
+	if got := TableBytes(1000, 256); got != 1000*8*4+256*8 {
 		t.Fatalf("k=256: %d", got)
+	}
+	for _, k := range []int{1, 32, 64, 65, 128, 200, 256} {
+		for _, n := range []int{0, 1, 1000} {
+			if got, want := NewTable(n, k).Bytes(), TableBytes(n, k); got != want {
+				t.Fatalf("n=%d k=%d: Bytes = %d, TableBytes = %d", n, k, got, want)
+			}
+		}
 	}
 }

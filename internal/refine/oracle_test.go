@@ -250,8 +250,6 @@ func withLoopsAndParallels(g *graph.MemGraph) *graph.MemGraph {
 // reference round produce identical assignments, identical replica-table
 // words, running counts and Stats on the OK/TW/LJ stand-ins at k ∈ {8, 32,
 // 128}, and on the OK stand-in with self loops and parallel edges added.
-// One page of isolated vertices pads every input, so k = 128 reads
-// overflow words on allocated and unallocated pages alike.
 func TestRunMatchesOracle(t *testing.T) {
 	type input struct {
 		name string
@@ -267,7 +265,7 @@ func TestRunMatchesOracle(t *testing.T) {
 		for _, k := range []int{8, 32, 128} {
 			t.Run(fmt.Sprintf("%s/k=%d", in.name, k), func(t *testing.T) {
 				_, rec := capture(t, &stream.HDRF{}, g, k)
-				n := int(g.NumVertices()) + pstate.PageVertices
+				n := int(g.NumVertices())
 				gotParts := append([]int32(nil), rec.Parts...)
 				got := buildState(n, k, rec.Edges, gotParts)
 				wantParts := append([]int32(nil), rec.Parts...)
@@ -317,9 +315,6 @@ func TestRunMatchesOracle(t *testing.T) {
 						t.Fatalf("partition %d: vertices %d edges %d, reference %d / %d",
 							p, gt.VertexCount(p), got.Counts[p], wt.VertexCount(p), want.Counts[p])
 					}
-				}
-				if pages := (n + pstate.PageVertices - 1) / pstate.PageVertices; k > 64 && gt.PagesAllocated() == pages {
-					t.Fatal("every overflow page allocated; the padding page should stay unallocated")
 				}
 			})
 		}

@@ -43,6 +43,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -51,7 +52,6 @@ import (
 	"hep/internal/obs"
 	"hep/internal/part"
 	"hep/internal/pstate"
-	"hep/internal/shard"
 )
 
 // Refinement modes accepted by Options.Mode (and hep.Config.Refine).
@@ -127,7 +127,10 @@ func (o Options) rounds() int {
 }
 
 func (o Options) workers() int {
-	return shard.Options{Workers: o.Workers}.Resolve()
+	if o.Workers <= 0 {
+		return runtime.GOMAXPROCS(0)
+	}
+	return o.Workers
 }
 
 func (o Options) eps() float64 {

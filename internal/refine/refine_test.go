@@ -3,6 +3,7 @@ package refine
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"hep/internal/gen"
@@ -324,11 +325,19 @@ func TestWrapName(t *testing.T) {
 	}
 }
 
-// TestValidMode pins the mode vocabulary (empty string is the default).
+// TestValidMode pins the mode vocabulary (empty string is the default) and
+// the worker-count default: Workers 0 resolves to GOMAXPROCS, and any other
+// value is taken as given.
 func TestValidMode(t *testing.T) {
 	for mode, want := range map[string]bool{"": true, ModeMoves: true, ModeSplitMerge: true, "frob": false} {
 		if got := ValidMode(mode); got != want {
 			t.Errorf("ValidMode(%q) = %v", mode, got)
 		}
+	}
+	if got, want := (Options{}).workers(), runtime.GOMAXPROCS(0); got != want {
+		t.Errorf("Workers 0 resolves to %d, want GOMAXPROCS = %d", got, want)
+	}
+	if got := (Options{Workers: 3}).workers(); got != 3 {
+		t.Errorf("Workers 3 resolves to %d", got)
 	}
 }

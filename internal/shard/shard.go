@@ -18,8 +18,6 @@
 package shard
 
 import (
-	"runtime"
-
 	"hep/internal/graph"
 	"hep/internal/obs"
 )
@@ -27,23 +25,14 @@ import (
 // Options is the worker count and observability hub the benchmark's staged
 // chains pass to the placement and pre-pass entry points.
 type Options struct {
-	// Workers is a worker count (0 = GOMAXPROCS). Placement and the
-	// pre-passes run one worker whatever it says; the facade resolves
-	// refinement's worker count with Resolve.
+	// Workers is the caller's worker count. Nothing reads it: placement
+	// and the pre-passes run one worker whatever it says.
 	Workers int
 	// Obs is the observability hub (nil = disabled). The batch loop folds
 	// batch and edge totals and latency histograms into its counters, and
 	// internal/stream pushes one RF/balance sample per batch into its
 	// series ring.
 	Obs *obs.Obs
-}
-
-// Resolve returns the effective worker count: Workers, or GOMAXPROCS for 0.
-func (o Options) Resolve() int {
-	if o.Workers > 0 {
-		return o.Workers
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // MinBatchEdges is the floor of FixedBatch.

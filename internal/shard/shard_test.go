@@ -214,17 +214,6 @@ func TestParallelInformedAndRestream(t *testing.T) {
 	}
 }
 
-// TestOptionsResolve pins the Workers resolution contract: 0 = GOMAXPROCS,
-// explicit values taken literally.
-func TestOptionsResolve(t *testing.T) {
-	if got := (shard.Options{Workers: 3}).Resolve(); got != 3 {
-		t.Fatalf("Resolve(3) = %d", got)
-	}
-	if got := (shard.Options{}).Resolve(); got < 1 {
-		t.Fatalf("Resolve(0) = %d, want ≥ 1 (GOMAXPROCS)", got)
-	}
-}
-
 // TestFixedBatch pins the m/(50·W) clamp when m is known and the
 // DefaultBatchEdges ceiling — not the floor — when it is not.
 func TestFixedBatch(t *testing.T) {

@@ -14,6 +14,12 @@
 // the lowest index at that load, the one a full ascending scan keeps). A
 // partition hosting neither endpoint has no replica term, so none of them
 // beats the least-loaded partition overall, the load tracker's argmin.
+//
+// Vertex ids must be below the stream's NumVertices. HDRF and DBH check
+// them in their degree pass and return graph.ErrVertexRange; Greedy, Grid,
+// ADWISE and Random index the replica table with them unchecked, so a
+// larger id panics. The hep facade checks every id for those four first
+// and returns graph.ErrVertexRange instead.
 package stream
 
 import (

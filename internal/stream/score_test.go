@@ -8,7 +8,6 @@ import (
 	"hep/internal/graph"
 	"hep/internal/part"
 	"hep/internal/parttest"
-	"hep/internal/pstate"
 )
 
 // FuzzBestHDRF pins the class-min scorer to the full-scan reference: the
@@ -27,13 +26,13 @@ import (
 //     partition at capacity;
 //   - bit 6: the least-loaded partition inside (set) or outside the
 //     partitions hosting an endpoint;
-//   - bit 7: u keeps no overflow bits, so for k > 64 its page is never
-//     allocated.
+//   - bit 7: u keeps no bits past partition 63, so for k > 64 its later
+//     mask words stay zero.
 //
-// u and v sit in different overflow pages. The shape byte: bit 0 keeps v
-// free of overflow bits, bit 1 swaps u and v, bit 2 gives them equal
-// degrees (so u-only and v-only finalists can tie), and bit 3 leaves no
-// partition hosting both.
+// u and v are the table's two vertices, so their masks sit side by side in
+// one slice. The shape byte: bit 0 keeps v free of bits past partition 63,
+// bit 1 swaps u and v, bit 2 gives them equal degrees (so u-only and v-only
+// finalists can tie), and bit 3 leaves no partition hosting both.
 func FuzzBestHDRF(f *testing.F) {
 	ks := []int{1, 2, 63, 64, 65, 128, 200}
 	modes := []uint8{0x00, 0x15, 0x26, 0x3b, 0x4f, 0xa3, 0xd9, 0xff}
@@ -49,8 +48,8 @@ func FuzzBestHDRF(f *testing.F) {
 	f.Fuzz(func(t *testing.T, kSel uint8, seed int64, mode, shape uint8, du, dv uint32) {
 		k := int(kSel)%200 + 1
 		rng := rand.New(rand.NewSource(seed))
-		n := pstate.PageVertices + 1
-		u, v := graph.V(0), graph.V(pstate.PageVertices)
+		n := 2
+		u, v := graph.V(0), graph.V(1)
 		if shape&2 != 0 {
 			u, v = v, u
 		}

@@ -204,8 +204,14 @@ func TestBufferedQualitySeries(t *testing.T) {
 	}
 	// The incremental covered counter the sample carries must agree with a
 	// full scan of the final replica table.
-	total, covered := res.Reps.TotalAndCovered()
-	if last.Covered != int64(covered) || last.Replicas != total {
+	var total, covered int64
+	for _, c := range res.Reps.ReplicaCounts() {
+		total += int64(c)
+		if c > 0 {
+			covered++
+		}
+	}
+	if last.Covered != covered || last.Replicas != total {
 		t.Fatalf("final sample replicas=%d covered=%d, table scan says %d/%d",
 			last.Replicas, last.Covered, total, covered)
 	}
