@@ -39,7 +39,6 @@
 package hep
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -248,73 +247,6 @@ func checkRefine(name string, cfg Config) error {
 		name, RefinableAlgorithms())
 }
 
-// idChecked wraps an algorithm that has no guarded degree pass and runs it
-// over idCheckStream, so a vertex id ≥ n is an error, not an index panic.
-// HEP, NE++, HDRF, DBH, simple-hybrid and re-HDRF check ids in their
-// degree pass; Buffered takes its id domain from its own discovery scan and
-// checks the partition pass against it.
-type idChecked struct{ sinkAlgorithm }
-
-type sinkAlgorithm interface {
-	Algorithm
-	part.SinkSetter
-}
-
-// Partition implements Algorithm.
-func (a idChecked) Partition(src EdgeStream, k int) (*Result, error) {
-	return a.sinkAlgorithm.Partition(idCheckStream{src}, k)
-}
-
-// idCheckStream stops the wrapped stream's scan at the first edge naming a
-// vertex id ≥ NumVertices and returns graph.ErrVertexRange. It lends
-// chunks when the wrapped stream does; each slab is checked before it is
-// handed on.
-type idCheckStream struct{ graph.EdgeStream }
-
-func vertexRange(u, v graph.V, n int) error {
-	if int(u) < n && int(v) < n {
-		return nil
-	}
-	return graph.VertexRangeError(u, v, n)
-}
-
-// Edges implements graph.EdgeStream.
-func (s idCheckStream) Edges(yield func(u, v graph.V) bool) error {
-	n, bad := s.NumVertices(), error(nil)
-	err := s.EdgeStream.Edges(func(u, v graph.V) bool {
-		bad = vertexRange(u, v, n)
-		return bad == nil && yield(u, v)
-	})
-	return cmp.Or(err, bad)
-}
-
-// Chunks implements graph.ChunkStream. A slab holding an out-of-range id
-// is released unseen.
-func (s idCheckStream) Chunks(yield func(edges []graph.Edge, release func()) bool) error {
-	cs, ok := graph.AsChunks(s.EdgeStream)
-	if !ok {
-		return errors.New("hep: wrapped stream does not lend chunks")
-	}
-	n, bad := s.NumVertices(), error(nil)
-	err := cs.Chunks(func(edges []graph.Edge, release func()) bool {
-		for _, e := range edges {
-			if bad = vertexRange(e.U, e.V, n); bad != nil {
-				release()
-				return false
-			}
-		}
-		//hep:xfer forwarded to the wrapped consumer, which inherits the release obligation
-		return yield(edges, release)
-	})
-	return cmp.Or(err, bad)
-}
-
-// LendsChunks is the graph.AsChunks conditional-lending hook.
-func (s idCheckStream) LendsChunks() bool {
-	_, ok := graph.AsChunks(s.EdgeStream)
-	return ok
-}
-
 // New returns the partitioner selected by cfg.
 func New(cfg Config) (Algorithm, error) {
 	if cfg.Workers < 0 {
@@ -338,26 +270,26 @@ func New(cfg Config) (Algorithm, error) {
 	case AlgoNEPP:
 		a = &core.HEP{Tau: math.Inf(1), Alpha: cfg.Alpha, Lambda: cfg.Lambda, Obs: cfg.Obs}
 	case AlgoNE:
-		a = idChecked{&ne.NE{Seed: cfg.Seed}}
+		a = &ne.NE{Seed: cfg.Seed}
 	case AlgoSNE:
-		a = idChecked{&ne.SNE{}}
+		a = &ne.SNE{}
 	case AlgoDNE:
-		a = idChecked{&dne.DNE{Workers: cfg.Workers, Seed: cfg.Seed}}
+		a = &dne.DNE{Workers: cfg.Workers, Seed: cfg.Seed}
 	case AlgoMETIS:
-		a = idChecked{&mlp.MLP{Seed: cfg.Seed}}
+		a = &mlp.MLP{Seed: cfg.Seed}
 	case AlgoHDRF:
 		a = &stream.HDRF{Lambda: cfg.Lambda, Alpha: cfg.Alpha, Obs: cfg.Obs,
 			ExactDegrees: cfg.Workers != 1}
 	case AlgoDBH:
 		a = &stream.DBH{}
 	case AlgoGreedy:
-		a = idChecked{&stream.Greedy{Alpha: cfg.Alpha}}
+		a = &stream.Greedy{Alpha: cfg.Alpha}
 	case AlgoGrid:
-		a = idChecked{&stream.Grid{}}
+		a = &stream.Grid{}
 	case AlgoADWISE:
-		a = idChecked{&stream.ADWISE{Window: cfg.Window, Lambda: cfg.Lambda, Alpha: cfg.Alpha}}
+		a = &stream.ADWISE{Window: cfg.Window, Lambda: cfg.Lambda, Alpha: cfg.Alpha}
 	case AlgoRandom:
-		a = idChecked{&stream.Random{Seed: cfg.Seed, Alpha: cfg.Alpha}}
+		a = &stream.Random{Seed: cfg.Seed, Alpha: cfg.Alpha}
 	case AlgoSimpleHybrid:
 		tau := cfg.Tau
 		if tau == 0 {

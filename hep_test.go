@@ -343,7 +343,10 @@ func TestWorkersMatchOneWorker(t *testing.T) {
 		name string
 		cfg  Config
 		// ref is the algorithm the row must match; nil = cfg at Workers 1.
-		ref sinkAlgorithm
+		ref interface {
+			Algorithm
+			SetSink(Sink)
+		}
 	}{
 		{"hep-tau1", Config{Algorithm: AlgoHEP, Tau: 1}, nil},
 		{"hep-tau5", Config{Algorithm: AlgoHEP, Tau: 5}, nil},
@@ -585,42 +588,6 @@ func TestEveryAlgorithmRejectsVertexRange(t *testing.T) {
 					t.Errorf("%s W=%d: err = %v, want ErrVertexRange", name, w, err)
 				}
 			}()
-		}
-	}
-}
-
-// TestIDCheckStreamLends pins the facade's range check to the chunk-lending
-// contract: over a lending stream it lends, hands clean slabs on, and
-// releases a slab holding an out-of-range id without yielding it; over a
-// stream that does not lend, it does not lend either.
-func TestIDCheckStreamLends(t *testing.T) {
-	plain := struct{ EdgeStream }{NewGraph(5, nil)}
-	if _, ok := graph.AsChunks(idCheckStream{plain}); ok {
-		t.Fatal("idCheckStream over a non-lending stream claims to lend")
-	}
-	for _, tc := range []struct {
-		edges []Edge
-		bad   bool
-	}{
-		{[]Edge{{U: 0, V: 1}, {U: 1, V: 4}}, false},
-		{[]Edge{{U: 0, V: 1}, {U: 1, V: 5}}, true},
-	} {
-		cs, ok := graph.AsChunks(idCheckStream{NewGraph(5, tc.edges)})
-		if !ok {
-			t.Fatal("idCheckStream over a lending stream does not lend")
-		}
-		yielded := 0
-		err := cs.Chunks(func(edges []graph.Edge, release func()) bool {
-			yielded += len(edges)
-			release()
-			return true
-		})
-		if tc.bad {
-			if !errors.Is(err, graph.ErrVertexRange) || yielded != 0 {
-				t.Fatalf("bad slab: err = %v, %d edges yielded", err, yielded)
-			}
-		} else if err != nil || yielded != len(tc.edges) {
-			t.Fatalf("clean slab: err = %v, %d of %d edges yielded", err, yielded, len(tc.edges))
 		}
 	}
 }

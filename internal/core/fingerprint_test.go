@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/binary"
+	"hash"
 	"hash/fnv"
 	"math"
 	"testing"
@@ -59,6 +60,46 @@ func TestNEPPOutputFingerprint(t *testing.T) {
 		}
 		if got := h.Sum64(); got != tc.want {
 			t.Errorf("%s τ=%g: fingerprint %#016x, want %#016x", tc.ds, tc.tau, got, tc.want)
+		}
+	}
+}
+
+// traceHasher hashes a Tracer's Touch sequence: each call is written as its
+// offset (uint64 LE) and length (uint32 LE).
+type traceHasher struct {
+	h       hash.Hash64
+	touches int
+}
+
+func (t *traceHasher) Touch(off int64, n int32) {
+	var rec [12]byte
+	binary.LittleEndian.PutUint64(rec[0:], uint64(off))
+	binary.LittleEndian.PutUint32(rec[8:], uint32(n))
+	t.h.Write(rec[:])
+	t.touches++
+}
+
+// TestNEPPTraceFingerprint pins the column-access trace NE++ hands its
+// Tracer, which the paging simulator (internal/pagesim) and expt's paging
+// table replay: an FNV-64a hash over every Touch(off, n) of HEP τ = 10 at
+// k = 32 on two stand-ins. A change to which spans NE++ reports, their
+// order, or the lengths it reads them at changes a hash.
+func TestNEPPTraceFingerprint(t *testing.T) {
+	for _, tc := range []struct {
+		ds      string
+		touches int
+		want    uint64
+	}{
+		{"TW", 79822, 0xf799bea0a7fcd45a},
+		{"OK", 65862, 0x00ff02c94449f391},
+	} {
+		tr := &traceHasher{h: fnv.New64a()}
+		hp := &HEP{Tau: 10, Tracer: tr}
+		if _, err := hp.Partition(gen.MustDataset(tc.ds).Build(0.1), 32); err != nil {
+			t.Fatalf("%s: %v", tc.ds, err)
+		}
+		if got := tr.h.Sum64(); tr.touches != tc.touches || got != tc.want {
+			t.Errorf("%s: %d touches, fingerprint %#016x; want %d, %#016x", tc.ds, tr.touches, got, tc.touches, tc.want)
 		}
 	}
 }

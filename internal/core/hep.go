@@ -76,23 +76,16 @@ func (h *HEP) params() (tau, alpha, lambda float64) {
 // Partition implements part.Algorithm: it builds the pruned CSR (two passes
 // over src), runs NE++, then streams E_h2h.
 func (h *HEP) Partition(src graph.EdgeStream, k int) (*part.Result, error) {
-	tau, _, _ := h.params()
+	if k < 1 {
+		return nil, fmt.Errorf("core: k must be ≥ 1, got %d", k)
+	}
+	tau, alpha, lambda := h.params()
 	sp := h.Obs.Span("csr-build")
 	csr, err := graph.BuildCSR(src, tau, h.H2HStore)
 	if err != nil {
 		return nil, err
 	}
 	sp.Edges(csr.M()).End()
-	return h.PartitionCSR(csr, k)
-}
-
-// PartitionCSR runs HEP over a pre-built CSR. The CSR is consumed (NE++
-// removes edges); build a fresh one per run.
-func (h *HEP) PartitionCSR(csr *graph.CSR, k int) (*part.Result, error) {
-	if k < 1 {
-		return nil, fmt.Errorf("core: k must be ≥ 1, got %d", k)
-	}
-	_, alpha, lambda := h.params()
 
 	res := part.NewResult(csr.N(), k)
 	res.Sink = h.Sink
@@ -100,7 +93,7 @@ func (h *HEP) PartitionCSR(csr *graph.CSR, k int) (*part.Result, error) {
 	h.Obs.SetTotalEdges(csr.M())
 
 	// Phase 1: in-memory partitioning via NE++ (§3.2).
-	sp := h.Obs.Span("ne++")
+	sp = h.Obs.Span("ne++")
 	ne := NewNEPP(csr, k, res, h.Tracer)
 	ne.Run()
 	h.LastStats = ne.Stats()
@@ -112,8 +105,7 @@ func (h *HEP) PartitionCSR(csr *graph.CSR, k int) (*part.Result, error) {
 	// sets in res carry the NE++ state, so HDRF placements are informed.
 	if csr.H2H().Len() > 0 {
 		h2h := h2hStream{store: csr.H2H(), n: csr.N()}
-		sp := h.Obs.Span("h2h-stream").Edges(csr.H2H().Len())
-		var err error
+		sp = h.Obs.Span("h2h-stream").Edges(csr.H2H().Len())
 		if h.RandomStream {
 			err = stream.RunRandom(h2h, res, h.Seed, alpha, csr.M())
 		} else {

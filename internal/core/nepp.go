@@ -11,7 +11,8 @@ import (
 
 // Tracer observes column-array accesses; the paging simulator replays the
 // trace through an LRU page cache (substitute for the cgroups experiment of
-// paper §5.5). A nil tracer costs one branch per adjacency-list scan.
+// paper §5.5). A nil tracer costs one branch per vertex whose lists NE++
+// scans.
 type Tracer interface {
 	// Touch records an access to column-array entries [off, off+n).
 	Touch(off int64, n int32)
@@ -67,6 +68,13 @@ const (
 // S_{i+1}, which spilled edges pre-seed. At a partition boundary the S_i
 // bit is cleared on S_i's members and the two bits swap roles, so no set
 // is ever copied or cleared in full.
+//
+// Each phase (moveToCore, moveToSecondary, cleanup) walks a vertex v's
+// out-list and then its in-list with one scan on the views CSR.Lists
+// returns, swap-removes on the view, and writes both lengths back once
+// with CSR.SetLens. One write-back is exact: while v's lists are scanned,
+// the nested moveToSecondary(u), assign and preseed write only u's lists
+// and the state bytes, never v's size fields.
 //
 // Three invariants make the pruned-graph adaptation of §3.2.3 exact:
 //
@@ -206,29 +214,29 @@ func (p *NEPP) moveToCore(v graph.V, i int) {
 	p.heap.Remove(v) // no-op unless v was pre-seeded and chosen as seed
 	p.stats.CoreDegSum += int64(p.csr.Degree(v))
 	p.stats.CoreCount++
+	p.touch(v)
+	out, in := p.csr.Lists(v)
+	nOut := p.coreScan(v, out, false, i)
+	nIn := p.coreScan(v, in, true, i)
+	p.csr.SetLens(v, nOut, nIn)
+}
 
-	if p.tracer != nil {
-		off, n := p.csr.OutSpan(v)
-		p.tracer.Touch(off, n)
-		off, n = p.csr.InSpan(v)
-		p.tracer.Touch(off, n)
-	}
-
-	// Out-list: entries are edges (v,u) in input orientation.
+// coreScan walks one of v's lists for moveToCore and returns its new
+// length. in tells which list it is, and so how the edges are oriented.
+func (p *NEPP) coreScan(v graph.V, list []graph.V, in bool, i int) int {
 	cur := p.sCur
-	out := p.csr.Out(v)
-	for idx := int32(0); idx < int32(len(out)); {
-		u := out[idx]
+	for idx := 0; idx < len(list); {
+		u := list[idx]
 		switch s := p.state[u]; {
 		case s&stHigh != 0:
 			if s&cur == 0 {
 				p.state[u] = s | cur
 				p.members = append(p.members, u)
 			}
-			p.assign(v, u, i)
-			p.csr.RemoveOutAt(v, idx)
+			p.assign(v, u, in, i)
+			list[idx] = list[len(list)-1]
+			list = list[:len(list)-1]
 			p.stats.AssignRemoved++
-			out = p.csr.Out(v)
 		case s&(stCore|cur) != 0:
 			idx++ // edge already assigned when u joined C ∪ S_i
 		default:
@@ -236,26 +244,7 @@ func (p *NEPP) moveToCore(v graph.V, i int) {
 			idx++
 		}
 	}
-	in := p.csr.In(v)
-	for idx := int32(0); idx < int32(len(in)); {
-		u := in[idx]
-		switch s := p.state[u]; {
-		case s&stHigh != 0:
-			if s&cur == 0 {
-				p.state[u] = s | cur
-				p.members = append(p.members, u)
-			}
-			p.assign(u, v, i)
-			p.csr.RemoveInAt(v, idx)
-			p.stats.AssignRemoved++
-			in = p.csr.In(v)
-		case s&(stCore|cur) != 0:
-			idx++
-		default:
-			p.moveToSecondary(u, i)
-			idx++
-		}
-	}
+	return len(list)
 }
 
 // moveToSecondary implements Algorithm 1, lines 16–28: it adds a low-degree
@@ -265,84 +254,64 @@ func (p *NEPP) moveToCore(v graph.V, i int) {
 // swap-removed immediately to keep "entry present ⇒ unassigned" for high
 // neighbors.
 func (p *NEPP) moveToSecondary(v graph.V, i int) {
-	cur := p.sCur
-	p.state[v] |= cur
+	p.state[v] |= p.sCur
 	p.members = append(p.members, v)
-
-	if p.tracer != nil {
-		off, n := p.csr.OutSpan(v)
-		p.tracer.Touch(off, n)
-		off, n = p.csr.InSpan(v)
-		p.tracer.Touch(off, n)
-	}
-
-	var dext int32
-	out := p.csr.Out(v)
-	for idx := int32(0); idx < int32(len(out)); {
-		u := out[idx]
-		switch s := p.state[u]; {
-		case s&stHigh != 0:
-			if s&cur != 0 {
-				p.assign(v, u, i)
-				p.csr.RemoveOutAt(v, idx)
-				p.stats.AssignRemoved++
-				out = p.csr.Out(v)
-			} else {
-				dext++
-				idx++
-			}
-		case s&stCore != 0:
-			p.assign(v, u, i)
-			idx++
-		case s&cur != 0:
-			p.assign(v, u, i)
-			if p.heap.Contains(u) {
-				p.heap.Add(u, -1)
-			}
-			idx++
-		default:
-			dext++
-			idx++
-		}
-	}
-	in := p.csr.In(v)
-	for idx := int32(0); idx < int32(len(in)); {
-		u := in[idx]
-		switch s := p.state[u]; {
-		case s&stHigh != 0:
-			if s&cur != 0 {
-				p.assign(u, v, i)
-				p.csr.RemoveInAt(v, idx)
-				p.stats.AssignRemoved++
-				in = p.csr.In(v)
-			} else {
-				dext++
-				idx++
-			}
-		case s&stCore != 0:
-			p.assign(u, v, i)
-			idx++
-		case s&cur != 0:
-			p.assign(u, v, i)
-			if p.heap.Contains(u) {
-				p.heap.Add(u, -1)
-			}
-			idx++
-		default:
-			dext++
-			idx++
-		}
-	}
-	p.heap.Push(v, dext)
+	p.touch(v)
+	out, in := p.csr.Lists(v)
+	nOut, dOut := p.secondaryScan(v, out, false, i)
+	nIn, dIn := p.secondaryScan(v, in, true, i)
+	p.csr.SetLens(v, nOut, nIn)
+	p.heap.Push(v, dOut+dIn)
 }
 
-// assign places an edge into partition i, spilling to following partitions
-// when i is at its capacity bound (Algorithm 1, lines 25–28). Endpoints of
-// edges spilled into the immediately following partition pre-seed its
-// secondary set, giving the next expansion a warm start at the spill
-// boundary; deeper cascades (a single expansion step overshooting more than
-// one partition's capacity) only set replica bits.
-func (p *NEPP) assign(u, v graph.V, i int) {
+// secondaryScan walks one of v's lists for moveToSecondary. It returns the
+// list's new length and the number of its entries leading outside C ∪ S_i.
+func (p *NEPP) secondaryScan(v graph.V, list []graph.V, in bool, i int) (int, int32) {
+	cur := p.sCur
+	var dext int32
+	for idx := 0; idx < len(list); {
+		u := list[idx]
+		switch s := p.state[u]; {
+		case s&stHigh != 0:
+			if s&cur != 0 {
+				p.assign(v, u, in, i)
+				list[idx] = list[len(list)-1]
+				list = list[:len(list)-1]
+				p.stats.AssignRemoved++
+			} else {
+				dext++
+				idx++
+			}
+		case s&stCore != 0:
+			p.assign(v, u, in, i)
+			idx++
+		case s&cur != 0:
+			p.assign(v, u, in, i)
+			if p.heap.Contains(u) {
+				p.heap.Add(u, -1)
+			}
+			idx++
+		default:
+			dext++
+			idx++
+		}
+	}
+	return len(list), dext
+}
+
+// assign places the edge between v and its list entry u into partition i,
+// spilling to following partitions when i is at its capacity bound
+// (Algorithm 1, lines 25–28). The edge is (v,u) in input orientation, or
+// (u,v) when u came from v's in-list. Endpoints of edges spilled into the
+// immediately following partition pre-seed its secondary set, giving the
+// next expansion a warm start at the spill boundary; deeper cascades (a
+// single expansion step overshooting more than one partition's capacity)
+// only set replica bits.
+func (p *NEPP) assign(v, u graph.V, in bool, i int) {
+	left, right := v, u
+	if in {
+		left, right = u, v
+	}
 	target := i
 	for p.res.Counts[target] >= p.bound && target+1 < p.k {
 		target++
@@ -350,11 +319,11 @@ func (p *NEPP) assign(u, v graph.V, i int) {
 	if target != i {
 		p.stats.SpillEdges++
 		if target == p.cur+1 && target < p.k-1 {
-			p.preseed(u)
-			p.preseed(v)
+			p.preseed(left)
+			p.preseed(right)
 		}
 	}
-	p.res.Assign(u, v, target)
+	p.res.Assign(left, right, target)
 }
 
 // preseed adds a spilled-edge endpoint to S_{cur+1} (Algorithm 1, line 28).
@@ -365,13 +334,21 @@ func (p *NEPP) preseed(v graph.V) {
 	}
 }
 
+// touch reports v's two list spans, at their current lengths, to the
+// tracer.
+func (p *NEPP) touch(v graph.V) {
+	if t := p.tracer; t != nil {
+		t.Touch(p.csr.OutSpan(v))
+		t.Touch(p.csr.InSpan(v))
+	}
+}
+
 // cleanup implements Algorithm 2: for every vertex remaining in S_i, remove
 // the adjacency entries pointing into C ∪ S_i. Low↔low entries found here
 // are already assigned (they were assigned when their second endpoint
 // joined); low↔high entries still present are *not* assigned yet — they are
 // assigned to p_i now, completing the pruned-graph adaptation.
 func (p *NEPP) cleanup(i int) {
-	cur := p.sCur
 	for _, v := range p.members {
 		s := p.state[v]
 		if s&stHigh != 0 {
@@ -387,59 +364,35 @@ func (p *NEPP) cleanup(i int) {
 		}
 		p.stats.SecDegSum += int64(p.csr.Degree(v))
 		p.stats.SecCount++
-
-		if p.tracer != nil {
-			off, n := p.csr.OutSpan(v)
-			p.tracer.Touch(off, n)
-			off, n = p.csr.InSpan(v)
-			p.tracer.Touch(off, n)
-		}
-
-		out := p.csr.Out(v)
-		for idx := int32(0); idx < int32(len(out)); {
-			u := out[idx]
-			switch s := p.state[u]; {
-			case s&stHigh != 0:
-				if s&cur != 0 {
-					p.assign(v, u, i)
-					p.csr.RemoveOutAt(v, idx)
-					p.stats.CleanupAssigned++
-					p.stats.CleanupRemoved++
-					out = p.csr.Out(v)
-				} else {
-					idx++
-				}
-			case s&(stCore|cur) != 0:
-				p.csr.RemoveOutAt(v, idx)
-				p.stats.CleanupRemoved++
-				out = p.csr.Out(v)
-			default:
-				idx++
-			}
-		}
-		in := p.csr.In(v)
-		for idx := int32(0); idx < int32(len(in)); {
-			u := in[idx]
-			switch s := p.state[u]; {
-			case s&stHigh != 0:
-				if s&cur != 0 {
-					p.assign(u, v, i)
-					p.csr.RemoveInAt(v, idx)
-					p.stats.CleanupAssigned++
-					p.stats.CleanupRemoved++
-					in = p.csr.In(v)
-				} else {
-					idx++
-				}
-			case s&(stCore|cur) != 0:
-				p.csr.RemoveInAt(v, idx)
-				p.stats.CleanupRemoved++
-				in = p.csr.In(v)
-			default:
-				idx++
-			}
-		}
+		p.touch(v)
+		out, in := p.csr.Lists(v)
+		nOut := p.cleanupScan(v, out, false, i)
+		nIn := p.cleanupScan(v, in, true, i)
+		p.csr.SetLens(v, nOut, nIn)
 	}
+}
+
+// cleanupScan walks one of v's lists for cleanup and returns its new
+// length. A high-degree vertex is never in C, so an entry pointing into
+// C ∪ S_i is either an assigned low↔low edge or an unassigned low↔high one.
+func (p *NEPP) cleanupScan(v graph.V, list []graph.V, in bool, i int) int {
+	cur := p.sCur
+	for idx := 0; idx < len(list); {
+		u := list[idx]
+		s := p.state[u]
+		if s&(stCore|cur) == 0 {
+			idx++
+			continue
+		}
+		if s&stHigh != 0 {
+			p.assign(v, u, in, i)
+			p.stats.CleanupAssigned++
+		}
+		list[idx] = list[len(list)-1]
+		list = list[:len(list)-1]
+		p.stats.CleanupRemoved++
+	}
+	return len(list)
 }
 
 // advanceSecondary clears the S_i bit on S_i's members, swaps the roles of
@@ -478,16 +431,12 @@ func (p *NEPP) assignRemaining(last int) {
 			continue
 		}
 		v := graph.V(vi)
-		if p.tracer != nil {
-			off, cnt := p.csr.OutSpan(v)
-			p.tracer.Touch(off, cnt)
-			off, cnt = p.csr.InSpan(v)
-			p.tracer.Touch(off, cnt)
-		}
-		for _, u := range p.csr.Out(v) {
+		p.touch(v)
+		out, in := p.csr.Lists(v)
+		for _, u := range out {
 			p.res.Assign(v, u, last)
 		}
-		for _, u := range p.csr.In(v) {
+		for _, u := range in {
 			if p.state[u]&stHigh != 0 {
 				p.res.Assign(u, v, last)
 			}

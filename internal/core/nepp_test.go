@@ -200,12 +200,13 @@ func TestCleanupSeparatesCore(t *testing.T) {
 		if ne.InCore(graph.V(v)) || csr.IsHigh(graph.V(v)) {
 			continue
 		}
-		for _, u := range csr.Out(graph.V(v)) {
+		out, in := csr.Lists(graph.V(v))
+		for _, u := range out {
 			if ne.InCore(u) {
 				t.Fatalf("vertex %d outside core keeps a valid out-entry to core vertex %d", v, u)
 			}
 		}
-		for _, u := range csr.In(graph.V(v)) {
+		for _, u := range in {
 			if ne.InCore(u) {
 				t.Fatalf("vertex %d outside core keeps a valid in-entry to core vertex %d", v, u)
 			}

@@ -11,9 +11,8 @@
 // expanders as goroutines inside one process, which preserves the causal
 // structure (concurrent greedy claiming with stale views) on one machine.
 //
-// Vertex ids must be below the stream's NumVertices: DNE indexes
-// per-vertex arrays with them unchecked, so a larger id panics. The hep
-// facade checks every id first and returns graph.ErrVertexRange instead.
+// DNE reads its input through graph.EdgesInRange, so a vertex id at or
+// above the stream's NumVertices returns graph.ErrVertexRange.
 package dne
 
 import (
@@ -80,7 +79,7 @@ func (d *DNE) Partition(src graph.EdgeStream, k int) (*part.Result, error) {
 	n := src.NumVertices()
 	var edges []graph.Edge
 	deg := make([]int64, n+1)
-	err := src.Edges(func(u, v graph.V) bool {
+	err := graph.EdgesInRange(src, func(u, v graph.V) bool {
 		edges = append(edges, graph.Edge{U: u, V: v})
 		deg[u]++
 		deg[v]++

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"hep/internal/bitset"
+	"hep/internal/check"
 )
 
 // H2HStore receives edges between two high-degree vertices during CSR
@@ -233,18 +234,13 @@ func (c *CSR) IsHigh(v V) bool { return c.high.Has(v) }
 // copies it into its per-vertex state bytes.
 func (c *CSR) HighSet() *bitset.Set { return c.high }
 
-// Out returns the valid out-list of v as a mutable slice view. Entry i is
-// the right-hand endpoint of an edge (v, Out(v)[i]) in input orientation.
-func (c *CSR) Out(v V) []V {
-	s := c.outIdx[v]
-	return c.col[s : s+int64(c.outSize[v])]
-}
-
-// In returns the valid in-list of v. Entry i is the left-hand endpoint of an
-// edge (In(v)[i], v) in input orientation.
-func (c *CSR) In(v V) []V {
-	s := c.inIdx[v]
-	return c.col[s : s+int64(c.inSize[v])]
+// Lists returns v's valid out- and in-list as mutable views into the
+// column array. Out entry i is the right-hand endpoint of an edge
+// (v, out[i]) in input orientation, in entry i the left-hand endpoint of an
+// edge (in[i], v).
+func (c *CSR) Lists(v V) (out, in []V) {
+	o, i := c.outIdx[v], c.inIdx[v]
+	return c.col[o : o+int64(c.outSize[v])], c.col[i : i+int64(c.inSize[v])]
 }
 
 // ValidDegree returns the number of valid (not yet removed) entries in v's
@@ -252,21 +248,16 @@ func (c *CSR) In(v V) []V {
 // exactly its number of unassigned edges (invariant 2 on core.NEPP).
 func (c *CSR) ValidDegree(v V) int32 { return c.outSize[v] + c.inSize[v] }
 
-// RemoveOutAt removes entry i of v's out-list by swapping in the last valid
-// entry and shrinking the size field — the constant-time removal of §3.2.2.
-func (c *CSR) RemoveOutAt(v V, i int32) {
-	s := c.outIdx[v]
-	last := c.outSize[v] - 1
-	c.col[s+int64(i)] = c.col[s+int64(last)]
-	c.outSize[v] = last
-}
-
-// RemoveInAt removes entry i of v's in-list, like RemoveOutAt.
-func (c *CSR) RemoveInAt(v V, i int32) {
-	s := c.inIdx[v]
-	last := c.inSize[v] - 1
-	c.col[s+int64(i)] = c.col[s+int64(last)]
-	c.inSize[v] = last
+// SetLens writes back v's list lengths after entries were removed from the
+// views Lists returned by swapping in the last valid entry — the
+// constant-time removal of §3.2.2. Removed entries stay allocated past the
+// size fields; a list never grows.
+func (c *CSR) SetLens(v V, out, in int) {
+	if check.Enabled {
+		check.Assertf(out <= int(c.outSize[v]) && in <= int(c.inSize[v]),
+			"graph: SetLens(%d, %d, %d) grows lists of lengths %d, %d", v, out, in, c.outSize[v], c.inSize[v])
+	}
+	c.outSize[v], c.inSize[v] = int32(out), int32(in)
 }
 
 // OutSpan returns the column-array offset and valid length of v's out

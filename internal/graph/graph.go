@@ -9,6 +9,7 @@
 package graph
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -73,19 +74,10 @@ type ChunkStream interface {
 	Chunks(yield func(edges []Edge, release func()) bool) error
 }
 
-// AsChunks returns the chunk-lending form of src, if it has one. Wrappers
-// that implement ChunkStream only when their inner stream does (e.g. the
-// hep facade's vertex-id check) signal availability through an optional
-// LendsChunks method.
+// AsChunks returns the chunk-lending form of src, if it has one.
 func AsChunks(src EdgeStream) (ChunkStream, bool) {
 	cs, ok := src.(ChunkStream)
-	if !ok {
-		return nil, false
-	}
-	if g, conditional := src.(interface{ LendsChunks() bool }); conditional && !g.LendsChunks() {
-		return nil, false
-	}
-	return cs, true
+	return cs, ok
 }
 
 // MemGraph is an in-memory edge list implementing EdgeStream.
@@ -165,6 +157,23 @@ var maxDegree int32 = math.MaxInt32
 // with the one wording every reader of edge streams uses.
 func VertexRangeError(u, v V, n int) error {
 	return fmt.Errorf("%w: edge (%d,%d) with n=%d", ErrVertexRange, u, v, n)
+}
+
+// EdgesInRange is src.Edges with every id checked: it stops the scan at the
+// first edge naming a vertex id ≥ src.NumVertices() and returns
+// ErrVertexRange. Partitioners that index per-vertex arrays with the ids
+// they read, and run no counting pass that checks them first, read their
+// input through it.
+func EdgesInRange(src EdgeStream, yield func(u, v V) bool) error {
+	n, bad := src.NumVertices(), error(nil)
+	err := src.Edges(func(u, v V) bool {
+		if int(u) >= n || int(v) >= n {
+			bad = VertexRangeError(u, v, n)
+			return false
+		}
+		return yield(u, v)
+	})
+	return cmp.Or(err, bad)
 }
 
 // DegreeOverflowError is ErrDegreeOverflow for an edge (u,v) whose endpoint

@@ -165,15 +165,12 @@ func TestCSRBasicLayout(t *testing.T) {
 		t.Fatal("no pruning expected at tau=inf")
 	}
 	// Vertex 2: out-list {0,1,3,4}, in-list {}.
-	if got := c.Out(2); len(got) != 4 {
-		t.Fatalf("out(2) = %v", got)
-	}
-	if got := c.In(2); len(got) != 0 {
-		t.Fatalf("in(2) = %v", got)
+	if out, in := c.Lists(2); len(out) != 4 || len(in) != 0 {
+		t.Fatalf("lists(2) = %v, %v", out, in)
 	}
 	// Vertex 1: out {}, in {2, 0}.
-	if got := c.In(1); len(got) != 2 {
-		t.Fatalf("in(1) = %v", got)
+	if _, in := c.Lists(1); len(in) != 2 {
+		t.Fatalf("in(1) = %v", in)
 	}
 	if c.ValidDegree(2) != 4 || c.Degree(2) != 4 {
 		t.Fatal("degree bookkeeping wrong")
@@ -200,11 +197,11 @@ func TestCSRPruning(t *testing.T) {
 		t.Fatalf("in-mem = %d, want 6", c.InMemEdges())
 	}
 	// Hubs own no lists.
-	if len(c.Out(0))+len(c.In(0)) != 0 {
+	if out, in := c.Lists(0); len(out)+len(in) != 0 {
 		t.Fatal("hub 0 has column entries")
 	}
 	// Leaf 2 sees the hub in its in-list.
-	if in := c.In(2); len(in) != 1 || in[0] != 0 {
+	if _, in := c.Lists(2); len(in) != 1 || in[0] != 0 {
 		t.Fatalf("in(2) = %v", in)
 	}
 	var h2h []Edge
@@ -220,26 +217,32 @@ func TestCSRPruning(t *testing.T) {
 	}
 }
 
+// TestCSRRemoveSwaps removes an entry the way NE++ does: swap in the last
+// entry on the view Lists returns, then write the shorter length back.
 func TestCSRRemoveSwaps(t *testing.T) {
-	edges := []Edge{{U: 0, V: 1}, {U: 0, V: 2}, {U: 0, V: 3}}
-	c := buildTestCSR(t, 4, edges, math.Inf(1))
-	out := c.Out(0)
-	if len(out) != 3 {
-		t.Fatalf("out = %v", out)
+	edges := []Edge{{U: 0, V: 1}, {U: 0, V: 2}, {U: 0, V: 3}, {U: 4, V: 0}}
+	c := buildTestCSR(t, 5, edges, math.Inf(1))
+	out, in := c.Lists(0)
+	if len(out) != 3 || len(in) != 1 {
+		t.Fatalf("lists = %v, %v", out, in)
 	}
 	first := out[0]
-	c.RemoveOutAt(0, 0)
-	out = c.Out(0)
-	if len(out) != 2 {
-		t.Fatalf("out after remove = %v", out)
+	out[0] = out[len(out)-1]
+	c.SetLens(0, len(out)-1, len(in))
+	out, in = c.Lists(0)
+	if len(out) != 2 || len(in) != 1 || in[0] != 4 {
+		t.Fatalf("lists after remove = %v, %v", out, in)
 	}
 	for _, u := range out {
 		if u == first {
 			t.Fatalf("removed entry %d still present: %v", first, out)
 		}
 	}
-	if c.ValidDegree(0) != 2 {
+	if c.ValidDegree(0) != 3 {
 		t.Fatalf("valid degree = %d", c.ValidDegree(0))
+	}
+	if off, n := c.OutSpan(0); n != 2 {
+		t.Fatalf("out span after remove: off=%d n=%d", off, n)
 	}
 }
 
@@ -281,7 +284,8 @@ func TestQuickCSRPreservesEdges(t *testing.T) {
 			counts[e.Canonical()]++
 		}
 		for v := 0; v < n; v++ {
-			for _, u := range c.Out(V(v)) {
+			out, in := c.Lists(V(v))
+			for _, u := range out {
 				counts[Edge{U: V(v), V: u}.Canonical()]--
 			}
 			// In-lists of low vertices must only duplicate edges whose
@@ -289,7 +293,7 @@ func TestQuickCSRPreservesEdges(t *testing.T) {
 			// low-high edges counted via the *other* vertex's out list —
 			// so count in-entries only when the neighbor is high AND the
 			// neighbor (being high) has no out entry for it.
-			for _, u := range c.In(V(v)) {
+			for _, u := range in {
 				if c.IsHigh(u) {
 					counts[Edge{U: u, V: V(v)}.Canonical()]--
 				}

@@ -10,9 +10,8 @@
 // full graph (plus every coarsened level) is resident, and the coarsening /
 // refinement pipeline costs several passes per level.
 //
-// Vertex ids must be below the stream's NumVertices: MLP indexes
-// per-vertex arrays with them unchecked, so a larger id panics. The hep
-// facade checks every id first and returns graph.ErrVertexRange instead.
+// MLP reads its input through graph.EdgesInRange, so a vertex id at or
+// above the stream's NumVertices returns graph.ErrVertexRange.
 package mlp
 
 import (
@@ -109,7 +108,7 @@ func (m *MLP) Partition(src graph.EdgeStream, k int) (*part.Result, error) {
 	// of a uniformly chosen endpoint.
 	res := part.NewResult(src.NumVertices(), k)
 	res.Sink = m.Sink
-	err = src.Edges(func(u, v graph.V) bool {
+	err = graph.EdgesInRange(src, func(u, v graph.V) bool {
 		p := assign[u]
 		if rng.Intn(2) == 1 {
 			p = assign[v]
@@ -128,7 +127,7 @@ func (m *MLP) Partition(src graph.EdgeStream, k int) (*part.Result, error) {
 func buildLevel(src graph.EdgeStream) (*level, error) {
 	n := src.NumVertices()
 	deg := make([]int64, n)
-	err := src.Edges(func(u, v graph.V) bool {
+	err := graph.EdgesInRange(src, func(u, v graph.V) bool {
 		deg[u]++
 		deg[v]++
 		return true
@@ -147,7 +146,7 @@ func buildLevel(src graph.EdgeStream) (*level, error) {
 	l.adjV = make([]uint32, off)
 	l.adjW = make([]int64, off)
 	fill := make([]int64, n)
-	err = src.Edges(func(u, v graph.V) bool {
+	err = graph.EdgesInRange(src, func(u, v graph.V) bool {
 		l.adjV[l.adjIdx[u]+fill[u]] = v
 		l.adjW[l.adjIdx[u]+fill[u]] = 1
 		fill[u]++

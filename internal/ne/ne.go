@@ -10,9 +10,8 @@
 // choices cost memory and cache locality — exactly the overheads NE++
 // removes — while producing the same partitioning quality.
 //
-// Vertex ids must be below the stream's NumVertices: NE and SNE index
-// per-vertex arrays with them unchecked, so a larger id panics. The hep
-// facade checks every id first and returns graph.ErrVertexRange instead.
+// NE and SNE read their input through graph.EdgesInRange, so a vertex id
+// at or above the stream's NumVertices returns graph.ErrVertexRange.
 package ne
 
 import (
@@ -96,7 +95,7 @@ func load(src graph.EdgeStream, k int, res *part.Result) (*state, error) {
 		edges = make([]graph.Edge, 0, m)
 	}
 	deg := make([]int64, n+1)
-	err := src.Edges(func(u, v graph.V) bool {
+	err := graph.EdgesInRange(src, func(u, v graph.V) bool {
 		edges = append(edges, graph.Edge{U: u, V: v})
 		deg[u]++
 		deg[v]++

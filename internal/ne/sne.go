@@ -41,7 +41,7 @@ func (s *SNE) Partition(src graph.EdgeStream, k int) (*part.Result, error) {
 	// materialized cursor over the stream (streams are restartable but we
 	// need only one pass here).
 	var pending []graph.Edge
-	err := src.Edges(func(u, v graph.V) bool {
+	err := graph.EdgesInRange(src, func(u, v graph.V) bool {
 		pending = append(pending, graph.Edge{U: u, V: v})
 		return true
 	})

@@ -154,44 +154,3 @@ func TestStreamTruncatedAfterOpen(t *testing.T) {
 		t.Fatal("truncated mid-stream file accepted")
 	}
 }
-
-func TestDegreePass(t *testing.T) {
-	g := gen.CommunityPowerLaw(2000, 20, 8, 0.2, 7)
-	s, err := Open(writeGraphFile(t, g), 0, 128)
-	if err != nil {
-		t.Fatal(err)
-	}
-	deg, m, err := DegreePass(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantDeg, wantM, err := graph.Degrees(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m != wantM {
-		t.Fatalf("m = %d, want %d", m, wantM)
-	}
-	if len(deg) != len(wantDeg) {
-		t.Fatalf("len(deg) = %d, want %d", len(deg), len(wantDeg))
-	}
-	for v := range deg {
-		if deg[v] != wantDeg[v] {
-			t.Fatalf("deg[%d] = %d, want %d", v, deg[v], wantDeg[v])
-		}
-	}
-}
-
-// TestDegreePassDiscoversVertices feeds a stream that under-reports its
-// vertex count: the pass must grow the degree array to cover every id.
-func TestDegreePassDiscoversVertices(t *testing.T) {
-	g := graph.NewMemGraph(0, []graph.Edge{{U: 5, V: 9}, {U: 0, V: 9}})
-	g.N = 0 // pretend the count is unknown
-	deg, m, err := DegreePass(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m != 2 || len(deg) != 10 || deg[9] != 2 || deg[5] != 1 || deg[0] != 1 {
-		t.Fatalf("deg=%v m=%d", deg, m)
-	}
-}

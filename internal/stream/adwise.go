@@ -101,7 +101,7 @@ func (a *ADWISE) Partition(src graph.EdgeStream, k int) (*part.Result, error) {
 		res.Assign(e.U, e.V, bestP)
 	}
 
-	err := src.Edges(func(u, v graph.V) bool {
+	err := graph.EdgesInRange(src, func(u, v graph.V) bool {
 		deg[u]++
 		deg[v]++
 		buf = append(buf, graph.Edge{U: u, V: v})

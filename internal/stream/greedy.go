@@ -30,7 +30,7 @@ func (g *Greedy) Partition(src graph.EdgeStream, k int) (*part.Result, error) {
 	res := part.NewResult(src.NumVertices(), k)
 	res.Sink = g.Sink
 	capacity := Capacity(alpha, src.NumEdges(), k)
-	err := src.Edges(func(u, v graph.V) bool {
+	err := graph.EdgesInRange(src, func(u, v graph.V) bool {
 		res.Assign(u, v, greedyChoice(res, u, v, capacity))
 		return true
 	})

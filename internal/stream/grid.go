@@ -38,12 +38,11 @@ func (g *Grid) Partition(src graph.EdgeStream, k int) (*part.Result, error) {
 		h := hash32(x)
 		return int(h % uint32(rows)), int((h >> 8) % uint32(cols))
 	}
-	err := src.Edges(func(u, v graph.V) bool {
+	err := graph.EdgesInRange(src, func(u, v graph.V) bool {
 		ru, cu := cell(u)
 		rv, cv := cell(v)
 		// Intersection of u's and v's row/column candidate sets: the two
 		// "crossing" cells, plus the shared row/column if any.
-		best := rows*cols + 1
 		bestP := -1
 		consider := func(r, c int) {
 			p := r*cols + c
@@ -63,7 +62,6 @@ func (g *Grid) Partition(src graph.EdgeStream, k int) (*part.Result, error) {
 				consider(r, cu)
 			}
 		}
-		_ = best
 		res.Assign(u, v, bestP)
 		return true
 	})

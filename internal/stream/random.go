@@ -26,17 +26,7 @@ func (r *Random) Name() string { return "Random" }
 func (r *Random) Partition(src graph.EdgeStream, k int) (*part.Result, error) {
 	res := part.NewResult(src.NumVertices(), k)
 	res.Sink = r.Sink
-	capacity := Capacity(maxf(r.Alpha, 1), src.NumEdges(), k)
-	rng := rand.New(rand.NewSource(r.Seed))
-	err := src.Edges(func(u, v graph.V) bool {
-		p := rng.Intn(k)
-		for tries := 0; res.Counts[p] >= capacity && tries < k; tries++ {
-			p = (p + 1) % k
-		}
-		res.Assign(u, v, p)
-		return true
-	})
-	if err != nil {
+	if err := RunRandom(src, res, r.Seed, r.Alpha, src.NumEdges()); err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -47,7 +37,7 @@ func (r *Random) Partition(src graph.EdgeStream, k int) (*part.Result, error) {
 func RunRandom(src graph.EdgeStream, res *part.Result, seed int64, alpha float64, totalM int64) error {
 	capacity := Capacity(maxf(alpha, 1), totalM, res.K)
 	rng := rand.New(rand.NewSource(seed))
-	return src.Edges(func(u, v graph.V) bool {
+	return graph.EdgesInRange(src, func(u, v graph.V) bool {
 		p := rng.Intn(res.K)
 		for tries := 0; res.Counts[p] >= capacity && tries < res.K; tries++ {
 			p = (p + 1) % res.K

@@ -15,11 +15,10 @@
 // partition hosting neither endpoint has no replica term, so none of them
 // beats the least-loaded partition overall, the load tracker's argmin.
 //
-// Vertex ids must be below the stream's NumVertices. HDRF and DBH check
-// them in their degree pass and return graph.ErrVertexRange; Greedy, Grid,
-// ADWISE and Random index the replica table with them unchecked, so a
-// larger id panics. The hep facade checks every id for those four first
-// and returns graph.ErrVertexRange instead.
+// A vertex id at or above the stream's NumVertices returns
+// graph.ErrVertexRange: HDRF and DBH check ids in their degree pass, and
+// Greedy, Grid, ADWISE and Random read their input through
+// graph.EdgesInRange.
 package stream
 
 import (
