@@ -52,8 +52,8 @@ func main() {
 			"finalized partitioning: "+hep.RefineMoves+" (boundary-vertex move rounds) or "+
 			hep.RefineSplitMerge+" (over-partition, merge back, then move rounds)")
 		refineRounds  = flag.Int("refine-rounds", 0, "bound the refinement move rounds (0 = default 4)")
-		refineWorkers = flag.Int("refine-workers", 0, "refinement parallelism, independent of -workers "+
-			"(0 = all cores, 1 = deterministic sequential path)")
+		refineWorkers = flag.Int("refine-workers", 0, "refinement gain-scan parallelism, independent of "+
+			"-workers (0 = all cores; the output is the same at every value)")
 		mmap = flag.Bool("mmap", false, "memory-map the input instead of streaming it through the "+
 			"chunked reader: zero-copy ingest on little-endian hosts (the chunked reader serves "+
 			"where mmap is unavailable)")

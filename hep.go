@@ -124,9 +124,9 @@ const (
 
 // Refinement modes accepted by Config.Refine (internal/refine post-pass).
 const (
-	// RefineMoves runs parallel boundary-vertex move rounds on the
-	// algorithm's own k-way output: RF never gets worse, balance never
-	// exceeds the (1+ε)·m/k guard.
+	// RefineMoves runs boundary-vertex move rounds on the algorithm's own
+	// k-way output: RF never gets worse, balance never exceeds the
+	// (1+ε)·m/k guard.
 	RefineMoves = refine.ModeMoves
 	// RefineSplitMerge over-partitions into 2·k buckets, greedily merges
 	// back to k by max-overlap pairing, then runs the move rounds.
@@ -147,9 +147,8 @@ type Config struct {
 	Alpha float64
 	// Lambda is the HDRF balance weight, ≥ 0 (0 = default 1.1).
 	Lambda float64
-	// Seed makes randomized algorithms deterministic. The two parallel
-	// passes, DNE at Workers 0 or > 1 and refinement at RefineWorkers 0 or
-	// > 1, also depend on worker interleaving; every other run is the same
+	// Seed makes randomized algorithms deterministic. DNE at Workers 0 or
+	// > 1 also depends on worker interleaving; every other run is the same
 	// at every worker count.
 	Seed int64
 	// Workers is DNE's number of concurrent expanders (0 = DNE's own
@@ -183,10 +182,9 @@ type Config struct {
 	// RefineRounds bounds the refinement move rounds (0 = the refine
 	// default, 4; rounds stop early once no positive-gain move remains).
 	RefineRounds int
-	// RefineWorkers is the refinement pass's own parallelism, independent
-	// of Workers (refinement is parallel-safe even for the sequential
-	// algorithms): 0 resolves to GOMAXPROCS, 1 forces the deterministic
-	// sequential path.
+	// RefineWorkers is the parallelism of the refinement pass's gain scan,
+	// independent of Workers: 0 resolves to GOMAXPROCS. Moves are applied
+	// in one ordered pass, so the output is the same at every value.
 	RefineWorkers int
 	// Sink, if set, receives every edge assignment.
 	Sink Sink

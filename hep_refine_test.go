@@ -83,27 +83,45 @@ func TestRefineValidation(t *testing.T) {
 
 // TestRefineImprovesThroughFacade pins the public-API quality contract on
 // the LJ stand-in: the refined run's RF is never worse than the bare run's,
-// and the deterministic sequential path (RefineWorkers=1) reproduces. Both
-// HDRF runs pin Workers: 1, HDRF with streamed partial degrees.
+// RefineWorkers=1 reproduces, and RefineWorkers 2 and 4 deliver its sink
+// sequence. Every HDRF run pins Workers: 1, HDRF with streamed partial
+// degrees.
 func TestRefineImprovesThroughFacade(t *testing.T) {
 	g := Dataset("LJ", 0.1)
 	base, err := Partition(g, Config{Algorithm: AlgoHDRF, K: 16, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func() float64 {
-		res, err := Partition(g, Config{Algorithm: AlgoHDRF, K: 16, Workers: 1, Refine: RefineMoves, RefineWorkers: 1})
+	type assignment struct {
+		u, v uint32
+		p    int
+	}
+	run := func(workers int) (float64, []assignment) {
+		var seq []assignment
+		sink := sinkFunc(func(u, v uint32, p int) { seq = append(seq, assignment{u, v, p}) })
+		res, err := Partition(g, Config{Algorithm: AlgoHDRF, K: 16, Workers: 1, Refine: RefineMoves, RefineWorkers: workers, Sink: sink})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res.ReplicationFactor()
+		return res.ReplicationFactor(), seq
 	}
-	r1, r2 := run(), run()
-	if r1 != r2 {
-		t.Errorf("sequential refinement not deterministic: %.6f vs %.6f", r1, r2)
-	}
+	r1, want := run(1)
 	if r1 > base.ReplicationFactor() {
 		t.Errorf("refined RF %.4f worse than bare RF %.4f", r1, base.ReplicationFactor())
+	}
+	for _, workers := range []int{1, 2, 4} {
+		r, got := run(workers)
+		if r != r1 {
+			t.Errorf("RefineWorkers %d: RF %.6f, %.6f at RefineWorkers 1", workers, r, r1)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("RefineWorkers %d: sink saw %d edges, %d at RefineWorkers 1", workers, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("RefineWorkers %d: assignment %d is %v, %v at RefineWorkers 1", workers, i, got[i], want[i])
+			}
+		}
 	}
 }
 

@@ -195,21 +195,23 @@ func (s reportedCount) NumVertices() int                          { return s.g.N
 func (s reportedCount) NumEdges() int64                           { return s.m }
 func (s reportedCount) Edges(yield func(u, v graph.V) bool) error { return s.g.Edges(yield) }
 
-// TestNEIgnoresReportedEdgeCount pins NE and SNE through the facade to the
-// edges they read: a stream reporting a negative count or 0 ("count
-// unknown") delivers the MemGraph's own sink sequence. A negative count
-// used to panic in NE's edge-list allocation.
+// TestNEIgnoresReportedEdgeCount pins NE, SNE and simple-hybrid through the
+// facade to the edges they read: a stream reporting a negative count or 0
+// ("count unknown") delivers the MemGraph's own sink sequence. A negative
+// count used to panic in NE's edge-list allocation, and simple-hybrid used
+// to size its streaming half's balance bound from the reported count (τ=1
+// sends enough edges to that half for the bound to bind).
 func TestNEIgnoresReportedEdgeCount(t *testing.T) {
 	g := Dataset("OK", 0.05)
 	type assignment struct {
 		u, v uint32
 		p    int
 	}
-	for _, name := range []string{AlgoNE, AlgoSNE} {
+	for _, name := range []string{AlgoNE, AlgoSNE, AlgoSimpleHybrid} {
 		run := func(src EdgeStream) []assignment {
 			var seq []assignment
 			sink := sinkFunc(func(u, v uint32, p int) { seq = append(seq, assignment{u, v, p}) })
-			if _, err := Partition(src, Config{Algorithm: name, K: 8, Seed: 1, Workers: 1, Sink: sink}); err != nil {
+			if _, err := Partition(src, Config{Algorithm: name, K: 8, Tau: 1, Seed: 1, Workers: 1, Sink: sink}); err != nil {
 				t.Fatalf("%s, %d edges reported: %v", name, src.NumEdges(), err)
 			}
 			return seq

@@ -67,7 +67,7 @@ func (s *Simple) Partition(src graph.EdgeStream, k int) (*part.Result, error) {
 	// Streaming half: uninformed random streaming over G_H2H, bounded by
 	// the global balance capacity.
 	h2hGraph := graph.NewMemGraph(n, h2h)
-	if err := stream.RunRandom(h2hGraph, res, s.Seed+1, 1.0, src.NumEdges()); err != nil {
+	if err := stream.RunRandom(h2hGraph, res, s.Seed+1, 1.0, int64(len(rest)+len(h2h))); err != nil {
 		return nil, err
 	}
 	return res, nil

@@ -83,7 +83,7 @@ const (
 	// post-pass (internal/refine), including a round that was reverted.
 	CtrRefineRounds
 	// CtrMovesApplied counts boundary-vertex moves the refinement pass
-	// applied (a move that claimed at least one edge).
+	// applied (a move that moved at least one edge).
 	CtrMovesApplied
 	// CtrMovesRejectedBalance counts refinement moves rejected because the
 	// target partition had no headroom under the (1+ε)·m/k balance guard.

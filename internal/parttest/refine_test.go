@@ -49,9 +49,9 @@ func TestRefinedConformance(t *testing.T) {
 	}
 }
 
-// TestRefineInvariantsWorkers pins the parallel scan/apply path against the
-// full invariant harness at every worker count the ISSUE names, on a graph
-// big enough for real interleaving (run under -race in CI).
+// TestRefineInvariantsWorkers pins the parallel gain scan against the full
+// invariant harness at worker counts 1, 2, 4 and 8, on a graph big enough
+// to give every scan worker boundary vertices (run under -race in CI).
 func TestRefineInvariantsWorkers(t *testing.T) {
 	g := gen.MustDataset("OK").Build(0.1)
 	for _, workers := range []int{1, 2, 4, 8} {

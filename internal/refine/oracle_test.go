@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"hep/internal/gen"
@@ -16,9 +15,10 @@ import (
 
 // This file keeps a straightforward move round as a reference: a
 // per-(vertex, partition) gain scan over pstate.Buckets that re-walks the
-// vertex's incidence and probes every target edge by edge, a map-indexed
-// interaction count, and a replica table rebuilt from all m edges every
-// round. Run must match it bit for bit at Workers: 1.
+// vertex's incidence and probes every target edge by edge, an apply that
+// gathers each move's edges before it moves them, and a replica table
+// rebuilt from all m edges every round. Run must match it bit for bit at
+// Workers: 1.
 
 // oracleRun is the reference Run: same loop, rebuilt table, wholesale revert.
 func oracleRun(res *part.Result, edges []graph.Edge, parts []int32, o Options) Stats {
@@ -30,14 +30,10 @@ func oracleRun(res *part.Result, edges []graph.Edge, parts []int32, o Options) S
 	workers := o.workers()
 	st.Bound = BalanceBound(m, k, o.eps(), res.Loads.Max())
 	inc := buildIncidence(n, edges)
-	loads := make([]atomic.Int64, k)
-	for p := 0; p < k; p++ {
-		loads[p].Store(res.Counts[p])
-	}
+	loads := append([]int64(nil), res.Counts...)
 	prevTotal := res.Reps.TotalReplicas()
 	snapshot := make([]int32, len(parts))
 	loadSnap := make([]int64, k)
-	claims := make([][]int32, workers)
 	for round := 1; round <= o.rounds(); round++ {
 		boundary, poolCap := oracleBoundary(res.Reps, n)
 		if len(boundary) == 0 {
@@ -51,26 +47,21 @@ func oracleRun(res *part.Result, edges []graph.Edge, parts []int32, o Options) S
 			break
 		}
 		st.EstimatedGain += est
-		st.Interactions += oracleInteractions(moves, inc, edges, parts)
 		copy(snapshot, parts)
-		for p := 0; p < k; p++ {
-			loadSnap[p] = loads[p].Load()
-		}
-		applyMoves(moves, inc, parts, loads, st.Bound, claims, nil, &st)
+		copy(loadSnap, loads)
+		oracleApply(moves, inc, parts, loads, st.Bound, &st)
 		nt := rebuildTable(n, k, edges, parts)
 		newTotal := nt.TotalReplicas()
 		if newTotal > prevTotal {
 			copy(parts, snapshot)
-			for p := 0; p < k; p++ {
-				loads[p].Store(loadSnap[p])
-			}
+			copy(loads, loadSnap)
 			st.RevertedRounds++
 			break
 		}
 		prevTotal = newTotal
 		res.Reps = nt
 		for p := 0; p < k; p++ {
-			if d := loads[p].Load() - res.Counts[p]; d != 0 {
+			if d := loads[p] - res.Counts[p]; d != 0 {
 				res.Loads.Bulk(p, d)
 			}
 		}
@@ -96,7 +87,7 @@ func oracleBoundary(t *pstate.Table, n int) ([]graph.V, int) {
 // v, hosting partition p), gathers v's p-edges and probes every other
 // hosting partition q edge by edge.
 func oracleScan(t *pstate.Table, inc incidence, edges []graph.Edge, parts []int32,
-	boundary []graph.V, buckets *pstate.Buckets, loads []atomic.Int64,
+	boundary []graph.V, buckets *pstate.Buckets, loads []int64,
 	bound int64, workers int, st *Stats) ([]move, int64) {
 
 	k := t.K()
@@ -142,7 +133,7 @@ func oracleScan(t *pstate.Table, inc incidence, edges []graph.Edge, parts []int3
 							}
 						}
 					}
-					ql := loads[q].Load()
+					ql := loads[q]
 					if g > bestGain || (g == bestGain && bestTo >= 0 && ql < bestLoad) {
 						bestGain, bestTo, bestLoad = g, int32(q), ql
 					}
@@ -197,35 +188,39 @@ func oracleScan(t *pstate.Table, inc incidence, edges []graph.Edge, parts []int3
 	return moves, sum
 }
 
-// oracleInteractions is countInteractions over a map from vertex to its
-// selected moves.
-func oracleInteractions(moves []move, inc incidence, edges []graph.Edge, parts []int32) int64 {
-	sel := make(map[graph.V][]move, len(moves))
+// oracleApply applies the moves in list order: a move within the bound at
+// its scanned count gathers v's edges still on its source and moves the
+// first cnt of them.
+func oracleApply(moves []move, inc incidence, parts []int32, loads []int64, bound int64, st *Stats) {
 	for _, mv := range moves {
-		sel[mv.v] = append(sel[mv.v], mv)
-	}
-	var n int64
-	for _, mv := range moves {
-	nextMove:
+		if loads[mv.to]+int64(mv.cnt) > bound {
+			st.RejectedBalance++
+			continue
+		}
+		var on []int32
 		for _, eid := range inc.edgesOf(mv.v) {
-			p := parts[eid]
-			z := edges[eid].U
-			if z == mv.v {
-				z = edges[eid].V
-			}
-			for _, o := range sel[z] {
-				if o == mv {
-					continue
-				}
-				if (p == mv.from && z != mv.v && o.from == mv.from) ||
-					(o.from == p && o.to == mv.from) {
-					n++
-					break nextMove
-				}
+			if parts[eid] == mv.from {
+				on = append(on, eid)
 			}
 		}
+		if len(on) > int(mv.cnt) {
+			on = on[:mv.cnt]
+		}
+		if len(on) == 0 {
+			st.RejectedConflict++
+			continue
+		}
+		if len(on) < int(mv.cnt) {
+			st.PartialClaims++
+		}
+		for _, eid := range on {
+			parts[eid] = mv.to
+		}
+		loads[mv.from] -= int64(len(on))
+		loads[mv.to] += int64(len(on))
+		st.Applied++
+		st.MovedEdges += int64(len(on))
 	}
-	return n
 }
 
 // withLoopsAndParallels returns g with every 50th edge also added reversed

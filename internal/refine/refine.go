@@ -19,18 +19,20 @@
 // The only strictly positive gain is 1, reached when every moved edge's other
 // endpoint already lives on q, so the scan reduces to an AND of mask words.
 //
-// Rounds are the safety boundary: workers stride the boundary vertices, each
-// gathering its per-partition edge counts and neighbour-mask ANDs in one pass
-// over its incidence, and apply the selected moves with CAS claims on the
-// assignment array. The replica table is then patched in place — only the
-// endpoints of claimed edges can change mask — and its running total compared
-// against the round-start total. Moves never change which vertices are
-// covered, so the total-replica ordering is exactly the RF ordering — a round
-// that would worsen it is reverted wholesale (assignment from a round-start
-// snapshot, touched masks from their saved words), which turns the per-move
-// estimate into a hard RF-never-worse guarantee at round granularity. A round
-// costs one pass over the boundary's incidence plus the incidence of the
-// claimed edges' endpoints, and the O(m) snapshot copy.
+// Rounds are the safety boundary. The gain scan is parallel and read-only:
+// workers stride the boundary vertices, each gathering its per-partition
+// edge counts and neighbour-mask ANDs in one pass over its incidence, and
+// the selected moves are sorted by (v, from). One loop then applies them in
+// that order, so the output does not depend on the worker count. The
+// replica table is then patched in place — only the endpoints of moved
+// edges can change mask — and its running total compared against the
+// round-start total. Moves never change which vertices are covered, so the
+// total-replica ordering is exactly the RF ordering — a round that would
+// worsen it is reverted wholesale (assignment from a round-start snapshot,
+// touched masks from their saved words), which turns the per-move estimate
+// into a hard RF-never-worse guarantee at round granularity. A round costs
+// one pass over the boundary's incidence plus the incidence of the moved
+// edges' endpoints, and the O(m) snapshot copy.
 //
 // The optional split–merge mode (merge.go, after the Split_Merge_Partitioner
 // scheme) partitions into x·k buckets first and greedily merges back to k by
@@ -46,7 +48,6 @@ import (
 	"runtime"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"hep/internal/graph"
 	"hep/internal/obs"
@@ -66,15 +67,17 @@ const (
 
 // Defaults for the zero values of Options.
 const (
-	DefaultRounds      = 4
-	DefaultEps         = 0.05
-	DefaultSplitFactor = 2
+	DefaultRounds = 4
+	DefaultEps    = 0.05
 )
+
+// SplitFactor is ModeSplitMerge's over-partitioning factor x.
+const SplitFactor = 2
 
 // maxEvacuate caps the edge bundle one move may migrate. Evacuating a hub
 // from a partition holding thousands of its edges is never a net win — the
 // cost term saturates long before — and skipping those keeps the scan and
-// the claim loop bounded per vertex.
+// the apply loop bounded per vertex.
 const maxEvacuate = 1 << 10
 
 // ErrNoTable reports a Result whose vertex-major replica table is nil or
@@ -90,17 +93,14 @@ type Options struct {
 	// Rounds bounds the move rounds (0 = DefaultRounds). Rounds stop early
 	// when a sweep proposes no positive-gain move or a round is reverted.
 	Rounds int
-	// Workers is the scan/apply parallelism: 0 resolves to GOMAXPROCS,
-	// 1 forces the exact sequential path (the determinism guarantee, same
-	// contract as hep.Config.Workers).
+	// Workers is the gain scan's parallelism (0 resolves to GOMAXPROCS).
+	// Moves are applied in one ordered pass, so the output is the same at
+	// every worker count.
 	Workers int
 	// Eps is the balance slack ε of the guard (1+ε)·m/k (0 = DefaultEps).
 	// A partitioning that already exceeds the guard is not made stricter:
 	// the effective bound is max(⌈(1+ε)·m/k⌉, input max load).
 	Eps float64
-	// SplitFactor is ModeSplitMerge's over-partitioning factor x (0 =
-	// DefaultSplitFactor).
-	SplitFactor int
 	// Obs receives refinement spans and counters (refine_rounds,
 	// moves_applied, moves_rejected_balance, gain_recomputes). Nil disables.
 	Obs *obs.Obs
@@ -140,13 +140,6 @@ func (o Options) eps() float64 {
 	return o.Eps
 }
 
-func (o Options) splitFactor() int {
-	if o.SplitFactor < 2 {
-		return DefaultSplitFactor
-	}
-	return o.SplitFactor
-}
-
 // ValidMode reports whether mode names a refinement mode ("" counts: it is
 // the ModeMoves default).
 func ValidMode(mode string) bool {
@@ -158,23 +151,16 @@ type Stats struct {
 	// Rounds is the number of move rounds executed (including a reverted
 	// final round and the terminating empty sweep).
 	Rounds int
-	// Applied counts moves that claimed at least one edge.
+	// Applied counts moves that moved at least one edge.
 	Applied int64
 	// RejectedBalance counts moves rejected by the balance guard.
 	RejectedBalance int64
-	// RejectedConflict counts moves whose every edge was claimed first by a
-	// competing move.
+	// RejectedConflict counts moves that found none of their scanned edges
+	// left on the source: earlier moves in the round took them all.
 	RejectedConflict int64
-	// PartialClaims counts applied moves that claimed fewer edges than they
-	// scanned (a competing move took the rest).
+	// PartialClaims counts applied moves that moved fewer edges than they
+	// scanned (an earlier move in the round took the rest).
 	PartialClaims int64
-	// Interactions counts selected moves whose source partition another
-	// selected move could drain or feed mid-apply — the moves whose outcome
-	// can depend on claim order. Computed from the deterministic move list
-	// before the apply phase: zero interactions and zero balance rejections
-	// mean every round was an order-independent remap (the property the
-	// fuzz harness keys on).
-	Interactions int64
 	// GainRecomputes counts candidate-gain evaluations in the scan phase.
 	GainRecomputes int64
 	// MovedEdges counts edge migrations across all applied moves.
@@ -325,13 +311,9 @@ func Run(res *part.Result, edges []graph.Edge, parts []int32, o Options) (Stats,
 	st.Bound = BalanceBound(m, k, o.eps(), res.Loads.Max())
 	inc := buildIncidence(n, edges)
 
-	// Per-partition loads under atomic update: the apply phase reserves
-	// capacity with CAS before claiming edges, so the balance guard holds
-	// under any interleaving.
-	loads := make([]atomic.Int64, k)
-	for p := 0; p < k; p++ {
-		loads[p].Store(res.Counts[p])
-	}
+	// The round's running loads; res.Counts keeps the round-start loads
+	// until the round is kept.
+	loads := slices.Clone(res.Counts)
 
 	c := o.Obs.Counters()
 	sp := o.Obs.Span("refine-moves")
@@ -340,12 +322,7 @@ func Run(res *part.Result, edges []graph.Edge, parts []int32, o Options) (Stats,
 	t := res.Reps
 	prevTotal := t.TotalReplicas()
 	snapshot := make([]int32, len(parts))
-	loadSnap := make([]int64, k)
-	claims := make([][]int32, workers)
-	first := make([]int32, n)
-	for v := range first {
-		first[v] = -1
-	}
+	var moved []int32
 	delta := &tableDelta{seen: make([]bool, n), mask: make([]uint64, t.Words())}
 
 	for round := 1; round <= o.rounds(); round++ {
@@ -368,37 +345,31 @@ func Run(res *part.Result, edges []graph.Edge, parts []int32, o Options) (Stats,
 			break
 		}
 		st.EstimatedGain += int64(len(moves))
-		st.Interactions += countInteractions(moves, inc, parts, first)
 
 		copy(snapshot, parts)
-		for p := 0; p < k; p++ {
-			loadSnap[p] = loads[p].Load()
-		}
-		moved := applyMoves(moves, inc, parts, loads, st.Bound, claims, c, &st)
+		moved = applyMoves(moves, inc, parts, loads, st.Bound, moved[:0], c, &st)
 
-		// Patch the replica table from the assignment — the one source of
-		// truth after concurrent claims — and enforce RF-never-worse at round
-		// granularity: moves do not change vertex coverage, so the running
-		// total-replica comparison is the RF comparison.
-		delta.apply(t, inc, edges, parts, claims)
+		// Patch the replica table from the assignment and enforce
+		// RF-never-worse at round granularity: moves do not change vertex
+		// coverage, so the running total-replica comparison is the RF
+		// comparison.
+		delta.apply(t, inc, edges, parts, moved)
 		newTotal := t.TotalReplicas()
 		reverted := newTotal > prevTotal
 		if reverted {
 			copy(parts, snapshot)
 			delta.undo(t)
-			for p := 0; p < k; p++ {
-				loads[p].Store(loadSnap[p])
-			}
+			copy(loads, res.Counts)
 			st.RevertedRounds++
 		} else {
 			prevTotal = newTotal
 			for p := 0; p < k; p++ {
-				if d := loads[p].Load() - res.Counts[p]; d != 0 {
+				if d := loads[p] - res.Counts[p]; d != 0 {
 					res.Loads.Bulk(p, d)
 				}
 			}
 		}
-		rsp.Edges(moved).End()
+		rsp.Edges(int64(len(moved))).End()
 		if o.RoundHook != nil {
 			if err := o.RoundHook(round, res, edges, parts); err != nil {
 				return st, err
@@ -431,7 +402,7 @@ func collectBoundary(t *pstate.Table, n int) []graph.V {
 // merged move list is sorted by (v, from), so every worker count yields the
 // same list.
 func scanMoves(t *pstate.Table, inc incidence, parts []int32,
-	boundary []graph.V, loads []atomic.Int64,
+	boundary []graph.V, loads []int64,
 	bound int64, workers int, c *obs.Counters, st *Stats) []move {
 
 	k, words := t.K(), t.Words()
@@ -447,9 +418,9 @@ func scanMoves(t *pstate.Table, inc incidence, parts []int32,
 			// Per-partition accumulators of the current vertex: cnt[p] counts
 			// its p-edges, and[p·words:] ANDs their other endpoints' masks,
 			// seen lists the partitions with cnt > 0 so the reset stays
-			// O(|P(v)|). The scan has no concurrent writer (the apply phase is
-			// barrier-separated), so plain reads of parts and the table are
-			// safe.
+			// O(|P(v)|). The scan has no concurrent writer (the apply loop
+			// runs after the join), so plain reads of parts, loads and the
+			// table are safe.
 			cnt := make([]int32, k)
 			and := make([]uint64, k*words)
 			mask := make([]uint64, words)
@@ -505,7 +476,7 @@ func scanMoves(t *pstate.Table, inc incidence, parts []int32,
 						}
 						for ; cand != 0; cand &= cand - 1 {
 							q := wi<<6 + bits.TrailingZeros64(cand)
-							if ql := loads[q].Load(); best < 0 || ql < bestLoad {
+							if ql := loads[q]; best < 0 || ql < bestLoad {
 								best, bestLoad = q, ql
 							}
 						}
@@ -542,156 +513,72 @@ func scanMoves(t *pstate.Table, inc incidence, parts []int32,
 	return moves
 }
 
-// countInteractions reports how many selected moves the apply phase's claim
-// order could affect. Move X = (w, f→t) is order-sensitive iff another
-// selected move can touch its source edge set mid-apply: a scanned edge
-// (p == f) whose other endpoint also evacuates f (a shared claim), or any
-// edge of w that another move would migrate into f (an arrival, M.from == p
-// and M.to == f — including w's own move out of another partition pushing a
-// self-loop home). The move list is deterministic per round, so this count
-// is identical for every worker schedule.
-//
-// first is a per-vertex scratch index, all -1 on entry and on return: while
-// counting, first[z] is the position of z's first move in the (v, from)-
-// sorted list, whose moves of z are contiguous from there.
-func countInteractions(moves []move, inc incidence, parts []int32, first []int32) int64 {
-	for i := len(moves) - 1; i >= 0; i-- {
-		first[moves[i].v] = int32(i)
-	}
-	var n int64
-	for i, mv := range moves {
-		nbrs := inc.nbrsOf(mv.v)
-	nextMove:
-		for ei, eid := range inc.edgesOf(mv.v) {
-			p, z := parts[eid], nbrs[ei]
-			for j := int(first[z]); j >= 0 && j < len(moves) && moves[j].v == z; j++ {
-				o := moves[j]
-				if j != i && ((p == mv.from && z != mv.v && o.from == mv.from) ||
-					(o.from == p && o.to == mv.from)) {
-					n++
-					break nextMove
-				}
+// applyMoves applies the selected moves in list order and returns moved
+// with the id of every edge it moves appended. A move that would push its
+// target past the bound with all cnt scanned edges is rejected; otherwise
+// it moves up to cnt of v's edges still on from. An earlier move of a
+// neighbour may already have taken a shared edge out of from, or brought
+// one of v's edges into it, so a move can move fewer edges than it
+// scanned, or none. An edge moved twice in a round appears twice.
+func applyMoves(moves []move, inc incidence, parts []int32, loads []int64,
+	bound int64, moved []int32, c *obs.Counters, st *Stats) []int32 {
+
+	var applied, rejBalance int64
+	for _, mv := range moves {
+		if loads[mv.to]+int64(mv.cnt) > bound {
+			rejBalance++
+			continue
+		}
+		n := int32(0)
+		for _, eid := range inc.edgesOf(mv.v) {
+			if n == mv.cnt {
+				break
+			}
+			if parts[eid] == mv.from {
+				parts[eid] = mv.to
+				moved = append(moved, eid)
+				n++
 			}
 		}
+		if n == 0 {
+			st.RejectedConflict++
+			continue
+		}
+		if n < mv.cnt {
+			st.PartialClaims++
+		}
+		loads[mv.from] -= int64(n)
+		loads[mv.to] += int64(n)
+		st.MovedEdges += int64(n)
+		applied++
 	}
-	for _, mv := range moves {
-		first[mv.v] = -1
-	}
-	return n
-}
-
-// applyResult is one worker's apply-phase tally.
-type applyResult struct {
-	applied, rejBalance, rejConflict, partial, moved int64
-}
-
-// applyMoves claims the selected moves with per-edge CAS on the assignment
-// array, one worker per claims log. Each move first reserves capacity on its
-// target under the balance bound, then claims up to cnt of v's from-edges;
-// edges a competing move claimed first stay claimed (v still leaves from —
-// the competitor moved them out of from too). Claims are capped at the
-// reservation so the guard can never be exceeded by edges that migrated into
-// from concurrently. Worker w records the ids of the edges it claimed in
-// claims[w]; an edge claimed twice in a round appears twice.
-func applyMoves(moves []move, inc incidence, parts []int32, loads []atomic.Int64,
-	bound int64, claims [][]int32, c *obs.Counters, st *Stats) int64 {
-
-	workers := len(claims)
-	results := make([]applyResult, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			var r applyResult
-			log := claims[w][:0]
-			for i := w; i < len(moves); i += workers {
-				mv := moves[i]
-				reserved := false
-				for {
-					cur := loads[mv.to].Load()
-					if cur+int64(mv.cnt) > bound {
-						break
-					}
-					if loads[mv.to].CompareAndSwap(cur, cur+int64(mv.cnt)) {
-						reserved = true
-						break
-					}
-				}
-				if !reserved {
-					r.rejBalance++
-					continue
-				}
-				claimed := int64(0)
-				for _, eid := range inc.edgesOf(mv.v) {
-					if claimed == int64(mv.cnt) {
-						break
-					}
-					// Most of v's edges are not on from: a plain load skips
-					// them without a locked instruction, exactly as a CAS
-					// failing at that instant would.
-					if atomic.LoadInt32(&parts[eid]) == mv.from &&
-						atomic.CompareAndSwapInt32(&parts[eid], mv.from, mv.to) {
-						claimed++
-						log = append(log, eid)
-					}
-				}
-				if claimed == 0 {
-					loads[mv.to].Add(-int64(mv.cnt))
-					r.rejConflict++
-					continue
-				}
-				if claimed < int64(mv.cnt) {
-					loads[mv.to].Add(claimed - int64(mv.cnt))
-					r.partial++
-				}
-				loads[mv.from].Add(-claimed)
-				r.applied++
-				r.moved += claimed
-			}
-			claims[w] = log
-			results[w] = r
-		}(w)
-	}
-	wg.Wait()
-
-	applied, rejBalance := st.Applied, st.RejectedBalance
-	var moved int64
-	for _, r := range results {
-		st.Applied += r.applied
-		st.RejectedBalance += r.rejBalance
-		st.RejectedConflict += r.rejConflict
-		st.PartialClaims += r.partial
-		st.MovedEdges += r.moved
-		moved += r.moved
-	}
-	c.Add(obs.CtrMovesApplied, st.Applied-applied)
-	c.Add(obs.CtrMovesRejectedBalance, st.RejectedBalance-rejBalance)
+	st.Applied += applied
+	st.RejectedBalance += rejBalance
+	c.Add(obs.CtrMovesApplied, applied)
+	c.Add(obs.CtrMovesRejectedBalance, rejBalance)
 	return moved
 }
 
-// tableDelta patches the replica table after a round's claims. A vertex's
+// tableDelta patches the replica table after a round's moves. A vertex's
 // mask is the set of partitions its incident edges live on, so only the
-// endpoints of claimed edges can change: apply recomputes their masks from
+// endpoints of moved edges can change: apply recomputes their masks from
 // the incidence and writes the differing bits through Table.Add and
 // Table.Remove, which keep the per-partition and covered counts exact. The
 // words each touched vertex held before the patch are saved for undo.
 type tableDelta struct {
 	seen    []bool    // per vertex: already in touched this round
-	touched []graph.V // endpoints of this round's claimed edges
+	touched []graph.V // endpoints of this round's moved edges
 	saved   []uint64  // pre-patch mask words, words per touched vertex
 	mask    []uint64  // one recomputed mask
 }
 
-// apply brings the mask of every endpoint of a claimed edge in line with
+// apply brings the mask of every endpoint of a moved edge in line with
 // parts.
-func (d *tableDelta) apply(t *pstate.Table, inc incidence, edges []graph.Edge, parts []int32, claims [][]int32) {
+func (d *tableDelta) apply(t *pstate.Table, inc incidence, edges []graph.Edge, parts []int32, moved []int32) {
 	d.touched, d.saved = d.touched[:0], d.saved[:0]
-	for _, log := range claims {
-		for _, eid := range log {
-			d.touch(t, edges[eid].U)
-			d.touch(t, edges[eid].V)
-		}
+	for _, eid := range moved {
+		d.touch(t, edges[eid].U)
+		d.touch(t, edges[eid].V)
 	}
 	for _, x := range d.touched {
 		d.seen[x] = false

@@ -131,35 +131,46 @@ func TestRunEvacuatesStrandedEdge(t *testing.T) {
 	}
 }
 
-// TestRunDeterministicSequential pins the Workers=1 contract: two sequential
-// runs from identical inputs produce identical assignments and stats.
+// TestRunDeterministicSequential pins the worker-count contract: runs from
+// identical inputs produce identical assignments, replica table words and
+// stats, twice at Workers 1 and once each at Workers 2, 4 and 8.
 func TestRunDeterministicSequential(t *testing.T) {
 	g := gen.MustDataset("OK").Build(0.05)
-	run := func() ([]int32, Stats) {
+	run := func(workers int) (*part.Result, []int32, Stats) {
 		res, rec := capture(t, &stream.HDRF{}, g, 16)
-		st, err := Run(res, rec.Edges, rec.Parts, Options{Workers: 1})
+		st, err := Run(res, rec.Edges, rec.Parts, Options{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return rec.Parts, st
+		return res, rec.Parts, st
 	}
-	p1, s1 := run()
-	p2, s2 := run()
-	if s1 != s2 {
-		t.Fatalf("stats diverged: %+v vs %+v", s1, s2)
-	}
-	for i := range p1 {
-		if p1[i] != p2[i] {
-			t.Fatalf("assignment diverged at edge %d: %d vs %d", i, p1[i], p2[i])
-		}
-	}
+	r1, p1, s1 := run(1)
 	if s1.Applied == 0 {
 		t.Error("sequential refinement applied no moves on the OK stand-in")
+	}
+	for _, workers := range []int{1, 2, 4, 8} {
+		r, p, s := run(workers)
+		if s != s1 {
+			t.Fatalf("W=%d: stats diverged: %+v vs %+v at W=1", workers, s, s1)
+		}
+		for i := range p1 {
+			if p[i] != p1[i] {
+				t.Fatalf("W=%d: assignment diverged at edge %d: %d vs %d at W=1", workers, i, p[i], p1[i])
+			}
+		}
+		for v := 0; v < r1.N; v++ {
+			for wi := 0; wi < r1.Reps.Words(); wi++ {
+				if a, b := r.Reps.Word(graph.V(v), wi), r1.Reps.Word(graph.V(v), wi); a != b {
+					t.Fatalf("W=%d: vertex %d word %d: %#x, %#x at W=1", workers, v, wi, a, b)
+				}
+			}
+		}
 	}
 }
 
 // TestRunCountersMatchStats pins the counter fold of a two-worker pass:
-// the workers' tallies, added once after each join, equal the pass's Stats.
+// the scan workers' tallies, added once after each join, and the apply
+// loop's, added once per round, equal the pass's Stats.
 func TestRunCountersMatchStats(t *testing.T) {
 	g := gen.MustDataset("OK").Build(0.05)
 	res, rec := capture(t, &stream.HDRF{}, g, 16)

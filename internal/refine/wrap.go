@@ -60,7 +60,7 @@ func (r *Refined) Partition(src graph.EdgeStream, k int) (*part.Result, error) {
 	}
 	runK := k
 	if r.Opts.mode() == ModeSplitMerge {
-		runK = r.Opts.splitFactor() * k
+		runK = SplitFactor * k
 	}
 	// Size the capture once from a positive count; 0 ("count unknown") or
 	// a negative count grows by append. A count that is off only costs
