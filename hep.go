@@ -399,11 +399,12 @@ func OpenBinaryFile(path string, n int) (EdgeStream, error) {
 }
 
 // OpenChunked opens a binary edge list as the chunked reader, the
-// out-of-core engine's one reader of the format: on every pass a read-ahead
-// goroutine reads the file straight into []Edge slabs of chunkEdges edges
-// (0 selects 32Ki, 256 KiB), allocated on demand up to three per pass, and
-// lends them to the consumer while it reads the next. n may be 0 to
-// discover the vertex count (or < 0 to skip discovery).
+// out-of-core engine's one reader of the format: every pass reads the file,
+// on the goroutine that runs the pass, straight into []Edge slabs of
+// chunkEdges edges (0 selects 32Ki, 256 KiB) and lends them to the consumer.
+// A released slab is read into again, so a consumer that releases each slab
+// before the next costs one slab per pass. n may be 0 to discover the
+// vertex count (or < 0 to skip discovery).
 func OpenChunked(path string, n, chunkEdges int) (EdgeStream, error) {
 	return ooc.Open(path, n, chunkEdges)
 }

@@ -42,8 +42,8 @@ type TableIngestRow struct {
 
 // TableIngest compares the three ingest paths over the binary edge format —
 // per-edge copy into a batch slab (the baseline: the chunked reader behind
-// edgesOnly, which shard.Lend adapts), lending from the prefetching chunked
-// reader, and the memory-mapped reader (zero-copy on little-endian hosts) —
+// edgesOnly, which shard.Lend adapts), lending from the chunked reader, and
+// the memory-mapped reader (zero-copy on little-endian hosts) —
 // by timing a full shard.Run pass through a placement-free placer over each
 // dataset written to a temp file. README's "Zero-copy ingest" numbers come
 // from here (`hep-bench -exp ingest`).

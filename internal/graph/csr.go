@@ -101,7 +101,7 @@ func BuildCSR(src EdgeStream, tau float64, store H2HStore) (*CSR, error) {
 	var m int64
 	var loopErr error
 	err := src.Edges(func(u, v V) bool {
-		if int(u) >= n || int(v) >= n {
+		if uint(u) >= uint(n) || uint(v) >= uint(n) {
 			loopErr = VertexRangeError(u, v, n)
 			return false
 		}

@@ -63,10 +63,12 @@ type EdgeStream interface {
 // Chunks calls yield with consecutive slabs covering exactly the edges
 // Edges would yield, in the same order. The slab is lent: the consumer may
 // retain it (and subslices of it) after yield returns, and must call
-// release exactly once when the last reference is dropped — that is what
-// returns the slab to the producer's buffer pool. The consumer must treat
-// the slab as read-only and must not retain it past release. Stopping
-// early (yield returning false) after releasing every lent slab is the
+// release once when the last reference is dropped — that is what lets the
+// producer fill the slab again; a second call does nothing. Release runs on
+// the goroutine that runs the pass (the one that called Chunks), so a
+// producer's release needs no synchronisation. The consumer must treat the
+// slab as read-only and must not retain it past release. Stopping early
+// (yield returning false) after releasing every lent slab is the
 // clean-abort path; the producer reclaims its resources promptly either
 // way. Producers never yield empty slabs.
 type ChunkStream interface {
@@ -167,7 +169,7 @@ func VertexRangeError(u, v V, n int) error {
 func EdgesInRange(src EdgeStream, yield func(u, v V) bool) error {
 	n, bad := src.NumVertices(), error(nil)
 	err := src.Edges(func(u, v V) bool {
-		if int(u) >= n || int(v) >= n {
+		if uint(u) >= uint(n) || uint(v) >= uint(n) {
 			bad = VertexRangeError(u, v, n)
 			return false
 		}
@@ -197,7 +199,7 @@ func Degrees(src EdgeStream) ([]int32, int64, error) {
 	var m int64
 	var loopErr error
 	err := src.Edges(func(u, v V) bool {
-		if int(u) >= n || int(v) >= n {
+		if uint(u) >= uint(n) || uint(v) >= uint(n) {
 			loopErr = VertexRangeError(u, v, n)
 			return false
 		}

@@ -5,8 +5,9 @@ import (
 	"go/types"
 )
 
-// SlabRelease checks the lent-slab protocol of graph.EdgeChunkStream and the
-// ooc prefetch pool: a consumer callback that receives a `release func()`
+// SlabRelease checks the lent-slab protocol of graph.ChunkStream, whose
+// producers (the ooc chunked reader among them) read into a slab again only
+// once it is released: a consumer callback that receives a `release func()`
 // parameter (the repo-wide convention for lent chunks) must call release on
 // every control-flow path — directly or via defer — before the callback
 // returns or falls off its end.

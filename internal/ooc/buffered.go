@@ -331,7 +331,7 @@ func (b *Buffered) processBatch(st *batchState, localID []int32, res *part.Resul
 		// A stream whose second pass names an id its discovery scan did not
 		// see is an error. The compare stands in for the bounds checks of
 		// localID, which the compiler then drops.
-		if int(u) >= len(localID) || int(v) >= len(localID) {
+		if uint(u) >= uint(len(localID)) || uint(v) >= uint(len(localID)) {
 			return graph.VertexRangeError(u, v, len(localID))
 		}
 		local(u)

@@ -123,6 +123,6 @@ func (s *MmapStream) Chunks(yield func(edges []graph.Edge, release func()) bool)
 }
 
 // Lent returns the number of mapping slices currently lent out (always 0
-// for the chunked reader, whose slabs are pool-owned). Test hook for the
+// for the chunked reader, whose slabs it does not count). Test hook for the
 // release discipline.
 func (s *MmapStream) Lent() int64 { return s.lentOut.Load() }

@@ -1,15 +1,16 @@
 // Package ooc is the out-of-core engine: a bounded-memory pipeline for
 // partitioning graphs that do not fit in RAM. It provides the one reader of
-// binary edge-list files (Stream: a read-ahead goroutine reads the file
-// straight into lent []graph.Edge slabs, and every per-edge pass walks those
-// slabs; MmapStream lends the mapping instead where it can; ReadFile loads a
-// whole file), delta-varint-encoded on-disk edge runs (also usable as the
-// H2H spill store of paper §3.2.1), and a buffered streaming partitioner
-// (Buffered) in the spirit of buffered streaming edge partitioning (Chhabra
-// et al., 2024): fill a bounded edge buffer, partition the whole batch with
-// neighborhood expansion seeded by the global replica state, flush, repeat.
-// Buffered runs one sequential path, so its output and the buffer a byte
-// budget buys do not depend on a worker count.
+// binary edge-list files (Stream: each pass reads the file on its caller's
+// goroutine straight into lent []graph.Edge slabs, one slab at a time for a
+// consumer that releases each before the next, and every per-edge pass walks
+// those slabs; MmapStream lends the mapping instead where it can; ReadFile
+// loads a whole file), delta-varint-encoded on-disk edge runs (also usable
+// as the H2H spill store of paper §3.2.1), and a buffered streaming
+// partitioner (Buffered) in the spirit of buffered streaming edge
+// partitioning (Chhabra et al., 2024): fill a bounded edge buffer, partition
+// the whole batch with neighborhood expansion seeded by the global replica
+// state, flush, repeat. Buffered runs one sequential path, so its output and
+// the buffer a byte budget buys do not depend on a worker count.
 //
 // The resident set of every component is bounded by O(|V|) vertex state
 // (local-id map, replica bitsets) plus a configurable buffer; the edge list
@@ -19,26 +20,18 @@ package ooc
 import (
 	"fmt"
 	"io"
+	"math"
 	"math/bits"
 	"os"
-	"sync/atomic"
 	"unsafe"
 
 	"hep/internal/graph"
 )
 
 // DefaultChunkEdges is the default slab size of the chunked reader: 32Ki
-// edges, 256 KiB per slab, at most lentSlabs of them per pass.
+// edges, 256 KiB per slab, one of which serves a whole pass whose consumer
+// releases each slab before the next.
 const DefaultChunkEdges = 1 << 15
-
-// lentSlabs caps the slabs one pass of the chunked reader allocates. They
-// are allocated on demand: a file smaller than one slab costs one, and a
-// consumer that releases each slab before taking the next usually costs two
-// (one being walked, one being read). The third is the lending slack — while
-// a slow consumer (a worker still placing the batches sliced out of one
-// slab) holds a slab past the next yield, the read-ahead goroutine still has
-// a slab to read into, so read-ahead never stalls on a lent buffer.
-const lentSlabs = 3
 
 // The wire format is graph.Edge's memory layout — two uint32s, U first — so
 // the reader reads records straight into edge slabs. This line stops
@@ -113,14 +106,19 @@ func ReadFile(path string) ([]graph.Edge, error) {
 
 // discover scans src once for the vertex count, the largest id plus one,
 // and the exact edge count. It is the discovery scan of Open and OpenMmap
-// and Buffered's first pass.
+// and Buffered's first pass. A count that does not fit in an int (an id of
+// 2^31−1 or more on a 32-bit build) is an ErrVertexRange error.
 func discover(src graph.EdgeStream) (n int, m int64, err error) {
+	var top int64 // largest id + 1
 	err = src.Edges(func(u, v graph.V) bool {
-		n = max(n, int(u)+1, int(v)+1)
+		top = max(top, int64(u)+1, int64(v)+1)
 		m++
 		return true
 	})
-	return n, m, err
+	if err == nil && top > math.MaxInt {
+		err = fmt.Errorf("%w: vertex %d does not fit in int", graph.ErrVertexRange, top-1)
+	}
+	return int(top), m, err
 }
 
 // vertexCount resolves the n of Open and OpenMmap: n > 0 is kept as
@@ -149,11 +147,12 @@ func eachEdge(chunks func(yield func(edges []graph.Edge, release func()) bool) e
 }
 
 // Stream is the chunked reader: a graph.ChunkStream over a binary edge-list
-// file (consecutive little-endian uint32 pairs). Every pass reopens the
-// file, and a read-ahead goroutine reads it straight into []graph.Edge slabs
-// that are lent to the consumer, so disk I/O overlaps consumption and
-// nothing is decoded or copied on the little-endian hosts the format
-// matches. Edges walks the same slabs. A pass holds at most lentSlabs slabs.
+// file (consecutive little-endian uint32 pairs). Every pass reopens the file
+// and reads it, on the goroutine that runs the pass, straight into
+// []graph.Edge slabs that are lent to the consumer, so nothing is decoded or
+// copied on the little-endian hosts the format matches; the kernel's
+// sequential readahead keeps the next records coming. Edges walks the same
+// slabs, so a per-edge pass holds one slab.
 type Stream struct {
 	path       string
 	n          int
@@ -197,78 +196,41 @@ func (s *Stream) Edges(yield func(u, v graph.V) bool) error {
 	return eachEdge(s.Chunks, yield)
 }
 
-// edgeChunk is one slab of the file in flight to the consumer.
-type edgeChunk struct {
-	edges []graph.Edge // filled prefix of a recycled slab
-	err   error        // terminal read error
-}
-
-// Chunks implements graph.ChunkStream. Each call opens the file afresh; a
-// read-ahead goroutine reads the NumEdges records Open counted into slabs
-// and lends them in file order, so the consumer slices batches out of the
-// slab without copying an edge. A released slab returns to the pass's free
-// pool; a new one is allocated only when none is free and fewer than
-// lentSlabs exist. A file that is shorter than it was at Open is an error.
+// Chunks implements graph.ChunkStream. Each call opens the file afresh and,
+// on the caller's goroutine, reads the next run of the NumEdges records Open
+// counted into a slab and lends it, in file order, so the consumer slices
+// batches out of the slab without copying an edge. A released slab is read
+// into next; a new one is allocated only while the consumer still holds
+// every earlier one, so a consumer that releases each slab before its yield
+// returns costs one slab per pass. A file that is shorter than it was at
+// Open is an error.
 func (s *Stream) Chunks(yield func(edges []graph.Edge, release func()) bool) error {
 	f, err := os.Open(s.path)
 	if err != nil {
 		return err
 	}
-	done := make(chan struct{})
-	defer close(done)
-
-	// Both channels are sized to the slab cap: a pass never has more than
-	// lentSlabs slabs to hand around.
-	free := make(chan []graph.Edge, lentSlabs)
-	full := make(chan edgeChunk, lentSlabs)
-	go func() {
-		defer close(full)
-		defer f.Close()
-		slabs := 0
-		for off := int64(0); off < s.m; {
-			var slab []graph.Edge
-			if len(free) == 0 && slabs < lentSlabs {
-				slab, slabs = make([]graph.Edge, s.chunkEdges), slabs+1
-			} else {
-				select {
-				case slab = <-free:
-				case <-done:
-					return
-				}
-			}
-			c := edgeChunk{edges: slab[:min(int64(len(slab)), s.m-off)]}
-			if err := readEdges(f, c.edges); err != nil {
-				c = edgeChunk{err: fmt.Errorf("ooc: %s: short read at edge %d of %d: %w", s.path, off, s.m, err)}
-			}
-			select {
-			case full <- c:
-			case <-done:
-				return
-			}
-			if c.err != nil {
-				return
-			}
-			off += int64(len(c.edges))
+	defer f.Close()
+	var free [][]graph.Edge // released slabs
+	for off := int64(0); off < s.m; {
+		var slab []graph.Edge
+		if len(free) > 0 {
+			slab, free = free[len(free)-1], free[:len(free)-1]
+		} else {
+			slab = make([]graph.Edge, s.chunkEdges)
 		}
-	}()
-
-	for c := range full {
-		if c.err != nil {
-			return c.err
+		edges := slab[:min(int64(len(slab)), s.m-off)]
+		if err := readEdges(f, edges); err != nil {
+			return fmt.Errorf("ooc: %s: short read at edge %d of %d: %w", s.path, off, s.m, err)
 		}
-		slab := c.edges[:cap(c.edges)]
-		var released atomic.Bool
+		off += int64(len(edges))
+		released := false
 		release := func() {
-			if released.CompareAndSwap(false, true) {
-				// The pool holds at most lentSlabs slabs, so the buffered
-				// send cannot block even after the reader has exited.
-				select {
-				case free <- slab:
-				default:
-				}
+			if !released {
+				released = true
+				free = append(free, slab)
 			}
 		}
-		if !yield(c.edges, release) {
+		if !yield(edges, release) {
 			return nil
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -18,9 +19,10 @@ import (
 // reader behind hep.ReadBinaryFile). Each must refuse a size that is not a
 // multiple of 8; otherwise each must yield exactly the little-endian decode
 // of the bytes, in order, through Edges and Chunks, discovery must report
-// max id + 1, and a stop after a random edge must return nil and leave the
-// stream re-readable. Only the readers run: ids reach 2^32−1, where
-// anything allocating per vertex would try 16 GiB.
+// max id + 1 (or fail, on a 32-bit build, where that does not fit in an
+// int), and a stop after a random edge must return nil and leave the stream
+// re-readable. Only the readers run: ids reach 2^32−1, where anything
+// allocating per vertex would try 16 GiB.
 func FuzzEdgeIO(f *testing.F) {
 	many := make([]byte, 8*1000)
 	for i := range many {
@@ -57,14 +59,28 @@ func FuzzEdgeIO(f *testing.F) {
 			return
 		}
 		want := make([]graph.Edge, len(data)/8)
-		wantN := 0
+		top := int64(0) // max id + 1
 		for i := range want {
 			want[i] = graph.Edge{
 				U: binary.LittleEndian.Uint32(data[8*i:]),
 				V: binary.LittleEndian.Uint32(data[8*i+4:]),
 			}
-			wantN = max(wantN, int(want[i].U)+1, int(want[i].V)+1)
+			top = max(top, int64(want[i].U)+1, int64(want[i].V)+1)
 		}
+		// Where max id + 1 does not fit in an int, discovery must fail, and
+		// the discovering readers below skip discovery instead.
+		discoverN, wantN := 0, int(top)
+		if top > math.MaxInt {
+			if _, err := Open(path, 0, chunkEdges); err == nil {
+				t.Fatalf("Open(n=0) accepted max id %d", top-1)
+			}
+			if s, err := OpenMmap(path, 0); err == nil {
+				s.Close()
+				t.Fatalf("OpenMmap(n=0) accepted max id %d", top-1)
+			}
+			discoverN, wantN = -1, 0
+		}
+		declared := int(min(top+3, math.MaxInt))
 
 		whole, err := ReadFile(path)
 		if err != nil {
@@ -76,7 +92,7 @@ func FuzzEdgeIO(f *testing.F) {
 		sameEdges(t, "ReadFile", whole, want)
 
 		var discovered *Stream
-		for _, tc := range []struct{ n, want int }{{0, wantN}, {wantN + 3, wantN + 3}, {-1, 0}} {
+		for i, tc := range []struct{ n, want int }{{discoverN, wantN}, {declared, declared}, {-1, 0}} {
 			s, err := Open(path, tc.n, chunkEdges)
 			if err != nil {
 				t.Fatal(err)
@@ -85,12 +101,12 @@ func FuzzEdgeIO(f *testing.F) {
 				t.Fatalf("Open(n=%d): NumVertices %d, want %d", tc.n, s.NumVertices(), tc.want)
 			}
 			checkReader(t, fmt.Sprintf("Open(n=%d)", tc.n), s, want, int(stop))
-			if tc.n == 0 {
+			if i == 0 {
 				discovered = s
 			}
 		}
 
-		ms, err := OpenMmap(path, 0)
+		ms, err := OpenMmap(path, discoverN)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -166,10 +182,13 @@ func TestSwapBytes(t *testing.T) {
 }
 
 // TestStreamSlabsOnDemand pins the chunked reader's slab budget: a file
-// smaller than one slab costs one slab, and no pass — a per-edge one, or a
-// lending one whose consumer keeps two slabs lent at a time — allocates or
-// holds more than lentSlabs. Allocation is read from the heap's running
-// total, taking the least of three tries to shed unrelated allocations.
+// smaller than one slab costs one slab of its size; a pass whose consumer
+// releases each slab before its yield returns, as every per-edge pass
+// does, costs one slab; and a lending pass whose consumer keeps two slabs
+// lent at a time costs exactly three, since the reader allocates a slab
+// only while every earlier one is held.
+// Allocation is read from the heap's running total, taking the least of
+// three tries to shed unrelated allocations.
 func TestStreamSlabsOnDemand(t *testing.T) {
 	const chunk = 1 << 13 // 64 KiB slabs dwarf a pass's other allocations
 	const slabBytes = chunk * 8
@@ -213,10 +232,10 @@ func TestStreamSlabsOnDemand(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const budget = lentSlabs*slabBytes + slabBytes/2
-	if got := allocated(func() error { return big.Edges(all) }); got >= budget {
-		t.Errorf("Edges pass allocated %d bytes; %d slabs are %d", got, lentSlabs, lentSlabs*slabBytes)
+	if got := allocated(func() error { return big.Edges(all) }); got >= slabBytes+slabBytes/2 {
+		t.Errorf("Edges pass allocated %d bytes; one slab is %d", got, slabBytes)
 	}
+
 	distinct := 0
 	holding := func() error {
 		slabs := map[*graph.Edge]bool{}
@@ -234,13 +253,13 @@ func TestStreamSlabsOnDemand(t *testing.T) {
 		for _, release := range held {
 			release()
 		}
-		distinct = max(distinct, len(slabs))
+		distinct = len(slabs)
 		return err
 	}
-	if got := allocated(holding); got >= budget {
-		t.Errorf("lending pass allocated %d bytes; %d slabs are %d", got, lentSlabs, lentSlabs*slabBytes)
+	if got := allocated(holding); got >= 3*slabBytes+slabBytes/2 {
+		t.Errorf("lending pass holding two slabs allocated %d bytes; three slabs are %d", got, 3*slabBytes)
 	}
-	if distinct > lentSlabs {
-		t.Errorf("a pass lent %d distinct slabs, want at most %d", distinct, lentSlabs)
+	if distinct != 3 {
+		t.Errorf("a pass holding two slabs lent %d distinct slabs, want 3", distinct)
 	}
 }

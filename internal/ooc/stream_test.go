@@ -63,8 +63,8 @@ func TestStreamEarlyStop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Stop mid-stream repeatedly: the prefetch goroutine must shut down
-	// cleanly every time and the stream must remain reusable.
+	// Stop mid-stream repeatedly: the stream must remain reusable after
+	// every stop.
 	for trial := 0; trial < 10; trial++ {
 		seen := 0
 		if err := s.Edges(func(u, v graph.V) bool {

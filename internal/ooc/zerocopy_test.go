@@ -42,8 +42,8 @@ func sameEdges(t *testing.T, label string, got, want []graph.Edge) {
 	}
 }
 
-// waitGoroutines polls until the goroutine count returns to base — the
-// prompt-shutdown check for early-stopped prefetch readers.
+// waitGoroutines polls until the goroutine count returns to base: no
+// reader may leave a goroutine running, during a pass or after it.
 func waitGoroutines(t *testing.T, base int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -79,10 +79,10 @@ func TestStreamChunksMatchEdges(t *testing.T) {
 	}
 }
 
-// TestStreamEarlyStopNoLeak is the prompt-release regression for both read
-// paths: stopping Edges or Chunks mid-stream must shut the prefetch
-// goroutine down (which closes the file) every time, leaving the stream
-// reusable.
+// TestStreamEarlyStopNoLeak pins that the chunked reader runs on its
+// caller's goroutine: inside yield no goroutine runs beyond the test's
+// baseline, none is left after a pass, and stopping Edges or Chunks
+// mid-stream leaves the stream reusable, every time.
 func TestStreamEarlyStopNoLeak(t *testing.T) {
 	g := gen.BarabasiAlbert(600, 4, 1)
 	s, err := Open(writeGraphFile(t, g), g.NumVertices(), 32)
@@ -93,6 +93,9 @@ func TestStreamEarlyStopNoLeak(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		seen := 0
 		if err := s.Edges(func(u, v graph.V) bool {
+			if seen == 0 {
+				waitGoroutines(t, base)
+			}
 			seen++
 			return seen < 5*(trial+1)
 		}); err != nil {
@@ -102,6 +105,7 @@ func TestStreamEarlyStopNoLeak(t *testing.T) {
 
 		slabs := 0
 		if err := s.Chunks(func(edges []graph.Edge, release func()) bool {
+			waitGoroutines(t, base)
 			release()
 			slabs++
 			return slabs <= trial%3
@@ -114,10 +118,11 @@ func TestStreamEarlyStopNoLeak(t *testing.T) {
 	sameEdges(t, "post-early-stop chunks", collectChunks(t, s), g.E)
 }
 
-// TestStreamChunksUnreleasedSlabDoesNotWedge pins the refcount independence
-// of the prefetch pool: a consumer that sits on one slab (release deferred
-// to the very end) must not deadlock the reader — the pool holds a third
-// buffer precisely so prefetch never stalls on the consumer's slab.
+// TestStreamChunksUnreleasedSlabDoesNotWedge pins what a held slab costs
+// the chunked reader: a consumer that sits on the first slab (release
+// deferred past the pass) makes the reader allocate a second one, which
+// serves the rest of the pass; the held slab keeps its edges, and
+// releasing it twice stays harmless.
 func TestStreamChunksUnreleasedSlabDoesNotWedge(t *testing.T) {
 	g := gen.BarabasiAlbert(1000, 4, 9)
 	s, err := Open(writeGraphFile(t, g), g.NumVertices(), 64)
@@ -125,12 +130,15 @@ func TestStreamChunksUnreleasedSlabDoesNotWedge(t *testing.T) {
 		t.Fatal(err)
 	}
 	var held func()
+	var first []graph.Edge
+	slabs := map[*graph.Edge]bool{}
 	count := 0
 	if err := s.Chunks(func(edges []graph.Edge, release func()) bool {
 		count++
+		slabs[&edges[:cap(edges)][0]] = true
 		if held == nil {
 			//hep:xfer deliberately holds the first slab past the pass; released at the end of the test
-			held = release
+			held, first = release, edges
 			return true
 		}
 		release()
@@ -141,8 +149,12 @@ func TestStreamChunksUnreleasedSlabDoesNotWedge(t *testing.T) {
 	if held == nil || count < 3 {
 		t.Fatalf("pass yielded %d slabs", count)
 	}
+	if len(slabs) != 2 {
+		t.Errorf("pass lent %d distinct slabs while holding one, want 2", len(slabs))
+	}
+	sameEdges(t, "held slab", first, g.E[:len(first)])
 	held()
-	held() // releasing twice must be harmless (released-once guard)
+	held() // releasing twice must be harmless
 }
 
 func TestMmapStreamRoundTrip(t *testing.T) {
@@ -295,8 +307,8 @@ func (e edgesView) NumEdges() int64                           { return e.s.NumEd
 func (e edgesView) Edges(yield func(u, v graph.V) bool) error { return e.s.Edges(yield) }
 
 // TestParallelHDRFOverChunkedFile runs HDRF placement end to end over a
-// lending file stream at Workers 2 and 4, which placement ignores: slabs
-// from the prefetch pool are sliced into batches with no copying, every
+// lending file stream at Workers 2 and 4, which placement ignores: the
+// reader's slabs are sliced into batches with no copying, every
 // edge lands exactly once, and the loads and replica counts equal the
 // one-worker run's on the same file.
 func TestParallelHDRFOverChunkedFile(t *testing.T) {

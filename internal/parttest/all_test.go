@@ -82,25 +82,28 @@ func TestAllAlgorithmsConformance(t *testing.T) {
 }
 
 // TestEveryAlgorithmChecksVertexIDs calls every partitioner directly, with
-// no facade in front, on a 5-vertex graph holding the edge (2,9): each must
+// no facade in front, on a 5-vertex graph holding the edge (2,9), and on one
+// holding (2,2^31), an id that is negative as a 32-bit int: each must
 // return an error wrapping graph.ErrVertexRange, never panic. Buffered is
 // exempt: it takes its id domain from its own discovery scan.
 func TestEveryAlgorithmChecksVertexIDs(t *testing.T) {
-	g := graph.NewMemGraph(5, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 9}, {U: 3, V: 4}})
-	for _, tc := range allAlgorithms() {
-		if _, ok := tc.algo.(*ooc.Buffered); ok {
-			continue
-		}
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					t.Errorf("%s: panic: %v", tc.algo.Name(), r)
+	for _, bad := range []graph.Edge{{U: 2, V: 9}, {U: 2, V: 1 << 31}} {
+		g := graph.NewMemGraph(5, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, bad, {U: 3, V: 4}})
+		for _, tc := range allAlgorithms() {
+			if _, ok := tc.algo.(*ooc.Buffered); ok {
+				continue
+			}
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Errorf("%s %v: panic: %v", tc.algo.Name(), bad, r)
+					}
+				}()
+				if _, err := tc.algo.Partition(g, 2); !errors.Is(err, graph.ErrVertexRange) {
+					t.Errorf("%s %v: err = %v, want ErrVertexRange", tc.algo.Name(), bad, err)
 				}
 			}()
-			if _, err := tc.algo.Partition(g, 2); !errors.Is(err, graph.ErrVertexRange) {
-				t.Errorf("%s: err = %v, want ErrVertexRange", tc.algo.Name(), err)
-			}
-		}()
+		}
 	}
 }
 

@@ -28,11 +28,11 @@
 // edges can change mask — and its running total compared against the
 // round-start total. Moves never change which vertices are covered, so the
 // total-replica ordering is exactly the RF ordering — a round that would
-// worsen it is reverted wholesale (assignment from a round-start snapshot,
-// touched masks from their saved words), which turns the per-move estimate
-// into a hard RF-never-worse guarantee at round granularity. A round costs
-// one pass over the boundary's incidence plus the incidence of the moved
-// edges' endpoints, and the O(m) snapshot copy.
+// worsen it is reverted wholesale (the round's moved-edge log written back
+// in reverse, touched masks from their saved words), which turns the
+// per-move estimate into a hard RF-never-worse guarantee at round
+// granularity. A round costs one pass over the boundary's incidence plus
+// the incidence of the moved edges' endpoints.
 //
 // The optional split–merge mode (merge.go, after the Split_Merge_Partitioner
 // scheme) partitions into x·k buckets first and greedily merges back to k by
@@ -245,6 +245,14 @@ type move struct {
 	cnt      int32
 }
 
+// movedEdge is one entry of a round's move log: the edge id and from, the
+// partition the edge left. An edge moved twice in a round has two entries,
+// so writing the sources back in reverse log order leaves it on its first
+// source.
+type movedEdge struct {
+	id, from int32
+}
+
 // incidence is the per-vertex CSR over edge ids, built once per pass. Entry
 // j of v holds the edge id ids[j] and the edge's other endpoint nbr[j], so
 // a scan reads neighbours in order instead of loading the edge. A self loop
@@ -321,8 +329,7 @@ func Run(res *part.Result, edges []graph.Edge, parts []int32, o Options) (Stats,
 
 	t := res.Reps
 	prevTotal := t.TotalReplicas()
-	snapshot := make([]int32, len(parts))
-	var moved []int32
+	var moved []movedEdge
 	delta := &tableDelta{seen: make([]bool, n), mask: make([]uint64, t.Words())}
 
 	for round := 1; round <= o.rounds(); round++ {
@@ -346,7 +353,6 @@ func Run(res *part.Result, edges []graph.Edge, parts []int32, o Options) (Stats,
 		}
 		st.EstimatedGain += int64(len(moves))
 
-		copy(snapshot, parts)
 		moved = applyMoves(moves, inc, parts, loads, st.Bound, moved[:0], c, &st)
 
 		// Patch the replica table from the assignment and enforce
@@ -357,7 +363,9 @@ func Run(res *part.Result, edges []graph.Edge, parts []int32, o Options) (Stats,
 		newTotal := t.TotalReplicas()
 		reverted := newTotal > prevTotal
 		if reverted {
-			copy(parts, snapshot)
+			for i := len(moved) - 1; i >= 0; i-- {
+				parts[moved[i].id] = moved[i].from
+			}
 			delta.undo(t)
 			copy(loads, res.Counts)
 			st.RevertedRounds++
@@ -514,14 +522,15 @@ func scanMoves(t *pstate.Table, inc incidence, parts []int32,
 }
 
 // applyMoves applies the selected moves in list order and returns moved
-// with the id of every edge it moves appended. A move that would push its
-// target past the bound with all cnt scanned edges is rejected; otherwise
-// it moves up to cnt of v's edges still on from. An earlier move of a
-// neighbour may already have taken a shared edge out of from, or brought
-// one of v's edges into it, so a move can move fewer edges than it
-// scanned, or none. An edge moved twice in a round appears twice.
+// with every edge it moves logged, in order, with its source partition. A
+// move that would push its target past the bound with all cnt scanned
+// edges is rejected; otherwise it moves up to cnt of v's edges still on
+// from. An earlier move of a neighbour may already have taken a shared edge
+// out of from, or brought one of v's edges into it, so a move can move
+// fewer edges than it scanned, or none. An edge moved twice in a round
+// appears twice.
 func applyMoves(moves []move, inc incidence, parts []int32, loads []int64,
-	bound int64, moved []int32, c *obs.Counters, st *Stats) []int32 {
+	bound int64, moved []movedEdge, c *obs.Counters, st *Stats) []movedEdge {
 
 	var applied, rejBalance int64
 	for _, mv := range moves {
@@ -536,7 +545,7 @@ func applyMoves(moves []move, inc incidence, parts []int32, loads []int64,
 			}
 			if parts[eid] == mv.from {
 				parts[eid] = mv.to
-				moved = append(moved, eid)
+				moved = append(moved, movedEdge{id: eid, from: mv.from})
 				n++
 			}
 		}
@@ -574,11 +583,11 @@ type tableDelta struct {
 
 // apply brings the mask of every endpoint of a moved edge in line with
 // parts.
-func (d *tableDelta) apply(t *pstate.Table, inc incidence, edges []graph.Edge, parts []int32, moved []int32) {
+func (d *tableDelta) apply(t *pstate.Table, inc incidence, edges []graph.Edge, parts []int32, moved []movedEdge) {
 	d.touched, d.saved = d.touched[:0], d.saved[:0]
-	for _, eid := range moved {
-		d.touch(t, edges[eid].U)
-		d.touch(t, edges[eid].V)
+	for _, mv := range moved {
+		d.touch(t, edges[mv.id].U)
+		d.touch(t, edges[mv.id].V)
 	}
 	for _, x := range d.touched {
 		d.seen[x] = false

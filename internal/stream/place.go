@@ -44,7 +44,7 @@ func (w *hdrfPlacer) PlaceBatch(edges []graph.Edge, parts []int32) error {
 		if w.partial {
 			// The check stands in for the bounds checks of the two
 			// increments, which the compiler then drops.
-			if int(u) >= len(deg) || int(v) >= len(deg) {
+			if uint(u) >= uint(len(deg)) || uint(v) >= uint(len(deg)) {
 				return graph.VertexRangeError(u, v, len(deg))
 			}
 			// A count at the int32 maximum cannot grow; a self-loop
