@@ -28,6 +28,7 @@ import (
 
 	"hep"
 	"hep/internal/obs"
+	"hep/internal/obs/obshttp"
 	"hep/internal/part"
 )
 
@@ -43,7 +44,7 @@ func main() {
 		assign  = flag.String("assign", "", "write 'u v partition' lines to this file")
 		buffer  = flag.Int("buffer", 0, "buffered algorithm: edges per batch (0 = default or derived from -budget)")
 		workers = flag.Int("workers", 0, "DNE's concurrent expanders; hdrf streams partial degrees at 1 "+
-			"and takes the exact-degree pre-pass at any other value; hep, nepp, rehdrf and buffered "+
+			"and takes the exact-degree pre-pass at any other value; hep, ne++, rehdrf and buffered "+
 			"accept any value and run one sequential path (0 = all cores; algorithms with no "+
 			"parallel path reject > 1)")
 		budget = flag.Int64("budget", 0, "if > 0, fit the partitioner to this many bytes: "+
@@ -99,7 +100,7 @@ func main() {
 		o.SetMeta("workers", *workers)
 		cfg.Obs = o
 		if *metricsAddr != "" {
-			srv, addr, err := obs.ServeDebug(o, *metricsAddr)
+			srv, addr, err := obshttp.ServeDebug(o, *metricsAddr)
 			fail(err)
 			defer srv.Close()
 			fmt.Fprintf(os.Stderr, "hep-partition: debug endpoints on http://%s/debug/\n", addr)

@@ -362,7 +362,10 @@ func Algorithms() []string {
 	}
 }
 
-// NewGraph wraps an edge list (n inferred if 0) as an EdgeStream.
+// NewGraph wraps an edge list (n inferred if 0) as an EdgeStream. An
+// inferred count that does not fit in an int (an id of 2^31−1 or more on a
+// 32-bit build) is 0, so partitioning the graph returns an error wrapping
+// graph.ErrVertexRange.
 func NewGraph(n int, edges []Edge) *MemGraph {
 	if n <= 0 {
 		return graph.FromEdges(edges)

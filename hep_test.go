@@ -5,6 +5,7 @@ import (
 	"math"
 	"path/filepath"
 	"runtime"
+	"strconv"
 	"testing"
 
 	"hep/internal/graph"
@@ -164,6 +165,34 @@ func TestNewGraphInference(t *testing.T) {
 	g2 := NewGraph(20, []Edge{{U: 2, V: 7}})
 	if g2.NumVertices() != 20 {
 		t.Fatalf("explicit n = %d", g2.NumVertices())
+	}
+}
+
+// TestNewGraphIDPastInt: on a 32-bit build the edge (2, 2^31) has no int
+// vertex count. NewGraph must not report a wrapped, negative count, and every
+// algorithm at one worker must return graph.ErrVertexRange over it, never
+// panic. Where int is 64 bits the graph is valid and would allocate 2^31+1
+// vertices, so the test runs only on 32-bit builds (CI's i386 job).
+func TestNewGraphIDPastInt(t *testing.T) {
+	if strconv.IntSize == 64 {
+		t.Skip("int is 64 bits: vertex 2^31 fits")
+	}
+	g := NewGraph(0, []Edge{{U: 2, V: 1 << 31}})
+	if n := g.NumVertices(); n < 0 {
+		t.Errorf("NumVertices() = %d", n)
+	}
+	for _, name := range Algorithms() {
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("%s: panic: %v", name, r)
+				}
+			}()
+			_, err := Partition(g, Config{Algorithm: name, K: 2, Workers: 1, Seed: 1})
+			if !errors.Is(err, graph.ErrVertexRange) {
+				t.Errorf("%s: err = %v, want ErrVertexRange", name, err)
+			}
+		}()
 	}
 }
 

@@ -94,6 +94,10 @@ func NewMemGraph(n int, edges []Edge) *MemGraph {
 }
 
 // FromEdges builds a MemGraph inferring the vertex count as max id + 1.
+// Where that count does not fit in an int (an id of 2^31−1 or more on a
+// 32-bit build) the count is 0, as for a file opened without discovery:
+// every id is then out of range, so partitioners return ErrVertexRange
+// instead of sizing their arrays from a wrapped count.
 func FromEdges(edges []Edge) *MemGraph {
 	var max V
 	has := false
@@ -107,7 +111,7 @@ func FromEdges(edges []Edge) *MemGraph {
 		}
 	}
 	n := 0
-	if has {
+	if has && uint64(max) < math.MaxInt {
 		n = int(max) + 1
 	}
 	return &MemGraph{N: n, E: edges}

@@ -97,7 +97,7 @@ const (
 )
 
 // counterNames are the stable machine-readable names used by the trace-JSON
-// schema and the expvar endpoint.
+// schema and obshttp's expvar and /metrics endpoints.
 var counterNames = [NumCounters]string{
 	CtrEdgesStreamed:        "edges_streamed",
 	CtrBatches:              "batches",
@@ -163,9 +163,9 @@ func (g GaugeID) String() string {
 }
 
 // Counters is the hot-path counter surface: one block of atomics. Writers
-// Add at batch and region boundaries; readers — the JSON encoder, the
-// expvar endpoint, the progress reporter — load the same atomics, so
-// counters are safe to scrape while a run is in flight.
+// Add at batch and region boundaries; readers — the JSON encoder, obshttp's
+// expvar and /metrics endpoints, the progress reporter — load the same
+// atomics, so counters are safe to scrape while a run is in flight.
 //
 // The intended discipline is the batch-boundary fold: hot loops accumulate
 // into plain locals and Add the aggregate once per batch/region, so the

@@ -2,8 +2,10 @@
 // pipeline: phase spans (a lightweight tracer recording wall time, work
 // volume and memory snapshots per pipeline stage), hot-path counters (one
 // block of atomics added at batch boundaries), a machine-readable
-// trace-JSON encoder, a human progress reporter, and an expvar/pprof debug
-// listener.
+// trace-JSON encoder and a human progress reporter. The expvar, pprof and
+// Prometheus debug listener over a hub is package obshttp, which only
+// hep-partition imports: linking obs, as every algorithm does, brings in no
+// net/http and no cgo.
 //
 // The package has two design rules. First, disabled must be free: a nil
 // *Obs (and a nil *Counters) is the off switch — every method is a nil-safe

@@ -1,4 +1,11 @@
-package obs
+// Package obshttp is the `-metrics-addr` debug listener over an obs hub:
+// expvar, the pprof suite, Prometheus text exposition and the live trace.
+// It is kept out of package obs so that the library, which every algorithm
+// links, carries none of net/http, expvar or pprof (and, through net, no
+// cgo): only a command that serves the endpoints imports this package, and
+// importing it is what registers /debug/pprof/ and /debug/vars on
+// http.DefaultServeMux.
+package obshttp
 
 import (
 	"expvar"
@@ -7,6 +14,8 @@ import (
 	"net/http/pprof"
 	"sync"
 	"sync/atomic"
+
+	"hep/internal/obs"
 )
 
 // The expvar package keeps one global registry and panics on duplicate
@@ -14,7 +23,7 @@ import (
 // atomically-swapped current-Obs pointer. Every accessor below is nil-safe,
 // so the vars are scrapable even before a run installs its Obs.
 var (
-	currentObs  atomic.Pointer[Obs]
+	currentObs  atomic.Pointer[obs.Obs]
 	publishOnce sync.Once
 )
 
@@ -24,7 +33,7 @@ var (
 // the latest quality sample), the pprof suite (/debug/pprof/), and the live
 // trace report (/debug/trace.json). Returns the server (Close it to stop)
 // and the bound address (useful with ":0").
-func ServeDebug(o *Obs, addr string) (*http.Server, net.Addr, error) {
+func ServeDebug(o *obs.Obs, addr string) (*http.Server, net.Addr, error) {
 	currentObs.Store(o)
 	publishOnce.Do(func() {
 		expvar.Publish("hep_counters", expvar.Func(func() any {

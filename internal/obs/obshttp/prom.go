@@ -1,4 +1,4 @@
-package obs
+package obshttp
 
 import (
 	"fmt"
@@ -6,6 +6,8 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
+
+	"hep/internal/obs"
 )
 
 // promHandler serves the Prometheus text exposition format (version 0.0.4,
@@ -20,13 +22,13 @@ func promHandler(w http.ResponseWriter, r *http.Request) {
 
 // writeProm renders the full exposition for one hub (nil-safe: a nil hub
 // exports nothing, which is a valid empty exposition).
-func writeProm(w io.Writer, o *Obs) {
+func writeProm(w io.Writer, o *obs.Obs) {
 	c := o.Counters()
-	for id := CounterID(0); id < NumCounters; id++ {
+	for id := obs.CounterID(0); id < obs.NumCounters; id++ {
 		name := "hep_" + id.String() + "_total"
 		fmt.Fprintf(w, "# TYPE %s counter\n%s %d\n", name, name, c.Total(id))
 	}
-	for g := GaugeID(0); g < NumGauges; g++ {
+	for g := obs.GaugeID(0); g < obs.NumGauges; g++ {
 		name := "hep_" + g.String()
 		fmt.Fprintf(w, "# TYPE %s gauge\n%s %d\n", name, name, c.Gauge(g))
 	}
@@ -49,7 +51,7 @@ func writeProm(w io.Writer, o *Obs) {
 				strconv.FormatFloat(q.v, 'g', -1, 64))
 		}
 	}
-	for id := HistID(0); id < NumHists; id++ {
+	for id := obs.HistID(0); id < obs.NumHists; id++ {
 		rec := c.HistRecord(id)
 		name := "hep_" + id.String()
 		fmt.Fprintf(w, "# TYPE %s histogram\n", name)
@@ -85,16 +87,15 @@ func promLE(b int) string {
 
 // writePromMeta exports the run/repro metadata as a constant info gauge, the
 // conventional shape for build/run labels.
-func writePromMeta(w io.Writer, o *Obs) {
-	if o == nil {
+func writePromMeta(w io.Writer, o *obs.Obs) {
+	rep := o.Report()
+	if rep == nil {
 		return
 	}
-	o.mu.Lock()
-	labels := make([]string, 0, len(o.repro))
-	for k, v := range o.repro {
+	labels := make([]string, 0, len(rep.Repro))
+	for k, v := range rep.Repro {
 		labels = append(labels, fmt.Sprintf("%s=%q", k, v))
 	}
-	o.mu.Unlock()
 	if len(labels) == 0 {
 		return
 	}

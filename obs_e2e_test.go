@@ -3,11 +3,13 @@ package hep
 // End-to-end coverage of Config.Obs: the same hub the CLI wires up via
 // -trace-json / -metrics-addr / -v, driven here through the public API for
 // every instrumented algorithm, plus the once-per-batch discipline of
-// enabled observability.
+// enabled observability, and the library's silence on the default HTTP mux.
 
 import (
 	"bytes"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 
 	"hep/internal/obs"
@@ -214,5 +216,19 @@ func TestBufferedQualitySeries(t *testing.T) {
 	if last.Covered != covered || last.Replicas != total {
 		t.Fatalf("final sample replicas=%d covered=%d, table scan says %d/%d",
 			last.Replicas, last.Covered, total, covered)
+	}
+}
+
+// TestLibraryRegistersNoDebugHandlers: linking the library must not mount
+// the debug listener's handlers on http.DefaultServeMux. Only a command that
+// imports internal/obs/obshttp gets /debug/pprof/ and /debug/vars; a program
+// that embeds hep and serves the default mux must not expose its profiles.
+func TestLibraryRegistersNoDebugHandlers(t *testing.T) {
+	for _, path := range []string{"/debug/pprof/", "/debug/vars"} {
+		rec := httptest.NewRecorder()
+		http.DefaultServeMux.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		if rec.Code != http.StatusNotFound {
+			t.Errorf("GET %s on http.DefaultServeMux: %d, want %d", path, rec.Code, http.StatusNotFound)
+		}
 	}
 }
